@@ -285,8 +285,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "weights require \"set\":true")
 		return
 	}
-	if req.Weights != nil && len(req.Weights) != len(req.Nodes) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%d nodes but %d weights", len(req.Nodes), len(req.Weights)))
+	pref := core.Preference{Nodes: req.Nodes, Weights: req.Weights}
+	if err := pref.CheckWeights(); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	k := req.TopK
@@ -296,7 +297,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.batches.Add(1)
 
 	if req.Set {
-		res, err := g.runSet(r.Context(), core.Preference{Nodes: req.Nodes, Weights: req.Weights}, k)
+		res, err := g.runSet(r.Context(), pref, k)
 		if err != nil {
 			writeJSON(w, queryErrorStatus(err), res)
 			return

@@ -159,6 +159,20 @@ func TestGatewayWeightsMismatch(t *testing.T) {
 	}
 }
 
+// TestGatewayOverflowingWeights: weights whose sum overflows float64
+// would normalize to zero and answer an all-zero vector with 200; the
+// gateway must refuse them as a client error before any fan-out.
+func TestGatewayOverflowingWeights(t *testing.T) {
+	_, srv := testGateway(t)
+	var e map[string]string
+	postJSON(t, srv.URL+"/ppv", map[string]any{
+		"nodes": []int32{1, 2}, "weights": []float64{1e308, 1e308}, "set": true,
+	}, http.StatusBadRequest, &e)
+	if e["error"] == "" {
+		t.Fatal("missing error text")
+	}
+}
+
 // TestTCPMachineWeightsMismatch: the TCP transport rejects the same
 // malformed preference the in-process machine rejects.
 func TestTCPMachineWeightsMismatch(t *testing.T) {
@@ -177,6 +191,10 @@ func TestTCPMachineWeightsMismatch(t *testing.T) {
 	bad := core.Preference{Nodes: []int32{1, 2, 3}, Weights: []float64{0.5}}
 	if _, _, err := m.QuerySetShare(context.Background(), bad); err == nil {
 		t.Fatal("mismatched weights must fail, not panic")
+	}
+	nan := core.Preference{Nodes: []int32{1, 2}, Weights: []float64{math.NaN(), 1}}
+	if _, _, err := m.QuerySetShare(context.Background(), nan); err == nil {
+		t.Fatal("a NaN weight must fail")
 	}
 }
 

@@ -159,8 +159,8 @@ func (t *TCPMachine) SupportsUpdates() bool {
 func (t *TCPMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
 	// Mirror the in-process validation (core.Preference.normalized) so
 	// both transports reject the same malformed sets.
-	if p.Weights != nil && len(p.Weights) != len(p.Nodes) {
-		return nil, 0, fmt.Errorf("cluster: preference has %d nodes but %d weights", len(p.Nodes), len(p.Weights))
+	if err := p.CheckWeights(); err != nil {
+		return nil, 0, err
 	}
 	return t.call(ctx, opQuerySet, encodePreference(p))
 }

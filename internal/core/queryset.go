@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"exactppr/internal/sparse"
 )
@@ -13,11 +14,36 @@ import (
 // the distributed protocol still needs exactly one vector per machine
 // per query.
 
-// Preference is a weighted preference node set. Weights must be positive;
-// they are normalized to sum to 1.
+// Preference is a weighted preference node set. Weights must be positive
+// and finite, with a finite sum; they are normalized to sum to 1.
 type Preference struct {
 	Nodes   []int32
 	Weights []float64 // nil = uniform
+}
+
+// CheckWeights validates the weights alone — one per node, each positive
+// and finite, with a finite sum — so a front end can reject a malformed
+// set before dispatching it. A NaN weight would poison every score, and a
+// sum that overflows to +Inf would normalize every weight to zero and
+// answer an all-zero vector as if it were exact.
+func (p Preference) CheckWeights() error {
+	if p.Weights == nil {
+		return nil
+	}
+	if len(p.Weights) != len(p.Nodes) {
+		return fmt.Errorf("core: %d weights for %d nodes", len(p.Weights), len(p.Nodes))
+	}
+	var total float64
+	for i, wi := range p.Weights {
+		if !(wi > 0) || math.IsInf(wi, 1) {
+			return fmt.Errorf("core: weight %v for node %d is not positive and finite", wi, p.Nodes[i])
+		}
+		total += wi
+	}
+	if math.IsInf(total, 1) {
+		return fmt.Errorf("core: preference weights sum past the float64 range")
+	}
+	return nil
 }
 
 // normalized validates the preference and returns per-node normalized
@@ -26,8 +52,8 @@ func (p Preference) normalized(n int) ([]float64, error) {
 	if len(p.Nodes) == 0 {
 		return nil, fmt.Errorf("core: empty preference set")
 	}
-	if p.Weights != nil && len(p.Weights) != len(p.Nodes) {
-		return nil, fmt.Errorf("core: %d weights for %d nodes", len(p.Weights), len(p.Nodes))
+	if err := p.CheckWeights(); err != nil {
+		return nil, err
 	}
 	seen := make(map[int32]bool, len(p.Nodes))
 	w := make([]float64, len(p.Nodes))
@@ -43,9 +69,6 @@ func (p Preference) normalized(n int) ([]float64, error) {
 		wi := 1.0
 		if p.Weights != nil {
 			wi = p.Weights[i]
-			if wi <= 0 {
-				return nil, fmt.Errorf("core: non-positive weight %v for node %d", wi, u)
-			}
 		}
 		w[i] = wi
 		total += wi

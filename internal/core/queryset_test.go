@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"exactppr/internal/hierarchy"
@@ -60,6 +61,48 @@ func TestQuerySetErrors(t *testing.T) {
 		if _, err := s.QuerySet(p); err == nil {
 			t.Errorf("case %d: QuerySet(%+v) should fail", i, p)
 		}
+	}
+}
+
+// TestQuerySetRejectsNonFiniteWeights: a NaN weight used to slip past
+// the "≤ 0" check and return NaN scores, and two 1e308 weights summed to
+// +Inf and normalized to an all-zero vector returned as exact. Both
+// backends must refuse them; a huge but finite sum still answers.
+func TestQuerySetRejectsNonFiniteWeights(t *testing.T) {
+	g := testGraph(t, 54)
+	s := buildStore(t, g, hierarchy.Options{Seed: 54})
+	shards, err := Split(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][]float64{
+		{math.NaN(), 1},
+		{math.Inf(1), 1},
+		{math.Inf(-1), 1},
+		{1e308, 1e308},
+	} {
+		p := Preference{Nodes: []int32{5, 9}, Weights: w}
+		if err := p.CheckWeights(); err == nil {
+			t.Errorf("CheckWeights(%v) accepted", w)
+		}
+		if _, err := s.QuerySet(p); err == nil {
+			t.Errorf("Store.QuerySet(%v) accepted", w)
+		}
+		if _, err := shards[0].QuerySetVector(p); err == nil {
+			t.Errorf("Shard.QuerySetVector(%v) accepted", w)
+		}
+	}
+	got, err := s.QuerySet(Preference{Nodes: []int32{5, 9}, Weights: []float64{1.2e308, 0.4e308}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r5, _ := s.Query(5)
+	r9, _ := s.Query(9)
+	want := sparse.New(0)
+	want.AddScaled(r5, 0.75)
+	want.AddScaled(r9, 0.25)
+	if d := sparse.LInfDistance(got, want); d > 1e-12 {
+		t.Fatalf("huge finite weights: L∞ = %v", d)
 	}
 }
 

@@ -128,11 +128,13 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 		h.home[m] = n
 	}
 
-	if !h.shouldSplit(n) {
+	if !h.maySplit(n) {
 		return n, nil
 	}
-
 	induced := graph.InducedSubgraph(h.G, members)
+	if induced.G.NumEdges() == 0 {
+		return n, nil // the paper's "no internal edges" stopping rule
+	}
 	parts, err := partition.Partition(induced.G, h.Opts.Fanout, partition.Options{
 		Imbalance: h.Opts.Imbalance,
 		Seed:      seed,
@@ -169,17 +171,13 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 	return n, nil
 }
 
-// shouldSplit applies the stopping rules: level cap, size floor, and the
-// paper's "no internal edges" criterion.
-func (h *Hierarchy) shouldSplit(n *Node) bool {
+// maySplit applies the stopping rules that need no subgraph: the level
+// cap and the size floor.
+func (h *Hierarchy) maySplit(n *Node) bool {
 	if h.Opts.MaxLevels > 0 && n.Level >= h.Opts.MaxLevels {
 		return false
 	}
-	if len(n.Members) <= h.Opts.MinSize {
-		return false
-	}
-	induced := graph.InducedSubgraph(h.G, n.Members)
-	return induced.G.NumEdges() > 0
+	return len(n.Members) > h.Opts.MinSize
 }
 
 // Nodes returns every tree node in pre-order.

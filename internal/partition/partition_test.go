@@ -290,3 +290,20 @@ func TestPartitionRandomGraphsSeparatorProperty(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPartition is one 2-way split of the serving benchmark's
+// fixture graph (web×1, 12,000 nodes): undirected view, coarsening,
+// initial bisection and FM refinement at every level.
+func BenchmarkPartition(b *testing.B) {
+	g, err := gen.Dataset("web", 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Partition(g, 2, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
