@@ -51,8 +51,8 @@ func main() {
 		if st.Mmap {
 			mode = "mmap"
 		}
-		fmt.Printf("disk-resident query (%s, store v%d): %v — %d reads, %d cache hits\n",
-			mode, st.FormatVersion, time.Since(start).Round(time.Microsecond), st.Reads, st.CacheHits)
+		fmt.Printf("disk-resident query (%s): %v — %d reads, %d cache hits\n",
+			mode, time.Since(start).Round(time.Microsecond), st.Reads, st.CacheHits)
 		printTop(ppv, q, *topk)
 		return
 	}

@@ -179,8 +179,7 @@ func serveDisk(storePath string, opts core.DiskOptions, shard, of int, listen, h
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "gateway: %d in-process disk shards (store v%d, %s)\n",
-			of, ds.Stats().FormatVersion, mode)
+		fmt.Fprintf(os.Stderr, "gateway: %d in-process disk shards (%s)\n", of, mode)
 		runGateway(httpAddr, c, timeout)
 		return
 	}
@@ -201,9 +200,8 @@ func serveDisk(storePath string, opts core.DiskOptions, shard, of int, listen, h
 		MaxInFlight: inFlight,
 		Machine:     &cluster.LocalMachine{Backend: sh},
 	}
-	fmt.Fprintf(os.Stderr, "worker: disk shard %d/%d (%d hubs, %d leaves, %.2f MB on disk, store v%d, %s) listening on %s\n",
-		shard, of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20),
-		ds.Stats().FormatVersion, mode, l.Addr())
+	fmt.Fprintf(os.Stderr, "worker: disk shard %d/%d (%d hubs, %d leaves, %.2f MB on disk, %s) listening on %s\n",
+		shard, of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), mode, l.Addr())
 	if err := srv.Serve(l); err != nil {
 		fatal(err)
 	}

@@ -14,11 +14,16 @@
 // calls with per-query context cancellation. An HTTP/JSON gateway
 // (gateway.go) exposes the whole thing to ordinary web clients.
 //
-// Two transports are provided: in-process machines (goroutines over
-// shards — used by benchmarks, zero network noise) and TCP machines
+// Two transports are provided: in-process machines and TCP machines
 // (length-prefixed multiplexed frames over real sockets — used by the
 // distributed example and integration tests). Both speak through the
-// Machine interface, so the Coordinator is transport-agnostic.
+// Machine interface, so the Coordinator is transport-agnostic. Every
+// in-process machine is one LocalMachine body over a core backend that
+// drains packed shares — an in-memory or disk shard, or a whole disk
+// store; ShardMachine and LiveShard (the updatable worker) delegate to
+// it, so every backend encodes its share the same way. Concurrent and
+// sequential fan-outs (QuerySequential) likewise share one decode,
+// byte-accounting, and merge step.
 package cluster
 
 import (
@@ -67,40 +72,21 @@ type UpdateStats struct {
 	Wall time.Duration
 }
 
-// ShardMachine is an in-process Machine over a core.Shard.
+// ShardMachine is an in-process Machine over a core.Shard: a
+// LocalMachine over the shard, kept as a named type for callers that
+// build it as ShardMachine{Shard: sh}.
 type ShardMachine struct {
 	Shard *core.Shard
 }
 
-// QueryShare implements Machine. The share is encoded even in-process so
-// byte accounting matches what a network transport would carry. The
-// shard's fold drains in packed (sorted) form, so encoding is a straight
-// sequential copy — no map iteration on the worker's hot path.
+// QueryShare implements Machine.
 func (m *ShardMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.Shard.QueryPacked(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload := sparse.EncodePacked(v)
-	return payload, time.Since(start), nil
+	return (&LocalMachine{Backend: m.Shard}).QueryShare(ctx, u)
 }
 
 // QuerySetShare implements Machine for preference sets.
 func (m *ShardMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.Shard.QuerySetPacked(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload := sparse.EncodePacked(v)
-	return payload, time.Since(start), nil
+	return (&LocalMachine{Backend: m.Shard}).QuerySetShare(ctx, p)
 }
 
 // QueryStats reports one distributed query.
@@ -220,11 +206,6 @@ func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Mac
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type reply struct {
-		payload []byte
-		compute time.Duration
-		err     error
-	}
 	replies := make([]reply, len(c.machines))
 	var wg sync.WaitGroup
 	wg.Add(len(c.machines))
@@ -239,12 +220,22 @@ func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Mac
 		}(i, m)
 	}
 	wg.Wait()
+	return sumReplies(replies, start)
+}
 
-	stats := &QueryStats{
-		MachineTime: make([]time.Duration, len(c.machines)),
-	}
-	// Report the most informative error: a machine failure beats the
-	// context cancellation it triggered on its siblings.
+// reply is one machine's answer to one query.
+type reply struct {
+	payload []byte
+	compute time.Duration
+	err     error
+}
+
+// sumReplies finishes the one-round protocol for either fan-out: it
+// reports the most informative machine error, or else decodes every
+// share, accounts its bytes and compute time, and sums the shares.
+func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
+	// A machine failure beats the context cancellation it triggered on
+	// its siblings.
 	var firstErr error
 	for i, rp := range replies {
 		if rp.err != nil {
@@ -257,10 +248,13 @@ func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Mac
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	stats := &QueryStats{
+		MachineTime: make([]time.Duration, len(replies)),
+	}
 	// "Sum the shares": every payload decodes straight into columnar
 	// form, and the k sorted streams merge in one pass — no maps, no
 	// per-entry hashing, however many machines answered.
-	parts := make([]sparse.Packed, len(c.machines))
+	parts := make([]sparse.Packed, len(replies))
 	for i, rp := range replies {
 		v, err := sparse.DecodePacked(rp.payload)
 		if err != nil {
@@ -343,27 +337,14 @@ func isCancel(err error) bool {
 // when the simulation host has fewer cores than simulated machines.
 func (c *Coordinator) QuerySequential(u int32) (*QueryStats, error) {
 	start := time.Now()
-	ctx := context.Background()
-	stats := &QueryStats{
-		MachineTime: make([]time.Duration, len(c.machines)),
-	}
-	parts := make([]sparse.Packed, len(c.machines))
+	replies := make([]reply, len(c.machines))
 	for i, m := range c.machines {
-		payload, compute, err := m.QueryShare(ctx, u)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
+		rp := &replies[i]
+		if rp.payload, rp.compute, rp.err = m.QueryShare(context.Background(), u); rp.err != nil {
+			break
 		}
-		v, err := sparse.DecodePacked(payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: machine %d payload: %w", i, err)
-		}
-		stats.BytesReceived += int64(len(payload))
-		stats.MachineTime[i] = compute
-		parts[i] = v
 	}
-	stats.Result = sparse.MergePacked(parts)
-	stats.Wall = time.Since(start)
-	return stats, nil
+	return sumReplies(replies, start)
 }
 
 // NewLocalCluster shards a store across n in-process machines and returns
@@ -375,7 +356,7 @@ func NewLocalCluster(s *core.Store, n int) (*Coordinator, error) {
 	}
 	machines := make([]Machine, n)
 	for i, sh := range shards {
-		machines[i] = &ShardMachine{Shard: sh}
+		machines[i] = &LocalMachine{Backend: sh}
 	}
 	return NewCoordinator(machines...)
 }

@@ -115,7 +115,6 @@ func TestGatewayDiskStats(t *testing.T) {
 			CacheMisses    int64 `json:"cache_misses"`
 			CoalescedReads int64 `json:"coalesced_reads"`
 			Reads          int64 `json:"reads"`
-			FormatVersion  int   `json:"format_version"`
 		} `json:"disk"`
 	}
 	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
@@ -127,8 +126,5 @@ func TestGatewayDiskStats(t *testing.T) {
 	}
 	if stats.Disk.Reads == 0 || stats.Disk.CacheMisses == 0 {
 		t.Fatalf("disk counters empty: %+v", *stats.Disk)
-	}
-	if stats.Disk.FormatVersion != 2 {
-		t.Fatalf("format version %d, want 2", stats.Disk.FormatVersion)
 	}
 }

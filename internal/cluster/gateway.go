@@ -452,7 +452,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			"evictions":       ds.Evictions,
 			"cached":          ds.Cached,
 			"mmap":            ds.Mmap,
-			"format_version":  ds.FormatVersion,
 		}
 	}
 	writeJSON(w, http.StatusOK, stats)

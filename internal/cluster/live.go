@@ -8,7 +8,6 @@ import (
 
 	"exactppr/internal/core"
 	"exactppr/internal/graph"
-	"exactppr/internal/sparse"
 )
 
 // LiveShard is a Machine over one shard of an updatable store. Queries
@@ -52,28 +51,12 @@ func (m *LiveShard) refresh(s *core.Store) error {
 
 // QueryShare implements Machine.
 func (m *LiveShard) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.shard.Load().QueryPacked(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return (&LocalMachine{Backend: m.shard.Load()}).QueryShare(ctx, u)
 }
 
 // QuerySetShare implements Machine.
 func (m *LiveShard) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	v, err := m.shard.Load().QuerySetPacked(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sparse.EncodePacked(v), time.Since(start), nil
+	return (&LocalMachine{Backend: m.shard.Load()}).QuerySetShare(ctx, p)
 }
 
 // ApplyUpdates implements Updater. The batch recompute runs to

@@ -1,0 +1,187 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"exactppr/internal/gen"
+	"exactppr/internal/hierarchy"
+	"exactppr/internal/ppr"
+	"exactppr/internal/sparse"
+)
+
+// Store files are untrusted bytes: every malformed input must end in an
+// error from Load or OpenDiskStoreWith (or, when the framing is sound,
+// in answers), never in a panic or an allocation sized by the file.
+
+// storeHeaderLen is the byte length of a store file's header: magic,
+// params (24), hierarchy options (28), graph counts (8), and m edges.
+func storeHeaderLen(edges int) int { return 8 + 24 + 28 + 8 + 8*edges }
+
+func savedBytes(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openBoth runs the in-memory loader and both disk openers over data and
+// returns their errors.
+func openBoth(t *testing.T, data []byte) []error {
+	t.Helper()
+	_, err := Load(bytes.NewReader(data))
+	errs := []error{err}
+	path := filepath.Join(t.TempDir(), "s.store")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
+		ds, err := OpenDiskStoreWith(path, opts)
+		if err == nil {
+			ds.Close()
+		}
+		errs = append(errs, err)
+	}
+	return errs
+}
+
+// TestLoadRejectsHugeSectionCount: a section count taken from the file
+// used to size a map before a single record was read, so a patched count
+// of 0x7fffffff died with "fatal error: out of memory". A count above
+// the node count is now a plain error.
+func TestLoadRejectsHugeSectionCount(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	data := savedBytes(t, s)
+	binary.LittleEndian.PutUint32(data[storeHeaderLen(s.H.G.NumEdges()):], 0x7fffffff)
+	for i, err := range openBoth(t, data) {
+		if err == nil {
+			t.Fatalf("opener %d accepted a section count of 0x7fffffff", i)
+		}
+	}
+}
+
+// TestLoadRejectsNegativeKey: a leaf-section key of −5 used to open
+// fine, after which Split and SplitDisk panicked with an index out of
+// range dealing the leaf to machine u mod n.
+func TestLoadRejectsNegativeKey(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	bad := s.Clone()
+	for _, vec := range s.LeafPPV {
+		bad.LeafPPV[-5] = vec
+		break
+	}
+	for i, err := range openBoth(t, savedBytes(t, bad)) {
+		if err == nil {
+			t.Fatalf("opener %d accepted leaf key -5", i)
+		}
+	}
+}
+
+// TestLoadRejectsUnsortedKeys: Save writes every section's keys strictly
+// increasing, so a repeated key is corruption, not a second vector.
+func TestLoadRejectsUnsortedKeys(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	data := savedBytes(t, s)
+	// Point the first section's second record at the first one's key.
+	off := storeHeaderLen(s.H.G.NumEdges()) + 4
+	first := binary.LittleEndian.Uint32(data[off:])
+	vlen := int(binary.LittleEndian.Uint32(data[off+4:]))
+	next := off + 8
+	next += (8 - next%8) % 8
+	next += vlen
+	binary.LittleEndian.PutUint32(data[next:], first)
+	for i, err := range openBoth(t, data) {
+		if err == nil {
+			t.Fatalf("opener %d accepted a repeated key %d", i, first)
+		}
+	}
+}
+
+// TestUnsupportedStoreVersion: a version-1 file gets the typed error
+// from both openers, so callers can tell "rebuild the store" apart from
+// corruption.
+func TestUnsupportedStoreVersion(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	data := savedBytes(t, s)
+	copy(data, storeMagicV1[:])
+	for i, err := range openBoth(t, data) {
+		if !errors.Is(err, ErrUnsupportedStoreVersion) {
+			t.Fatalf("opener %d: got %v, want ErrUnsupportedStoreVersion", i, err)
+		}
+	}
+}
+
+// FuzzStoreSections mutates the record sections of a tiny store — never
+// its header, whose node count sizes the graph's arrays — and serves
+// whatever opens: Load and both disk openers, each split two ways and
+// queried for every node, whole and per shard.
+func FuzzStoreSections(f *testing.F) {
+	g, err := gen.Community(gen.Config{
+		Nodes: 24, AvgOutDegree: 3, Communities: 3,
+		InterFrac: 0.1, MinOutDegree: 1, Seed: 5,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := BuildHGPA(g, hierarchy.Options{Seed: 5, MinSize: 6}, ppr.Params{Alpha: 0.15, Eps: 1e-3}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data := savedBytes(f, s)
+	hdr := storeHeaderLen(g.NumEdges())
+	header := data[:hdr:hdr]
+	sections := data[hdr:]
+	f.Add(sections)
+	f.Add(sections[:len(sections)/2])
+	f.Add([]byte{})
+	for _, patch := range []struct {
+		off int
+		val uint32
+	}{{0, 0x7fffffff}, {4, 0xfffffffb}, {8, 0x7fffffff}} {
+		mut := bytes.Clone(sections)
+		binary.LittleEndian.PutUint32(mut[patch.off:], patch.val)
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, sections []byte) {
+		file := append(header, sections...)
+		if ls, err := Load(bytes.NewReader(file)); err == nil {
+			shards, err := Split(ls, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queryAll(ls.H.G.NumNodes(), ls.QueryPacked, shards[0].QueryPacked, shards[1].QueryPacked)
+		}
+		path := filepath.Join(t.TempDir(), "f.store")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
+			ds, err := OpenDiskStoreWith(path, opts)
+			if err != nil {
+				continue
+			}
+			shards, err := SplitDisk(ds, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queryAll(ds.H.G.NumNodes(), ds.QueryPacked, shards[0].QueryPacked, shards[1].QueryPacked)
+			ds.Close()
+		}
+	})
+}
+
+// queryAll asks every query function for every node; errors are fine,
+// panics are not.
+func queryAll(n int, queries ...func(int32) (sparse.Packed, error)) {
+	for _, q := range queries {
+		for u := int32(0); u < int32(n); u++ {
+			q(u)
+		}
+	}
+}

@@ -172,35 +172,45 @@ func (c *vecCache) getOrLoad(k cacheKey, st *diskCounters, load func() (cval, er
 	sh.flight[k] = fc
 	sh.mu.Unlock()
 
-	func() {
-		// The flight must resolve even if load panics (a corrupt mapping
-		// tripping a slice bound, say) or waiters would hang forever —
-		// and it must resolve as a FAILURE: caching the zero value and
-		// handing waiters (empty vector, nil error) would silently
-		// corrupt query results.
-		completed := false
-		defer func() {
-			if !completed && fc.err == nil {
-				fc.err = fmt.Errorf("core: cache load for (%d,%d) panicked", k.section, k.key)
-			}
-			sh.mu.Lock()
-			delete(sh.flight, k)
-			if fc.err == nil {
-				sh.insertLocked(k, fc.val, st)
-			}
-			sh.mu.Unlock()
-			close(fc.done)
-		}()
-		st.reads.Add(1)
-		fc.val, fc.err = load()
-		completed = true
+	// The flight must resolve even if load panics (a corrupt mapping
+	// tripping a slice bound, say) or waiters would hang forever — and
+	// it must resolve as a FAILURE: caching the zero value and handing
+	// waiters (empty vector, nil error) would silently corrupt query
+	// results.
+	completed := false
+	defer func() {
+		if !completed {
+			fc.err = fmt.Errorf("core: cache load for (%d,%d) panicked", k.section, k.key)
+			sh.resolve(k, fc, st)
+		}
 	}()
+	st.reads.Add(1)
+	fc.val, fc.err = load()
+	completed = true
+	sh.resolve(k, fc, st)
 	return fc.val, fc.err
+}
+
+// resolve ends a flight: it caches a successful value and wakes the
+// waiters. getOrLoad calls it from its own frame, and insertLocked takes
+// the value by pointer, so the code that holds the shard lock sits less
+// deep than load's read path. A query on a fresh goroutine whose stack
+// must grow therefore grows it inside load, before taking the lock:
+// growing (copying) the stack while holding the lock stalled every query
+// on the shard and multiplied the disk path's p99 latency.
+func (sh *vecCacheShard) resolve(k cacheKey, fc *flightCall, st *diskCounters) {
+	sh.mu.Lock()
+	delete(sh.flight, k)
+	if fc.err == nil {
+		sh.insertLocked(k, &fc.val, st)
+	}
+	sh.mu.Unlock()
+	close(fc.done)
 }
 
 // insertLocked places a value, evicting one second-chance victim when
 // the shard is full. Caller holds sh.mu.
-func (sh *vecCacheShard) insertLocked(k cacheKey, v cval, st *diskCounters) {
+func (sh *vecCacheShard) insertLocked(k cacheKey, v *cval, st *diskCounters) {
 	if _, ok := sh.pos[k]; ok {
 		return // a racing loader of the same key already filled it
 	}
@@ -208,7 +218,7 @@ func (sh *vecCacheShard) insertLocked(k cacheKey, v cval, st *diskCounters) {
 		sh.evictOneLocked(st)
 	}
 	sh.pos[k] = len(sh.ring)
-	sh.ring = append(sh.ring, clockSlot{key: k, val: v})
+	sh.ring = append(sh.ring, clockSlot{key: k, val: *v})
 }
 
 // evictOneLocked runs the CLOCK hand: referenced slots get their bit

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -12,9 +11,8 @@ import (
 )
 
 // The cross-path equivalence suite: every way of serving a saved store —
-// in-memory (Load of either format version), disk-resident over a
-// memory map, disk-resident over the ReadAt fallback, and the legacy
-// version-1 file through both — must return BIT-IDENTICAL vectors. The
+// in-memory (Load), disk-resident over a memory map, and disk-resident
+// over the ReadAt fallback — must return BIT-IDENTICAL vectors. The
 // transposed hub-plan index preserves the exact floating-point fold
 // order of the in-memory query, so equality here is ==, not a tolerance.
 
@@ -35,17 +33,6 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 	if err := SaveFile(v2, s); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "v1.store")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := saveV1(f, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	var variants []diskVariant
 	for _, spec := range []struct {
@@ -55,8 +42,6 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 	}{
 		{"mmap/v2", v2, DiskOptions{}},
 		{"fallback/v2", v2, DiskOptions{DisableMmap: true}},
-		{"mmap/v1", v1, DiskOptions{}},
-		{"fallback/v1", v1, DiskOptions{DisableMmap: true}},
 		{"tiny-cache/v2", v2, DiskOptions{CacheCap: 2}}, // constant eviction
 	} {
 		ds, err := OpenDiskStoreWith(spec.path, spec.opts)
@@ -68,7 +53,7 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 	}
 
 	var loaded []*Store
-	for _, path := range []string{v2, v1} {
+	for _, path := range []string{v2} {
 		ls, err := LoadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -168,8 +153,8 @@ func TestCrossPathEquivalenceQuerySet(t *testing.T) {
 }
 
 // TestDiskShardsMatchMemoryShards: each disk shard's share is
-// bit-identical to the corresponding in-memory shard's share (the two
-// Split implementations deal hubs and leaves identically), and the
+// bit-identical to the corresponding in-memory shard's share (Split and
+// SplitDisk deal hubs and leaves by one rule), and the
 // shares still sum to the exact PPV.
 func TestDiskShardsMatchMemoryShards(t *testing.T) {
 	s, variants, _ := equivFixture(t)

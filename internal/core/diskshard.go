@@ -1,55 +1,35 @@
 package core
 
-import (
-	"fmt"
-
-	"exactppr/internal/sparse"
-)
+import "exactppr/internal/sparse"
 
 // DiskShard is the slice of a DiskStore assigned to one machine under
 // the paper's hub-distributed scheme (§4.4) — the disk-resident
 // counterpart of Shard, so a serving fleet can run the zero-copy mmap
-// path behind the same coordinator/gateway stack. SplitDisk assigns hubs
-// and leaves exactly as Split does for the equivalent in-memory store,
-// so shard shares from the two backends are interchangeable and sum to
-// the same exact PPV, bit for bit.
+// path behind the same coordinator/gateway stack. SplitDisk and Split
+// share one assignment rule (see owner), and both backends run the same
+// fold, so shard shares from the two are the same bytes and sum to the
+// same exact PPV.
 //
 // All shards of one DiskStore share its file, mapping, and cache;
 // closing the store invalidates every shard.
 type DiskShard struct {
 	Index, Total int
 	ds           *DiskStore
-	hubs         map[int32]bool // hubs owned by this shard
-	leaves       map[int32]bool // leaf vectors owned by this shard
+	own          *owner
 }
 
-// SplitDisk divides the disk store across n machines with the same
-// deterministic assignment as Split: each tree node's hub list is dealt
-// round-robin with a global cursor, and non-hub node u's leaf vector
-// goes to machine u mod n.
+// SplitDisk divides the disk store across n machines with Split's
+// assignment: each tree node's hub list is dealt round-robin with a
+// global cursor, and non-hub node u's leaf vector goes to machine u mod
+// n.
 func SplitDisk(ds *DiskStore, n int) ([]*DiskShard, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: cannot split into %d shards", n)
+	owners, err := split(ds.H, n)
+	if err != nil {
+		return nil, err
 	}
 	shards := make([]*DiskShard, n)
-	for i := range shards {
-		shards[i] = &DiskShard{
-			Index:  i,
-			Total:  n,
-			ds:     ds,
-			hubs:   make(map[int32]bool),
-			leaves: make(map[int32]bool),
-		}
-	}
-	cursor := 0
-	for _, node := range ds.H.Nodes() {
-		for _, h := range node.Hubs {
-			shards[cursor%n].hubs[h] = true
-			cursor++
-		}
-	}
-	for u := range ds.idx[secLeafPPV] {
-		shards[int(u)%n].leaves[u] = true
+	for i, own := range owners {
+		shards[i] = &DiskShard{Index: i, Total: n, ds: ds, own: own}
 	}
 	return shards, nil
 }
@@ -57,62 +37,30 @@ func SplitDisk(ds *DiskStore, n int) ([]*DiskShard, error) {
 // QueryPacked computes this machine's additive share of the PPV of u in
 // columnar form — what the wire protocol encodes directly.
 func (sh *DiskShard) QueryPacked(u int32) (sparse.Packed, error) {
-	d := sh.ds
-	if err := d.acquire(); err != nil {
-		return sparse.Packed{}, err
-	}
-	defer d.release()
-	acc := sparse.AcquireAccumulator(d.H.G.NumNodes())
-	defer acc.Release()
-	if err := d.queryInto(acc, u, 1, sh); err != nil {
-		return sparse.Packed{}, err
-	}
-	return acc.Packed(), nil
+	return serve(sh.ds, sh.own, u, nil, (*sparse.Accumulator).Packed)
 }
 
 // QuerySetPacked is the shard-side preference-set fold.
 func (sh *DiskShard) QuerySetPacked(p Preference) (sparse.Packed, error) {
-	d := sh.ds
-	if err := d.acquire(); err != nil {
-		return sparse.Packed{}, err
-	}
-	defer d.release()
-	w, err := p.normalized(d.H.G.NumNodes())
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	acc := sparse.AcquireAccumulator(d.H.G.NumNodes())
-	defer acc.Release()
-	for i, u := range p.Nodes {
-		if err := d.queryInto(acc, u, w[i], sh); err != nil {
-			return sparse.Packed{}, err
-		}
-	}
-	return acc.Packed(), nil
+	return serve(sh.ds, sh.own, 0, &p, (*sparse.Accumulator).Packed)
 }
 
 // HubCount returns the number of hubs assigned to the shard.
-func (sh *DiskShard) HubCount() int { return len(sh.hubs) }
+func (sh *DiskShard) HubCount() int { return len(ownedHubs(sh.ds.H, sh.own)) }
 
 // LeafCount returns the number of leaf vectors assigned to the shard.
-func (sh *DiskShard) LeafCount() int { return len(sh.leaves) }
+func (sh *DiskShard) LeafCount() int { return len(ownedKeys(sh.ds.idx[secLeafPPV], sh.own)) }
 
 // SpaceBytes reports the on-disk payload bytes of the vectors THIS shard
 // serves — the per-machine space metric of §6.2.3.
 func (sh *DiskShard) SpaceBytes() int64 {
 	var total int64
-	for h := range sh.hubs {
-		if sp, ok := sh.ds.idx[secHubPartial][h]; ok {
-			total += int64(sp.len)
-		}
-		if sp, ok := sh.ds.idx[secSkeleton][h]; ok {
-			total += int64(sp.len)
-		}
+	for _, h := range ownedHubs(sh.ds.H, sh.own) {
+		total += int64(sh.ds.idx[secHubPartial][h].len)
+		total += int64(sh.ds.idx[secSkeleton][h].len)
 	}
-	for u := range sh.leaves {
-		if sp, ok := sh.ds.idx[secLeafPPV][u]; ok {
-			total += int64(sp.len)
-		}
+	for _, u := range ownedKeys(sh.ds.idx[secLeafPPV], sh.own) {
+		total += int64(sh.ds.idx[secLeafPPV][u].len)
 	}
 	return total
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -22,23 +21,25 @@ import (
 // compounding serving optimisations:
 //
 //   - Zero-copy mmap. The store file is memory-mapped by default and
-//     version-2 payloads are served as sparse.PackedView slices aliasing
+//     vector payloads are served as sparse.PackedView slices aliasing
 //     the mapping — no read buffer, no decode copy; the OS page cache is
 //     the real vector cache. A -mmap=off knob (DiskOptions.DisableMmap),
 //     unsupported platforms, and map failures all fall back to the
 //     portable ReadAt+decode path.
 //   - Transposed skeleton index. A query folds exactly one hub-plan row
 //     (leaf + Σ (h, S_u(h))·partial) instead of fetching every path
-//     hub's entire skeleton vector to read a single scalar. Version-2
-//     files carry the transpose as a fourth section; legacy files get it
-//     synthesized in memory at open.
+//     hub's entire skeleton vector to read a single scalar. The store
+//     file carries the transpose as its fourth section.
 //   - Sharded coalescing cache. Decoded vectors (views, in mmap mode)
 //     live in an N-way sharded CLOCK cache with per-key singleflight, so
 //     a miss storm on a hot hub issues ONE read however many queries are
 //     in flight. See diskcache.go.
 //
 // Only the graph, the hierarchy, and an offset index are always
-// resident; vector payloads stay on disk (or in the page cache).
+// resident; vector payloads stay on disk (or in the page cache). Queries
+// run the same fold as the in-memory Store (fold.go), with the plan row
+// as the source of each path hub's s_u(h), so disk and memory answers
+// are bit-identical.
 //
 // DiskStore is safe for concurrent queries and is read-only: it does not
 // support ApplyUpdates — rebuild and reopen to pick up new graph state.
@@ -46,12 +47,10 @@ type DiskStore struct {
 	H      *hierarchy.Hierarchy
 	Params ppr.Params
 
-	f       *os.File
-	data    []byte // mmap of the whole file; nil on the fallback path
-	version int    // store file format version (1 or 2)
+	f    *os.File
+	data []byte // mmap of the whole file; nil on the fallback path
 
-	idx     [4]map[int32]span // hub partials, skeletons, leaf PPVs, hub plans
-	planMem map[int32]planRow // synthesized transpose for version-1 files
+	idx [numSections]map[int32]span // hub partials, skeletons, leaf PPVs, hub plans
 
 	// fmu guards the file AND mapping lifecycle. Queries hold it shared
 	// for their entire duration — not just across the read — because in
@@ -123,9 +122,6 @@ type DiskStats struct {
 	// Mmap reports whether the store is serving zero-copy from a
 	// memory-mapped file (false: the ReadAt fallback).
 	Mmap bool
-	// FormatVersion is the store file version (2 carries the transposed
-	// skeleton index on disk; 1 synthesizes it at open).
-	FormatVersion int
 }
 
 // ParseDiskOptions builds DiskOptions from the serving commands' shared
@@ -220,7 +216,6 @@ func (d *DiskStore) Stats() DiskStats {
 		Evictions:      d.stats.evictions.Load(),
 		Cached:         d.cache.len(),
 		Mmap:           mmap,
-		FormatVersion:  d.version,
 	}
 }
 
@@ -237,13 +232,11 @@ func (d *DiskStore) acquire() error {
 
 func (d *DiskStore) release() { d.fmu.RUnlock() }
 
-// indexStoreFile parses the header exactly as Load does, but tracks byte
-// positions so the vector payloads can be skipped and indexed. For
-// version-1 files the skeleton section is additionally decoded in
-// passing to synthesize the transposed hub-plan index.
+// indexStoreFile parses the header exactly as Load does, then walks the
+// sections recording each payload's span and skipping its bytes.
 func indexStoreFile(f *os.File) (*DiskStore, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
-	version, params, opts, g, err := readStoreHeader(cr)
+	params, opts, g, err := readStoreHeader(cr)
 	if err != nil {
 		return nil, err
 	}
@@ -251,55 +244,16 @@ func indexStoreFile(f *os.File) (*DiskStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &DiskStore{H: h, Params: params, f: f, version: version}
-	var planb *planBuilder
-	if version == 1 {
-		planb = newPlanBuilder(h)
+	ds := &DiskStore{H: h, Params: params, f: f}
+	for sec := range ds.idx {
+		ds.idx[sec] = make(map[int32]span)
 	}
-	sections := 4
-	if version == 1 {
-		sections = 3
-	}
-	for sec := 0; sec < sections; sec++ {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return nil, err
-		}
-		if count < 0 {
-			return nil, fmt.Errorf("core: corrupt section count")
-		}
-		idx := make(map[int32]span, count)
-		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr, version)
-			if err != nil {
-				return nil, err
-			}
-			idx[key] = span{off: cr.n, len: vlen}
-			if planb != nil && sec == secSkeleton {
-				// Legacy file: the transpose is not on disk — build it
-				// from the skeleton payloads while they stream past.
-				buf := make([]byte, vlen)
-				if _, err := io.ReadFull(cr, buf); err != nil {
-					return nil, err
-				}
-				vec, err := sparse.DecodePacked(buf)
-				if err != nil {
-					return nil, err
-				}
-				if !vec.InRange(g.NumNodes()) {
-					return nil, fmt.Errorf("core: skeleton %d has out-of-range node ids (corrupt store?)", key)
-				}
-				planb.addSkeleton(key, vec)
-				continue
-			}
-			if err := cr.skip(int64(vlen)); err != nil {
-				return nil, err
-			}
-		}
-		ds.idx[sec] = idx
-	}
-	if planb != nil {
-		ds.planMem = planb.finish()
+	err = walkSections(cr, g.NumNodes(), func(sec int8, key, vlen int32) error {
+		ds.idx[sec][key] = span{off: cr.n, len: vlen}
+		return cr.skip(int64(vlen))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ds, nil
 }
@@ -356,8 +310,8 @@ func (d *DiskStore) readPayload(sp span) (buf []byte, done func(), err error) {
 	return buf, func() { fetchBufPool.Put(bp) }, nil
 }
 
-// loadVector decodes one vector record. In mmap mode on a version-2 file
-// this is zero-copy: the returned Packed is a view over the mapping.
+// loadVector decodes one vector record. In mmap mode this is zero-copy:
+// the returned Packed is a view over the mapping.
 func (d *DiskStore) loadVector(section int8, key int32) (cval, error) {
 	sp, ok := d.idx[section][key]
 	if !ok {
@@ -368,23 +322,14 @@ func (d *DiskStore) loadVector(section int8, key int32) (cval, error) {
 		return cval{}, err
 	}
 	defer done()
+	decode := sparse.DecodeColumnar // pooled buffer: must copy
+	if d.data != nil {
+		decode = sparse.ViewColumnar // aliases the mapping
+	}
+	ids, scores, err := decode(buf)
 	var v sparse.Packed
-	if d.version == 1 {
-		v, err = sparse.DecodePacked(buf) // interleaved payload: always a copy
-	} else if d.data != nil {
-		var ids []int32
-		var scores []float64
-		ids, scores, err = sparse.ViewColumnar(buf) // aliases the mapping
-		if err == nil {
-			v, err = sparse.PackedView(ids, scores)
-		}
-	} else {
-		var ids []int32
-		var scores []float64
-		ids, scores, err = sparse.DecodeColumnar(buf) // pooled buffer: must copy
-		if err == nil {
-			v, err = sparse.PackedView(ids, scores)
-		}
+	if err == nil {
+		v, err = sparse.PackedView(ids, scores)
 	}
 	if err != nil {
 		return cval{}, fmt.Errorf("core: vector for section %d key %d: %w", section, key, err)
@@ -403,13 +348,9 @@ func (d *DiskStore) fetch(section int8, key int32) (sparse.Packed, error) {
 	return v.vec, err
 }
 
-// plan returns query node u's hub-weight row. Version-1 stores answer
-// from the open-time synthesis; version-2 stores fetch the row like any
-// other vector (a node with no path hubs simply has no row).
+// plan returns query node u's hub-weight row, fetched and cached like
+// any other vector (a node with no path hubs simply has no row).
 func (d *DiskStore) plan(u int32) (planRow, error) {
-	if d.version == 1 {
-		return d.planMem[u], nil
-	}
 	v, err := d.cache.getOrLoad(cacheKey{secHubPlan, u}, &d.stats, func() (cval, error) {
 		sp, ok := d.idx[secHubPlan][u]
 		if !ok {
@@ -441,145 +382,60 @@ func (d *DiskStore) plan(u int32) (planRow, error) {
 	return v.plan, err
 }
 
-// queryInto folds w times (the shard sh's slice of) u's exact PPV into
-// acc — the same identity, in the same floating-point order, as
-// Store.queryInto, so disk and in-memory answers are bit-identical. The
-// caller holds the lifecycle lock. sh == nil folds the whole store.
-func (d *DiskStore) queryInto(acc *sparse.Accumulator, u int32, w float64, sh *DiskShard) error {
-	if u < 0 || int(u) >= d.H.G.NumNodes() {
-		return fmt.Errorf("core: query node %d out of range", u)
+// The disk vectorSource: the lifecycle lock pins the mapping for a
+// whole query, and a path walk is one cached plan row — returned as is
+// for the whole store, filtered into the scratch row for a shard.
+
+func (d *DiskStore) numNodes() int { return d.H.G.NumNodes() }
+
+func (d *DiskStore) alpha() float64 { return d.Params.Alpha }
+
+func (d *DiskStore) isHub(u int32) bool { return d.H.IsHub(u) }
+
+func (d *DiskStore) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
+	plan, err := d.plan(u)
+	if err != nil || own == nil {
+		return plan, err
 	}
-	alpha := d.Params.Alpha
-	row, err := d.plan(u)
-	if err != nil {
-		return err
+	row.hubs, row.s = row.hubs[:0], row.s[:0]
+	for i, h := range plan.hubs {
+		if own.hub(h) {
+			row.hubs = append(row.hubs, h)
+			row.s = append(row.s, plan.s[i])
+		}
 	}
-	for i, h := range row.hubs {
-		if sh != nil && !sh.hubs[h] {
-			continue
-		}
-		su := row.s[i]
-		if h == u {
-			su -= alpha // S_u(h) = s_u(h) − α·f_u(h)
-		}
-		if su == 0 {
-			continue
-		}
-		partial, err := d.fetch(secHubPartial, h)
-		if err != nil {
-			return err
-		}
-		acc.AddPacked(partial, w*su/alpha)
-		acc.Add(h, w*su)
-	}
-	// Final term: the leaf-level local PPV for a non-hub query, or the
-	// hub's own partial p_u = P_u + α·x_u; in sharded mode it belongs to
-	// whoever owns the vector.
-	if d.H.IsHub(u) {
-		if sh == nil || sh.hubs[u] {
-			partial, err := d.fetch(secHubPartial, u)
-			if err != nil {
-				return err
-			}
-			acc.AddPacked(partial, w)
-			acc.Add(u, w*alpha)
-		}
-	} else if sh == nil || sh.leaves[u] {
-		leaf, err := d.fetch(secLeafPPV, u)
-		if err != nil {
-			return err
-		}
-		acc.AddPacked(leaf, w)
-	}
-	return nil
+	return *row, nil
 }
+
+func (d *DiskStore) partial(h int32) (sparse.Packed, error) { return d.fetch(secHubPartial, h) }
+
+func (d *DiskStore) leaf(u int32) (sparse.Packed, error) { return d.fetch(secLeafPPV, u) }
 
 // Query constructs the exact PPV of u reading vectors from disk — the
 // same identity as Store.Query, bit-for-bit.
 func (d *DiskStore) Query(u int32) (sparse.Vector, error) {
-	if err := d.acquire(); err != nil {
-		return nil, err
-	}
-	defer d.release()
-	acc := sparse.AcquireAccumulator(d.H.G.NumNodes())
-	defer acc.Release()
-	if err := d.queryInto(acc, u, 1, nil); err != nil {
-		return nil, err
-	}
-	return acc.Vector(), nil
+	return serve(d, nil, u, nil, (*sparse.Accumulator).Vector)
 }
 
 // QueryPacked is Query draining into the columnar representation the
 // serving layer encodes straight onto the wire.
 func (d *DiskStore) QueryPacked(u int32) (sparse.Packed, error) {
-	if err := d.acquire(); err != nil {
-		return sparse.Packed{}, err
-	}
-	defer d.release()
-	acc := sparse.AcquireAccumulator(d.H.G.NumNodes())
-	defer acc.Release()
-	if err := d.queryInto(acc, u, 1, nil); err != nil {
-		return sparse.Packed{}, err
-	}
-	return acc.Packed(), nil
+	return serve(d, nil, u, nil, (*sparse.Accumulator).Packed)
 }
 
 // QueryTopK returns the k highest-scoring nodes of u's exact PPV without
 // materializing the full vector.
 func (d *DiskStore) QueryTopK(u int32, k int) ([]sparse.Entry, error) {
-	if err := d.acquire(); err != nil {
-		return nil, err
-	}
-	defer d.release()
-	acc := sparse.AcquireAccumulator(d.H.G.NumNodes())
-	defer acc.Release()
-	if err := d.queryInto(acc, u, 1, nil); err != nil {
-		return nil, err
-	}
-	return acc.TopK(k), nil
+	return serve(d, nil, u, nil, drainTopK(k))
 }
 
 // QuerySet constructs the exact PPV of a weighted preference set by
 // linearity — the disk-resident analogue of Store.QuerySet.
 func (d *DiskStore) QuerySet(p Preference) (sparse.Vector, error) {
-	acc, err := d.querySetInto(p)
-	if err != nil {
-		return nil, err
-	}
-	defer d.release()
-	defer acc.Release()
-	return acc.Vector(), nil
+	return serve(d, nil, 0, &p, (*sparse.Accumulator).Vector)
 }
 
 // QuerySetPacked is QuerySet draining into columnar form.
 func (d *DiskStore) QuerySetPacked(p Preference) (sparse.Packed, error) {
-	acc, err := d.querySetInto(p)
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	defer d.release()
-	defer acc.Release()
-	return acc.Packed(), nil
-}
-
-// querySetInto runs the weighted fold; on success the caller owns both
-// the accumulator release and the lifecycle lock release.
-func (d *DiskStore) querySetInto(p Preference) (*sparse.Accumulator, error) {
-	if err := d.acquire(); err != nil {
-		return nil, err
-	}
-	w, err := p.normalized(d.H.G.NumNodes())
-	if err != nil {
-		d.release()
-		return nil, err
-	}
-	acc := sparse.AcquireAccumulator(d.H.G.NumNodes())
-	for i, u := range p.Nodes {
-		if err := d.queryInto(acc, u, w[i], nil); err != nil {
-			acc.Release()
-			d.release()
-			return nil, err
-		}
-	}
-	return acc, nil
+	return serve(d, nil, 0, &p, (*sparse.Accumulator).Packed)
 }

@@ -1,0 +1,169 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+
+	"exactppr/internal/hierarchy"
+	"exactppr/internal/sparse"
+)
+
+// The serving fold. Every backend — the in-memory Store and its Shards,
+// the disk-resident DiskStore and its DiskShards, and the flat JWStore
+// baseline — answers a query by running serve over its vectorSource,
+// restricted to one machine's slice by an owner (nil: the whole store).
+// The identity is the one in the package comment, written once; the
+// backends differ only in where the vectors come from.
+
+// vectorSource is what the fold reads from a backend.
+type vectorSource interface {
+	// acquire pins the source for one query — fold and drain — and
+	// release unpins it (the disk store's lifecycle lock; a no-op in
+	// memory).
+	acquire() error
+	release()
+	// numNodes is the size of the node id space.
+	numNodes() int
+	// alpha is the teleport probability the vectors were computed with.
+	alpha() float64
+	// isHub reports whether u's base case is its own hub partial.
+	isHub(u int32) bool
+	// pathHubs returns the hubs h on Path(u) that own admits, with
+	// s_u(h), in fold order — Path(u) root→home, then node.Hubs order.
+	// Hubs with s_u(h) = 0 may be left out, except h = u. scratch is a
+	// buffer the source may fill and return.
+	pathHubs(u int32, own *owner, scratch *planRow) (planRow, error)
+	// partial returns hub h's adjusted partial vector P_h.
+	partial(h int32) (sparse.Packed, error)
+	// leaf returns non-hub u's leaf-level local PPV.
+	leaf(u int32) (sparse.Packed, error)
+}
+
+// owner is one machine's slice of a store under the paper's
+// hub-distributed load balancing (§4.4). Hub h belongs to machine
+// deal[h] mod total, where deal[h] is h's position in the global
+// Nodes()×Hubs deal order — a round-robin with one global cursor, so
+// machines stay balanced although most tree nodes hold only one or two
+// hubs. Non-hub u's leaf vector belongs to machine u mod total. Both
+// follow from the hierarchy alone, so memory and disk shards of one
+// store own the same vectors. A nil *owner admits everything.
+type owner struct {
+	index, total int
+	deal         []int32 // shared by the split's owners; -1 for non-hubs
+}
+
+func (o *owner) hub(h int32) bool { return o == nil || int(o.deal[h])%o.total == o.index }
+
+func (o *owner) leaf(u int32) bool { return o == nil || int(u)%o.total == o.index }
+
+// split deals h's vectors across n machines — the one shard-assignment
+// rule behind Split and SplitDisk.
+func split(h *hierarchy.Hierarchy, n int) ([]*owner, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("core: cannot split into %d shards", n)
+	}
+	deal := make([]int32, h.G.NumNodes())
+	for i := range deal {
+		deal[i] = -1
+	}
+	next := int32(0)
+	for _, node := range h.Nodes() {
+		for _, hub := range node.Hubs {
+			deal[hub] = next
+			next++
+		}
+	}
+	owners := make([]*owner, n)
+	for i := range owners {
+		owners[i] = &owner{index: i, total: n, deal: deal}
+	}
+	return owners, nil
+}
+
+// serve answers one query: node u alone when set is nil, else the
+// weighted preference set (PPV linearity). For each node it folds w
+// times own's share of the node's exact PPV into one pooled accumulator
+// — Σ_h [S_u(h)/α·P_h + S_u(h)·x_h] over the owned path hubs, plus the
+// final term when own holds it — and drains the accumulator while src
+// is still pinned, so nothing drained aliases a mapping that Close may
+// unmap.
+//
+// The fold lives in this one frame on purpose: the coordinator runs
+// each in-process machine's call on a fresh goroutine, and a disk fold
+// that misses the cache is deep enough that each frame added above the
+// cache can make those goroutines copy their stacks once more.
+func serve[T any](src vectorSource, own *owner, u int32, set *Preference, drain func(*sparse.Accumulator) T) (out T, err error) {
+	if err = src.acquire(); err != nil {
+		return out, err
+	}
+	defer src.release()
+	n := src.numNodes()
+	nodes, ws := []int32{u}, []float64{1}
+	if set != nil {
+		if ws, err = set.normalized(n); err != nil {
+			return out, err
+		}
+		nodes = set.Nodes
+	}
+	acc := sparse.AcquireAccumulator(n)
+	defer acc.Release()
+	scratch := rowPool.Get().(*planRow)
+	defer rowPool.Put(scratch)
+	alpha := src.alpha()
+	for i, u := range nodes {
+		if u < 0 || int(u) >= n {
+			return out, fmt.Errorf("core: query node %d out of range", u)
+		}
+		w := ws[i]
+		row, err := src.pathHubs(u, own, scratch)
+		if err != nil {
+			return out, err
+		}
+		for k, hub := range row.hubs {
+			su := row.s[k]
+			if hub == u {
+				su -= alpha // S_u(h) = s_u(h) − α·f_u(h)
+			}
+			if su == 0 {
+				continue
+			}
+			partial, err := src.partial(hub)
+			if err != nil {
+				return out, err
+			}
+			acc.AddPacked(partial, w*su/alpha)
+			acc.Add(hub, w*su)
+		}
+		// The recursion's base case belongs to whoever stores it: the
+		// hub's own partial p_u = P_u + α·x_u when u is a hub, else u's
+		// leaf PPV.
+		if src.isHub(u) {
+			if own.hub(u) {
+				partial, err := src.partial(u)
+				if err != nil {
+					return out, err
+				}
+				acc.AddPacked(partial, w)
+				acc.Add(u, w*alpha)
+			}
+		} else if own.leaf(u) {
+			leaf, err := src.leaf(u)
+			if err != nil {
+				return out, err
+			}
+			acc.AddPacked(leaf, w)
+		}
+	}
+	return drain(acc), nil
+}
+
+// rowPool recycles the scratch rows pathHubs fills: the in-memory walks
+// and the disk plan rows filtered for a shard.
+var rowPool = sync.Pool{New: func() any { return new(planRow) }}
+
+// drainTopK drains the k highest-scoring entries; the full-vector
+// drains are the method expressions (*sparse.Accumulator).Vector and
+// (*sparse.Accumulator).Packed.
+func drainTopK(k int) func(*sparse.Accumulator) []sparse.Entry {
+	return func(acc *sparse.Accumulator) []sparse.Entry { return acc.TopK(k) }
+}

@@ -29,7 +29,7 @@ type JWStore struct {
 	// Skeleton[h](w) = s_w(h) = r_w(h) for every node w.
 	Skeleton map[int32]sparse.Packed
 
-	isHub []bool
+	hubMask []bool
 }
 
 // PrecomputeJW builds the PPV-JW baseline with the hubCount top-PageRank
@@ -55,10 +55,10 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 		Hubs:     hubs,
 		Partial:  make(map[int32]sparse.Packed, g.NumNodes()),
 		Skeleton: make(map[int32]sparse.Packed, len(hubs)),
-		isHub:    make([]bool, g.NumNodes()),
+		hubMask:  make([]bool, g.NumNodes()),
 	}
 	for _, h := range hubs {
-		s.isHub[h] = true
+		s.hubMask[h] = true
 	}
 	g.BuildReverse()
 
@@ -78,17 +78,17 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 	worker := func() {
 		defer wg.Done()
 		for u := range ch {
-			partial, _, err := ppr.PartialVector(g, u, s.isHub, s.Params)
+			partial, _, err := ppr.PartialVector(g, u, s.hubMask, s.Params)
 			if err != nil {
 				fail(err)
 				continue
 			}
-			if s.isHub[u] {
+			if s.hubMask[u] {
 				delete(partial, u) // store P_u = p_u − α·x_u
 			}
 			var skel sparse.Packed
 			hasSkel := false
-			if s.isHub[u] {
+			if s.hubMask[u] {
 				dense, err := ppr.SkeletonForHub(g, u, s.Params)
 				if err != nil {
 					fail(err)
@@ -122,30 +122,36 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 }
 
 // Query constructs the exact PPV of u from the flat decomposition — the
-// same identity as Store.Query with a single "level".
+// same identity and fold as Store.Query with a single "level".
 func (s *JWStore) Query(u int32) (sparse.Vector, error) {
-	if u < 0 || int(u) >= s.G.NumNodes() {
-		return nil, fmt.Errorf("core: query node %d out of range", u)
-	}
-	acc := sparse.AcquireAccumulator(s.G.NumNodes())
-	defer acc.Release()
-	for _, h := range s.Hubs {
-		su := s.Skeleton[h].Get(u)
-		if h == u {
-			su -= s.Params.Alpha
-		}
-		if su == 0 {
-			continue
-		}
-		acc.AddPacked(s.Partial[h], su/s.Params.Alpha)
-		acc.Add(h, su)
-	}
-	acc.AddPacked(s.Partial[u], 1)
-	if s.isHub[u] {
-		acc.Add(u, s.Params.Alpha) // restore p_u = P_u + α·x_u
-	}
-	return acc.Vector(), nil
+	return serve(s, nil, u, nil, (*sparse.Accumulator).Vector)
 }
+
+// The JW vectorSource: every hub is on every path, and a non-hub's base
+// case is its (unadjusted) partial vector p_u.
+
+func (s *JWStore) acquire() error { return nil }
+
+func (s *JWStore) release() {}
+
+func (s *JWStore) numNodes() int { return s.G.NumNodes() }
+
+func (s *JWStore) alpha() float64 { return s.Params.Alpha }
+
+func (s *JWStore) isHub(u int32) bool { return s.hubMask[u] }
+
+func (s *JWStore) pathHubs(u int32, _ *owner, row *planRow) (planRow, error) {
+	row.hubs, row.s = row.hubs[:0], row.s[:0]
+	for _, h := range s.Hubs {
+		row.hubs = append(row.hubs, h)
+		row.s = append(row.s, s.Skeleton[h].Get(u))
+	}
+	return *row, nil
+}
+
+func (s *JWStore) partial(h int32) (sparse.Packed, error) { return s.Partial[h], nil }
+
+func (s *JWStore) leaf(u int32) (sparse.Packed, error) { return s.Partial[u], nil }
 
 // SpaceBytes reports the encoded size of all stored vectors.
 func (s *JWStore) SpaceBytes() int64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,11 +24,11 @@ import (
 // per Load or OpenDiskStore: O(m log n) per refinement pass, about 0.3 s
 // for the 12,000-node web×1 benchmark fixture on a 2-vCPU VM.
 //
-// Two versions exist. Version 2 (written by Save) is designed for
-// zero-copy memory-mapped serving; version 1 files remain fully
-// loadable and disk-queryable.
+// Save writes format version 2, the only one this package reads; a
+// version-1 file (interleaved payloads, no hub-plan section) fails with
+// ErrUnsupportedStoreVersion.
 //
-// Version 2 layout (little-endian throughout):
+// Layout (little-endian throughout):
 //
 //	magic "EXPPRST2"
 //	params:    alpha, eps float64; maxIter, dangling int32
@@ -37,25 +38,27 @@ import (
 //	           count int32; count × (key int32, payloadLen int32,
 //	           pad to 8-byte file offset, columnar payload)
 //
-// Vector payloads use the columnar layout of sparse.EncodeColumnar —
-// the 8-byte alignment of every payload is what lets a mapped DiskStore
-// alias the id/score arrays in place. The fourth section is the
-// TRANSPOSED skeleton index (see plan.go): per query node, the (hub,
-// s_u(h)) pairs its fold needs, in fold order, so a disk query never
-// reads a skeleton payload.
-//
-// Version 1 ("EXPPRST1") carries the same header and the first three
-// sections with interleaved wire payloads (sparse.Encode) and no
-// alignment; Load and OpenDiskStore accept it, synthesizing the plan
-// section in memory at open.
+// Keys are written strictly increasing, and every section count, key,
+// and payload length is bounded by n; readers reject a file that breaks
+// any of these before allocating from it (walkSections). Vector payloads
+// use the columnar layout of sparse.EncodeColumnar — the 8-byte
+// alignment of every payload is what lets a mapped DiskStore alias the
+// id/score arrays in place. The fourth section is the TRANSPOSED
+// skeleton index (see plan.go): per query node, the (hub, s_u(h)) pairs
+// its fold needs, in fold order, so a disk query never reads a skeleton
+// payload.
 
 var (
-	storeMagic   = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '1'}
-	storeMagicV2 = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
+	storeMagic   = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
+	storeMagicV1 = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '1'}
 )
 
-// maxVecLen bounds a single payload record (sanity for corrupt files).
-const maxVecLen = 1 << 30
+// ErrUnsupportedStoreVersion reports a store file written in format
+// version 1, which this package no longer reads.
+var ErrUnsupportedStoreVersion = errors.New("core: store format version 1 is no longer supported — re-run pprprecomp")
+
+// numSections is the record-section count of a store file.
+const numSections = 4
 
 // countingWriter tracks the absolute file offset through a buffered
 // writer so Save can pad payloads to 8-byte offsets.
@@ -82,8 +85,7 @@ func checkSavable(s *Store) error {
 	return nil
 }
 
-// writeStoreHeader emits everything up to the vector sections — shared
-// verbatim between both format versions.
+// writeStoreHeader emits everything up to the vector sections.
 func writeStoreHeader(w io.Writer, params ppr.Params, opts hierarchy.Options, g *graph.Graph) {
 	writeU64 := func(x uint64) { binary.Write(w, binary.LittleEndian, x) }
 	writeI32 := func(x int32) { binary.Write(w, binary.LittleEndian, x) }
@@ -127,7 +129,7 @@ func Save(w io.Writer, s *Store) error {
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	if _, err := cw.Write(storeMagicV2[:]); err != nil {
+	if _, err := cw.Write(storeMagic[:]); err != nil {
 		return err
 	}
 	writeStoreHeader(cw, s.Params, s.H.Opts, s.H.G)
@@ -165,33 +167,6 @@ func Save(w io.Writer, s *Store) error {
 	return bw.Flush()
 }
 
-// saveV1 writes the legacy version-1 format (interleaved wire payloads,
-// no plan section). Kept for the cross-version compatibility tests; new
-// files should always be written by Save.
-func saveV1(w io.Writer, s *Store) error {
-	if err := checkSavable(s); err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(storeMagic[:]); err != nil {
-		return err
-	}
-	writeStoreHeader(bw, s.Params, s.H.Opts, s.H.G)
-	writeI32 := func(x int32) { binary.Write(bw, binary.LittleEndian, x) }
-	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		writeI32(int32(len(section)))
-		for _, key := range sortedKeys(section) {
-			writeI32(key)
-			enc := sparse.EncodePacked(section[key])
-			writeI32(int32(len(enc)))
-			if _, err := bw.Write(enc); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // SaveFile writes the store to a file path.
 func SaveFile(path string, s *Store) error {
 	f, err := os.Create(path)
@@ -206,20 +181,18 @@ func SaveFile(path string, s *Store) error {
 }
 
 // readStoreHeader parses the magic, parameters, hierarchy options, and
-// graph — the shared prefix of both format versions — and reports which
-// version follows.
-func readStoreHeader(cr *countingReader) (version int, params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
+// graph that precede the record sections.
+func readStoreHeader(cr *countingReader) (params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
 	var magic [8]byte
 	if _, err = io.ReadFull(cr, magic[:]); err != nil {
-		return 0, params, opts, nil, err
+		return params, opts, nil, err
 	}
 	switch magic {
 	case storeMagic:
-		version = 1
-	case storeMagicV2:
-		version = 2
+	case storeMagicV1:
+		return params, opts, nil, ErrUnsupportedStoreVersion
 	default:
-		return 0, params, opts, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
+		return params, opts, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
 	}
 
 	readU64 := func() (x uint64, err error) {
@@ -301,51 +274,58 @@ func readStoreHeader(cr *countingReader) (version int, params ppr.Params, opts h
 	return
 }
 
-// readRecordMeta reads one section record's (key, payload length) and —
-// for version 2 — consumes the alignment padding, leaving the reader at
-// the payload.
-func readRecordMeta(cr *countingReader, version int) (key, vlen int32, err error) {
-	if err = binary.Read(cr, binary.LittleEndian, &key); err != nil {
-		return
-	}
-	if err = binary.Read(cr, binary.LittleEndian, &vlen); err != nil {
-		return
-	}
-	if vlen < 0 || vlen > maxVecLen {
-		err = fmt.Errorf("core: corrupt vector length %d", vlen)
-		return
-	}
-	if version == 2 {
-		if pad := (8 - cr.n%8) % 8; pad > 0 {
-			if err = cr.skip(pad); err != nil {
-				return
+// walkSections reads the record sections that follow the header,
+// calling rec for each record with cr positioned at its payload; rec
+// must consume exactly vlen bytes. It is the one reader of section
+// framing, shared by Load and OpenDiskStore, and trusts none of it: a
+// count above the node count n, a key outside [0,n) or not above the
+// previous key (Save writes keys sorted), and a payload longer than an
+// n-entry vector are rejected before anything is allocated from them.
+func walkSections(cr *countingReader, n int, rec func(sec int8, key, vlen int32) error) error {
+	maxLen := sparse.EncodedSizeColumnar(n)
+	for sec := int8(0); sec < numSections; sec++ {
+		var count int32
+		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
+			return err
+		}
+		if count < 0 || int(count) > n {
+			return fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, n)
+		}
+		prev := int32(-1)
+		for i := int32(0); i < count; i++ {
+			var meta [2]int32 // key, payload length
+			if err := binary.Read(cr, binary.LittleEndian, &meta); err != nil {
+				return err
+			}
+			key, vlen := meta[0], meta[1]
+			if key <= prev || int(key) >= n {
+				return fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
+			}
+			prev = key
+			if vlen < 0 || int(vlen) > maxLen {
+				return fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
+			}
+			if pad := (8 - cr.n%8) % 8; pad > 0 {
+				if err := cr.skip(pad); err != nil {
+					return err
+				}
+			}
+			if err := rec(sec, key, vlen); err != nil {
+				return err
 			}
 		}
 	}
-	return
+	return nil
 }
 
-// decodeSectionPayload turns one vector record's bytes into a Packed
-// under the right codec for the file version.
-func decodeSectionPayload(version int, buf []byte) (sparse.Packed, error) {
-	if version == 1 {
-		return sparse.DecodePacked(buf)
-	}
-	ids, scores, err := sparse.DecodeColumnar(buf)
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	return sparse.PackedView(ids, scores)
-}
-
-// Load reads a store written by Save (either format version), rebuilding
-// the hierarchy deterministically from the stored options. The version-2
-// plan section is validated and discarded: an in-memory store folds
-// skeletons directly, but a truncated or corrupt trailer must still be
-// reported at load time, not at first serve.
+// Load reads a store written by Save, rebuilding the hierarchy
+// deterministically from the stored options. The plan section is
+// validated and discarded: an in-memory store folds skeletons directly,
+// but a truncated or corrupt trailer must still be reported at load
+// time, not at first serve.
 func Load(r io.Reader) (*Store, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
-	version, params, opts, g, err := readStoreHeader(cr)
+	params, opts, g, err := readStoreHeader(cr)
 	if err != nil {
 		return nil, err
 	}
@@ -353,64 +333,45 @@ func Load(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{H: h, Params: params}
-	sections := []*map[int32]sparse.Packed{&s.HubPartial, &s.Skeleton, &s.LeafPPV}
-	for _, section := range sections {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return nil, err
-		}
-		if count < 0 {
-			return nil, fmt.Errorf("core: corrupt section count %d", count)
-		}
-		mp := make(map[int32]sparse.Packed, count)
-		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr, version)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, vlen)
-			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, err
-			}
-			vec, err := decodeSectionPayload(version, buf)
-			if err != nil {
-				return nil, err
-			}
-			if !vec.InRange(g.NumNodes()) {
-				return nil, fmt.Errorf("core: vector for key %d has node ids outside [0,%d) (corrupt store?)", key, g.NumNodes())
-			}
-			mp[key] = vec
-		}
-		*section = mp
+	s := &Store{
+		H:          h,
+		Params:     params,
+		HubPartial: make(map[int32]sparse.Packed),
+		Skeleton:   make(map[int32]sparse.Packed),
+		LeafPPV:    make(map[int32]sparse.Packed),
 	}
-	if version == 2 {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return nil, err
+	sections := [...]map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV}
+	n := g.NumNodes()
+	var buf []byte // DecodeColumnar copies out, so one buffer serves every record
+	err = walkSections(cr, n, func(sec int8, key, vlen int32) error {
+		buf = slices.Grow(buf[:0], int(vlen))[:vlen]
+		if _, err := io.ReadFull(cr, buf); err != nil {
+			return err
 		}
-		if count < 0 {
-			return nil, fmt.Errorf("core: corrupt plan section count %d", count)
+		ids, scores, err := sparse.DecodeColumnar(buf)
+		if err != nil {
+			return fmt.Errorf("core: section %d key %d: %w", sec, key, err)
 		}
-		for i := int32(0); i < count; i++ {
-			key, vlen, err := readRecordMeta(cr, version)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, vlen)
-			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, err
-			}
-			hubs, _, err := sparse.DecodeColumnar(buf)
-			if err != nil {
-				return nil, fmt.Errorf("core: hub plan for %d: %w", key, err)
-			}
-			for _, hub := range hubs {
-				if hub < 0 || int(hub) >= g.NumNodes() {
-					return nil, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
+		if sec == secHubPlan {
+			for _, hub := range ids {
+				if hub < 0 || int(hub) >= n {
+					return fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
 				}
 			}
+			return nil
 		}
+		vec, err := sparse.PackedView(ids, scores)
+		if err != nil {
+			return fmt.Errorf("core: section %d key %d: %w", sec, key, err)
+		}
+		if !vec.InRange(n) {
+			return fmt.Errorf("core: vector for key %d has node ids outside [0,%d) (corrupt store?)", key, n)
+		}
+		sections[sec][key] = vec
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Consistency: every hub in the hierarchy must have its vectors.
 	for _, hub := range hubsOf(h) {

@@ -20,13 +20,13 @@ import (
 // small plan row plus the partial vectors it actually needs: zero
 // skeleton payloads.
 //
-// Ordering is load-bearing: floating-point accumulation must visit hubs
-// in exactly the order Store.Query does — Path(u) root→home, then
-// node.Hubs order — or disk and in-memory answers stop being
-// bit-identical. A path holds at most one tree node per level, so the
-// pair (home level, index within node.Hubs) is a total fold rank that
-// reproduces that order for every query node at once; rows are kept
-// sorted by it.
+// Ordering is load-bearing: the fold (fold.go) must visit hubs in
+// exactly the order the in-memory source walks them — Path(u)
+// root→home, then node.Hubs order — or disk and in-memory answers stop
+// being bit-identical. A path holds at most one tree node per level, so
+// the pair (home level, index within node.Hubs) is a total fold rank
+// that reproduces that order for every query node at once; rows are
+// kept sorted by it.
 
 // planRow is one query node's hub-weight plan: parallel arrays of hub id
 // and raw skeleton value s_u(h), in fold order (NOT sorted by id).
@@ -35,79 +35,46 @@ type planRow struct {
 	s    []float64
 }
 
-// planBuilder accumulates the transpose incrementally so the two
-// producers — Save (section maps in memory) and the legacy-file open
-// path (skeleton payloads streamed off disk) — share one implementation.
-type planBuilder struct {
-	h     *hierarchy.Hierarchy
-	ranks map[int32]int64
-	rows  map[int32]planRow
-}
-
-func newPlanBuilder(h *hierarchy.Hierarchy) *planBuilder {
+// buildHubPlans transposes the skeleton section into the plan table
+// Save writes. Each hub's own row is guaranteed to contain the hub itself
+// (injected with value 0 when the stored skeleton lacks it, e.g. after
+// aggressive truncation) because the query fold applies the −α
+// self-adjustment to that entry even when s_u(u) is absent.
+func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) map[int32]planRow {
 	ranks := make(map[int32]int64)
 	for _, n := range h.Nodes() {
 		for i, hub := range n.Hubs {
 			ranks[hub] = int64(n.Level)<<32 | int64(i)
 		}
 	}
-	return &planBuilder{h: h, ranks: ranks, rows: make(map[int32]planRow)}
-}
-
-// addSkeleton transposes one hub's skeleton vector into the per-source
-// rows.
-func (b *planBuilder) addSkeleton(hub int32, vec sparse.Packed) {
-	vec.ForEach(func(w int32, s float64) {
-		row := b.rows[w]
+	rows := make(map[int32]planRow)
+	add := func(w, hub int32, s float64) {
+		row := rows[w]
 		row.hubs = append(row.hubs, hub)
 		row.s = append(row.s, s)
-		b.rows[w] = row
-	})
-}
-
-// finish sorts every row into fold order and returns the plan table.
-// Each hub's own row is guaranteed to contain the hub itself (injected
-// with value 0 when the stored skeleton lacks it, e.g. after aggressive
-// truncation) because the query fold applies the −α self-adjustment to
-// that entry even when s_u(u) is absent.
-func (b *planBuilder) finish() map[int32]planRow {
-	for hub := range b.ranks {
-		row := b.rows[hub]
-		if !slices.Contains(row.hubs, hub) {
-			row.hubs = append(row.hubs, hub)
-			row.s = append(row.s, 0)
-			b.rows[hub] = row
-		}
+		rows[w] = row
 	}
-	for u, row := range b.rows {
-		b.sortRow(row)
-		b.rows[u] = row
-	}
-	return b.rows
-}
-
-// sortRow orders a row by fold rank (insertion sort: rows are short —
-// one entry per path hub — and already nearly ordered when skeletons
-// arrive level by level).
-func (b *planBuilder) sortRow(row planRow) {
-	for i := 1; i < len(row.hubs); i++ {
-		hi, si := row.hubs[i], row.s[i]
-		ri := b.ranks[hi]
-		j := i - 1
-		for j >= 0 && b.ranks[row.hubs[j]] > ri {
-			row.hubs[j+1], row.s[j+1] = row.hubs[j], row.s[j]
-			j--
-		}
-		row.hubs[j+1], row.s[j+1] = hi, si
-	}
-}
-
-// buildHubPlans computes the full plan table from an in-memory skeleton
-// section (the Save path).
-func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) map[int32]planRow {
-	b := newPlanBuilder(h)
 	for hub, vec := range skeleton {
-		b.addSkeleton(hub, vec)
+		vec.ForEach(func(w int32, s float64) { add(w, hub, s) })
 	}
-	return b.finish()
+	for hub := range ranks {
+		if !slices.Contains(rows[hub].hubs, hub) {
+			add(hub, hub, 0)
+		}
+	}
+	for _, row := range rows {
+		// Insertion sort by fold rank: rows are short — one entry per
+		// path hub.
+		for i := 1; i < len(row.hubs); i++ {
+			hi, si := row.hubs[i], row.s[i]
+			ri := ranks[hi]
+			j := i - 1
+			for j >= 0 && ranks[row.hubs[j]] > ri {
+				row.hubs[j+1], row.s[j+1] = row.hubs[j], row.s[j]
+				j--
+			}
+			row.hubs[j+1], row.s[j+1] = hi, si
+		}
+	}
+	return rows
 }

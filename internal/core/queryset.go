@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"exactppr/internal/sparse"
 )
 
 // Preference-set queries. The PPV of a preference set P with weights w
@@ -77,74 +75,4 @@ func (p Preference) normalized(n int) ([]float64, error) {
 		w[i] /= total
 	}
 	return w, nil
-}
-
-// QuerySet constructs the exact PPV of a preference node set by
-// linearity. All members fold into one shared accumulator — no
-// per-member intermediate vectors.
-func (s *Store) QuerySet(p Preference) (sparse.Vector, error) {
-	w, err := p.normalized(s.H.G.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	for i, u := range p.Nodes {
-		if err := s.queryInto(acc, u, w[i]); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Vector(), nil
-}
-
-// QuerySetVector is the shard-side preference-set fold: the weighted
-// combination of the shard's per-node shares. Summing all shards'
-// QuerySetVector outputs yields exactly QuerySet's result, still in one
-// round.
-func (sh *Shard) QuerySetVector(p Preference) (sparse.Vector, error) {
-	acc, err := sh.querySetInto(p)
-	if err != nil {
-		return nil, err
-	}
-	defer acc.Release()
-	return acc.Vector(), nil
-}
-
-// QuerySetPacked is QuerySetVector draining into the columnar form the
-// wire protocol encodes directly.
-func (sh *Shard) QuerySetPacked(p Preference) (sparse.Packed, error) {
-	acc, err := sh.querySetInto(p)
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	defer acc.Release()
-	return acc.Packed(), nil
-}
-
-func (sh *Shard) querySetInto(p Preference) (*sparse.Accumulator, error) {
-	w, err := p.normalized(sh.store.H.G.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	acc := sparse.AcquireAccumulator(sh.store.H.G.NumNodes())
-	for i, u := range p.Nodes {
-		if err := sh.queryInto(acc, u, w[i]); err != nil {
-			acc.Release()
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// QueryTopK returns the k highest-scoring nodes of u's exact PPV — the
-// common application-facing call (recommendation, link prediction). The
-// top-k selection runs straight off the accumulator: no map, no full
-// sort.
-func (s *Store) QueryTopK(u int32, k int) ([]sparse.Entry, error) {
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	if err := s.queryInto(acc, u, 1); err != nil {
-		return nil, err
-	}
-	return acc.TopK(k), nil
 }

@@ -3,23 +3,21 @@ package core
 import (
 	"fmt"
 
+	"exactppr/internal/hierarchy"
 	"exactppr/internal/sparse"
 )
 
 // Shard is the slice of a Store assigned to one machine under the paper's
 // hub-distributed scheme (§4.4): every subgraph's hub set is divided
 // evenly across the s machines, and the leaf-level vectors are likewise
-// spread evenly. Each machine answers a query with ONE sparse vector; the
-// coordinator sums the vectors — the shard outputs form an exact additive
-// decomposition of the PPV (TestShardsSumToQuery).
+// spread evenly (see owner for the rule). Each machine answers a query
+// with ONE sparse vector; the coordinator sums the vectors — the shard
+// outputs form an exact additive decomposition of the PPV
+// (TestShardsSumToQuery).
 type Shard struct {
 	Index, Total int
 	store        *Store
-	// hubs owned by this shard, grouped per hierarchy node id so the
-	// query fold can walk Path(u) cheaply.
-	hubsByNode map[int][]int32
-	// leaves owned by this shard.
-	leaves map[int32]bool
+	own          *owner
 }
 
 // Split divides the store across n machines: each subgraph's hub list is
@@ -28,29 +26,13 @@ type Shard struct {
 // node u's leaf vector goes to machine u mod n — the paper's even
 // division of hub sets and leaf subgraphs (§4.4).
 func Split(s *Store, n int) ([]*Shard, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: cannot split into %d shards", n)
+	owners, err := split(s.H, n)
+	if err != nil {
+		return nil, err
 	}
 	shards := make([]*Shard, n)
-	for i := range shards {
-		shards[i] = &Shard{
-			Index:      i,
-			Total:      n,
-			store:      s,
-			hubsByNode: make(map[int][]int32),
-			leaves:     make(map[int32]bool),
-		}
-	}
-	cursor := 0
-	for _, node := range s.H.Nodes() {
-		for _, h := range node.Hubs {
-			sh := shards[cursor%n]
-			cursor++
-			sh.hubsByNode[node.ID] = append(sh.hubsByNode[node.ID], h)
-		}
-	}
-	for u := range s.LeafPPV {
-		shards[int(u)%n].leaves[u] = true
+	for i, own := range owners {
+		shards[i] = &Shard{Index: i, Total: n, store: s, own: own}
 	}
 	return shards, nil
 }
@@ -59,57 +41,28 @@ func Split(s *Store, n int) ([]*Shard, error) {
 // Algorithm 1 of the paper (with the skeleton hub-entry term included so
 // the shares stay exact; see the package comment).
 func (sh *Shard) QueryVector(u int32) (sparse.Vector, error) {
-	acc := sparse.AcquireAccumulator(sh.store.H.G.NumNodes())
-	defer acc.Release()
-	if err := sh.queryInto(acc, u, 1); err != nil {
-		return nil, err
-	}
-	return acc.Vector(), nil
+	return serve(sh.store, sh.own, u, nil, (*sparse.Accumulator).Vector)
 }
 
 // QueryPacked is QueryVector draining into the columnar representation.
 // This is what workers ship: the sorted arrays encode straight into the
 // canonical wire format with no map iteration.
 func (sh *Shard) QueryPacked(u int32) (sparse.Packed, error) {
-	acc := sparse.AcquireAccumulator(sh.store.H.G.NumNodes())
-	defer acc.Release()
-	if err := sh.queryInto(acc, u, 1); err != nil {
-		return sparse.Packed{}, err
-	}
-	return acc.Packed(), nil
+	return serve(sh.store, sh.own, u, nil, (*sparse.Accumulator).Packed)
 }
 
-// queryInto folds w times this shard's share of u's PPV into acc.
-func (sh *Shard) queryInto(acc *sparse.Accumulator, u int32, w float64) error {
-	s := sh.store
-	if u < 0 || int(u) >= s.H.G.NumNodes() {
-		return fmt.Errorf("core: query node %d out of range", u)
-	}
-	for _, node := range s.H.Path(u) {
-		for _, h := range sh.hubsByNode[node.ID] {
-			s.addHubContribution(acc, u, h, w)
-		}
-	}
-	// The final term belongs to whoever stores it: the owner of u's leaf
-	// vector, or of u's hub partial when u is a hub.
-	if s.H.IsHub(u) {
-		if sh.ownsHub(u) {
-			s.addFinalTerm(acc, u, w)
-		}
-	} else if sh.leaves[u] {
-		s.addFinalTerm(acc, u, w)
-	}
-	return nil
+// QuerySetVector is the shard-side preference-set fold: the weighted
+// combination of the shard's per-node shares. Summing all shards'
+// QuerySetVector outputs yields exactly QuerySet's result, still in one
+// round.
+func (sh *Shard) QuerySetVector(p Preference) (sparse.Vector, error) {
+	return serve(sh.store, sh.own, 0, &p, (*sparse.Accumulator).Vector)
 }
 
-func (sh *Shard) ownsHub(h int32) bool {
-	node := sh.store.H.Home(h)
-	for _, x := range sh.hubsByNode[node.ID] {
-		if x == h {
-			return true
-		}
-	}
-	return false
+// QuerySetPacked is QuerySetVector draining into the columnar form the
+// wire protocol encodes directly.
+func (sh *Shard) QuerySetPacked(p Preference) (sparse.Packed, error) {
+	return serve(sh.store, sh.own, 0, &p, (*sparse.Accumulator).Packed)
 }
 
 // QueryWork returns the number of sparse-vector entries this shard folds
@@ -123,67 +76,68 @@ func (sh *Shard) QueryWork(u int32) (int64, error) {
 		return 0, fmt.Errorf("core: query node %d out of range", u)
 	}
 	var work int64
-	for _, node := range s.H.Path(u) {
-		for _, h := range sh.hubsByNode[node.ID] {
-			if s.Skeleton[h].Get(u) != 0 {
-				work += int64(s.HubPartial[h].Len()) + 1
-			}
-			work++ // skeleton lookup
+	row, _ := s.pathHubs(u, sh.own, new(planRow))
+	for i, h := range row.hubs {
+		work++ // skeleton lookup
+		if row.s[i] != 0 {
+			work += int64(s.HubPartial[h].Len()) + 1
 		}
 	}
 	if s.H.IsHub(u) {
-		if sh.ownsHub(u) {
+		if sh.own.hub(u) {
 			work += int64(s.HubPartial[u].Len()) + 1
 		}
-	} else if sh.leaves[u] {
+	} else if sh.own.leaf(u) {
 		work += int64(s.LeafPPV[u].Len())
 	}
 	return work, nil
 }
 
 // HubCount returns the number of hubs assigned to the shard.
-func (sh *Shard) HubCount() int {
-	c := 0
-	for _, hs := range sh.hubsByNode {
-		c += len(hs)
-	}
-	return c
-}
+func (sh *Shard) HubCount() int { return len(sh.ownedHubs()) }
 
 // LeafCount returns the number of leaf vectors assigned to the shard.
-func (sh *Shard) LeafCount() int { return len(sh.leaves) }
+func (sh *Shard) LeafCount() int { return len(sh.ownedLeaves()) }
 
 // SpaceBytes reports the encoded size of the vectors THIS shard stores —
 // the per-machine space metric of §6.2.3 (no redundancy across machines).
 func (sh *Shard) SpaceBytes() int64 {
 	var total int64
 	s := sh.store
-	for _, hs := range sh.hubsByNode {
-		for _, h := range hs {
-			total += int64(sparse.EncodedSizePacked(s.HubPartial[h]))
-			total += int64(sparse.EncodedSizePacked(s.Skeleton[h]))
-		}
+	for _, h := range sh.ownedHubs() {
+		total += int64(sparse.EncodedSizePacked(s.HubPartial[h]))
+		total += int64(sparse.EncodedSizePacked(s.Skeleton[h]))
 	}
-	for u := range sh.leaves {
+	for _, u := range sh.ownedLeaves() {
 		total += int64(sparse.EncodedSizePacked(s.LeafPPV[u]))
 	}
 	return total
 }
 
-// OwnedHubs returns the hubs assigned to this shard (any order).
-func (sh *Shard) OwnedHubs() []int32 {
+func (sh *Shard) ownedHubs() []int32 { return ownedHubs(sh.store.H, sh.own) }
+
+func (sh *Shard) ownedLeaves() []int32 { return ownedKeys(sh.store.LeafPPV, sh.own) }
+
+// ownedHubs lists the hierarchy's hubs that own admits, in deal order.
+func ownedHubs(h *hierarchy.Hierarchy, own *owner) []int32 {
 	var out []int32
-	for _, hs := range sh.hubsByNode {
-		out = append(out, hs...)
+	for _, node := range h.Nodes() {
+		for _, hub := range node.Hubs {
+			if own.hub(hub) {
+				out = append(out, hub)
+			}
+		}
 	}
 	return out
 }
 
-// OwnedLeaves returns the leaf nodes assigned to this shard (any order).
-func (sh *Shard) OwnedLeaves() []int32 {
-	out := make([]int32, 0, len(sh.leaves))
-	for u := range sh.leaves {
-		out = append(out, u)
+// ownedKeys lists the leaf-section keys that own admits (any order).
+func ownedKeys[V any](leaves map[int32]V, own *owner) []int32 {
+	var out []int32
+	for u := range leaves {
+		if own.leaf(u) {
+			out = append(out, u)
+		}
 	}
 	return out
 }

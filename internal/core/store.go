@@ -343,64 +343,60 @@ func (s *Store) computeLeaf(t precomputeTask, sc *ppr.Scratch) (sparse.Packed, e
 // intermediate maps — and drains once into the map Vector the public
 // API promises.
 func (s *Store) Query(u int32) (sparse.Vector, error) {
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	if err := s.queryInto(acc, u, 1); err != nil {
-		return nil, err
-	}
-	return acc.Vector(), nil
+	return serve(s, nil, u, nil, (*sparse.Accumulator).Vector)
 }
 
 // QueryPacked is Query draining into the columnar representation —
 // the form the serving layer encodes straight onto the wire.
 func (s *Store) QueryPacked(u int32) (sparse.Packed, error) {
-	acc := sparse.AcquireAccumulator(s.H.G.NumNodes())
-	defer acc.Release()
-	if err := s.queryInto(acc, u, 1); err != nil {
-		return sparse.Packed{}, err
-	}
-	return acc.Packed(), nil
+	return serve(s, nil, u, nil, (*sparse.Accumulator).Packed)
 }
 
-// queryInto folds w times the exact PPV of u into acc — the shared core
-// of Query, QueryPacked, QueryTopK, and the weighted QuerySet fold.
-func (s *Store) queryInto(acc *sparse.Accumulator, u int32, w float64) error {
-	if u < 0 || int(u) >= s.H.G.NumNodes() {
-		return fmt.Errorf("core: query node %d out of range", u)
-	}
+// QueryTopK returns the k highest-scoring nodes of u's exact PPV — the
+// common application-facing call (recommendation, link prediction). The
+// top-k selection runs straight off the accumulator: no map, no full
+// sort.
+func (s *Store) QueryTopK(u int32, k int) ([]sparse.Entry, error) {
+	return serve(s, nil, u, nil, drainTopK(k))
+}
+
+// QuerySet constructs the exact PPV of a preference node set by
+// linearity. All members fold into one shared accumulator — no
+// per-member intermediate vectors.
+func (s *Store) QuerySet(p Preference) (sparse.Vector, error) {
+	return serve(s, nil, 0, &p, (*sparse.Accumulator).Vector)
+}
+
+// The in-memory vectorSource: no pinning (a Store snapshot is immutable
+// while served), and a path walk that reads s_u(h) from the skeleton
+// section — one binary search per admitted hub — into the scratch row.
+
+func (s *Store) acquire() error { return nil }
+
+func (s *Store) release() {}
+
+func (s *Store) numNodes() int { return s.H.G.NumNodes() }
+
+func (s *Store) alpha() float64 { return s.Params.Alpha }
+
+func (s *Store) isHub(u int32) bool { return s.H.IsHub(u) }
+
+func (s *Store) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
+	row.hubs, row.s = row.hubs[:0], row.s[:0]
 	for _, node := range s.H.Path(u) {
 		for _, h := range node.Hubs {
-			s.addHubContribution(acc, u, h, w)
+			if own.hub(h) {
+				row.hubs = append(row.hubs, h)
+				row.s = append(row.s, s.Skeleton[h].Get(u))
+			}
 		}
 	}
-	s.addFinalTerm(acc, u, w)
-	return nil
+	return *row, nil
 }
 
-// addHubContribution folds w times hub h's term into acc for query node
-// u: (S_u(h)/α)·P_h plus the direct skeleton entry S_u(h) at h.
-func (s *Store) addHubContribution(acc *sparse.Accumulator, u, h int32, w float64) {
-	su := s.Skeleton[h].Get(u)
-	if h == u {
-		su -= s.Params.Alpha // S_u(h) = s_u(h) − α·f_u(h)
-	}
-	if su == 0 {
-		return
-	}
-	acc.AddPacked(s.HubPartial[h], w*su/s.Params.Alpha)
-	acc.Add(h, w*su)
-}
+func (s *Store) partial(h int32) (sparse.Packed, error) { return s.HubPartial[h], nil }
 
-// addFinalTerm adds the recursion's base case: the leaf-level local PPV
-// for a non-hub query, or the hub's own partial vector p_u = P_u + α·x_u.
-func (s *Store) addFinalTerm(acc *sparse.Accumulator, u int32, w float64) {
-	if s.H.IsHub(u) {
-		acc.AddPacked(s.HubPartial[u], w)
-		acc.Add(u, w*s.Params.Alpha)
-		return
-	}
-	acc.AddPacked(s.LeafPPV[u], w)
-}
+func (s *Store) leaf(u int32) (sparse.Packed, error) { return s.LeafPPV[u], nil }
 
 // Truncate removes every stored entry with absolute value below min,
 // producing the paper's adapted method HGPA_ad (§6.2.9, min = 1e-4).
