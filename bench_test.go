@@ -513,6 +513,34 @@ func benchStorePath(b *testing.B) string {
 	return benchStoreFile
 }
 
+// BenchmarkLoadShard compares what a worker allocates to load its
+// slice of a 2-way split (core.LoadShard) against a whole-store load of
+// the same file. Both rebuild the graph and tree; the shard skips the
+// other machine's payloads. vectorMB is the encoded size of the vectors
+// the loaded store holds.
+func BenchmarkLoadShard(b *testing.B) {
+	path := benchStorePath(b)
+	for _, bc := range []struct {
+		name string
+		load func() (*core.Store, error)
+	}{
+		{"whole", func() (*core.Store, error) { return core.LoadFile(path) }},
+		{"shard=0of2", func() (*core.Store, error) { return core.LoadShard(path, 0, 2) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s *core.Store
+			for i := 0; i < b.N; i++ {
+				var err error
+				if s, err = bc.load(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.SpaceBytes())/(1<<20), "vectorMB")
+		})
+	}
+}
+
 var diskBenchModes = []struct {
 	name string
 	opts core.DiskOptions

@@ -6,9 +6,16 @@
 //
 //	pprserve -store web.store -shard 0 -of 3 -listen :7001
 //
+// A worker loads only its own slice of the store's vectors (about 1/n
+// of them, core.LoadShard) plus the graph and tree; its startup log
+// reports the megabytes of vectors it owns.
+//
 // Add -updates to accept edge-delta batches (UPDATE frames from a
 // coordinator, POST /edges through a gateway): each batch recomputes
-// only the dirty partitions and swaps the serving snapshot atomically.
+// only the dirty vectors of the worker's slice and swaps the serving
+// snapshot atomically. The worker acknowledges with its own recompute
+// count and a digest of the batch's whole dirty set; the coordinator
+// requires equal digests and reports the summed count.
 //
 // Coordinator mode — query workers once and print the result:
 //
@@ -98,19 +105,15 @@ func main() {
 		return
 	}
 
-	store, err := core.LoadFile(*storePath)
-	if err != nil {
-		fatal(err)
-	}
-	// The kernel knob only matters for -updates recomputes; stored
-	// vectors are kernel-independent, so setting it is always safe.
-	store.Params.Kernel = kern
-
 	if *httpAddr != "" {
 		// Local gateway: shard the store across in-process machines and
 		// serve HTTP directly — no TCP workers needed on one host. With
 		// -updates the machines share one live store and POST /edges
 		// applies dirty-partition batches to it.
+		store, err := loadStore(*storePath, kern, 0, 0)
+		if err != nil {
+			fatal(err)
+		}
 		var backend cluster.Querier
 		if *updates {
 			live, err := cluster.NewLiveLocalCluster(store, *of)
@@ -130,35 +133,50 @@ func main() {
 		return
 	}
 
+	// Worker: load only this machine's slice of the store.
+	store, err := loadStore(*storePath, kern, *shard, *of)
+	if err != nil {
+		fatal(err)
+	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
-	if *shard < 0 || *shard >= *of {
-		fatal(fmt.Errorf("shard %d out of range [0,%d)", *shard, *of))
-	}
 	srv := &cluster.Server{MaxInFlight: *inFlight}
-	var sh *core.Shard
+	sh := store.Shard()
 	if *updates {
 		live, err := cluster.NewLiveShard(core.NewLiveStore(store), *shard, *of)
 		if err != nil {
 			fatal(err)
 		}
 		srv.Machine, srv.Updater = live, live
-		sh = live.Shard()
 	} else {
-		shards, err := core.Split(store, *of)
-		if err != nil {
-			fatal(err)
-		}
-		sh = shards[*shard]
 		srv.Machine = &cluster.ShardMachine{Shard: sh}
 	}
-	fmt.Fprintf(os.Stderr, "worker: shard %d/%d (%d hubs, %d leaves, %.2f MB, updates=%v) listening on %s\n",
+	fmt.Fprintf(os.Stderr, "worker: shard %d/%d (%d hubs, %d leaves, %.2f MB owned, updates=%v) listening on %s\n",
 		*shard, *of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), *updates, l.Addr())
 	if err := srv.Serve(l); err != nil {
 		fatal(err)
 	}
+}
+
+// loadStore loads the whole store (of = 0) or machine shard's slice of
+// it, with kern as the recompute kernel. The kernel only matters for
+// -updates recomputes; stored vectors are kernel-independent, so
+// setting it is always safe.
+func loadStore(path string, kern ppr.Kernel, shard, of int) (*core.Store, error) {
+	var store *core.Store
+	var err error
+	if of == 0 {
+		store, err = core.LoadFile(path)
+	} else {
+		store, err = core.LoadShard(path, shard, of)
+	}
+	if err != nil {
+		return nil, err
+	}
+	store.Params.Kernel = kern
+	return store, nil
 }
 
 // serveDisk runs worker or local-gateway mode over a DiskStore: the

@@ -66,8 +66,14 @@ type UpdateStats struct {
 	// Inserted/Deleted are the edge operations that changed the graph.
 	Inserted, Deleted int64
 	// Recomputed is the number of store vectors recomputed — the
-	// dirty-partition work a full rebuild would have multiplied.
+	// dirty-partition work a full rebuild would have multiplied. A
+	// worker reports the vectors of its own slice; the Coordinator
+	// reports the sum over its machines, the cluster-wide total.
 	Recomputed int64
+	// Digest fingerprints the batch's dirty set and hub promotions over
+	// the whole store (core.UpdateInfo.Digest): machines holding the
+	// same store report the same digest for the same batch.
+	Digest uint64
 	// Wall is the end-to-end batch time observed by the caller.
 	Wall time.Duration
 }
@@ -270,9 +276,15 @@ func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 }
 
 // ApplyUpdates fans an edge-delta batch out to every machine, which
-// applies it to its own copy of the store (workers each hold the full
-// pre-computation and serve one shard slice of it). All machines must
+// applies it to its own copy of the graph and tree and recomputes the
+// dirty vectors of its own slice of the store. All machines must
 // implement Updater or the call is refused before anything is sent.
+//
+// Agreement: every machine must report the same edge counts and the
+// same Digest — the dirty set and hub promotions over the WHOLE store,
+// which each machine derives before filtering to its slice — or the
+// machines have diverged and the call fails. The Recomputed counts are
+// per slice, so they are summed: the result is the cluster-wide total.
 //
 // Consistency: each machine swaps in its post-batch snapshot
 // atomically, but the swaps are not coordinated across machines — a
@@ -315,10 +327,13 @@ func (c *Coordinator) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateSt
 		}
 		if i == 0 {
 			out = rp.stats
-		} else if rp.stats.Recomputed != out.Recomputed {
-			return UpdateStats{}, fmt.Errorf("cluster: machines disagree on recompute (%d vs %d) — replicas have diverged",
-				out.Recomputed, rp.stats.Recomputed)
+			continue
 		}
+		if st := rp.stats; st.Digest != out.Digest || st.Inserted != out.Inserted || st.Deleted != out.Deleted {
+			return UpdateStats{}, fmt.Errorf("cluster: machines disagree on recompute (machine 0: +%d −%d digest %016x; machine %d: +%d −%d digest %016x) — replicas have diverged",
+				out.Inserted, out.Deleted, out.Digest, i, st.Inserted, st.Deleted, st.Digest)
+		}
+		out.Recomputed += rp.stats.Recomputed
 	}
 	out.Wall = time.Since(start)
 	return out, nil

@@ -10,57 +10,55 @@ import (
 	"exactppr/internal/graph"
 )
 
-// LiveShard is a Machine over one shard of an updatable store. Queries
-// read the current shard snapshot through one atomic load; ApplyUpdates
-// advances the underlying LiveStore (dirty-partition recompute) and
-// swaps the shard pointer, so every query is answered entirely against
-// one batch boundary. It is the worker-side Updater for `pprserve
-// -updates`.
-type LiveShard struct {
-	live         *core.LiveStore
-	index, total int
-
-	mu    sync.Mutex // serializes ApplyUpdates + shard refresh
+// shardSlot is an in-process Machine over a swappable shard snapshot:
+// every query reads the current shard through one atomic load, so it is
+// answered entirely against one batch boundary.
+type shardSlot struct {
 	shard atomic.Pointer[core.Shard]
 }
 
+// QueryShare implements Machine.
+func (m *shardSlot) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
+	return (&LocalMachine{Backend: m.shard.Load()}).QueryShare(ctx, u)
+}
+
+// QuerySetShare implements Machine.
+func (m *shardSlot) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
+	return (&LocalMachine{Backend: m.shard.Load()}).QuerySetShare(ctx, p)
+}
+
+// LiveShard is a Machine over one shard of an updatable store. It holds
+// only its own slice: NewLiveShard narrows the LiveStore to it, and
+// each batch recomputes only the slice's dirty vectors (stable deal
+// ranks keep the slice the same across batches), then swaps the shard
+// pointer. It is the worker-side Updater for `pprserve -updates`.
+type LiveShard struct {
+	shardSlot
+	live *core.LiveStore
+	mu   sync.Mutex // serializes ApplyUpdates + shard swap
+}
+
 // NewLiveShard returns the machine serving shard index of total over
-// the given live store.
+// the given live store, which it narrows to that slice (see
+// core.LiveStore.Narrow): once the caller drops its own references, the
+// whole store it started from is garbage. A store loaded with
+// core.LoadShard(path, index, total) is already narrow.
 func NewLiveShard(live *core.LiveStore, index, total int) (*LiveShard, error) {
-	ls := &LiveShard{live: live, index: index, total: total}
-	if err := ls.refresh(live.Store()); err != nil {
+	if err := live.Narrow(index, total); err != nil {
 		return nil, err
 	}
+	ls := &LiveShard{live: live}
+	ls.shard.Store(live.Store().Shard())
 	return ls, nil
 }
 
 // Shard returns the currently served shard snapshot.
 func (m *LiveShard) Shard() *core.Shard { return m.shard.Load() }
 
-// refresh re-splits s and installs this machine's slice. Split is
-// deterministic in the hierarchy, so every worker refreshing from the
-// same batch sequence owns the same slice of the same store.
-func (m *LiveShard) refresh(s *core.Store) error {
-	shards, err := core.Split(s, m.total)
-	if err != nil {
-		return err
-	}
-	m.shard.Store(shards[m.index])
-	return nil
-}
-
-// QueryShare implements Machine.
-func (m *LiveShard) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	return (&LocalMachine{Backend: m.shard.Load()}).QueryShare(ctx, u)
-}
-
-// QuerySetShare implements Machine.
-func (m *LiveShard) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	return (&LocalMachine{Backend: m.shard.Load()}).QuerySetShare(ctx, p)
-}
-
 // ApplyUpdates implements Updater. The batch recompute runs to
-// completion once started; ctx only gates the start.
+// completion once started; ctx only gates the start. Recomputed counts
+// this slice's vectors; Digest lets the coordinator check that every
+// worker saw the same dirty set.
 func (m *LiveShard) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
@@ -72,48 +70,53 @@ func (m *LiveShard) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStat
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	if info.Inserted+info.Deleted > 0 { // no-op batches (capability probes) skip the re-split
-		if err := m.refresh(m.live.Store()); err != nil {
-			return UpdateStats{}, err
-		}
+	if info.Inserted+info.Deleted > 0 { // no-op batches (capability probes) keep the snapshot
+		m.shard.Store(m.live.Store().Shard())
 	}
+	return updateStats(info, start), nil
+}
+
+func updateStats(info *core.UpdateInfo, start time.Time) UpdateStats {
 	return UpdateStats{
 		Inserted:   int64(info.Inserted),
 		Deleted:    int64(info.Deleted),
 		Recomputed: int64(info.Recomputed),
+		Digest:     info.Digest,
 		Wall:       time.Since(start),
-	}, nil
+	}
 }
 
 // LiveLocalCluster is NewLocalCluster over an updatable store: n
-// in-process machines share ONE LiveStore, and ApplyUpdates applies
-// each batch exactly once before refreshing every machine's shard. It
-// backs the single-host `pprserve -store … -http … -updates` gateway.
+// in-process machines share ONE whole LiveStore, and ApplyUpdates
+// applies each batch exactly once before re-splitting it into every
+// machine's shard. It backs the single-host `pprserve -store … -http …
+// -updates` gateway.
 //
 // Unlike a multi-host cluster, queries here are snapshot-atomic across
 // machines: a query holds a read lock over its whole fan-out, and the
 // batch's shard swap takes the write lock, so no query ever sums
-// pre-batch and post-batch shares. The dirty-partition recompute runs
-// BEFORE the write lock is taken — queries are only excluded for the
-// duration of n pointer swaps.
+// pre-batch and post-batch shares. The dirty-partition recompute and
+// the re-split run BEFORE the write lock is taken — queries are only
+// excluded for the duration of n pointer swaps.
 type LiveLocalCluster struct {
 	*Coordinator
 	live     *core.LiveStore
 	mu       sync.Mutex   // serializes ApplyUpdates callers
 	rw       sync.RWMutex // queries share it; the shard swap excludes them
-	machines []*LiveShard
+	machines []*shardSlot
 }
 
 // NewLiveLocalCluster shards s across n updatable in-process machines.
 func NewLiveLocalCluster(s *core.Store, n int) (*LiveLocalCluster, error) {
-	live := core.NewLiveStore(s)
-	c := &LiveLocalCluster{live: live}
+	shards, err := core.Split(s, n)
+	if err != nil {
+		return nil, err
+	}
+	c := &LiveLocalCluster{live: core.NewLiveStore(s)}
 	machines := make([]Machine, n)
-	for i := 0; i < n; i++ {
-		m, err := NewLiveShard(live, i, n)
-		if err != nil {
-			return nil, err
-		}
+	for i, sh := range shards {
+		m := &shardSlot{}
+		m.shard.Store(sh)
 		c.machines = append(c.machines, m)
 		machines[i] = m
 	}
@@ -142,6 +145,10 @@ func (c *LiveLocalCluster) QuerySetCtx(ctx context.Context, p core.Preference) (
 	defer c.rw.RUnlock()
 	return c.Coordinator.QuerySetCtx(ctx, p)
 }
+
+// SupportsUpdates shadows the embedded Coordinator's probe: the cluster
+// applies batches itself, not through its machines.
+func (c *LiveLocalCluster) SupportsUpdates() bool { return true }
 
 // ApplyUpdates applies the batch once to the shared store and swaps
 // every machine's shard. It deliberately shadows the embedded
@@ -173,10 +180,5 @@ func (c *LiveLocalCluster) ApplyUpdates(ctx context.Context, d graph.Delta) (Upd
 		}
 		c.rw.Unlock()
 	}
-	return UpdateStats{
-		Inserted:   int64(info.Inserted),
-		Deleted:    int64(info.Deleted),
-		Recomputed: int64(info.Recomputed),
-		Wall:       time.Since(start),
-	}, nil
+	return updateStats(info, start), nil
 }

@@ -34,9 +34,10 @@ import (
 //	                                   uint32 insert count, count ×
 //	                                   (int32 u, int32 v), then the same
 //	                                   for deletes
-//	opUpdateAck worker → coordinator   payload = 3 × uint64: edges
+//	opUpdateAck worker → coordinator   payload = 4 × uint64: edges
 //	                                   inserted, edges deleted, vectors
-//	                                   recomputed
+//	                                   recomputed (the worker's slice),
+//	                                   batch digest
 //
 // Share payloads are canonical: identical shares are byte-identical
 // across repeated encodes, and the coordinator consumes them as sorted
@@ -293,21 +294,23 @@ func decodeDelta(buf []byte) (graph.Delta, error) {
 
 // encodeUpdateStats serializes the opUpdateAck payload.
 func encodeUpdateStats(s UpdateStats) []byte {
-	buf := make([]byte, 24)
+	buf := make([]byte, 32)
 	binary.LittleEndian.PutUint64(buf, uint64(s.Inserted))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(s.Deleted))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(s.Recomputed))
+	binary.LittleEndian.PutUint64(buf[24:], s.Digest)
 	return buf
 }
 
 func decodeUpdateStats(buf []byte) (UpdateStats, error) {
-	if len(buf) != 24 {
+	if len(buf) != 32 {
 		return UpdateStats{}, fmt.Errorf("cluster: malformed update ack")
 	}
 	return UpdateStats{
 		Inserted:   int64(binary.LittleEndian.Uint64(buf)),
 		Deleted:    int64(binary.LittleEndian.Uint64(buf[8:])),
 		Recomputed: int64(binary.LittleEndian.Uint64(buf[16:])),
+		Digest:     binary.LittleEndian.Uint64(buf[24:]),
 	}, nil
 }
 

@@ -352,7 +352,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if _, err := decodeDelta(append(encodeDelta(d), 0)); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
-	st := UpdateStats{Inserted: 5, Deleted: 2, Recomputed: 77}
+	st := UpdateStats{Inserted: 5, Deleted: 2, Recomputed: 77, Digest: 0x0123456789abcdef}
 	got2, err := decodeUpdateStats(encodeUpdateStats(st))
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,9 @@ func TestUnsupportedStoreVersion(t *testing.T) {
 // FuzzStoreSections mutates the record sections of a tiny store — never
 // its header, whose node count sizes the graph's arrays — and serves
 // whatever opens: Load and both disk openers, each split two ways and
-// queried for every node, whole and per shard.
+// queried for every node, whole and per shard. Each shard is also
+// loaded on its own, as LoadShard does; when Load succeeds so must it,
+// with every share equal to the split's.
 func FuzzStoreSections(f *testing.F) {
 	g, err := gen.Community(gen.Config{
 		Nodes: 24, AvgOutDegree: 3, Communities: 3,
@@ -150,12 +152,33 @@ func FuzzStoreSections(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sections []byte) {
 		file := append(header, sections...)
+		n := g.NumNodes()
+		var split []*Shard
 		if ls, err := Load(bytes.NewReader(file)); err == nil {
-			shards, err := Split(ls, 2)
-			if err != nil {
+			if split, err = Split(ls, 2); err != nil {
 				t.Fatal(err)
 			}
-			queryAll(ls.H.G.NumNodes(), ls.QueryPacked, shards[0].QueryPacked, shards[1].QueryPacked)
+			queryAll(n, ls.QueryPacked, split[0].QueryPacked, split[1].QueryPacked)
+		}
+		for i := range 2 {
+			local, err := load(bytes.NewReader(file), i, 2)
+			if err != nil {
+				if split != nil {
+					t.Fatalf("Load succeeded but the load of shard %d/2 failed: %v", i, err)
+				}
+				continue
+			}
+			if split == nil {
+				queryAll(n, local.Shard().QueryPacked)
+				continue
+			}
+			for u := int32(0); u < int32(n); u++ {
+				a, errA := local.Shard().QueryPacked(u)
+				b, errB := split[i].QueryPacked(u)
+				if (errA == nil) != (errB == nil) || errA == nil && !bytes.Equal(sparse.EncodePacked(a), sparse.EncodePacked(b)) {
+					t.Fatalf("shard %d/2 u=%d: loaded share (%v) differs from Split(Load)'s (%v)", i, u, errA, errB)
+				}
+			}
 		}
 		path := filepath.Join(t.TempDir(), "f.store")
 		if err := os.WriteFile(path, file, 0o644); err != nil {

@@ -1,6 +1,9 @@
 package core
 
-import "exactppr/internal/sparse"
+import (
+	"exactppr/internal/hierarchy"
+	"exactppr/internal/sparse"
+)
 
 // DiskShard is the slice of a DiskStore assigned to one machine under
 // the paper's hub-distributed scheme (§4.4) — the disk-resident
@@ -63,4 +66,28 @@ func (sh *DiskShard) SpaceBytes() int64 {
 		total += int64(sh.ds.idx[secLeafPPV][u].len)
 	}
 	return total
+}
+
+// ownedHubs lists the hierarchy's hubs that own admits, in Nodes()×Hubs order.
+func ownedHubs(h *hierarchy.Hierarchy, own *owner) []int32 {
+	var out []int32
+	for _, node := range h.Nodes() {
+		for _, hub := range node.Hubs {
+			if own.hub(hub) {
+				out = append(out, hub)
+			}
+		}
+	}
+	return out
+}
+
+// ownedKeys lists the leaf-section keys that own admits (any order).
+func ownedKeys[V any](leaves map[int32]V, own *owner) []int32 {
+	var out []int32
+	for u := range leaves {
+		if own.leaf(u) {
+			out = append(out, u)
+		}
+	}
+	return out
 }

@@ -315,7 +315,7 @@ func (d *DiskStore) readPayload(sp span) (buf []byte, done func(), err error) {
 func (d *DiskStore) loadVector(section int8, key int32) (cval, error) {
 	sp, ok := d.idx[section][key]
 	if !ok {
-		return cval{}, fmt.Errorf("core: no vector for section %d key %d", section, key)
+		return cval{}, missingVector(section, key)
 	}
 	buf, done, err := d.readPayload(sp)
 	if err != nil {

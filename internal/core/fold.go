@@ -41,41 +41,39 @@ type vectorSource interface {
 
 // owner is one machine's slice of a store under the paper's
 // hub-distributed load balancing (§4.4). Hub h belongs to machine
-// deal[h] mod total, where deal[h] is h's position in the global
-// Nodes()×Hubs deal order — a round-robin with one global cursor, so
-// machines stay balanced although most tree nodes hold only one or two
-// hubs. Non-hub u's leaf vector belongs to machine u mod total. Both
-// follow from the hierarchy alone, so memory and disk shards of one
-// store own the same vectors. A nil *owner admits everything.
+// h.DealRank mod total — the ranks deal each tree node's hubs
+// round-robin with one global cursor, so machines stay balanced
+// although most tree nodes hold only one or two hubs, and a rank never
+// changes across updates, so neither does an existing hub's owner.
+// Non-hub u's leaf vector belongs to machine u mod total. Both follow
+// from the hierarchy alone, so memory and disk shards of one store own
+// the same vectors. A nil *owner admits everything.
 type owner struct {
 	index, total int
-	deal         []int32 // shared by the split's owners; -1 for non-hubs
+	h            *hierarchy.Hierarchy // the ranks the hub rule reads
 }
 
-func (o *owner) hub(h int32) bool { return o == nil || int(o.deal[h])%o.total == o.index }
+func (o *owner) hub(h int32) bool { return o == nil || o.h.DealRank(h)%o.total == o.index }
 
 func (o *owner) leaf(u int32) bool { return o == nil || int(u)%o.total == o.index }
 
-// split deals h's vectors across n machines — the one shard-assignment
-// rule behind Split and SplitDisk.
+// checkShard rejects a machine index outside an n-way split.
+func checkShard(i, n int) error {
+	if n < 1 || i < 0 || i >= n {
+		return fmt.Errorf("core: shard %d of %d does not exist", i, n)
+	}
+	return nil
+}
+
+// split returns every machine's slice of h under an n-way split — the
+// one shard-assignment rule behind Split and SplitDisk.
 func split(h *hierarchy.Hierarchy, n int) ([]*owner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: cannot split into %d shards", n)
 	}
-	deal := make([]int32, h.G.NumNodes())
-	for i := range deal {
-		deal[i] = -1
-	}
-	next := int32(0)
-	for _, node := range h.Nodes() {
-		for _, hub := range node.Hubs {
-			deal[hub] = next
-			next++
-		}
-	}
 	owners := make([]*owner, n)
 	for i := range owners {
-		owners[i] = &owner{index: i, total: n, deal: deal}
+		owners[i] = &owner{index: i, total: n, h: h}
 	}
 	return owners, nil
 }

@@ -143,15 +143,19 @@ func (s *JWStore) isHub(u int32) bool { return s.hubMask[u] }
 func (s *JWStore) pathHubs(u int32, _ *owner, row *planRow) (planRow, error) {
 	row.hubs, row.s = row.hubs[:0], row.s[:0]
 	for _, h := range s.Hubs {
+		skel, err := lookup(s.Skeleton, secSkeleton, h)
+		if err != nil {
+			return planRow{}, err
+		}
 		row.hubs = append(row.hubs, h)
-		row.s = append(row.s, s.Skeleton[h].Get(u))
+		row.s = append(row.s, skel.Get(u))
 	}
 	return *row, nil
 }
 
-func (s *JWStore) partial(h int32) (sparse.Packed, error) { return s.Partial[h], nil }
+func (s *JWStore) partial(h int32) (sparse.Packed, error) { return lookup(s.Partial, secHubPartial, h) }
 
-func (s *JWStore) leaf(u int32) (sparse.Packed, error) { return s.Partial[u], nil }
+func (s *JWStore) leaf(u int32) (sparse.Packed, error) { return lookup(s.Partial, secLeafPPV, u) }
 
 // SpaceBytes reports the encoded size of all stored vectors.
 func (s *JWStore) SpaceBytes() int64 {

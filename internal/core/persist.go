@@ -28,6 +28,13 @@ import (
 // version-1 file (interleaved payloads, no hub-plan section) fails with
 // ErrUnsupportedStoreVersion.
 //
+// Load and LoadShard are one reader. LoadShard(path, i, n) loads only
+// machine i's slice of an n-way split (see Split): it decodes the
+// payloads that slice owns and skips the rest, so a worker never
+// allocates the vectors it does not serve. Payload lengths are in the
+// record framing, so a skipped payload is never parsed; the framing of
+// every record and every hub-plan row is still checked.
+//
 // Layout (little-endian throughout):
 //
 //	magic "EXPPRST2"
@@ -78,7 +85,12 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // options), which cannot reproduce an update-maintained tree — its hub
 // promotions are a function of the delta history, not of the final
 // graph. Rebuild with BuildHGPA/Precompute on the updated graph first.
+//
+// A shard-local store is refused too: a file always holds a whole store.
 func checkSavable(s *Store) error {
+	if o := s.own; o != nil {
+		return fmt.Errorf("core: cannot save shard %d of %d: a store file holds a whole store", o.index, o.total)
+	}
 	if s.H.G.Epoch() != 0 {
 		return fmt.Errorf("core: cannot save an incrementally updated store (graph epoch %d): rebuild from the updated graph first", s.H.G.Epoch())
 	}
@@ -323,7 +335,39 @@ func walkSections(cr *countingReader, n int, rec func(sec int8, key, vlen int32)
 // validated and discarded: an in-memory store folds skeletons directly,
 // but a truncated or corrupt trailer must still be reported at load
 // time, not at first serve.
-func Load(r io.Reader) (*Store, error) {
+func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
+
+// LoadFile reads a store from a file path.
+func LoadFile(path string) (*Store, error) { return loadFile(path, 0, 0) }
+
+// LoadShard is LoadFile for machine i of n: it returns the shard-local
+// store that Split(LoadFile(path), n)[i] wraps, without ever decoding —
+// or allocating — the vectors the other machines own. Their payloads
+// are skipped; the section framing and the plan rows are still checked
+// for every record, and every owned payload is checked in full.
+func LoadShard(path string, i, n int) (*Store, error) {
+	if err := checkShard(i, n); err != nil {
+		return nil, err
+	}
+	return loadFile(path, i, n)
+}
+
+func loadFile(path string, shard, of int) (*Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	s, err := load(f, shard, of)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// load is the one store reader: the whole store when of is 0, else the
+// shard-local store of machine shard of of.
+func load(r io.Reader, shard, of int) (*Store, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
 	params, opts, g, err := readStoreHeader(cr)
 	if err != nil {
@@ -340,10 +384,16 @@ func Load(r io.Reader) (*Store, error) {
 		Skeleton:   make(map[int32]sparse.Packed),
 		LeafPPV:    make(map[int32]sparse.Packed),
 	}
+	if of != 0 {
+		s.own = &owner{index: shard, total: of, h: h}
+	}
 	sections := [...]map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV}
 	n := g.NumNodes()
 	var buf []byte // DecodeColumnar copies out, so one buffer serves every record
 	err = walkSections(cr, n, func(sec int8, key, vlen int32) error {
+		if sec == secLeafPPV && !s.own.leaf(key) || sec < secLeafPPV && !s.own.hub(key) {
+			return cr.skip(int64(vlen))
+		}
 		buf = slices.Grow(buf[:0], int(vlen))[:vlen]
 		if _, err := io.ReadFull(cr, buf); err != nil {
 			return err
@@ -373,8 +423,8 @@ func Load(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Consistency: every hub in the hierarchy must have its vectors.
-	for _, hub := range hubsOf(h) {
+	// Consistency: every hub the store holds must have its vectors.
+	for _, hub := range ownedHubs(h, s.own) {
 		if _, ok := s.HubPartial[hub]; !ok {
 			return nil, fmt.Errorf("core: store missing partial for hub %d (seed/version drift?)", hub)
 		}
@@ -383,26 +433,4 @@ func Load(r io.Reader) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// LoadFile reads a store from a file path.
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
-func hubsOf(h *hierarchy.Hierarchy) []int32 {
-	var out []int32
-	for _, n := range h.Nodes() {
-		out = append(out, n.Hubs...)
-	}
-	return out
 }

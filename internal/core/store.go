@@ -30,6 +30,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -58,6 +59,23 @@ type Store struct {
 	// LeafPPV[u] is the local PPV of non-hub node u w.r.t. its leaf-level
 	// virtual subgraph, in global id space.
 	LeafPPV map[int32]sparse.Packed
+
+	// own is the machine slice a shard-local store holds (see Split and
+	// LoadShard): its sections carry only the vectors own admits. Nil
+	// for a whole store.
+	own *owner
+}
+
+// ErrMissingVector reports a fold that needs a vector its source does
+// not hold — a corrupt or mis-sliced store. The fold fails rather than
+// adding a zero vector and answering silently wrong.
+var ErrMissingVector = errors.New("core: missing vector")
+
+var sectionNames = [...]string{"hub partial", "skeleton", "leaf PPV", "hub plan"}
+
+// missingVector is ErrMissingVector wrapped with the section and key.
+func missingVector(sec int8, key int32) error {
+	return fmt.Errorf("%w: %s for key %d", ErrMissingVector, sectionNames[sec], key)
 }
 
 // PrecomputeInfo reports the cost of a pre-computation run. Because the
@@ -386,17 +404,32 @@ func (s *Store) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
 	for _, node := range s.H.Path(u) {
 		for _, h := range node.Hubs {
 			if own.hub(h) {
+				skel, ok := s.Skeleton[h]
+				if !ok {
+					return planRow{}, missingVector(secSkeleton, h)
+				}
 				row.hubs = append(row.hubs, h)
-				row.s = append(row.s, s.Skeleton[h].Get(u))
+				row.s = append(row.s, skel.Get(u))
 			}
 		}
 	}
 	return *row, nil
 }
 
-func (s *Store) partial(h int32) (sparse.Packed, error) { return s.HubPartial[h], nil }
+func (s *Store) partial(h int32) (sparse.Packed, error) {
+	return lookup(s.HubPartial, secHubPartial, h)
+}
 
-func (s *Store) leaf(u int32) (sparse.Packed, error) { return s.LeafPPV[u], nil }
+func (s *Store) leaf(u int32) (sparse.Packed, error) { return lookup(s.LeafPPV, secLeafPPV, u) }
+
+// lookup reads one vector of an in-memory section.
+func lookup(m map[int32]sparse.Packed, sec int8, key int32) (sparse.Packed, error) {
+	v, ok := m[key]
+	if !ok {
+		return sparse.Packed{}, missingVector(sec, key)
+	}
+	return v, nil
+}
 
 // Truncate removes every stored entry with absolute value below min,
 // producing the paper's adapted method HGPA_ad (§6.2.9, min = 1e-4).
@@ -425,6 +458,7 @@ func (s *Store) Clone() *Store {
 		HubPartial: make(map[int32]sparse.Packed, len(s.HubPartial)),
 		Skeleton:   make(map[int32]sparse.Packed, len(s.Skeleton)),
 		LeafPPV:    make(map[int32]sparse.Packed, len(s.LeafPPV)),
+		own:        s.own,
 	}
 	// The packed vectors are immutable (Truncate swaps in new values, it
 	// never edits arrays in place), so the clone shares them: only the

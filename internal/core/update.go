@@ -1,12 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"exactppr/internal/graph"
+	"exactppr/internal/hierarchy"
 	"exactppr/internal/ppr"
 )
 
@@ -20,6 +24,13 @@ import (
 // shared structurally with the previous snapshot. LiveStore publishes
 // the result with an atomic pointer swap so in-flight queries keep
 // serving the old snapshot; a snapshot never changes once built.
+//
+// A shard-local store (Split, LoadShard) recomputes only the dirty
+// vectors its slice holds: hub ownership follows the hierarchy's deal
+// ranks, which updates never change for an existing hub, so the slice
+// stays the same across batches and machines that apply the same batch
+// to copies of the same store together recompute each dirty vector
+// exactly once.
 
 // UpdateInfo reports the cost of one incremental update batch.
 type UpdateInfo struct {
@@ -35,8 +46,15 @@ type UpdateInfo struct {
 	// Recomputed counts vectors recomputed by this batch; StoreVectors
 	// counts all vectors in the updated store, i.e. what a from-scratch
 	// rebuild would compute. Recomputed < StoreVectors is the whole
-	// point of dirty-partition maintenance.
+	// point of dirty-partition maintenance. A shard-local store counts
+	// only the vectors of its slice, so the shards' counts sum to the
+	// whole store's.
 	Recomputed, StoreVectors int
+	// Digest fingerprints the batch's effect on the whole store — every
+	// dirty vector key, before any slice filter, and every promoted hub
+	// with its deal rank. Every shard of one store that applies the same
+	// batch reports the same digest.
+	Digest uint64
 	// Kernel is the engine the recompute used (Params.Kernel).
 	Kernel ppr.Kernel
 	// Pushes is the total number of residual pops the recompute kernels
@@ -48,11 +66,12 @@ type UpdateInfo struct {
 }
 
 // ApplyUpdates applies an edge-delta batch and returns a NEW store in
-// which only the dirty partitions were recomputed. The receiver remains
-// a valid read snapshot (its maps and hierarchy are never mutated), but
-// it is retired as a base for further updates: the root graph object is
-// shared and has advanced, so subsequent batches must be applied to the
-// returned store. LiveStore enforces that ordering; use it unless you
+// which only the dirty partitions were recomputed — for a shard-local
+// store, only their vectors in its slice, and the new store holds the
+// same slice. The receiver remains a valid read snapshot (its maps and
+// hierarchy are never mutated), but it is retired as a base for further
+// updates: the root graph object is shared and has advanced, so
+// subsequent batches must be applied to the returned store. LiveStore enforces that ordering; use it unless you
 // are managing publication yourself.
 //
 // Concurrency: queries on any snapshot (old or new) may run throughout —
@@ -72,6 +91,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	}
 	info := &UpdateInfo{Inserted: ins, Deleted: del}
 	if ins == 0 && del == 0 {
+		info.Digest = updateDigest(nil, upd)
 		info.StoreVectors = s.storeVectors()
 		info.Wall = time.Since(start)
 		return s, info, nil
@@ -83,6 +103,9 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	// shared, and the clean partitions keep their entries untouched.
 	ns := s.Clone()
 	ns.H = upd.H
+	if o := s.own; o != nil {
+		ns.own = &owner{index: o.index, total: o.total, h: upd.H}
+	}
 	for _, x := range upd.Promoted {
 		// A promoted node's old leaf PPV is stale; its new hub vectors
 		// are produced by the dirty-node recompute below.
@@ -92,7 +115,16 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	var tasks []precomputeTask
 	for _, n := range upd.Dirty {
 		tasks = append(tasks, nodeTasks(upd.H, n)...)
-		n.Sub.G.BuildReverse()
+	}
+	info.Digest = updateDigest(tasks, upd)
+	tasks = slices.DeleteFunc(tasks, func(t precomputeTask) bool {
+		if t.hub {
+			return !ns.own.hub(t.u)
+		}
+		return !ns.own.leaf(t.u)
+	})
+	for _, t := range tasks {
+		t.node.Sub.G.BuildReverse()
 	}
 	ri, err := ns.runTasks(tasks, workers)
 	if err != nil {
@@ -114,6 +146,28 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	info.StoreVectors = ns.storeVectors()
 	info.Wall = time.Since(start)
 	return ns, info, nil
+}
+
+// updateDigest is UpdateInfo.Digest: FNV-64 over the batch's dirty
+// vector keys, in task order, then its promoted hubs with their ranks.
+func updateDigest(tasks []precomputeTask, upd *hierarchy.Update) uint64 {
+	h := fnv.New64a()
+	var b [9]byte
+	for _, t := range tasks {
+		b[0] = 0
+		if t.hub {
+			b[0] = 1
+		}
+		binary.LittleEndian.PutUint32(b[1:], uint32(t.u))
+		h.Write(b[:5])
+	}
+	for _, x := range upd.Promoted {
+		b[0] = 2
+		binary.LittleEndian.PutUint32(b[1:], uint32(x))
+		binary.LittleEndian.PutUint32(b[5:], uint32(upd.H.DealRank(x)))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // storeVectors counts the vectors a from-scratch pre-computation would
@@ -143,6 +197,28 @@ func NewLiveStore(s *Store) *LiveStore {
 
 // Store returns the current snapshot.
 func (l *LiveStore) Store() *Store { return l.cur.Load() }
+
+// Narrow publishes slice i of n of the current snapshot in its place
+// (see Split), so that the whole store it replaces becomes garbage once
+// no reader holds it, and later batches recompute only that slice.
+// Narrowing a store that already holds slice i of n is a no-op; any
+// other shard-local store cannot be narrowed.
+func (l *LiveStore) Narrow(i, n int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cur := l.cur.Load()
+	if o := cur.own; o != nil {
+		if o.index == i && o.total == n {
+			return nil
+		}
+		return fmt.Errorf("core: live store holds shard %d of %d, not %d of %d", o.index, o.total, i, n)
+	}
+	if err := checkShard(i, n); err != nil {
+		return err
+	}
+	l.cur.Store(cur.narrow(&owner{index: i, total: n, h: cur.H}))
+	return nil
+}
 
 // ApplyUpdates applies one batch and publishes the resulting snapshot.
 //

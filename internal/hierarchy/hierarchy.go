@@ -83,6 +83,10 @@ type Hierarchy struct {
 	nodes    []*Node // all tree nodes in pre-order
 	home     []*Node // per global node: the deepest tree node containing it
 	hubLevel []int32 // per global node: level where it became a hub, or -1
+	// rank is each hub's deal rank, or -1 (see DealRank); nextRank is
+	// the rank the next newly promoted hub receives.
+	rank     []int32
+	nextRank int32
 }
 
 // Build constructs the hierarchy for g.
@@ -99,9 +103,11 @@ func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 		Opts:     opts,
 		home:     make([]*Node, g.NumNodes()),
 		hubLevel: make([]int32, g.NumNodes()),
+		rank:     make([]int32, g.NumNodes()),
 	}
 	for i := range h.hubLevel {
 		h.hubLevel[i] = -1
+		h.rank[i] = -1
 	}
 	all := make([]int32, g.NumNodes())
 	for i := range all {
@@ -150,6 +156,11 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 		h.home[gid] = n
 	}
 	sort.Slice(n.Hubs, func(i, j int) bool { return n.Hubs[i] < n.Hubs[j] })
+	// Nodes are built in pre-order, so ranks follow Nodes()×Hubs order.
+	for _, gid := range n.Hubs {
+		h.rank[gid] = h.nextRank
+		h.nextRank++
+	}
 
 	childMembers := make([][]int32, h.Opts.Fanout)
 	for l, p := range parts {
@@ -203,6 +214,13 @@ func (h *Hierarchy) IsHub(u int32) bool { return h.hubLevel[u] >= 0 }
 
 // HubLevel returns the level at which u became a hub, or -1.
 func (h *Hierarchy) HubLevel(u int32) int { return int(h.hubLevel[u]) }
+
+// DealRank returns hub u's position in the order hubs are dealt to
+// machines, or -1 for a non-hub. Build ranks hubs in Nodes()×Hubs
+// order; ApplyDelta gives a newly promoted hub the next unused rank,
+// and a hub promoted to a higher level keeps its rank, so the rank of
+// an existing hub never changes across updates.
+func (h *Hierarchy) DealRank(u int32) int { return int(h.rank[u]) }
 
 // Path returns the chain of tree nodes containing u, from the root down
 // to Home(u).
@@ -317,7 +335,13 @@ func (h *Hierarchy) Validate() error {
 		}
 	}
 	// Index agreement.
+	ranked := make([]bool, h.nextRank)
 	for u := int32(0); u < int32(h.G.NumNodes()); u++ {
+		if r := h.rank[u]; h.IsHub(u) != (r >= 0) || r >= h.nextRank || r >= 0 && ranked[r] {
+			return fmt.Errorf("hierarchy: node %d has deal rank %d (hub=%v, %d ranks dealt)", u, r, h.IsHub(u), h.nextRank)
+		} else if r >= 0 {
+			ranked[r] = true
+		}
 		home := h.home[u]
 		if home == nil {
 			return fmt.Errorf("hierarchy: node %d has no home", u)

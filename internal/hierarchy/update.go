@@ -98,6 +98,8 @@ func (h *Hierarchy) clone() *Hierarchy {
 		nodes:    make([]*Node, len(h.nodes)),
 		home:     make([]*Node, len(h.home)),
 		hubLevel: slices.Clone(h.hubLevel),
+		rank:     slices.Clone(h.rank),
+		nextRank: h.nextRank,
 	}
 	m := make(map[*Node]*Node, len(h.nodes))
 	for i, n := range h.nodes {
@@ -166,6 +168,9 @@ func (u *updater) promote(x int32, n *Node, below []*Node) {
 	if u.h.hubLevel[x] >= 0 {
 		old := below[len(below)-1] // x's former hub home
 		old.Hubs = removeSorted(old.Hubs, x)
+	} else {
+		u.h.rank[x] = u.h.nextRank
+		u.h.nextRank++
 	}
 	for i := len(below) - 1; i >= 0; i-- {
 		if len(below[i].Members) > 0 {
