@@ -1,10 +1,9 @@
 package exactppr
 
 // One testing.B benchmark per table/figure of the paper's evaluation.
-// DESIGN.md §4 maps experiment ids to these targets; EXPERIMENTS.md
-// records paper-vs-measured shapes. Fixtures are built once per process
-// at reduced scale so the whole suite stays laptop-friendly; use
-// cmd/pprexp for the full experiment tables.
+// Fixtures are built once per process at reduced scale so the whole
+// suite stays laptop-friendly; use cmd/pprexp for the full experiment
+// tables (pprexp -list names them).
 
 import (
 	"fmt"
@@ -205,9 +204,9 @@ func offlineFixture(b *testing.B) *offlineFix {
 
 // reportKernelMetrics attaches the kernel cost model to a bench:
 // pushes/vector (residual pops actually performed — the
-// work-proportional unit) and densefrac (the fraction of vectors
-// drained by the dense sweep: 1 under KernelDense, the spill rate
-// under KernelAuto).
+// work-proportional unit) and densefrac (the fraction of vectors whose
+// frontier spilled past a quarter of the subgraph, so that they
+// finished as a dense sweep).
 func reportKernelMetrics(b *testing.B, pushes, vectors, fallbacks int64) {
 	if vectors > 0 {
 		b.ReportMetric(float64(pushes)/float64(vectors), "pushes/vector")
@@ -217,8 +216,9 @@ func reportKernelMetrics(b *testing.B, pushes, vectors, fallbacks int64) {
 
 // BenchmarkPrecompute is Figure 12's offline cost (per full build).
 // deep tracks the shared fixture's edge-free hierarchy (the historical
-// number); the gpa sub-benchmarks run the machine-sized-partition
-// fixture for both kernels — the pair the kernel speedup is judged on.
+// number); gpa runs the machine-sized-partition fixture, where each
+// partition is an n/m-node subgraph and the kernels' work-proportional
+// bookkeeping decides the cost.
 func BenchmarkPrecompute(b *testing.B) {
 	b.Run("deep", func(b *testing.B) {
 		f := benchFixture(b)
@@ -233,25 +233,21 @@ func BenchmarkPrecompute(b *testing.B) {
 			}
 		}
 	})
-	for _, k := range []ppr.Kernel{ppr.KernelAuto, ppr.KernelDense} {
-		b.Run("gpa/kernel="+k.String(), func(b *testing.B) {
-			f := offlineFixture(b)
-			p := offlineParams
-			p.Kernel = k
-			var pushes, vectors, fallbacks int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, info, err := core.PrecomputeWithInfo(f.h, p, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pushes += info.Pushes
-				vectors += int64(info.Vectors)
-				fallbacks += info.DenseFallbacks
+	b.Run("gpa", func(b *testing.B) {
+		f := offlineFixture(b)
+		var pushes, vectors, fallbacks int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, info, err := core.PrecomputeWithInfo(f.h, offlineParams, 0)
+			if err != nil {
+				b.Fatal(err)
 			}
-			reportKernelMetrics(b, pushes, vectors, fallbacks)
-		})
-	}
+			pushes += info.Pushes
+			vectors += int64(info.Vectors)
+			fallbacks += info.DenseFallbacks
+		}
+		reportKernelMetrics(b, pushes, vectors, fallbacks)
+	})
 }
 
 // BenchmarkHGPALevels is Figures 14–16: query cost across hierarchy
@@ -458,14 +454,14 @@ func BenchmarkHGPAManyProcs(b *testing.B) {
 }
 
 // BenchmarkSkeletonAblation contrasts §5.2's memory-bounded reverse
-// iteration (local push) with the literal dense Jacobi version — the
-// design choice DESIGN.md calls out.
+// iteration (local push) with the literal dense Jacobi iteration of
+// Theorem 6 — the "improved skeleton computation" claim of §5.2.
 func BenchmarkSkeletonAblation(b *testing.B) {
 	f := benchFixture(b)
 	h := int32(7)
 	b.Run("reverse-push", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ppr.SkeletonForHub(f.g, h, benchParams); err != nil {
+			if _, err := ppr.SkeletonVector(f.g, h, benchParams); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -659,16 +655,15 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	}
 }
 
-// BenchmarkQuerySet measures preference-set queries (PPV linearity).
 // BenchmarkApplyUpdates measures incremental update throughput: each
 // iteration applies one edge-insert batch and then the reverting delete
 // batch, so the store ends each iteration where it started (after a
 // one-time warm-up that settles any hub promotions). Dedicated fixtures
 // keep the mutation away from the shared read-only one: deep is the
-// historical edge-free hierarchy, the gpa sub-benchmarks re-run the
-// machine-sized-partition deployment (see offlineFixture) for both
-// kernels — a dirty partition there is an n/m-node subgraph, the
-// workload the push kernels exist for. The custom metric reports how
+// historical edge-free hierarchy, gpa re-runs the
+// machine-sized-partition deployment (see offlineFixture) — a dirty
+// partition there is an n/m-node subgraph, the workload the push
+// kernels exist for. The custom metric reports how
 // many store vectors one batch recomputes — the quantity a full
 // rebuild would multiply to the whole store.
 func BenchmarkApplyUpdates(b *testing.B) {
@@ -683,22 +678,18 @@ func BenchmarkApplyUpdates(b *testing.B) {
 		}
 		benchApplyUpdates(b, g, store)
 	})
-	for _, k := range []ppr.Kernel{ppr.KernelAuto, ppr.KernelDense} {
-		b.Run("gpa/kernel="+k.String(), func(b *testing.B) {
-			// A fresh graph per kernel: the updates mutate it in place.
-			g, err := gen.Dataset("web", 2, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := offlineParams
-			p.Kernel = k
-			store, err := core.BuildHGPA(g, hierarchy.Options{Seed: 1, Fanout: offlineFanout, MaxLevels: 1}, p, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchApplyUpdates(b, g, store)
-		})
-	}
+	b.Run("gpa", func(b *testing.B) {
+		// A fresh graph: the updates mutate it in place.
+		g, err := gen.Dataset("web", 2, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := core.BuildHGPA(g, hierarchy.Options{Seed: 1, Fanout: offlineFanout, MaxLevels: 1}, offlineParams, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchApplyUpdates(b, g, store)
+	})
 }
 
 func benchApplyUpdates(b *testing.B, g *graph.Graph, store *core.Store) {
@@ -742,6 +733,7 @@ func benchApplyUpdates(b *testing.B, g *graph.Graph, store *core.Store) {
 	reportKernelMetrics(b, pushes, recomputed, fallbacks)
 }
 
+// BenchmarkQuerySet measures preference-set queries (PPV linearity).
 func BenchmarkQuerySet(b *testing.B) {
 	f := benchFixture(b)
 	pref := core.Preference{Nodes: benchQueries(f.g, 3)}

@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"exactppr/internal/experiments"
-	"exactppr/internal/ppr"
 )
 
 func main() {
@@ -27,15 +26,8 @@ func main() {
 		alpha    = flag.Float64("alpha", 0.15, "teleport probability")
 		eps      = flag.Float64("eps", 1e-4, "tolerance")
 		workers  = flag.Int("workers", 0, "precompute workers (0 = all cores)")
-		kernel   = flag.String("kernel", "auto", "precompute kernel: auto, dense, push")
 	)
 	flag.Parse()
-
-	kern, err := ppr.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pprexp: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, id := range experiments.List() {
@@ -49,7 +41,7 @@ func main() {
 	}
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Machines: *machines,
-		Queries: *queries, Alpha: *alpha, Eps: *eps, Kernel: kern, Workers: *workers,
+		Queries: *queries, Alpha: *alpha, Eps: *eps, Workers: *workers,
 	}
 	ids := []string{*run}
 	if *run == "all" {

@@ -27,15 +27,9 @@ func main() {
 		fanout    = flag.Int("fanout", 2, "parts per split")
 		maxLevels = flag.Int("maxlevels", 0, "level cap (0 = until edge-free)")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = all cores)")
-		kernel    = flag.String("kernel", "auto", "precompute kernel: auto (sparse push, dense fallback), dense, push")
 		out       = flag.String("o", "ppr.store", "output store path")
 	)
 	flag.Parse()
-
-	kern, err := ppr.ParseKernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
 
 	ds, err := workload.Load(*dataset, *scale, *seed)
 	if err != nil {
@@ -51,15 +45,15 @@ func main() {
 		ds.Name, ds.G.NumNodes(), ds.G.NumEdges(), h.Depth(), h.TotalHubs())
 
 	start := time.Now()
-	store, info, err := core.PrecomputeWithInfo(h, ppr.Params{Alpha: *alpha, Eps: *eps, Kernel: kern}, *workers)
+	store, info, err := core.PrecomputeWithInfo(h, ppr.Params{Alpha: *alpha, Eps: *eps}, *workers)
 	if err != nil {
 		fatal(err)
 	}
 	st := store.Stats()
 	fmt.Fprintf(os.Stderr, "precompute: %d tasks in %v (Σ task time %v)\n",
 		info.Tasks, time.Since(start).Round(time.Millisecond), info.TotalTaskTime.Round(time.Millisecond))
-	fmt.Fprintf(os.Stderr, "kernel %s: %.0f pushes/vector, %.1f%% dense-drained\n",
-		info.Kernel, float64(info.Pushes)/float64(max(info.Vectors, 1)),
+	fmt.Fprintf(os.Stderr, "kernels: %.0f pushes/vector, %.1f%% spilled to a dense sweep\n",
+		float64(info.Pushes)/float64(max(info.Vectors, 1)),
 		100*float64(info.DenseFallbacks)/float64(max(info.Vectors, 1)))
 	fmt.Fprintf(os.Stderr, "store: %d hub partials, %d leaf vectors, %.2f MB\n",
 		st.Hubs, st.Leaves, float64(st.Bytes)/(1<<20))

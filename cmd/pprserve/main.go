@@ -53,7 +53,6 @@ import (
 
 	"exactppr/internal/cluster"
 	"exactppr/internal/core"
-	"exactppr/internal/ppr"
 )
 
 func main() {
@@ -71,17 +70,12 @@ func main() {
 		httpAddr    = flag.String("http", "", "serve the HTTP/JSON gateway on this address")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (gateway mode)")
 		updates     = flag.Bool("updates", false, "accept edge-delta updates (worker / local gateway mode)")
-		kernel      = flag.String("kernel", "auto", "recompute kernel for -updates batches: auto, dense, push")
 		disk        = flag.Bool("disk", false, "serve vectors from the store file on demand instead of loading it into memory")
 		mmapMode    = flag.String("mmap", "on", "disk mode: memory-map the store file (on) or force the ReadAt fallback (off)")
 		cacheCap    = flag.Int("cachecap", 0, "disk mode: vectors held in the serving cache (0 = default 1024)")
 	)
 	flag.Parse()
 
-	kern, err := ppr.ParseKernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
 	diskOpts, err := core.ParseDiskOptions(*mmapMode, *cacheCap)
 	if err != nil {
 		fatal(err)
@@ -110,7 +104,7 @@ func main() {
 		// serve HTTP directly — no TCP workers needed on one host. With
 		// -updates the machines share one live store and POST /edges
 		// applies dirty-partition batches to it.
-		store, err := loadStore(*storePath, kern, 0, 0)
+		store, err := loadStore(*storePath, 0, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,7 +128,7 @@ func main() {
 	}
 
 	// Worker: load only this machine's slice of the store.
-	store, err := loadStore(*storePath, kern, *shard, *of)
+	store, err := loadStore(*storePath, *shard, *of)
 	if err != nil {
 		fatal(err)
 	}
@@ -161,22 +155,12 @@ func main() {
 }
 
 // loadStore loads the whole store (of = 0) or machine shard's slice of
-// it, with kern as the recompute kernel. The kernel only matters for
-// -updates recomputes; stored vectors are kernel-independent, so
-// setting it is always safe.
-func loadStore(path string, kern ppr.Kernel, shard, of int) (*core.Store, error) {
-	var store *core.Store
-	var err error
+// it.
+func loadStore(path string, shard, of int) (*core.Store, error) {
 	if of == 0 {
-		store, err = core.LoadFile(path)
-	} else {
-		store, err = core.LoadShard(path, shard, of)
+		return core.LoadFile(path)
 	}
-	if err != nil {
-		return nil, err
-	}
-	store.Params.Kernel = kern
-	return store, nil
+	return core.LoadShard(path, shard, of)
 }
 
 // serveDisk runs worker or local-gateway mode over a DiskStore: the

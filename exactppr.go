@@ -56,17 +56,13 @@ type (
 	Packed = sparse.Packed
 	// Entry is one (id, score) element of a Vector.
 	Entry = sparse.Entry
-	// Params are the PPR parameters (teleport α, tolerance ε, and the
-	// pre-computation Kernel selection).
+	// Params are the PPR parameters: teleport α, tolerance ε, a work cap,
+	// and the dangling-node policy (pre-computation supports only the
+	// default, absorb).
 	Params = ppr.Params
-	// Kernel selects the pre-computation engine (Params.Kernel):
-	// KernelAuto (sparse-frontier push with adaptive dense fallback, the
-	// default), KernelDense (the original dense sweeps), or KernelPush
-	// (pure sparse bookkeeping). The choice never changes results — all
-	// engines produce identical vectors — only how the work scales.
-	Kernel = ppr.Kernel
-	// PrecomputeInfo reports the cost of a pre-computation run,
-	// including the kernel used and its pushes/vector work counters.
+	// PrecomputeInfo reports the cost of a pre-computation run: wall and
+	// task time, vectors, pushes, and how many vectors spilled to a
+	// dense sweep.
 	PrecomputeInfo = core.PrecomputeInfo
 	// HierarchyOptions tunes the recursive partitioning.
 	HierarchyOptions = hierarchy.Options
@@ -101,22 +97,11 @@ type (
 	GenConfig = gen.Config
 )
 
-// Pre-computation kernel choices for Params.Kernel.
-const (
-	KernelAuto  = ppr.KernelAuto
-	KernelDense = ppr.KernelDense
-	KernelPush  = ppr.KernelPush
-)
-
-// ParseKernel parses a kernel name ("auto", "dense", "push") — the
-// spelling used by the cmds' -kernel flags.
-func ParseKernel(s string) (Kernel, error) { return ppr.ParseKernel(s) }
-
 // DefaultParams returns the paper's defaults: α = 0.15, ε = 1e-4.
 func DefaultParams() Params { return ppr.Defaults() }
 
 // BuildHGPAWithInfo is BuildHGPA plus pre-computation cost reporting
-// (wall/task time, kernel choice, pushes per vector).
+// (wall/task time, pushes per vector, dense-spill count).
 func BuildHGPAWithInfo(g *Graph, opts HierarchyOptions, params Params, workers int) (*Store, *PrecomputeInfo, error) {
 	h, err := hierarchy.Build(g, opts)
 	if err != nil {

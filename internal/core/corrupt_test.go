@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -115,6 +116,129 @@ func TestUnsupportedStoreVersion(t *testing.T) {
 			t.Fatalf("opener %d: got %v, want ErrUnsupportedStoreVersion", i, err)
 		}
 	}
+}
+
+// storeParamsOff is the file offset of the 24-byte params block:
+// alpha, eps float64; maxIter, dangling int32.
+const storeParamsOff = 8
+
+// putStoreParams overwrites the params block of a saved store.
+func putStoreParams(data []byte, alphaBits, epsBits uint64, maxIter, dangling int32) {
+	b := data[storeParamsOff:]
+	binary.LittleEndian.PutUint64(b[0:], alphaBits)
+	binary.LittleEndian.PutUint64(b[8:], epsBits)
+	binary.LittleEndian.PutUint32(b[16:], uint32(maxIter))
+	binary.LittleEndian.PutUint32(b[20:], uint32(dangling))
+}
+
+// TestLoadRejectsInvalidParams: the header's PPR parameters used to be
+// taken on trust. With a NaN alpha this fixture loaded and Query(3)
+// returned 30 NaN entries of 46; a subnormal alpha gave 29 non-finite
+// ones. Alpha 2, eps −1, maxIter −5 and dangling 7 loaded and served
+// too, as did a DanglingRestart header the kernels never implemented.
+// Every opener now fails with ErrInvalidStoreParams.
+func TestLoadRejectsInvalidParams(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	p := s.Params
+	alpha, eps := math.Float64bits(p.Alpha), math.Float64bits(p.Eps)
+	for _, tc := range []struct {
+		name              string
+		alpha, eps        uint64
+		maxIter, dangling int32
+	}{
+		{"alpha NaN", math.Float64bits(math.NaN()), eps, 0, 0},
+		{"alpha 2", math.Float64bits(2), eps, 0, 0},
+		{"alpha 0", 0, eps, 0, 0},
+		{"alpha subnormal", 1, eps, 0, 0},
+		{"eps -1", alpha, math.Float64bits(-1), 0, 0},
+		{"eps NaN", alpha, math.Float64bits(math.NaN()), 0, 0},
+		{"maxIter -5", alpha, eps, -5, 0},
+		{"dangling 7", alpha, eps, 0, 7},
+		{"dangling restart", alpha, eps, 0, int32(ppr.DanglingRestart)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := savedBytes(t, s)
+			putStoreParams(data, tc.alpha, tc.eps, tc.maxIter, tc.dangling)
+			errs := openBoth(t, data)
+			for i := range 2 {
+				_, err := load(bytes.NewReader(data), i, 2)
+				errs = append(errs, err)
+			}
+			for i, err := range errs {
+				if !errors.Is(err, ErrInvalidStoreParams) {
+					t.Fatalf("opener %d: got %v, want ErrInvalidStoreParams", i, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzStoreParams mutates the 24-byte params block of a tiny store —
+// and nothing else: the node and edge counts that follow wait on a
+// length bound — and serves whatever opens: Load, each shard's load,
+// and both disk openers. A store that opens must hold params that pass
+// ValidatePrecompute and must answer every node with finite entries.
+func FuzzStoreParams(f *testing.F) {
+	g, err := gen.Community(gen.Config{
+		Nodes: 24, AvgOutDegree: 3, Communities: 3,
+		InterFrac: 0.1, MinOutDegree: 1, Seed: 5,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := BuildHGPA(g, hierarchy.Options{Seed: 5, MinSize: 6}, ppr.Params{Alpha: 0.15, Eps: 1e-3}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data := savedBytes(f, s)
+	alpha, eps := math.Float64bits(0.15), math.Float64bits(1e-3)
+	f.Add(alpha, eps, int32(0), int32(0))
+	f.Add(math.Float64bits(math.NaN()), eps, int32(0), int32(0))
+	f.Add(uint64(1), eps, int32(0), int32(0))
+	f.Add(math.Float64bits(1e-6), eps, int32(0), int32(0))
+	f.Add(math.Float64bits(0.999), math.Float64bits(math.Inf(1)), int32(1), int32(0))
+	f.Add(alpha, eps, int32(-5), int32(7))
+	f.Fuzz(func(t *testing.T, alphaBits, epsBits uint64, maxIter, dangling int32) {
+		file := bytes.Clone(data)
+		putStoreParams(file, alphaBits, epsBits, maxIter, dangling)
+		n := int32(g.NumNodes())
+		check := func(opener string, p ppr.Params, queries ...func(int32) (sparse.Packed, error)) {
+			if err := p.ValidatePrecompute(); err != nil {
+				t.Fatalf("%s opened a store with invalid params: %v", opener, err)
+			}
+			for _, q := range queries {
+				for u := int32(0); u < n; u++ {
+					v, err := q(u)
+					if err != nil {
+						continue
+					}
+					v.ForEach(func(id int32, x float64) {
+						if math.IsNaN(x) || math.IsInf(x, 0) {
+							t.Fatalf("%s: u=%d entry %d = %v under params %+v", opener, u, id, x, p)
+						}
+					})
+				}
+			}
+		}
+		if ls, err := Load(bytes.NewReader(file)); err == nil {
+			check("Load", ls.Params, ls.QueryPacked)
+		}
+		for i := range 2 {
+			if local, err := load(bytes.NewReader(file), i, 2); err == nil {
+				check("LoadShard", local.Params, local.Shard().QueryPacked)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "f.store")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
+			if ds, err := OpenDiskStoreWith(path, opts); err == nil {
+				check("OpenDiskStore", ds.Params, ds.QueryPacked)
+				ds.Close()
+			}
+		}
+	})
 }
 
 // FuzzStoreSections mutates the record sections of a tiny store — never

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -35,7 +36,7 @@ type JWStore struct {
 // PrecomputeJW builds the PPV-JW baseline with the hubCount top-PageRank
 // nodes as hubs.
 func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) (*JWStore, error) {
-	if err := params.Validate(); err != nil {
+	if err := params.ValidatePrecompute(); err != nil {
 		return nil, err
 	}
 	if hubCount < 0 || hubCount > g.NumNodes() {
@@ -83,24 +84,20 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 				fail(err)
 				continue
 			}
-			if s.hubMask[u] {
-				delete(partial, u) // store P_u = p_u − α·x_u
-			}
 			var skel sparse.Packed
-			hasSkel := false
 			if s.hubMask[u] {
-				dense, err := ppr.SkeletonForHub(g, u, s.Params)
-				if err != nil {
+				// Store P_u = p_u − α·x_u. A packed vector's ids are
+				// unique, so PackEntries cannot fail.
+				es := slices.DeleteFunc(partial.Entries(), func(e sparse.Entry) bool { return e.ID == u })
+				partial, _ = sparse.PackEntries(es)
+				if skel, err = ppr.SkeletonVector(g, u, s.Params); err != nil {
 					fail(err)
 					continue
 				}
-				skel = sparse.PackedFromDense(dense, 0)
-				hasSkel = true
 			}
-			packed := sparse.Pack(partial)
 			mu.Lock()
-			s.Partial[u] = packed
-			if hasSkel {
+			s.Partial[u] = partial
+			if s.hubMask[u] {
 				s.Skeleton[u] = skel
 			}
 			mu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,12 +13,15 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// The cross-kernel acceptance contract: stores built (or incrementally
-// maintained) under any Params.Kernel agree within 1e-9 per entry.
+// The kernel contract at store level: every vector a store holds — built
+// by the worker pools on reused ppr.Scratch buffers, or maintained
+// through update batches — agrees within 1e-9 per entry with a fresh
+// call to the exported kernel entries for the same tree node. (ppr's own
+// tests pin those entries to the dense oracle kernels.)
 const kernelTol = 1e-9
 
 // kernelTestGraph returns a fresh, identical graph per call so each
-// kernel's store owns its root graph (ApplyUpdates mutates it).
+// store owns its root graph (ApplyUpdates mutates it).
 func kernelTestGraph(t *testing.T, seed int64) *graph.Graph {
 	t.Helper()
 	g, err := gen.Community(gen.Config{
@@ -28,6 +32,55 @@ func kernelTestGraph(t *testing.T, seed int64) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// toGlobal maps a packed vector from a tree node's local ids to global
+// ids, dropping local id skip (-1 for none).
+func toGlobal(t *testing.T, n *hierarchy.Node, v sparse.Packed, skip int32) sparse.Packed {
+	t.Helper()
+	var es []sparse.Entry
+	v.ForEach(func(id int32, x float64) {
+		if id != skip {
+			es = append(es, sparse.Entry{ID: n.Sub.Parent(id), Score: x})
+		}
+	})
+	p, err := sparse.PackEntries(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// referenceStore recomputes every vector of h's tree with one fresh
+// ppr.PartialVector or ppr.SkeletonVector call per vector.
+func referenceStore(t *testing.T, h *hierarchy.Hierarchy, p ppr.Params) *Store {
+	t.Helper()
+	ref := &Store{
+		H: h, Params: p,
+		HubPartial: map[int32]sparse.Packed{},
+		Skeleton:   map[int32]sparse.Packed{},
+		LeafPPV:    map[int32]sparse.Packed{},
+	}
+	for _, n := range h.Nodes() {
+		for _, task := range nodeTasks(h, n) {
+			g, lu := n.Sub.G, n.Sub.Local(task.u)
+			partial, _, err := ppr.PartialVector(g, lu, task.isHub, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !task.hub {
+				ref.LeafPPV[task.u] = toGlobal(t, n, partial, -1)
+				continue
+			}
+			ref.HubPartial[task.u] = toGlobal(t, n, partial, lu)
+			skel, err := ppr.SkeletonVector(g, lu, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Skeleton[task.u] = toGlobal(t, n, skel, -1)
+		}
+	}
+	return ref
 }
 
 func comparePackedMaps(t *testing.T, section string, got, want map[int32]sparse.Packed) {
@@ -59,42 +112,37 @@ func compareStores(t *testing.T, got, want *Store) {
 }
 
 // TestKernelEquivalenceStore: the full HGPA pre-computation — hub
-// partials, skeletons, leaf PPVs — is identical within 1e-9 across
-// KernelDense, KernelPush, and KernelAuto, for both dangling policies.
+// partials, skeletons, leaf PPVs — matches the per-vector reference.
+// Under DanglingRestart, which the kernels do not implement, the build
+// fails instead.
 func TestKernelEquivalenceStore(t *testing.T) {
 	for _, dangling := range []ppr.DanglingPolicy{ppr.DanglingAbsorb, ppr.DanglingRestart} {
-		build := func(k ppr.Kernel) *Store {
-			p := ppr.Params{Alpha: 0.15, Eps: 1e-5, Dangling: dangling, Kernel: k}
-			s, err := BuildHGPA(kernelTestGraph(t, 7), hierarchy.Options{Seed: 3}, p, 3)
-			if err != nil {
-				t.Fatal(err)
+		p := ppr.Params{Alpha: 0.15, Eps: 1e-5, Dangling: dangling}
+		s, err := BuildHGPA(kernelTestGraph(t, 7), hierarchy.Options{Seed: 3}, p, 3)
+		if dangling == ppr.DanglingRestart {
+			if !errors.Is(err, ppr.ErrUnsupportedDangling) {
+				t.Fatalf("DanglingRestart build: err = %v, want ErrUnsupportedDangling", err)
 			}
-			return s
+			continue
 		}
-		dense := build(ppr.KernelDense)
-		compareStores(t, build(ppr.KernelPush), dense)
-		compareStores(t, build(ppr.KernelAuto), dense)
-	}
-}
-
-// TestKernelEquivalenceAfterUpdates: stores maintained through the same
-// sequence of edge-delta batches stay within 1e-9 of each other —
-// section maps and query results alike — whatever kernel recomputes
-// the dirty partitions.
-func TestKernelEquivalenceAfterUpdates(t *testing.T) {
-	build := func(k ppr.Kernel) *Store {
-		p := ppr.Params{Alpha: 0.15, Eps: 1e-6, Kernel: k}
-		s, err := BuildHGPA(kernelTestGraph(t, 11), hierarchy.Options{Seed: 5}, p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		compareStores(t, s, referenceStore(t, s.H, p))
 	}
-	dense := build(ppr.KernelDense)
-	push := build(ppr.KernelPush)
+}
 
+// TestKernelEquivalenceAfterUpdates: a store maintained through a
+// sequence of edge-delta batches matches the per-vector reference on
+// its final tree — section maps and query results alike.
+func TestKernelEquivalenceAfterUpdates(t *testing.T) {
+	p := ppr.Params{Alpha: 0.15, Eps: 1e-6}
+	s, err := BuildHGPA(kernelTestGraph(t, 11), hierarchy.Options{Seed: 5}, p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(13))
-	n := int32(dense.H.G.NumNodes())
+	n := int32(s.H.G.NumNodes())
 	for batch := 0; batch < 6; batch++ {
 		var d graph.Delta
 		for i := 0; i < 10; i++ {
@@ -108,23 +156,18 @@ func TestKernelEquivalenceAfterUpdates(t *testing.T) {
 				d.Delete = append(d.Delete, [2]int32{u, v})
 			}
 		}
-		var err error
-		dense, _, err = dense.ApplyUpdates(d, 3)
-		if err != nil {
-			t.Fatalf("batch %d (dense): %v", batch, err)
-		}
-		push, _, err = push.ApplyUpdates(d, 3)
-		if err != nil {
-			t.Fatalf("batch %d (push): %v", batch, err)
+		if s, _, err = s.ApplyUpdates(d, 3); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
 		}
 	}
-	compareStores(t, push, dense)
-	for _, u := range sampleQueries(dense) {
-		want, err := dense.Query(u)
+	ref := referenceStore(t, s.H, p)
+	compareStores(t, s, ref)
+	for _, u := range sampleQueries(s) {
+		want, err := ref.Query(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := push.Query(u)
+		got, err := s.Query(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,38 +182,66 @@ func TestKernelEquivalenceAfterUpdates(t *testing.T) {
 	}
 }
 
-// TestPrecomputeInfoKernelStats: the info block records the kernel and
-// a plausible work tally (every vector needs at least one push; dense
-// drains everything, pure push drains nothing densely).
+// TestPrecomputeInfoKernelStats: the info block records a plausible
+// work tally (some pushes, and at most one spill per vector).
 func TestPrecomputeInfoKernelStats(t *testing.T) {
-	for _, k := range []ppr.Kernel{ppr.KernelAuto, ppr.KernelDense, ppr.KernelPush} {
-		p := ppr.Params{Alpha: 0.15, Eps: 1e-4, Kernel: k}
-		h, err := hierarchy.Build(kernelTestGraph(t, 17), hierarchy.Options{Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, info, err := PrecomputeWithInfo(h, p, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Kernel != k {
-			t.Fatalf("info.Kernel = %v, want %v", info.Kernel, k)
-		}
-		if want := 2*len(s.HubPartial) + len(s.LeafPPV); info.Vectors != want {
-			t.Fatalf("info.Vectors = %d, want %d", info.Vectors, want)
-		}
-		if info.Pushes <= 0 {
-			t.Fatalf("info.Pushes = %d, want > 0", info.Pushes)
-		}
-		switch k {
-		case ppr.KernelDense:
-			if info.DenseFallbacks != int64(info.Vectors) {
-				t.Fatalf("dense: fallbacks %d, want %d", info.DenseFallbacks, info.Vectors)
+	p := ppr.Params{Alpha: 0.15, Eps: 1e-4}
+	h, err := hierarchy.Build(kernelTestGraph(t, 17), hierarchy.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := PrecomputeWithInfo(h, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*len(s.HubPartial) + len(s.LeafPPV); info.Vectors != want {
+		t.Fatalf("info.Vectors = %d, want %d", info.Vectors, want)
+	}
+	if info.Pushes <= 0 {
+		t.Fatalf("info.Pushes = %d, want > 0", info.Pushes)
+	}
+	if info.DenseFallbacks < 0 || info.DenseFallbacks > int64(info.Vectors) {
+		t.Fatalf("info.DenseFallbacks = %d of %d vectors", info.DenseFallbacks, info.Vectors)
+	}
+}
+
+// TestDanglingRestartRejected: the kernels never read Params.Dangling,
+// so an HGPA store built with DanglingRestart answered for the absorb
+// policy while its header recorded restart — far from power iteration
+// under the store's own params on a graph with every 5th node dangling.
+// HGPA and PPV-JW pre-computation now refuse the policy.
+func TestDanglingRestartRejected(t *testing.T) {
+	base := kernelTestGraph(t, 7)
+	b := graph.NewBuilder(base.NumNodes())
+	for u := int32(0); u < int32(base.NumNodes()); u++ {
+		if u%5 != 0 {
+			for _, v := range base.Out(u) {
+				b.AddEdge(u, v)
 			}
-		case ppr.KernelPush:
-			if info.DenseFallbacks != 0 {
-				t.Fatalf("push: fallbacks %d, want 0", info.DenseFallbacks)
-			}
 		}
+	}
+	g := b.Build()
+	p := ppr.Params{Alpha: 0.15, Eps: 1e-9, Dangling: ppr.DanglingRestart}
+	s, err := BuildHGPA(g, hierarchy.Options{Seed: 3}, p, 2)
+	if err == nil {
+		worst := 0.0
+		for u := int32(0); u < 40; u++ {
+			got, err := s.Query(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ppr.PowerIteration(g, u, s.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst = max(worst, sparse.LInfDistance(got, want))
+		}
+		t.Fatalf("built a DanglingRestart store whose answers are up to %.3g from power iteration", worst)
+	}
+	if !errors.Is(err, ppr.ErrUnsupportedDangling) {
+		t.Fatalf("BuildHGPA: err = %v, want ErrUnsupportedDangling", err)
+	}
+	if _, err := PrecomputeJW(g, 10, p, 2); !errors.Is(err, ppr.ErrUnsupportedDangling) {
+		t.Fatalf("PrecomputeJW: err = %v, want ErrUnsupportedDangling", err)
 	}
 }

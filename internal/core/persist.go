@@ -64,6 +64,14 @@ var (
 // version 1, which this package no longer reads.
 var ErrUnsupportedStoreVersion = errors.New("core: store format version 1 is no longer supported — re-run pprprecomp")
 
+// ErrInvalidStoreParams reports a store header whose PPR parameters
+// fail ppr.Params.ValidatePrecompute: alpha outside [1e-6,1), eps not
+// positive, a negative maxIter, or a dangling policy other than absorb.
+// Such a file cannot come from Save, and serving it would fold vectors
+// under parameters they were never computed with (a NaN alpha answers
+// NaN entries).
+var ErrInvalidStoreParams = errors.New("core: invalid store parameters")
+
 // numSections is the record-section count of a store file.
 const numSections = 4
 
@@ -193,7 +201,8 @@ func SaveFile(path string, s *Store) error {
 }
 
 // readStoreHeader parses the magic, parameters, hierarchy options, and
-// graph that precede the record sections.
+// graph that precede the record sections. The parameters must pass the
+// checks Precompute applies (ErrInvalidStoreParams).
 func readStoreHeader(cr *countingReader) (params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
 	var magic [8]byte
 	if _, err = io.ReadFull(cr, magic[:]); err != nil {
@@ -234,6 +243,10 @@ func readStoreHeader(cr *countingReader) (params ppr.Params, opts hierarchy.Opti
 		return
 	}
 	params.Dangling = ppr.DanglingPolicy(x)
+	if err = params.ValidatePrecompute(); err != nil {
+		err = fmt.Errorf("%w: %w", ErrInvalidStoreParams, err)
+		return
+	}
 
 	if x, err = readI32(); err != nil {
 		return

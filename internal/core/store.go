@@ -89,16 +89,14 @@ type PrecomputeInfo struct {
 	TotalTaskTime time.Duration
 	// Tasks is the number of per-node/per-hub tasks executed.
 	Tasks int
-	// Kernel is the engine the run used (Params.Kernel).
-	Kernel ppr.Kernel
 	// Vectors is the number of vectors the kernels produced.
 	Vectors int
 	// Pushes is the total number of residual pops across all kernel
 	// invocations — the work-proportional cost unit; divide by Vectors
 	// for the pushes/vector figure of the bench artifacts.
 	Pushes int64
-	// DenseFallbacks counts vectors drained by the dense sweep (all of
-	// them under KernelDense, frontier spills under KernelAuto).
+	// DenseFallbacks counts vectors whose kernel frontier spilled past a
+	// quarter of the subgraph, so that they finished as a dense sweep.
 	DenseFallbacks int64
 }
 
@@ -114,7 +112,7 @@ func Precompute(h *hierarchy.Hierarchy, params ppr.Params, workers int) (*Store,
 // PrecomputeWithInfo is Precompute plus timing information.
 func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) (*Store, *PrecomputeInfo, error) {
 	start := time.Now()
-	if err := params.Validate(); err != nil {
+	if err := params.ValidatePrecompute(); err != nil {
 		return nil, nil, err
 	}
 	if workers <= 0 {
@@ -148,7 +146,6 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 		Wall:           time.Since(start),
 		TotalTaskTime:  ri.taskTime,
 		Tasks:          len(tasks),
-		Kernel:         params.Kernel,
 		Vectors:        int(ri.kstats.Vectors),
 		Pushes:         ri.kstats.Pushes,
 		DenseFallbacks: ri.kstats.DenseFallbacks,

@@ -11,7 +11,6 @@ import (
 
 	"exactppr/internal/graph"
 	"exactppr/internal/hierarchy"
-	"exactppr/internal/ppr"
 )
 
 // Incremental maintenance. A Store is exact because every stored vector
@@ -55,8 +54,6 @@ type UpdateInfo struct {
 	// with its deal rank. Every shard of one store that applies the same
 	// batch reports the same digest.
 	Digest uint64
-	// Kernel is the engine the recompute used (Params.Kernel).
-	Kernel ppr.Kernel
 	// Pushes is the total number of residual pops the recompute kernels
 	// performed; DenseFallbacks counts vectors drained by the dense
 	// sweep (see PrecomputeInfo).
@@ -138,7 +135,6 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	for _, t := range tasks {
 		info.Recomputed += t.Vectors()
 	}
-	info.Kernel = s.Params.Kernel
 	info.Pushes = ri.kstats.Pushes
 	info.DenseFallbacks = ri.kstats.DenseFallbacks
 	info.DirtyNodes = len(upd.Dirty)

@@ -37,9 +37,6 @@ type Config struct {
 	Queries int
 	// Alpha and Eps are the PPR parameters (defaults 0.15 and 1e-4).
 	Alpha, Eps float64
-	// Kernel selects the pre-computation engine (ppr.KernelAuto default;
-	// results are kernel-independent, offline cost is not).
-	Kernel ppr.Kernel
 	// Workers bounds local precompute parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Net models the interconnect (zero = the paper's 100 Mbit switch).
@@ -74,7 +71,7 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) params() ppr.Params {
-	return ppr.Params{Alpha: c.Alpha, Eps: c.Eps, Kernel: c.Kernel}
+	return ppr.Params{Alpha: c.Alpha, Eps: c.Eps}
 }
 
 // Table is one printed result table.
@@ -195,7 +192,6 @@ type storeKey struct {
 	scale            float64
 	seed             int64
 	alpha, eps       float64
-	kernel           ppr.Kernel // stores are kernel-independent, reported offline cost is not
 	fanout, maxLevel int
 }
 
@@ -211,7 +207,7 @@ type builtStore struct {
 }
 
 func buildStore(cfg Config, dataset string, opts hierarchy.Options) (*builtStore, error) {
-	key := storeKey{dataset, cfg.Scale, cfg.Seed, cfg.Alpha, cfg.Eps, cfg.Kernel, opts.Fanout, opts.MaxLevels}
+	key := storeKey{dataset, cfg.Scale, cfg.Seed, cfg.Alpha, cfg.Eps, opts.Fanout, opts.MaxLevels}
 	storeCacheMu.Lock()
 	if b, ok := storeCache[key]; ok {
 		storeCacheMu.Unlock()

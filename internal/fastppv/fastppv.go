@@ -49,7 +49,7 @@ type Index struct {
 // BuildIndex pre-computes the FastPPV structures with the hubCount
 // top-PageRank nodes as hubs.
 func BuildIndex(g *graph.Graph, hubCount int, params ppr.Params, workers int) (*Index, error) {
-	if err := params.Validate(); err != nil {
+	if err := params.ValidatePrecompute(); err != nil {
 		return nil, err
 	}
 	if hubCount < 1 || hubCount > g.NumNodes() {
@@ -82,7 +82,7 @@ func BuildIndex(g *graph.Graph, hubCount int, params ppr.Params, workers int) (*
 	worker := func() {
 		defer wg.Done()
 		for h := range ch {
-			prime, blocked, err := ppr.PartialVectorPacked(g, h, ix.isHub, ix.Params)
+			prime, blocked, err := ppr.PartialVector(g, h, ix.isHub, ix.Params)
 			mu.Lock()
 			if err != nil {
 				if firstErr == nil {
@@ -149,7 +149,7 @@ func (ix *Index) Query(u int32, budget int) (*QueryStats, error) {
 	if u < 0 || int(u) >= ix.G.NumNodes() {
 		return nil, fmt.Errorf("fastppv: query %d out of range", u)
 	}
-	pu, blockedU, err := ppr.PartialVectorPacked(ix.G, u, ix.isHub, ix.Params)
+	pu, blockedU, err := ppr.PartialVector(ix.G, u, ix.isHub, ix.Params)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fastppv
 
 import (
+	"errors"
 	"testing"
 
 	"exactppr/internal/gen"
@@ -33,6 +34,11 @@ func TestBuildIndexErrors(t *testing.T) {
 	}
 	if _, err := BuildIndex(g, 5, ppr.Params{Alpha: 2, Eps: 1}, 1); err == nil {
 		t.Fatal("bad params should fail")
+	}
+	restart := params()
+	restart.Dangling = ppr.DanglingRestart
+	if _, err := BuildIndex(g, 5, restart, 1); !errors.Is(err, ppr.ErrUnsupportedDangling) {
+		t.Fatalf("DanglingRestart: err = %v, want ErrUnsupportedDangling", err)
 	}
 }
 

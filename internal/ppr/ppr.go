@@ -15,21 +15,24 @@
 // choice of the paper's Algorithm 2, which adds an implicit arc from every
 // dangling node back to the query node.
 //
-// The pre-computation kernels (partial vectors, skeleton vectors, leaf
-// PPVs) come in two engines selected by Params.Kernel: the original
-// dense-bookkeeping kernels, and sparse-frontier push kernels (push.go)
-// that run the same arithmetic with work-proportional bookkeeping —
-// epoch-stamped lazy slot initialization and touched-list drains — so a
-// vector that reaches t nodes costs O(t log t) instead of O(|V|).
-// Both engines maintain the Gauss–Southwell residual invariant
+// The pre-computation kernels — PartialVector (partial vectors and leaf
+// PPVs) and SkeletonVector (skeleton vectors), plus the Scratch methods
+// the worker pools call — are one engine: sparse-frontier push
+// (push.go) with work-proportional bookkeeping, epoch-stamped lazy slot
+// initialization and touched-list drains, so a vector that reaches t
+// nodes costs O(t log t) instead of O(|V|). A vector whose frontier
+// spills past a quarter of the subgraph finishes as a dense sweep. The
+// kernels maintain the Gauss–Southwell residual invariant
 // exact = estimate + Σ residual·kernel and terminate when every
 // residual is at most Eps (each entry then within Eps/α of the fixed
-// point); their outputs are bit-identical. KernelAuto (the default)
-// pushes and falls back to the dense sweep when the frontier spills
-// past a fixed fraction of the subgraph.
+// point). They support only DanglingAbsorb: a restart arc points at the
+// query node, which a vector pre-computed for another source cannot
+// know. PowerIteration and PowerIterationSet (both dangling policies)
+// and SkeletonForHubDense (absorb) are the dense oracles.
 package ppr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -57,18 +60,19 @@ type Params struct {
 	Eps float64
 	// MaxIter caps work as a safety net; 0 means a generous default and
 	// negative values are rejected by Validate. For PowerIteration it
-	// bounds sweep iterations; for the queue-driven kernels — dense and
-	// push alike (KernelAuto/KernelPush interpret it identically) — it
-	// is a push-count cap scaled by the node count: at most
-	// MaxIter·NumNodes residual pops per vector.
+	// bounds sweep iterations; for the push kernels it is a push-count
+	// cap scaled by the node count: at most MaxIter·NumNodes residual
+	// pops per vector, and a kernel that hits it fails with ErrPushCap.
 	MaxIter int
-	// Dangling selects the dangling-node policy.
+	// Dangling selects the dangling-node policy. The pre-computation
+	// kernels accept only DanglingAbsorb (see ValidatePrecompute).
 	Dangling DanglingPolicy
-	// Kernel selects the pre-computation engine (KernelAuto default:
-	// sparse-frontier push with adaptive dense fallback). It never
-	// changes results — only how the work is bookkept. See push.go.
-	Kernel Kernel
 }
+
+// ErrUnsupportedDangling reports that pre-computation was asked for a
+// dangling policy other than DanglingAbsorb. The kernels never restart a walk,
+// so they fail rather than return vectors for the wrong policy.
+var ErrUnsupportedDangling = errors.New("ppr: pre-computation supports only DanglingAbsorb")
 
 // Defaults returns the paper's default parameters: α = 0.15, ε = 1e-4.
 func Defaults() Params { return Params{Alpha: 0.15, Eps: 1e-4} }
@@ -80,10 +84,17 @@ func (p Params) maxIter() int {
 	return 10000
 }
 
+// minAlpha is the smallest teleport probability Validate accepts. The
+// query fold scales hub partials by S_u(h)/α, so an α near zero (a
+// corrupt store header, say) would overflow answers to ±Inf. No walk
+// model restarts less than once in a million steps, and
+// PowerIteration's default sweep cap could not converge there anyway.
+const minAlpha = 1e-6
+
 // Validate reports the first invalid parameter.
 func (p Params) Validate() error {
-	if !(p.Alpha > 0 && p.Alpha < 1) {
-		return fmt.Errorf("ppr: alpha = %v, want (0,1)", p.Alpha)
+	if !(p.Alpha >= minAlpha && p.Alpha < 1) {
+		return fmt.Errorf("ppr: alpha = %v, want [%v,1)", p.Alpha, minAlpha)
 	}
 	if !(p.Eps > 0) {
 		return fmt.Errorf("ppr: eps = %v, want > 0", p.Eps)
@@ -91,8 +102,20 @@ func (p Params) Validate() error {
 	if p.MaxIter < 0 {
 		return fmt.Errorf("ppr: maxIter = %d, want >= 0 (0 means the default cap)", p.MaxIter)
 	}
-	if p.Kernel < KernelAuto || p.Kernel > KernelPush {
-		return fmt.Errorf("ppr: unknown kernel %d (want KernelAuto, KernelDense, or KernelPush)", int(p.Kernel))
+	if p.Dangling != DanglingAbsorb && p.Dangling != DanglingRestart {
+		return fmt.Errorf("ppr: unknown dangling policy %d", int(p.Dangling))
+	}
+	return nil
+}
+
+// ValidatePrecompute is Validate plus the pre-computation kernels' own
+// rule: dangling nodes absorb (ErrUnsupportedDangling otherwise).
+func (p Params) ValidatePrecompute() error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.Dangling != DanglingAbsorb {
+		return fmt.Errorf("%w (dangling policy %d)", ErrUnsupportedDangling, int(p.Dangling))
 	}
 	return nil
 }
@@ -181,209 +204,8 @@ func PowerIterationSet(g *graph.Graph, pref []int32, p Params) (sparse.Vector, e
 	return sparse.FromDense(cur, 0), nil
 }
 
-// PartialVector computes the partial vector p_u^H of node u by selective
-// expansion (Eq. 9, Definition 1): the weights of tours u⇝v that visit no
-// hub node at any position AFTER the start. The start position is exempt,
-// so a hub node's own partial vector exists (it expands exactly once, at
-// step 0) — but a later return to it, like any other hub visit, freezes
-// the walk (frozen mass is reported in hubBlocked, diagnostics only).
-// Consequences:
-//
-//   - p(v) = 0 for every hub v ≠ u; p(u) = α exactly when u ∈ H (only
-//     the zero-length tour survives).
-//   - P_h := p_h − α·x_h has NO entries on hub nodes at all, so in the
-//     construction (Eq. 4) every hub-target entry of the PPV comes
-//     directly from the skeleton: r_u(h) = s_u(h). This is the
-//     "last hub visit" renewal decomposition: r_u(v) = p_u(v) +
-//     (1/α)·Σ_h (r_u(h) − α·f_u(h))·p_h(v) for v ∉ H, verified exactly in
-//     TestDecompositionIdentity for hub and non-hub query nodes alike.
-//
-// isHub[v] marks hub nodes in local id space; it may be nil for an empty
-// hub set, in which case the result is the full local PPV of u — exactly
-// the "leaf level" vectors HGPA stores (§4.4).
-//
-// The engine follows p.Kernel; both engines produce identical results.
-func PartialVector(g *graph.Graph, u int32, isHub []bool, p Params) (partial, hubBlocked sparse.Vector, err error) {
-	if p.Kernel == KernelDense {
-		d, blocked, _, err := partialVectorDense(g, u, isHub, p, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sparse.FromDense(d, 0), sparse.FromDense(blocked, 0), nil
-	}
-	st, err := pushPartial(g, u, isHub, p, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.drainVector(st.est), st.drainVector(st.aux), nil
-}
-
-// PartialVectorPacked is PartialVector emitting the partial vector in
-// packed columnar form straight from the truncation step — the shape
-// pre-computation stores and query folds consume. The blocked-mass
-// vector stays a map: its consumers mutate and drain it (the FastPPV
-// scheduler's priority queue).
-func PartialVectorPacked(g *graph.Graph, u int32, isHub []bool, p Params) (partial sparse.Packed, hubBlocked sparse.Vector, err error) {
-	if p.Kernel == KernelDense {
-		d, blocked, _, err := partialVectorDense(g, u, isHub, p, nil)
-		if err != nil {
-			return sparse.Packed{}, nil, err
-		}
-		return sparse.PackedFromDense(d, 0), sparse.FromDense(blocked, 0), nil
-	}
-	st, err := pushPartial(g, u, isHub, p, nil)
-	if err != nil {
-		return sparse.Packed{}, nil, err
-	}
-	return st.drainPacked(), st.drainVector(st.aux), nil
-}
-
-// partialVectorDense is the dense-bookkeeping selective-expansion
-// kernel, producing dense lower-approximation and blocked-mass slices
-// plus the number of residual pops. With a non-nil Scratch the slices
-// alias its buffers (valid until the scratch's next use); with nil they
-// are freshly allocated. pushPartial is the sparse-frontier equivalent.
-func partialVectorDense(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (dense, blockedMass []float64, steps int, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, 0, err
-	}
-	n := g.NumNodes()
-	if u < 0 || int(u) >= n || g.IsVirtual(u) {
-		return nil, nil, 0, fmt.Errorf("ppr: source %d invalid", u)
-	}
-	if isHub != nil && len(isHub) != n {
-		return nil, nil, 0, fmt.Errorf("ppr: isHub length %d, want %d", len(isHub), n)
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	hub := func(v int32) bool { return isHub != nil && isHub[v] }
-
-	d, e, blocked := sc.dense(n) // D_k approximation, E_k residual, hub-frozen mass
-	queue := sc.queueBuf()
-	inQueue := sc.bools(n)
-	push := func(v int32) {
-		if !inQueue[v] && e[v] > p.Eps {
-			inQueue[v] = true
-			queue = append(queue, v)
-		}
-	}
-	expand := func(v int32, mass float64) {
-		ow := g.OutWeight(v)
-		if ow == 0 {
-			return // dangling or fully-external: absorb
-		}
-		share := mass * (1 - p.Alpha) / float64(ow)
-		for _, w := range g.Out(v) {
-			if g.IsVirtual(w) {
-				continue
-			}
-			e[w] += share
-			push(w)
-		}
-	}
-
-	// Step 0: the zero-length tour ends at u (α), and u expands even when
-	// it is a hub — the start position is not interior.
-	d[u] = p.Alpha
-	expand(u, 1)
-
-	limit := p.maxIter() * max(n, 1)
-	for len(queue) > 0 && steps < limit {
-		steps++
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
-		mass := e[v]
-		if mass <= p.Eps {
-			continue
-		}
-		e[v] = 0
-		if hub(v) {
-			blocked[v] += mass // frozen: no hub visits after the start
-			continue
-		}
-		d[v] += p.Alpha * mass // tours ending here
-		expand(v, mass)
-	}
-	return d, blocked, steps, nil
-}
-
-// SkeletonForHub computes s_·(h) — the PPV value AT hub h for every source
-// node simultaneously — solving the paper's reverse value iteration (Eq. 8)
-//
-//	F(u) = (1−α)·Σ_{v∈Out(u)} F(v)/OutWeight(u) + α·x_h(u)
-//
-// with a residual-driven (Gauss–Seidel / local reverse push) scheme instead
-// of the dense Jacobi sweeps of Theorem 6: when all residuals fall below
-// Eps, each entry is within Eps/α of the fixed point, the same class of
-// guarantee as the paper's termination rule while touching only the nodes
-// h's influence actually reaches. Space is O(|V|), the point of §5.2.
-//
-// The returned dense slice is indexed by local node id; entry u converges
-// to s_u(h) — the local PPV value r_u(h). The output shape is dense by
-// contract regardless of Params.Kernel; PushSkeleton is the packed,
-// work-proportional variant.
-func SkeletonForHub(g *graph.Graph, h int32, p Params) ([]float64, error) {
-	est, _, err := skeletonForHub(g, h, p, nil)
-	return est, err
-}
-
-// skeletonForHub is the dense-bookkeeping reverse kernel behind
-// SkeletonForHub; a non-nil Scratch supplies the working arrays (the
-// result then aliases them), nil allocates fresh ones. pushSkeleton is
-// the sparse-frontier equivalent.
-func skeletonForHub(g *graph.Graph, h int32, p Params, sc *Scratch) (dense []float64, steps int, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
-	n := g.NumNodes()
-	if h < 0 || int(h) >= n || g.IsVirtual(h) {
-		return nil, 0, fmt.Errorf("ppr: hub %d invalid", h)
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	g.BuildReverse()
-	est, res, _ := sc.dense(n)
-	res[h] = p.Alpha
-	queue := sc.queueBuf()
-	inQueue := sc.bools(n)
-	queue = append(queue, h)
-	inQueue[h] = true
-	limit := p.maxIter() * max(n, 1)
-	for len(queue) > 0 && steps < limit {
-		steps++
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		rho := res[u]
-		if rho <= p.Eps {
-			continue
-		}
-		res[u] = 0
-		est[u] += rho
-		// F(w) receives (1−α)·F(u)/OutWeight(w) for every edge w→u.
-		for _, w := range g.In(u) {
-			ow := g.OutWeight(w)
-			if ow == 0 || g.IsVirtual(w) {
-				continue
-			}
-			res[w] += (1 - p.Alpha) * rho / float64(ow)
-			if !inQueue[w] && res[w] > p.Eps {
-				inQueue[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	if g.HasVirtualSink() {
-		est[g.VirtualSink()] = 0
-	}
-	return est, steps, nil
-}
-
 // SkeletonForHubDense is the literal Jacobi iteration of Eq. 8/Theorem 6,
-// kept as a cross-validation oracle for SkeletonForHub and as the ablation
+// kept as a cross-validation oracle for SkeletonVector and as the ablation
 // target for the "improved skeleton computation" claim of §5.2.
 func SkeletonForHubDense(g *graph.Graph, h int32, p Params) ([]float64, error) {
 	if err := p.Validate(); err != nil {

@@ -17,6 +17,8 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: 0, Eps: 1e-4},
 		{Alpha: 1, Eps: 1e-4},
 		{Alpha: -0.1, Eps: 1e-4},
+		{Alpha: 5e-324, Eps: 1e-4},
+		{Alpha: 1e-7, Eps: 1e-4},
 		{Alpha: 0.15, Eps: 0},
 		{Alpha: 0.15, Eps: -1},
 	}
@@ -159,7 +161,7 @@ func TestPartialVectorNoHubsEqualsPPV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := sparse.LInfDistance(partial, r); d > 1e-5 {
+		if d := sparse.LInfDistance(partial.Unpack(), r); d > 1e-5 {
 			t.Fatalf("u=%d: partial (no hubs) vs PPV L∞ = %v", u, d)
 		}
 	}
@@ -230,7 +232,7 @@ func TestSkeletonMatchesPowerIteration(t *testing.T) {
 	g := gen.ErdosRenyi(60, 3, 9)
 	p := Params{Alpha: 0.15, Eps: 1e-10}
 	h := int32(7)
-	sk, err := SkeletonForHub(g, h, p)
+	sk, err := SkeletonVector(g, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +241,8 @@ func TestSkeletonMatchesPowerIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Abs(sk[u] - r.Get(h)); d > 1e-6 {
-			t.Fatalf("s_%d(%d) = %v, power iteration says %v (Δ=%v)", u, h, sk[u], r.Get(h), d)
+		if d := math.Abs(sk.Get(u) - r.Get(h)); d > 1e-6 {
+			t.Fatalf("s_%d(%d) = %v, power iteration says %v (Δ=%v)", u, h, sk.Get(u), r.Get(h), d)
 		}
 	}
 }
@@ -249,7 +251,7 @@ func TestSkeletonDenseAgrees(t *testing.T) {
 	g := gen.ErdosRenyi(80, 3, 10)
 	p := Params{Alpha: 0.15, Eps: 1e-9}
 	h := int32(11)
-	fast, err := SkeletonForHub(g, h, p)
+	fast, err := SkeletonVector(g, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,16 +259,16 @@ func TestSkeletonDenseAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := range fast {
-		if d := math.Abs(fast[u] - dense[u]); d > 1e-5 {
-			t.Fatalf("node %d: push %v vs dense %v", u, fast[u], dense[u])
+	for u := range dense {
+		if d := math.Abs(fast.Get(int32(u)) - dense[u]); d > 1e-5 {
+			t.Fatalf("node %d: push %v vs dense %v", u, fast.Get(int32(u)), dense[u])
 		}
 	}
 }
 
 func TestSkeletonErrors(t *testing.T) {
 	g := graph.FromAdjacency([][]int32{{1}, {0}})
-	if _, err := SkeletonForHub(g, -1, Defaults()); err == nil {
+	if _, err := SkeletonVector(g, -1, Defaults()); err == nil {
 		t.Fatal("bad hub should fail")
 	}
 	if _, err := SkeletonForHubDense(g, 5, Defaults()); err == nil {
@@ -305,11 +307,11 @@ func TestDecompositionIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hubPartials[h] = ph
+			hubPartials[h] = ph.Unpack()
 		}
-		skeleton := make(map[int32][]float64, len(hubs))
+		skeleton := make(map[int32]sparse.Packed, len(hubs))
 		for _, h := range hubs {
-			s, err := SkeletonForHub(g, h, p)
+			s, err := SkeletonVector(g, h, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,9 +322,9 @@ func TestDecompositionIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			constructed := pu.Clone()
+			constructed := pu.Unpack()
 			for _, h := range hubs {
-				su := skeleton[h][u]
+				su := skeleton[h].Get(u)
 				if u == h {
 					su -= p.Alpha // S_u(h) = s_u(h) − α·f_u(h)
 				}
@@ -336,7 +338,7 @@ func TestDecompositionIdentity(t *testing.T) {
 			// Every hub-target entry comes straight from the skeleton
 			// (P_h vanishes on all hub entries; see PartialVector docs).
 			for _, h := range hubs {
-				constructed.Set(h, skeleton[h][u])
+				constructed.Set(h, skeleton[h].Get(u))
 			}
 			want, err := PowerIteration(g, u, p)
 			if err != nil {
@@ -381,7 +383,7 @@ func TestTheorem2(t *testing.T) {
 		for lid, x := range local {
 			global.Set(vs.Parent(lid), x)
 		}
-		if d := sparse.LInfDistance(partial, global); d > 1e-6 {
+		if d := sparse.LInfDistance(partial.Unpack(), global); d > 1e-6 {
 			t.Fatalf("u=%d: Theorem 2 violated, L∞ = %v\npartial=%v\nlocal  =%v",
 				u, d, partial, global)
 		}
@@ -433,7 +435,7 @@ func TestTheorem2Random(t *testing.T) {
 		for lid, x := range local {
 			global.Set(vs.Parent(lid), x)
 		}
-		if d := sparse.LInfDistance(partial, global); d > 1e-5 {
+		if d := sparse.LInfDistance(partial.Unpack(), global); d > 1e-5 {
 			t.Fatalf("u=%d: Theorem 2 violated on random graph, L∞ = %v", u, d)
 		}
 	}

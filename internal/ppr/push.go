@@ -1,27 +1,21 @@
 package ppr
 
 import (
+	"errors"
 	"fmt"
 
 	"exactppr/internal/graph"
 	"exactppr/internal/sparse"
 )
 
-// Sparse-frontier push kernels.
+// Sparse-frontier push kernels: the one pre-computation engine.
 //
-// The dense kernels in ppr.go already move probability mass with a
-// residual work queue, but every invocation still pays costs
-// proportional to the subgraph rather than to the work: O(|V|) scratch
-// clears up front, an O(|V|) drain scan at the end, and — for the
-// reverse kernel — a mutex acquisition per queue pop (graph.In locks on
-// every call). For pre-computation those overheads dominate: a hub
-// partial or leaf PPV usually touches a small neighborhood of a
-// subgraph, and the update path re-runs thousands of such vectors per
-// edge batch.
-//
-// The push kernels below run the SAME arithmetic in the SAME FIFO
-// order — outputs are bit-identical to the dense kernels — but make
-// the bookkeeping work-proportional:
+// Both kernels move probability mass with a FIFO residual work queue,
+// and keep their bookkeeping proportional to the work rather than to
+// the subgraph. A hub partial or leaf PPV usually touches a small
+// neighbourhood of its subgraph, and the update path re-runs thousands
+// of such vectors per edge batch, so O(|V|) clears and drains per
+// vector would dominate:
 //
 //   - scratch slots are initialized lazily, on first touch, guarded by
 //     an epoch stamp (no up-front clears; a stale slot from a previous
@@ -29,9 +23,8 @@ import (
 //   - touched slot ids are collected in a list, and the result drains
 //     by sorting that list (O(t log t) in the touched count t) instead
 //     of scanning O(|V|);
-//   - the reverse kernel reads the in-CSR arrays once (graph.InLists)
-//     instead of paying In's mutex per pop, and both directions run as
-//     straight-line loops over the raw CSR.
+//   - the reverse kernel reads the in-CSR arrays once (graph.InLists),
+//     and both directions run as straight-line loops over the raw CSR.
 //
 // # Residual invariant
 //
@@ -44,76 +37,36 @@ import (
 // the forward case, the reverse value function in the skeleton case).
 // Every push moves one node's residual into its estimate and scatters
 // the (1−α) continuation onto its neighbors, preserving the invariant;
-// the loop stops when every residual is at most Eps, the same class of
-// ε·α guarantee as the dense termination rule (each entry is then
-// within Eps/α of the fixed point).
+// the loop stops when every residual is at most Eps, so each entry is
+// within Eps/α of the fixed point. A kernel stopped by its
+// MaxIter·|V| push cap with residual above Eps still queued fails with
+// ErrPushCap instead of returning the truncated vector.
 //
-// # Adaptive dense fallback
+// # Dense spill
 //
-// With Params.Kernel = KernelAuto, a kernel that touches more than
-// 1/autoSpillDivisor of the subgraph abandons sparse bookkeeping: the
-// remaining slots are bulk-initialized and the loop continues as the
-// plain dense sweep (no per-access stamp checks, dense drain). Worst
-// case cost is therefore the dense kernel's cost plus the already-done
-// sparse work — never asymptotically worse than KernelDense.
-// KernelPush never spills; KernelDense never stamps.
+// A kernel that touches more than 1/spillDivisor of the subgraph
+// abandons sparse bookkeeping: the remaining slots are bulk-initialized
+// and the loop continues as a plain dense sweep (no per-access stamp
+// checks, dense drain). The pop order and arithmetic do not change, so
+// neither do the results; KernelStats.DenseFallbacks counts these
+// vectors. Worst-case cost is one dense sweep plus the sparse work
+// already done.
 
-// Kernel selects the engine behind the pre-computation kernels
-// (partial vectors, skeleton vectors, leaf PPVs).
-type Kernel int
-
-const (
-	// KernelAuto (the default) runs the sparse-frontier push kernel and
-	// falls back to the dense sweep when the frontier spills past
-	// 1/autoSpillDivisor of the subgraph.
-	KernelAuto Kernel = iota
-	// KernelDense forces the original dense-bookkeeping kernels
-	// (cleared O(|V|) scratch, dense drain, per-pop In locking in the
-	// reverse direction). Kept as the cross-validation oracle and perf
-	// baseline.
-	KernelDense
-	// KernelPush forces pure sparse bookkeeping with no dense fallback,
-	// whatever the frontier size.
-	KernelPush
-)
-
-// String returns the flag spelling of k ("auto", "dense", "push").
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelDense:
-		return "dense"
-	case KernelPush:
-		return "push"
-	}
-	return fmt.Sprintf("Kernel(%d)", int(k))
-}
-
-// ParseKernel parses a -kernel flag value.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "dense":
-		return KernelDense, nil
-	case "push":
-		return KernelPush, nil
-	}
-	return 0, fmt.Errorf("ppr: unknown kernel %q (want auto, dense, or push)", s)
-}
+// ErrPushCap reports a kernel stopped by its MaxIter·|V| push cap while
+// residual above Eps was still queued: the vector it had built was
+// short of the Eps guarantee.
+var ErrPushCap = errors.New("ppr: push cap reached before convergence")
 
 // KernelStats counts the work of kernel invocations accumulated on one
 // Scratch (one pre-computation worker).
 type KernelStats struct {
 	// Vectors is the number of kernel invocations.
 	Vectors int64
-	// Pushes is the number of residual pops that moved mass (the
-	// work-proportional cost unit; counted by every kernel).
+	// Pushes is the number of residual pops (the work-proportional
+	// cost unit).
 	Pushes int64
-	// DenseFallbacks counts vectors drained by the dense sweep: all of
-	// them under KernelDense, the frontier-spilled ones under
-	// KernelAuto, none under KernelPush.
+	// DenseFallbacks counts vectors whose frontier spilled, so that
+	// they finished as a dense sweep.
 	DenseFallbacks int64
 }
 
@@ -124,20 +77,11 @@ func (s *KernelStats) Add(b KernelStats) {
 	s.DenseFallbacks += b.DenseFallbacks
 }
 
-// autoSpillDivisor sets the KernelAuto fallback threshold: once more
-// than NumNodes/autoSpillDivisor slots have been touched, the sorted
-// sparse drain would cost about as much as the dense scan it replaces,
-// so the kernel completes as a dense sweep instead.
-const autoSpillDivisor = 4
-
-// spillLimit returns the touched-slot count at which a kernel abandons
-// sparse bookkeeping, or a value never reached for KernelPush.
-func spillLimit(k Kernel, n int) int {
-	if k == KernelPush {
-		return n + 1 // touched never exceeds n: no spill
-	}
-	return n/autoSpillDivisor + 1
-}
+// spillDivisor sets the spill threshold: once more than
+// NumNodes/spillDivisor slots have been touched, the sorted sparse
+// drain would cost about as much as the dense scan it replaces, so the
+// kernel completes as a dense sweep instead.
+const spillDivisor = 4
 
 // pushState is the post-run state of a push kernel, aliasing the
 // scratch's buffers (valid until the scratch's next use). est/res are
@@ -203,15 +147,14 @@ func (st *pushState) drainVector(vals []float64) sparse.Vector {
 	return v
 }
 
-// pushPartial is the sparse-frontier variant of partialVectorDense:
-// identical selective-expansion arithmetic in identical FIFO order
-// (results are bit-identical), with lazily stamped slots and a
-// touched-list drain. The hot loop is written closure-free over the raw
-// CSR — at a few hundred pushes per vector the per-edge constant is
-// what decides whether sparse bookkeeping wins. See the file comment
-// for the invariant and the KernelAuto spill semantics.
+// pushPartial is the forward selective-expansion kernel (Eq. 9,
+// Definition 1) with lazily stamped slots and a touched-list drain. The
+// hot loop is written closure-free over the raw CSR — at a few hundred
+// pushes per vector the per-edge constant is what decides whether
+// sparse bookkeeping wins. See the file comment for the invariant and
+// the spill.
 func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (pushState, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.ValidatePrecompute(); err != nil {
 		return pushState{}, err
 	}
 	n := g.NumNodes()
@@ -227,7 +170,7 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 	d, e, blocked, inQueue, stamp, epoch := sc.stamped(n)
 	touched := sc.ids()
 	queue := sc.queueBuf()
-	spillAt := spillLimit(p.Kernel, n)
+	spillAt := n/spillDivisor + 1
 	spilled := false
 	sink := g.VirtualSink() // -1 when absent: never equals a node id
 	oneMinus := 1 - p.Alpha
@@ -311,8 +254,8 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 		}
 	}
 	if spilled {
-		// KernelAuto fallback: bulk-initialize the remaining slots and
-		// finish as the dense sweep — no stamp checks from here on.
+		// Spill: bulk-initialize the remaining slots and finish as the
+		// dense sweep — no stamp checks from here on.
 		spillInit(n, stamp, epoch, d, e, blocked, inQueue)
 		for qi < len(queue) && pushes < limit {
 			pushes++
@@ -348,18 +291,20 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 	}
 	sc.putQueue(queue)
 	sc.touched = touched[:0] // keep the (possibly grown) buffer
+	if qi < len(queue) {
+		return pushState{}, pushCapError("partial", u, len(queue)-qi, limit)
+	}
 	return pushState{
 		n: n, est: d, res: e, aux: blocked, stamp: stamp, epoch: epoch,
 		touched: touched, spilled: spilled, pushes: pushes,
 	}, nil
 }
 
-// pushSkeleton is the sparse-frontier variant of skeletonForHub: the
-// same residual-driven reverse value iteration (Eq. 8) with identical
-// arithmetic and pop order, reading the reverse CSR once so the inner
-// loop never takes the In() mutex the dense kernel pays per pop.
+// pushSkeleton is the residual-driven reverse value iteration (Eq. 8),
+// reading the reverse CSR once so the inner loop never takes the In()
+// mutex.
 func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.ValidatePrecompute(); err != nil {
 		return pushState{}, err
 	}
 	n := g.NumNodes()
@@ -373,7 +318,7 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 	est, res, _, inQueue, stamp, epoch := sc.stamped(n)
 	touched := sc.ids()
 	queue := sc.queueBuf()
-	spillAt := spillLimit(p.Kernel, n)
+	spillAt := n/spillDivisor + 1
 	spilled := false
 	sink := g.VirtualSink()
 	oneMinus := 1 - p.Alpha
@@ -455,10 +400,21 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 	}
 	sc.putQueue(queue)
 	sc.touched = touched[:0]
+	if qi < len(queue) {
+		return pushState{}, pushCapError("skeleton", h, len(queue)-qi, limit)
+	}
 	return pushState{
 		n: n, est: est, res: res, stamp: stamp, epoch: epoch,
 		touched: touched, spilled: spilled, pushes: pushes,
 	}, nil
+}
+
+// pushCapError is ErrPushCap for a kernel that stopped at its push cap
+// with queued nodes left. Every queued node holds residual above Eps:
+// a node is queued only once its residual exceeds Eps, and residual
+// only grows until the node is popped.
+func pushCapError(kind string, src int32, queued, limit int) error {
+	return fmt.Errorf("%w: %s from %d stopped after %d pushes with %d nodes still queued", ErrPushCap, kind, src, limit, queued)
 }
 
 // spillInit bulk-initializes every slot the sparse phase did not touch,
@@ -476,25 +432,27 @@ func spillInit(n int, stamp []uint32, epoch uint32, a, b, c []float64, marks []b
 	}
 }
 
-// Push computes the full local PPV of u by forward push (no hub
-// blocking) and returns it in packed form — the sparse-frontier
-// analogue of PartialVector with a nil hub set. Results are
-// bit-identical to the dense kernel at the same Params.
-func Push(g *graph.Graph, u int32, p Params) (sparse.Packed, error) {
-	p.Kernel = KernelPush
-	st, err := pushPartial(g, u, nil, p, nil)
-	if err != nil {
-		return sparse.Packed{}, err
-	}
-	return st.drainPacked(), nil
-}
-
-// PushPartial computes the partial vector p_u^H by forward push,
-// honoring hub blocking exactly as PartialVector does (Definition 1:
-// the start position is exempt; later hub visits freeze the walk).
-// The frozen mass is returned per hub in hubBlocked.
-func PushPartial(g *graph.Graph, u int32, isHub []bool, p Params) (partial sparse.Packed, hubBlocked sparse.Vector, err error) {
-	p.Kernel = KernelPush
+// PartialVector computes the partial vector p_u^H of node u by selective
+// expansion (Eq. 9, Definition 1): the weights of tours u⇝v that visit no
+// hub node at any position AFTER the start. The start position is exempt,
+// so a hub node's own partial vector exists (it expands exactly once, at
+// step 0) — but a later return to it, like any other hub visit, freezes
+// the walk. The frozen mass is returned per hub in hubBlocked (the
+// FastPPV scheduler's work items). Consequences:
+//
+//   - p(v) = 0 for every hub v ≠ u; p(u) = α exactly when u ∈ H (only
+//     the zero-length tour survives).
+//   - P_h := p_h − α·x_h has NO entries on hub nodes at all, so in the
+//     construction (Eq. 4) every hub-target entry of the PPV comes
+//     directly from the skeleton: r_u(h) = s_u(h). This is the
+//     "last hub visit" renewal decomposition: r_u(v) = p_u(v) +
+//     (1/α)·Σ_h (r_u(h) − α·f_u(h))·p_h(v) for v ∉ H, verified exactly in
+//     TestDecompositionIdentity for hub and non-hub query nodes alike.
+//
+// isHub[v] marks hub nodes in local id space; it may be nil for an empty
+// hub set, in which case the result is the full local PPV of u — exactly
+// the "leaf level" vectors HGPA stores (§4.4).
+func PartialVector(g *graph.Graph, u int32, isHub []bool, p Params) (partial sparse.Packed, hubBlocked sparse.Vector, err error) {
 	st, err := pushPartial(g, u, isHub, p, nil)
 	if err != nil {
 		return sparse.Packed{}, nil, err
@@ -502,13 +460,19 @@ func PushPartial(g *graph.Graph, u int32, isHub []bool, p Params) (partial spars
 	return st.drainPacked(), st.drainVector(st.aux), nil
 }
 
-// PushSkeleton computes s_·(h) — the PPV value AT hub h for every
-// source simultaneously (Eq. 8) — by memory-bounded reverse push,
-// returning only the sources h's influence actually reaches, in packed
-// form. Entry u is within Eps/α of s_u(h), exactly the SkeletonForHub
-// guarantee; values are bit-identical to it.
-func PushSkeleton(g *graph.Graph, h int32, p Params) (sparse.Packed, error) {
-	p.Kernel = KernelPush
+// SkeletonVector computes s_·(h) — the PPV value AT hub h for every
+// source node simultaneously — solving the paper's reverse value
+// iteration (Eq. 8)
+//
+//	F(u) = (1−α)·Σ_{v∈Out(u)} F(v)/OutWeight(u) + α·x_h(u)
+//
+// by memory-bounded reverse push instead of the dense Jacobi sweeps of
+// Theorem 6 (SkeletonForHubDense): when all residuals fall below Eps,
+// each entry is within Eps/α of the fixed point, the same class of
+// guarantee as the paper's termination rule, while touching only the
+// nodes h's influence actually reaches. Entry u of the packed result is
+// s_u(h), the local PPV value r_u(h); sources h never reaches are absent.
+func SkeletonVector(g *graph.Graph, h int32, p Params) (sparse.Packed, error) {
 	st, err := pushSkeleton(g, h, p, nil)
 	if err != nil {
 		return sparse.Packed{}, err

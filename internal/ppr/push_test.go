@@ -1,19 +1,12 @@
 package ppr
 
 import (
-	"math"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"exactppr/internal/graph"
-	"exactppr/internal/sparse"
 )
-
-// The cross-kernel contract: for identical Params, the push kernels
-// agree with the dense kernels within 1e-9 on every entry. (The
-// implementation is stronger — the arithmetic is shared, so outputs
-// are bit-identical — but 1e-9 is what callers may rely on.)
-const kernelTol = 1e-9
 
 func randomHubs(rng *rand.Rand, n int) []bool {
 	isHub := make([]bool, n)
@@ -21,179 +14,6 @@ func randomHubs(rng *rand.Rand, n int) []bool {
 		isHub[v] = rng.Float64() < 0.2
 	}
 	return isHub
-}
-
-func packedMatchesVector(t *testing.T, tag string, got sparse.Packed, want sparse.Vector) {
-	t.Helper()
-	if got.Len() != len(want) {
-		t.Fatalf("%s: %d entries, want %d", tag, got.Len(), len(want))
-	}
-	got.ForEach(func(id int32, x float64) {
-		if math.Abs(x-want.Get(id)) > kernelTol {
-			t.Fatalf("%s: entry %d = %v, want %v", tag, id, x, want.Get(id))
-		}
-	})
-}
-
-// Property: PushPartial (and Push) agree with the dense PartialVector
-// for arbitrary graphs, hub sets, and sources — including the
-// hub-blocked mass diagnostic.
-func TestPushPartialMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		g := randomGraph(rng)
-		n := g.NumNodes()
-		isHub := randomHubs(rng, n)
-		u := int32(rng.Intn(n))
-		p := Params{Alpha: 0.15, Eps: 1e-6, Kernel: KernelDense}
-		want, wantBlocked, err := PartialVector(g, u, isHub, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotBlocked, err := PushPartial(g, u, isHub, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packedMatchesVector(t, "partial", got, want)
-		if len(gotBlocked) != len(wantBlocked) {
-			t.Fatalf("trial %d: blocked has %d entries, want %d", trial, len(gotBlocked), len(wantBlocked))
-		}
-		for id, x := range wantBlocked {
-			if math.Abs(gotBlocked.Get(id)-x) > kernelTol {
-				t.Fatalf("trial %d: blocked(%d) = %v, want %v", trial, id, gotBlocked.Get(id), x)
-			}
-		}
-		full, err := Push(g, u, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFull, _, err := PartialVector(g, u, nil, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packedMatchesVector(t, "full PPV", full, wantFull)
-	}
-}
-
-// Property: PushSkeleton agrees with the dense SkeletonForHub.
-func TestPushSkeletonMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 60; trial++ {
-		g := randomGraph(rng)
-		h := int32(rng.Intn(g.NumNodes()))
-		p := Params{Alpha: 0.15, Eps: 1e-6, Kernel: KernelDense}
-		want, err := SkeletonForHub(g, h, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := PushSkeleton(g, h, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nonzero := 0
-		for u, x := range want {
-			if x != 0 {
-				nonzero++
-			}
-			if math.Abs(got.Get(int32(u))-x) > kernelTol {
-				t.Fatalf("trial %d: s_%d(%d) = %v, want %v", trial, u, h, got.Get(int32(u)), x)
-			}
-		}
-		if got.Len() != nonzero {
-			t.Fatalf("trial %d: %d packed entries, want %d", trial, got.Len(), nonzero)
-		}
-	}
-}
-
-// The kernels must agree on virtual-sink subgraphs (the shape every
-// pre-computation task runs on) and under DanglingRestart params.
-func TestPushKernelsOnVirtualSubgraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 40; trial++ {
-		root := randomGraph(rng)
-		n := root.NumNodes()
-		var members []int32
-		for v := int32(0); v < int32(n); v++ {
-			if rng.Float64() < 0.5 {
-				members = append(members, v)
-			}
-		}
-		if len(members) == 0 {
-			members = append(members, 0)
-		}
-		sub := graph.VirtualSubgraph(root, members)
-		g := sub.G
-		u := int32(rng.Intn(sub.Len()))
-		isHub := randomHubs(rng, g.NumNodes())
-		isHub[u] = rng.Float64() < 0.5
-		for _, dangling := range []DanglingPolicy{DanglingAbsorb, DanglingRestart} {
-			p := Params{Alpha: 0.2, Eps: 1e-7, Dangling: dangling}
-			want, _, err := PartialVector(g, u, isHub, Params{Alpha: p.Alpha, Eps: p.Eps, Dangling: dangling, Kernel: KernelDense})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := PushPartial(g, u, isHub, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			packedMatchesVector(t, "virtual partial", got, want)
-			wantSkel, err := SkeletonForHub(g, u, Params{Alpha: p.Alpha, Eps: p.Eps, Dangling: dangling, Kernel: KernelDense})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotSkel, err := PushSkeleton(g, u, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for w, x := range wantSkel {
-				if math.Abs(gotSkel.Get(int32(w))-x) > kernelTol {
-					t.Fatalf("virtual skeleton: s_%d(%d) = %v, want %v", w, u, gotSkel.Get(int32(w)), x)
-				}
-			}
-		}
-	}
-}
-
-// KernelAuto must produce the same results whether or not the frontier
-// spills into the dense sweep. Tiny Eps on a connected graph forces the
-// frontier past the spill threshold.
-func TestKernelAutoSpillEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	spills := 0
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(rng)
-		u := int32(rng.Intn(g.NumNodes()))
-		base := Params{Alpha: 0.15, Eps: 1e-10}
-		st, err := pushPartial(g, u, nil, base, nil) // KernelAuto: spill allowed
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.spilled {
-			spills++
-		}
-		auto := st.drainPacked()
-		pure := base
-		pure.Kernel = KernelPush
-		stPush, err := pushPartial(g, u, nil, pure, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stPush.spilled {
-			t.Fatal("KernelPush must never spill")
-		}
-		push := stPush.drainPacked()
-		dense := base
-		dense.Kernel = KernelDense
-		want, _, err := PartialVector(g, u, nil, dense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packedMatchesVector(t, "auto", auto, want)
-		packedMatchesVector(t, "push", push, want)
-	}
-	if spills == 0 {
-		t.Fatal("test never exercised the spill path; lower Eps or grow the graphs")
-	}
 }
 
 // Push termination: when the push cap is not hit, every residual left
@@ -207,7 +27,7 @@ func TestPushTerminationRespectsEps(t *testing.T) {
 			g := randomGraph(rng)
 			n := g.NumNodes()
 			u := int32(rng.Intn(n))
-			p := Params{Alpha: 0.15, Eps: eps, Kernel: KernelPush}
+			p := Params{Alpha: 0.15, Eps: eps}
 			st, err := pushPartial(g, u, randomHubs(rng, n), p, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -231,52 +51,11 @@ func checkResiduals(t *testing.T, tag string, st *pushState, eps float64) {
 	}
 }
 
-// FuzzPushTermination drives the push kernels with fuzzed graph seeds
-// and tolerances: termination must respect ε and the result must match
-// the dense kernel.
-func FuzzPushTermination(f *testing.F) {
-	f.Add(int64(1), 1e-4)
-	f.Add(int64(7), 0.9)
-	f.Add(int64(42), 1e-9)
-	f.Fuzz(func(t *testing.T, seed int64, eps float64) {
-		if !(eps > 0) || eps > 1 || math.IsNaN(eps) {
-			t.Skip()
-		}
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng)
-		n := g.NumNodes()
-		u := int32(rng.Intn(n))
-		isHub := randomHubs(rng, n)
-		p := Params{Alpha: 0.15, Eps: eps, Kernel: KernelPush}
-		st, err := pushPartial(g, u, isHub, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range st.touched {
-			if st.res[id] > eps {
-				t.Fatalf("residual %v > eps %v at node %d", st.res[id], eps, id)
-			}
-		}
-		got := st.drainPacked()
-		want, _, err := PartialVector(g, u, isHub, Params{Alpha: 0.15, Eps: eps, Kernel: KernelDense})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != len(want) {
-			t.Fatalf("push has %d entries, dense %d", got.Len(), len(want))
-		}
-		got.ForEach(func(id int32, x float64) {
-			if math.Abs(x-want.Get(id)) > kernelTol {
-				t.Fatalf("entry %d: push %v vs dense %v", id, x, want.Get(id))
-			}
-		})
-	})
-}
-
-// Validate must reject the new invalid parameter shapes.
-func TestValidateKernelAndMaxIter(t *testing.T) {
+// Validate must reject negative MaxIter and unknown dangling policies;
+// ValidatePrecompute also rejects DanglingRestart.
+func TestValidateMaxIterAndDangling(t *testing.T) {
 	base := Params{Alpha: 0.15, Eps: 1e-4}
-	if err := base.Validate(); err != nil {
+	if err := base.ValidatePrecompute(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
 	bad := base
@@ -284,37 +63,47 @@ func TestValidateKernelAndMaxIter(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("MaxIter = -1 accepted")
 	}
-	bad = base
-	bad.Kernel = Kernel(99)
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Kernel(99) accepted")
-	}
-	bad.Kernel = Kernel(-1)
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Kernel(-1) accepted")
-	}
-	for _, k := range []Kernel{KernelAuto, KernelDense, KernelPush} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
+	for _, d := range []DanglingPolicy{-1, 2, 7} {
+		bad = base
+		bad.Dangling = d
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("dangling policy %d accepted", d)
 		}
 	}
-	if _, err := ParseKernel("turbo"); err == nil {
-		t.Fatal(`ParseKernel("turbo") accepted`)
+	restart := base
+	restart.Dangling = DanglingRestart
+	if err := restart.Validate(); err != nil {
+		t.Fatalf("DanglingRestart rejected by Validate: %v", err)
+	}
+	if err := restart.ValidatePrecompute(); !errors.Is(err, ErrUnsupportedDangling) {
+		t.Fatalf("ValidatePrecompute(DanglingRestart) = %v, want ErrUnsupportedDangling", err)
 	}
 }
 
-// MaxIter as a push cap: a cap of 1 (scaled by n) must stop the kernel
-// early without violating validity of what was produced.
+// MaxIter as a push cap: a cap of 1 (scaled by n) that stops a kernel
+// with residual above Eps still queued is an error, not a truncated
+// vector. Eps 1e-12 on a cyclic graph cannot converge in n pops.
 func TestPushRespectsMaxIterCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	g := randomGraph(rng)
-	p := Params{Alpha: 0.15, Eps: 1e-12, MaxIter: 1, Kernel: KernelPush}
-	st, err := pushPartial(g, 0, nil, p, nil)
-	if err != nil {
-		t.Fatal(err)
+	g := graph.FromAdjacency([][]int32{{1, 2}, {2, 0}, {0, 1}})
+	p := Params{Alpha: 0.15, Eps: 1e-12, MaxIter: 1}
+	var sc Scratch
+	if _, err := sc.PartialEntries(g, 0, nil, p); !errors.Is(err, ErrPushCap) {
+		t.Fatalf("partial: err = %v, want ErrPushCap", err)
 	}
-	if st.pushes > p.MaxIter*g.NumNodes() {
-		t.Fatalf("pushes %d exceed cap %d", st.pushes, p.MaxIter*g.NumNodes())
+	if _, err := sc.SkeletonEntries(g, 0, p); !errors.Is(err, ErrPushCap) {
+		t.Fatalf("skeleton: err = %v, want ErrPushCap", err)
+	}
+	if _, _, err := PartialVector(g, 0, nil, p); !errors.Is(err, ErrPushCap) {
+		t.Fatalf("PartialVector: err = %v, want ErrPushCap", err)
+	}
+	if sc.Stats.Vectors != 0 {
+		t.Fatalf("failed kernels tallied %d vectors", sc.Stats.Vectors)
+	}
+	// The same scratch still serves a converging vector afterwards.
+	p.Eps = 1e-4
+	p.MaxIter = 0
+	ents, err := sc.PartialEntries(g, 0, nil, p)
+	if err != nil || len(ents) != 3 {
+		t.Fatalf("after a capped run: %d entries, err %v", len(ents), err)
 	}
 }

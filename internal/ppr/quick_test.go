@@ -67,11 +67,11 @@ func TestQuickPartialDominatedByPPV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, x := range partial {
+		partial.ForEach(func(id int32, x float64) {
 			if x > full.Get(id)+1e-6 {
 				t.Fatalf("trial %d: partial(%d)=%v > PPV %v", trial, id, x, full.Get(id))
 			}
-		}
+		})
 	}
 }
 
@@ -110,17 +110,17 @@ func TestQuickSkeletonRange(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(rng)
 		h := int32(rng.Intn(g.NumNodes()))
-		sk, err := SkeletonForHub(g, h, p)
+		sk, err := SkeletonVector(g, h, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u, x := range sk {
+		sk.ForEach(func(u int32, x float64) {
 			if x < -1e-12 || x > 1+1e-9 {
 				t.Fatalf("trial %d: s_%d(%d) = %v out of range", trial, u, h, x)
 			}
-		}
-		if sk[h] < p.Alpha-1e-6 {
-			t.Fatalf("trial %d: s_h(h) = %v < α", trial, sk[h])
+		})
+		if sk.Get(h) < p.Alpha-1e-6 {
+			t.Fatalf("trial %d: s_h(h) = %v < α", trial, sk.Get(h))
 		}
 	}
 }

@@ -8,11 +8,10 @@ import (
 // Scratch holds the working arrays of the ppr kernels so a worker
 // executing many tasks back to back — the pre-computation pool, the
 // incremental-update recompute pool — reuses one set of buffers instead
-// of allocating fresh O(|V|) slices per vector. The dense kernels clear
-// the buffers per use; the push kernels stamp slots lazily (see
-// push.go), so a task's cost stays proportional to the frontier it
-// actually reaches. The zero value is ready to use; a Scratch must not
-// be shared between concurrent calls.
+// of allocating fresh O(|V|) slices per vector. The kernels stamp slots
+// lazily (see push.go), so a task's cost stays proportional to the
+// frontier it actually reaches. The zero value is ready to use; a
+// Scratch must not be shared between concurrent calls.
 type Scratch struct {
 	f1, f2, f3 []float64
 	marks      []bool
@@ -41,20 +40,9 @@ func (sc *Scratch) grow(n int) {
 	sc.epoch = 0
 }
 
-// dense returns the three float buffers re-sliced to n and zeroed, for
-// the dense kernels.
-func (sc *Scratch) dense(n int) (a, b, c []float64) {
-	sc.grow(n)
-	a, b, c = sc.f1[:n], sc.f2[:n], sc.f3[:n]
-	clear(a)
-	clear(b)
-	clear(c)
-	return a, b, c
-}
-
 // stamped returns the float buffers, the mark buffer, and the stamp
-// array under a fresh epoch, for the push kernels: nothing is cleared,
-// slots are lazily initialized on first touch of the new epoch.
+// array under a fresh epoch: nothing is cleared, slots are lazily
+// initialized on first touch of the new epoch.
 func (sc *Scratch) stamped(n int) (a, b, c []float64, marks []bool, stamp []uint32, epoch uint32) {
 	sc.grow(n)
 	sc.epoch++
@@ -63,13 +51,6 @@ func (sc *Scratch) stamped(n int) (a, b, c []float64, marks []bool, stamp []uint
 		sc.epoch = 1
 	}
 	return sc.f1[:n], sc.f2[:n], sc.f3[:n], sc.marks[:n], sc.stamp[:n], sc.epoch
-}
-
-func (sc *Scratch) bools(n int) []bool {
-	sc.grow(n)
-	m := sc.marks[:n]
-	clear(m)
-	return m
 }
 
 // queueBuf returns the reusable work-queue buffer, emptied. Kernels
@@ -92,63 +73,35 @@ func (sc *Scratch) ids() []int32 {
 	return sc.touched[:0]
 }
 
-// PartialEntries computes the partial vector of u with the engine
-// selected by p.Kernel and returns its nonzero (localID, value) entries
-// in unspecified order. The slice ALIASES the scratch's entry buffer —
-// it is valid only until the next PartialEntries/SkeletonEntries call
-// on sc; callers must drain it first.
+// PartialEntries computes the partial vector of u (see PartialVector)
+// and returns its nonzero (localID, value) entries in unspecified order.
+// The slice ALIASES the scratch's entry buffer — it is valid only until
+// the next PartialEntries/SkeletonEntries call on sc; callers must drain
+// it first.
 func (sc *Scratch) PartialEntries(g *graph.Graph, u int32, isHub []bool, p Params) ([]sparse.Entry, error) {
-	sc.entries = sc.entries[:0]
-	if p.Kernel == KernelDense {
-		d, _, steps, err := partialVectorDense(g, u, isHub, p, sc)
-		if err != nil {
-			return nil, err
-		}
-		sc.Stats.Add(KernelStats{Vectors: 1, Pushes: int64(steps), DenseFallbacks: 1})
-		for i, x := range d {
-			if x != 0 {
-				sc.entries = append(sc.entries, sparse.Entry{ID: int32(i), Score: x})
-			}
-		}
-		return sc.entries, nil
-	}
 	st, err := pushPartial(g, u, isHub, p, sc)
 	if err != nil {
 		return nil, err
 	}
 	sc.recordPush(&st)
-	sc.entries = st.appendEntries(sc.entries)
+	sc.entries = st.appendEntries(sc.entries[:0])
 	return sc.entries, nil
 }
 
-// SkeletonEntries computes s_·(h) with the engine selected by p.Kernel
-// and returns the nonzero (localID, value) entries in unspecified
-// order. Same aliasing contract as PartialEntries.
+// SkeletonEntries computes s_·(h) (see SkeletonVector) and returns the
+// nonzero (localID, value) entries in unspecified order. Same aliasing
+// contract as PartialEntries.
 func (sc *Scratch) SkeletonEntries(g *graph.Graph, h int32, p Params) ([]sparse.Entry, error) {
-	sc.entries = sc.entries[:0]
-	if p.Kernel == KernelDense {
-		est, steps, err := skeletonForHub(g, h, p, sc)
-		if err != nil {
-			return nil, err
-		}
-		sc.Stats.Add(KernelStats{Vectors: 1, Pushes: int64(steps), DenseFallbacks: 1})
-		for i, x := range est {
-			if x != 0 {
-				sc.entries = append(sc.entries, sparse.Entry{ID: int32(i), Score: x})
-			}
-		}
-		return sc.entries, nil
-	}
 	st, err := pushSkeleton(g, h, p, sc)
 	if err != nil {
 		return nil, err
 	}
 	sc.recordPush(&st)
-	sc.entries = st.appendEntries(sc.entries)
+	sc.entries = st.appendEntries(sc.entries[:0])
 	return sc.entries, nil
 }
 
-// recordPush tallies one push-kernel invocation.
+// recordPush tallies one kernel invocation.
 func (sc *Scratch) recordPush(st *pushState) {
 	ks := KernelStats{Vectors: 1, Pushes: int64(st.pushes)}
 	if st.spilled {
