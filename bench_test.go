@@ -558,14 +558,15 @@ func BenchmarkDiskStoreQuery(b *testing.B) {
 	for _, mode := range diskBenchModes {
 		for _, temp := range []string{"cold", "hot"} {
 			b.Run(temp+"/"+mode.name, func(b *testing.B) {
-				ds, err := core.OpenDiskStoreWith(path, mode.opts)
+				opts := mode.opts
+				if temp == "cold" {
+					opts.CacheCap = 64 // force real disk traffic
+				}
+				ds, err := core.OpenDiskStoreWith(path, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer ds.Close()
-				if temp == "cold" {
-					ds.SetCacheCap(64) // force real disk traffic
-				}
 				for _, u := range qs {
 					if _, err := ds.Query(u); err != nil { // warm (evicted again when cold)
 						b.Fatal(err)
@@ -598,14 +599,15 @@ func BenchmarkDiskServeConcurrent(b *testing.B) {
 	for _, mode := range diskBenchModes {
 		for _, load := range []string{"mixed-cold", "hotkey"} {
 			b.Run(load+"/"+mode.name, func(b *testing.B) {
-				ds, err := core.OpenDiskStoreWith(path, mode.opts)
+				opts := mode.opts
+				if load == "mixed-cold" {
+					opts.CacheCap = 64
+				}
+				ds, err := core.OpenDiskStoreWith(path, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer ds.Close()
-				if load == "mixed-cold" {
-					ds.SetCacheCap(64)
-				}
 				// hotkey keeps the default cache: the storm of parallel
 				// queries misses together once at the start, coalesces to
 				// one read per distinct vector, and reads/query ≪ 1 —

@@ -3,6 +3,7 @@
 //	pprquery -store web.store -node 42 -topk 10
 //	pprquery -store web.store -node 42 -machines 6      # simulate a cluster
 //	pprquery -store web.store -node 42 -verify          # check vs power iteration
+//	pprquery -store web.store -node 42 -disk            # serve from the mmap'd file
 package main
 
 import (
@@ -25,18 +26,12 @@ func main() {
 		machines  = flag.Int("machines", 0, "simulate an n-machine cluster (0 = centralized)")
 		verify    = flag.Bool("verify", false, "compare against power iteration")
 		disk      = flag.Bool("disk", false, "serve vectors from disk instead of loading the store into memory")
-		mmapMode  = flag.String("mmap", "on", "with -disk: memory-map the store file (on) or force the ReadAt fallback (off)")
-		cacheCap  = flag.Int("cachecap", 0, "with -disk: vectors held in the serving cache (0 = default 1024)")
 	)
 	flag.Parse()
 
 	q := int32(*node)
 	if *disk {
-		opts, err := core.ParseDiskOptions(*mmapMode, *cacheCap)
-		if err != nil {
-			fatal(err)
-		}
-		ds, err := core.OpenDiskStoreWith(*storePath, opts)
+		ds, err := core.OpenDiskStore(*storePath)
 		if err != nil {
 			fatal(err)
 		}

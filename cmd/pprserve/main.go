@@ -33,16 +33,18 @@
 // Add -disk to serve straight from the store file instead of loading it
 // into memory — the §5.2 "vectors larger than main memory" deployment.
 // The file is memory-mapped and vectors are folded zero-copy out of the
-// page cache (-mmap=off falls back to plain reads; -cachecap bounds the
-// vector cache). Works in both worker and local gateway mode; /stats
-// then reports the disk cache and coalescing counters. -disk serving is
-// read-only: it cannot be combined with -updates.
+// page cache, through a 1,024-vector cache. Works in both worker and
+// local gateway mode; /stats then reports the disk cache and coalescing
+// counters. -disk serving is read-only: it cannot be combined with
+// -updates.
 //
 // Gateway endpoints: GET /ppv/{node}?topk=K, POST /ppv (batch or
-// preference set), GET /healthz, GET /stats.
+// preference set), POST /edges, GET /healthz, GET /stats. -timeout
+// bounds each query, in gateway and one-shot coordinator mode alike.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -61,25 +63,17 @@ func main() {
 		shard       = flag.Int("shard", 0, "shard index (worker mode)")
 		of          = flag.Int("of", 1, "total machines (worker / local gateway mode)")
 		listen      = flag.String("listen", ":7001", "listen address (worker mode)")
-		inFlight    = flag.Int("inflight", 0, "max concurrent queries per worker connection (0 = default)")
 		coordinator = flag.Bool("coordinator", false, "run as coordinator")
 		workers     = flag.String("workers", "", "comma-separated worker addresses (coordinator mode)")
 		conns       = flag.Int("conns", 1, "multiplexed connections per worker (coordinator mode)")
 		node        = flag.Int("node", 0, "query node (coordinator one-shot mode)")
 		topk        = flag.Int("topk", 10, "entries to print (coordinator one-shot mode)")
 		httpAddr    = flag.String("http", "", "serve the HTTP/JSON gateway on this address")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (gateway mode)")
+		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (gateway and coordinator mode)")
 		updates     = flag.Bool("updates", false, "accept edge-delta updates (worker / local gateway mode)")
 		disk        = flag.Bool("disk", false, "serve vectors from the store file on demand instead of loading it into memory")
-		mmapMode    = flag.String("mmap", "on", "disk mode: memory-map the store file (on) or force the ReadAt fallback (off)")
-		cacheCap    = flag.Int("cachecap", 0, "disk mode: vectors held in the serving cache (0 = default 1024)")
 	)
 	flag.Parse()
-
-	diskOpts, err := core.ParseDiskOptions(*mmapMode, *cacheCap)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *coordinator {
 		coord := dialCoordinator(*workers, *conns)
@@ -87,48 +81,26 @@ func main() {
 			runGateway(*httpAddr, coord, *timeout)
 			return
 		}
-		runQuery(coord, int32(*node), *topk)
+		runQuery(coord, int32(*node), *topk, *timeout)
 		return
 	}
-
-	if *disk {
-		if *updates {
-			fatal(fmt.Errorf("-disk serving is read-only: drop -updates or serve from memory"))
-		}
-		serveDisk(*storePath, diskOpts, *shard, *of, *listen, *httpAddr, *inFlight, *timeout)
-		return
+	if *disk && *updates {
+		fatal(fmt.Errorf("-disk serving is read-only: drop -updates or serve from memory"))
 	}
 
 	if *httpAddr != "" {
 		// Local gateway: shard the store across in-process machines and
-		// serve HTTP directly — no TCP workers needed on one host. With
-		// -updates the machines share one live store and POST /edges
-		// applies dirty-partition batches to it.
-		store, err := loadStore(*storePath, 0, 0)
+		// serve HTTP directly — no TCP workers needed on one host.
+		backend, what, err := localCluster(*storePath, *of, *disk, *updates)
 		if err != nil {
 			fatal(err)
 		}
-		var backend cluster.Querier
-		if *updates {
-			live, err := cluster.NewLiveLocalCluster(store, *of)
-			if err != nil {
-				fatal(err)
-			}
-			backend = live
-		} else {
-			coord, err := cluster.NewLocalCluster(store, *of)
-			if err != nil {
-				fatal(err)
-			}
-			backend = coord
-		}
-		fmt.Fprintf(os.Stderr, "gateway: %d in-process shards (updates=%v)\n", *of, *updates)
+		fmt.Fprintf(os.Stderr, "gateway: %d in-process %s\n", *of, what)
 		runGateway(*httpAddr, backend, *timeout)
 		return
 	}
 
-	// Worker: load only this machine's slice of the store.
-	store, err := loadStore(*storePath, *shard, *of)
+	srv, what, err := worker(*storePath, *shard, *of, *disk, *updates)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,77 +108,88 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &cluster.Server{MaxInFlight: *inFlight}
-	sh := store.Shard()
-	if *updates {
-		live, err := cluster.NewLiveShard(core.NewLiveStore(store), *shard, *of)
-		if err != nil {
-			fatal(err)
-		}
-		srv.Machine, srv.Updater = live, live
-	} else {
-		srv.Machine = &cluster.ShardMachine{Shard: sh}
-	}
-	fmt.Fprintf(os.Stderr, "worker: shard %d/%d (%d hubs, %d leaves, %.2f MB owned, updates=%v) listening on %s\n",
-		*shard, *of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), *updates, l.Addr())
+	fmt.Fprintf(os.Stderr, "worker: %s listening on %s\n", what, l.Addr())
 	if err := srv.Serve(l); err != nil {
 		fatal(err)
 	}
 }
 
-// loadStore loads the whole store (of = 0) or machine shard's slice of
-// it.
-func loadStore(path string, shard, of int) (*core.Store, error) {
-	if of == 0 {
-		return core.LoadFile(path)
-	}
-	return core.LoadShard(path, shard, of)
-}
-
-// serveDisk runs worker or local-gateway mode over a DiskStore: the
-// mmap serving path behind the same coordinator/gateway stack as the
-// in-memory backends.
-func serveDisk(storePath string, opts core.DiskOptions, shard, of int, listen, httpAddr string, inFlight int, timeout time.Duration) {
-	ds, err := core.OpenDiskStoreWith(storePath, opts)
-	if err != nil {
-		fatal(err)
-	}
-	mode := "mmap"
-	if !ds.Stats().Mmap {
-		mode = "readat-fallback"
-	}
-
-	if httpAddr != "" {
+// localCluster opens the local gateway's backend: of in-process
+// machines over the disk store (-disk), over one live store that
+// POST /edges updates (-updates), or over the loaded store. It also
+// describes the machines for the startup log.
+func localCluster(path string, of int, disk, updates bool) (cluster.Querier, string, error) {
+	if disk {
+		ds, err := core.OpenDiskStore(path)
+		if err != nil {
+			return nil, "", err
+		}
 		c, err := cluster.NewDiskLocalCluster(ds, of)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gateway: %d in-process disk shards (%s)\n", of, mode)
-		runGateway(httpAddr, c, timeout)
-		return
+		return c, "disk shards (" + diskMode(ds) + ")", err
 	}
+	store, err := core.LoadFile(path)
+	if err != nil {
+		return nil, "", err
+	}
+	if updates {
+		c, err := cluster.NewLiveLocalCluster(store, of)
+		return c, "shards (updates=true)", err
+	}
+	c, err := cluster.NewLocalCluster(store, of)
+	return c, "shards (updates=false)", err
+}
 
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		fatal(err)
+// worker builds the TCP server for machine shard of `of`: a slice of
+// the disk store (-disk), or the shard's slice loaded into memory
+// (core.LoadShard), live when -updates is set. It also describes the
+// slice for the startup log.
+func worker(path string, shard, of int, disk, updates bool) (*cluster.Server, string, error) {
+	var sh interface {
+		HubCount() int
+		LeafCount() int
+		SpaceBytes() int64
 	}
-	if shard < 0 || shard >= of {
-		fatal(fmt.Errorf("shard %d out of range [0,%d)", shard, of))
+	srv := &cluster.Server{}
+	where := "owned"
+	if disk {
+		if shard < 0 || shard >= of {
+			return nil, "", fmt.Errorf("shard %d out of range [0,%d)", shard, of)
+		}
+		ds, err := core.OpenDiskStore(path)
+		if err != nil {
+			return nil, "", err
+		}
+		shards, err := core.SplitDisk(ds, of)
+		if err != nil {
+			return nil, "", err
+		}
+		sh, where = shards[shard], "on disk, "+diskMode(ds)
+		srv.Machine = &cluster.LocalMachine{Backend: shards[shard]}
+	} else {
+		store, err := core.LoadShard(path, shard, of)
+		if err != nil {
+			return nil, "", err
+		}
+		sh = store.Shard()
+		srv.Machine = &cluster.ShardMachine{Shard: store.Shard()}
+		if updates {
+			live, err := cluster.NewLiveShard(core.NewLiveStore(store), shard, of)
+			if err != nil {
+				return nil, "", err
+			}
+			srv.Machine, srv.Updater = live, live
+		}
 	}
-	shards, err := core.SplitDisk(ds, of)
-	if err != nil {
-		fatal(err)
+	return srv, fmt.Sprintf("shard %d/%d (%d hubs, %d leaves, %.2f MB %s, updates=%v)",
+		shard, of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), where, updates), nil
+}
+
+// diskMode names the disk store's serving path for the startup log.
+func diskMode(ds *core.DiskStore) string {
+	if ds.Stats().Mmap {
+		return "mmap"
 	}
-	sh := shards[shard]
-	srv := &cluster.Server{
-		MaxInFlight: inFlight,
-		Machine:     &cluster.LocalMachine{Backend: sh},
-	}
-	fmt.Fprintf(os.Stderr, "worker: disk shard %d/%d (%d hubs, %d leaves, %.2f MB on disk, %s) listening on %s\n",
-		shard, of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), mode, l.Addr())
-	if err := srv.Serve(l); err != nil {
-		fatal(err)
-	}
+	return "readat-fallback"
 }
 
 func dialCoordinator(workerList string, conns int) *cluster.Coordinator {
@@ -229,8 +212,10 @@ func dialCoordinator(workerList string, conns int) *cluster.Coordinator {
 	return coord
 }
 
-func runQuery(coord *cluster.Coordinator, node int32, topk int) {
-	stats, err := coord.Query(node)
+func runQuery(coord *cluster.Coordinator, node int32, topk int, timeout time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	stats, err := coord.QueryCtx(ctx, node)
 	if err != nil {
 		fatal(err)
 	}

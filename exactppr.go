@@ -169,17 +169,14 @@ func NewLiveLocalCluster(s *Store, n int) (*cluster.LiveLocalCluster, error) {
 }
 
 // NewCoordinator wires a coordinator over explicit machines (e.g. TCP
-// workers dialed with DialMachine).
+// workers dialed with DialPool).
 func NewCoordinator(machines ...Machine) (*Coordinator, error) {
 	return cluster.NewCoordinator(machines...)
 }
 
-// DialMachine connects to a pprserve worker over one multiplexed TCP
-// connection (any number of queries may be in flight concurrently).
-func DialMachine(addr string) (*cluster.TCPMachine, error) { return cluster.DialMachine(addr) }
-
 // DialPool connects to a pprserve worker over n multiplexed TCP
-// connections, spreading calls round-robin for socket-level parallelism.
+// connections (any number of queries may be in flight on each),
+// spreading calls round-robin and re-dialing after a worker restart.
 func DialPool(addr string, n int) (*cluster.Pool, error) { return cluster.DialPool(addr, n) }
 
 // NewGateway exposes a coordinator (or any cluster.Querier) over

@@ -53,8 +53,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		go cluster.Serve(l, &cluster.ShardMachine{Shard: sh})
-		m, err := exactppr.DialMachine(l.Addr().String())
+		go (&cluster.Server{Machine: &cluster.ShardMachine{Shard: sh}}).Serve(l)
+		m, err := exactppr.DialPool(l.Addr().String(), 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -201,45 +201,3 @@ func TestMessagesCountedOnlyAcrossWorkers(t *testing.T) {
 		t.Fatalf("L∞ = %v", d)
 	}
 }
-
-func TestRunPageRankMatchesPPR(t *testing.T) {
-	g := community(t)
-	want, err := ppr.PageRank(g, params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []Mode{VertexCentric, BlockCentric} {
-		e, err := NewEngine(g, mode, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := e.RunPageRank(params())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var maxDiff float64
-		for v := 0; v < g.NumNodes(); v++ {
-			d := want[v] - stats.Result.Get(int32(v))
-			if d < 0 {
-				d = -d
-			}
-			if d > maxDiff {
-				maxDiff = d
-			}
-		}
-		if maxDiff > 1e-6 {
-			t.Errorf("%v: PageRank L∞ = %v", mode, maxDiff)
-		}
-		if stats.Supersteps < 3 || stats.NetworkBytes <= 0 {
-			t.Errorf("%v: suspicious stats %+v", mode, stats)
-		}
-	}
-}
-
-func TestRunPageRankBadParams(t *testing.T) {
-	g := community(t)
-	e, _ := NewEngine(g, VertexCentric, 2)
-	if _, err := e.RunPageRank(ppr.Params{Alpha: 7, Eps: 1}); err == nil {
-		t.Fatal("bad params should fail")
-	}
-}

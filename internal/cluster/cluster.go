@@ -10,18 +10,21 @@
 // embarrassingly parallel across queries, so the TCP transport
 // multiplexes many in-flight queries over one connection (request-id
 // demux, see mux.go), workers execute frames on a bounded goroutine pool
-// (tcp.go), and the Coordinator is safe for concurrent Query/QuerySet
-// calls with per-query context cancellation. An HTTP/JSON gateway
-// (gateway.go) exposes the whole thing to ordinary web clients.
+// per connection (tcp.go), and the Coordinator is safe for concurrent
+// Query/QuerySet calls with per-query context cancellation. An
+// HTTP/JSON gateway (gateway.go) exposes the whole thing to ordinary web
+// clients. The serving limits are fixed constants, not settings; the
+// gateway's per-query Timeout is the one knob.
 //
-// Two transports are provided: in-process machines and TCP machines
-// (length-prefixed multiplexed frames over real sockets — used by the
-// distributed example and integration tests). Both speak through the
-// Machine interface, so the Coordinator is transport-agnostic. Every
-// in-process machine is one LocalMachine body over a core backend that
-// drains packed shares — an in-memory or disk shard, or a whole disk
-// store; ShardMachine and LiveShard (the updatable worker) delegate to
-// it, so every backend encodes its share the same way. Concurrent and
+// Two transports are provided: in-process machines and TCP. A worker
+// process runs a Server; the coordinator reaches it through a Pool
+// (DialPool), the one TCP client, which re-dials after a worker
+// restart. Both transports speak through the Machine interface, so the
+// Coordinator is transport-agnostic. Every in-process machine is one
+// LocalMachine body over a core backend that drains packed shares — an
+// in-memory or disk shard, or a whole disk store; ShardMachine and
+// LiveShard (the updatable worker) delegate to it, so every backend
+// encodes its share the same way. Concurrent and
 // sequential fan-outs (QuerySequential) likewise share one decode,
 // byte-accounting, and merge step.
 package cluster
@@ -129,9 +132,6 @@ func (qs *QueryStats) MaxMachineTime() time.Duration {
 // parallelism because the TCP transport multiplexes in-flight queries.
 type Coordinator struct {
 	machines []Machine
-	// Timeout, when non-zero, bounds every query that arrives without
-	// its own deadline. Zero means no coordinator-imposed deadline.
-	Timeout time.Duration
 }
 
 // NewCoordinator returns a coordinator over the given machines.
@@ -202,13 +202,6 @@ func (c *Coordinator) QuerySetCtx(ctx context.Context, p core.Preference) (*Quer
 // worker dying mid-flight surfaces as one clean error instead of a hang.
 func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Machine) ([]byte, time.Duration, error)) (*QueryStats, error) {
 	start := time.Now()
-	if c.Timeout > 0 {
-		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-			defer cancel()
-		}
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

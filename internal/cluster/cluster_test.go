@@ -121,8 +121,8 @@ func TestTCPCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go Serve(l, &ShardMachine{Shard: sh})
-		m, err := DialMachine(l.Addr().String())
+		go (&Server{Machine: &ShardMachine{Shard: sh}}).Serve(l)
+		m, err := DialPool(l.Addr().String(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,8 +170,8 @@ func TestTCPWorkerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &ShardMachine{Shard: shards[0]})
-	m, err := DialMachine(l.Addr().String())
+	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestTCPMachineConcurrentSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &ShardMachine{Shard: shards[0]})
-	m, err := DialMachine(l.Addr().String())
+	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,8 @@ func TestQuerySetDistributed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		go Serve(l, &ShardMachine{Shard: sh})
-		m, err := DialMachine(l.Addr().String())
+		go (&Server{Machine: &ShardMachine{Shard: sh}}).Serve(l)
+		m, err := DialPool(l.Addr().String(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,15 +41,9 @@ type Querier interface {
 type Gateway struct {
 	backend Querier
 
-	// Timeout bounds each backend query (default 30s).
+	// Timeout bounds each backend query (NewGateway sets 30s; zero or
+	// negative also means 30s, so the bound cannot be configured away).
 	Timeout time.Duration
-	// MaxBatch caps the number of sources in one POST /ppv (default 1024).
-	MaxBatch int
-	// BatchConcurrency bounds the fan-out of one batch request
-	// (default 2×GOMAXPROCS).
-	BatchConcurrency int
-	// DefaultTopK is used when a request has no topk parameter (default 10).
-	DefaultTopK int
 
 	start    time.Time
 	queries  atomic.Int64 // single-source queries answered OK
@@ -62,52 +55,17 @@ type Gateway struct {
 	wallNs   atomic.Int64 // summed backend wall time of OK queries
 }
 
-// Gateway defaults, applied by NewGateway and as fallbacks for zeroed
-// fields so the limits can never be configured away entirely.
+// Gateway limits; a batch also fans out on at most 2×GOMAXPROCS
+// goroutines (handleBatch).
 const (
-	defaultGatewayTimeout = 30 * time.Second
-	defaultGatewayBatch   = 1024
-	defaultGatewayTopK    = 10
+	defaultTimeout = 30 * time.Second
+	maxBatch       = 1024 // sources in one POST /ppv
+	defaultTopK    = 10   // entries answered when a request names no topk
 )
 
-// NewGateway returns a Gateway over b with default limits.
+// NewGateway returns a Gateway over b.
 func NewGateway(b Querier) *Gateway {
-	return &Gateway{
-		backend:          b,
-		Timeout:          defaultGatewayTimeout,
-		MaxBatch:         defaultGatewayBatch,
-		BatchConcurrency: 2 * runtime.GOMAXPROCS(0),
-		DefaultTopK:      defaultGatewayTopK,
-		start:            time.Now(),
-	}
-}
-
-func (g *Gateway) timeout() time.Duration {
-	if g.Timeout > 0 {
-		return g.Timeout
-	}
-	return defaultGatewayTimeout
-}
-
-func (g *Gateway) maxBatch() int {
-	if g.MaxBatch > 0 {
-		return g.MaxBatch
-	}
-	return defaultGatewayBatch
-}
-
-func (g *Gateway) defaultTopK() int {
-	if g.DefaultTopK > 0 {
-		return g.DefaultTopK
-	}
-	return defaultGatewayTopK
-}
-
-func (g *Gateway) batchWorkers() int {
-	if g.BatchConcurrency > 0 {
-		return g.BatchConcurrency
-	}
-	return 2 * runtime.GOMAXPROCS(0)
+	return &Gateway{backend: b, Timeout: defaultTimeout, start: time.Now()}
 }
 
 // Handler returns the gateway's routing table.
@@ -147,11 +105,15 @@ type batchRequest struct {
 }
 
 func (g *Gateway) queryCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(parent, g.timeout())
+	timeout := g.Timeout
+	if timeout <= 0 {
+		timeout = defaultTimeout
+	}
+	return context.WithTimeout(parent, timeout)
 }
 
 func (g *Gateway) topK(r *http.Request) (int, error) {
-	k := g.defaultTopK()
+	k := defaultTopK
 	if s := r.URL.Query().Get("topk"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 1 {
@@ -207,17 +169,20 @@ const statusClientClosedRequest = 499
 // queryErrorStatus maps a failed backend query to an HTTP status: a
 // deadline is the gateway timing out (504), a cancellation is the
 // client hanging up (499), an out-of-range node is the client asking
-// for something that does not exist (404 — matched on the error text
-// because worker errors cross the wire as strings), anything else is a
-// broken or unhappy cluster behind the gateway (502).
+// for something that does not exist (404), a malformed preference set
+// or delta edge is a bad request (400), anything else is a broken or
+// unhappy cluster behind the gateway (502). Worker errors keep their
+// class across TCP (see errorClasses), so every case is an errors.Is.
 func queryErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
-	case strings.Contains(err.Error(), "out of range"):
+	case errors.Is(err, core.ErrNodeOutOfRange):
 		return http.StatusNotFound
+	case errors.Is(err, core.ErrBadPreference), errors.Is(err, graph.ErrEdgeOutOfRange):
+		return http.StatusBadRequest
 	default:
 		return http.StatusBadGateway
 	}
@@ -255,7 +220,6 @@ func (g *Gateway) handleSingle(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	maxBatch := g.maxBatch()
 	// Cap the body BEFORE decoding so an oversized batch is rejected on
 	// size, not materialized in memory first. 48 bytes covers one node
 	// plus a full-precision float64 weight in worst-case JSON; 4 KiB
@@ -292,7 +256,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	k := req.TopK
 	if k < 1 {
-		k = g.defaultTopK()
+		k = defaultTopK
 	}
 	g.batches.Add(1)
 
@@ -314,7 +278,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// result.
 	results := make([]resultJSON, len(req.Nodes))
 	var failed atomic.Int64
-	sem := make(chan struct{}, g.batchWorkers())
+	sem := make(chan struct{}, 2*runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, u := range req.Nodes {
 		wg.Add(1)
@@ -395,12 +359,11 @@ func (g *Gateway) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	stats, err := backend.ApplyUpdates(r.Context(), d)
 	if err != nil {
-		if strings.Contains(err.Error(), "out of range") {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
+		status := queryErrorStatus(err)
+		if status != http.StatusBadRequest {
+			g.errors.Add(1)
 		}
-		g.errors.Add(1)
-		httpError(w, queryErrorStatus(err), err.Error())
+		httpError(w, status, err.Error())
 		return
 	}
 	g.updates.Add(1)

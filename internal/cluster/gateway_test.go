@@ -183,7 +183,7 @@ func TestTCPMachineWeightsMismatch(t *testing.T) {
 	}
 	addr, stop := startWorker(t, &ShardMachine{Shard: shards[0]})
 	defer stop()
-	m, err := DialMachine(addr)
+	m, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

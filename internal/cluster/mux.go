@@ -13,18 +13,18 @@ import (
 	"exactppr/internal/graph"
 )
 
-// ErrMachineClosed reports a call on a TCPMachine whose connection has
-// been closed locally (as opposed to a transport failure, which carries
-// the underlying error).
+// ErrMachineClosed reports a call on a Pool, or one of its connections,
+// that has been closed locally (as opposed to a transport failure,
+// which carries the underlying error).
 var ErrMachineClosed = fmt.Errorf("cluster: machine closed")
 
-// TCPMachine is a Machine backed by a remote worker over one TCP
-// connection. The connection is multiplexed: any number of callers may
-// have queries in flight concurrently; a single reader goroutine demuxes
-// response frames back to the waiting caller by request id. When the
-// connection dies, every in-flight call fails with the transport error —
-// no call ever hangs on a dead worker.
-type TCPMachine struct {
+// tcpMachine is one multiplexed TCP connection to a worker, the unit a
+// Pool holds: any number of callers may have queries in flight
+// concurrently; a single reader goroutine demuxes response frames back
+// to the waiting caller by request id. When the connection dies, every
+// in-flight call fails with the transport error — no call ever hangs on
+// a dead worker — and the connection stays dead; the Pool re-dials.
+type tcpMachine struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serializes request frames
@@ -53,18 +53,14 @@ const dialTimeout = 5 * time.Second
 // connection down instead.
 const writeTimeout = 30 * time.Second
 
-// DialMachine connects to a worker at addr and starts the demux loop.
-func DialMachine(addr string) (*TCPMachine, error) {
-	return dialMachineCtx(context.Background(), addr)
-}
-
-func dialMachineCtx(ctx context.Context, addr string) (*TCPMachine, error) {
+// dialMachine connects to a worker at addr and starts the demux loop.
+func dialMachine(ctx context.Context, addr string) (*tcpMachine, error) {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	t := &TCPMachine{
+	t := &tcpMachine{
 		conn:    conn,
 		pending: make(map[uint64]chan muxReply),
 		done:    make(chan struct{}),
@@ -76,7 +72,7 @@ func dialMachineCtx(ctx context.Context, addr string) (*TCPMachine, error) {
 // readLoop is the single reader: it demuxes every response frame to the
 // caller registered under its request id. Responses for ids nobody is
 // waiting on (caller gave up via context) are discarded.
-func (t *TCPMachine) readLoop() {
+func (t *tcpMachine) readLoop() {
 	for {
 		op, id, payload, err := readFrame(t.conn)
 		if err != nil {
@@ -96,7 +92,7 @@ func (t *TCPMachine) readLoop() {
 // fail marks the machine broken, closes the socket (so the fd is never
 // leaked, whichever side noticed first), and releases every waiting
 // caller.
-func (t *TCPMachine) fail(err error) {
+func (t *tcpMachine) fail(err error) {
 	t.mu.Lock()
 	if t.err == nil {
 		t.err = err
@@ -108,20 +104,20 @@ func (t *TCPMachine) fail(err error) {
 }
 
 // Close shuts the connection down; in-flight calls fail promptly.
-func (t *TCPMachine) Close() error {
+func (t *tcpMachine) Close() error {
 	t.fail(ErrMachineClosed)
 	return nil
 }
 
-// Healthy reports whether the transport is still usable.
-func (t *TCPMachine) Healthy() bool {
+// healthy reports whether the transport is still usable.
+func (t *tcpMachine) healthy() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err == nil
 }
 
 // QueryShare implements Machine over the wire.
-func (t *TCPMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
+func (t *tcpMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
 	var req [4]byte
 	binary.LittleEndian.PutUint32(req[:], uint32(u))
 	return t.call(ctx, opQuery, req[:])
@@ -130,7 +126,7 @@ func (t *TCPMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Dura
 // ApplyUpdates implements Updater over the wire: the delta batch rides
 // the same multiplexed connection as queries (opUpdate frame), so a
 // long recompute on the worker never blocks pipelined query traffic.
-func (t *TCPMachine) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
+func (t *tcpMachine) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	start := time.Now()
 	ack, _, err := t.call(ctx, opUpdate, encodeDelta(d))
 	if err != nil {
@@ -144,19 +140,8 @@ func (t *TCPMachine) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateSta
 	return stats, nil
 }
 
-// SupportsUpdates probes the remote worker with an empty delta batch —
-// a no-op on an update-enabled worker, a clean "updates not enabled"
-// error otherwise. Unlike the interface check (every TCPMachine has the
-// method), this reflects the worker's actual -updates configuration.
-func (t *TCPMachine) SupportsUpdates() bool {
-	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
-	defer cancel()
-	_, err := t.ApplyUpdates(ctx, graph.Delta{})
-	return err == nil
-}
-
 // QuerySetShare implements Machine for preference sets over the wire.
-func (t *TCPMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
+func (t *tcpMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
 	// Mirror the in-process validation (core.Preference.normalized) so
 	// both transports reject the same malformed sets.
 	if err := p.CheckWeights(); err != nil {
@@ -165,7 +150,7 @@ func (t *TCPMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]by
 	return t.call(ctx, opQuerySet, encodePreference(p))
 }
 
-func (t *TCPMachine) call(ctx context.Context, op byte, req []byte) ([]byte, time.Duration, error) {
+func (t *tcpMachine) call(ctx context.Context, op byte, req []byte) ([]byte, time.Duration, error) {
 	ch := make(chan muxReply, 1)
 	t.mu.Lock()
 	if t.err != nil {
@@ -219,7 +204,7 @@ func (t *TCPMachine) call(ctx context.Context, op byte, req []byte) ([]byte, tim
 	}
 }
 
-func (t *TCPMachine) unregister(id uint64) {
+func (t *tcpMachine) unregister(id uint64) {
 	t.mu.Lock()
 	delete(t.pending, id)
 	t.mu.Unlock()
@@ -236,37 +221,38 @@ func decodeReply(r muxReply) ([]byte, time.Duration, error) {
 	case opUpdateAck:
 		return r.payload, 0, nil
 	case opError:
-		return nil, 0, fmt.Errorf("cluster: worker: %s", r.payload)
+		return nil, 0, decodeError(r.payload)
 	default:
 		return nil, 0, fmt.Errorf("cluster: unexpected opcode %d", r.op)
 	}
 }
 
-// Pool is a Machine that spreads calls round-robin over several
-// multiplexed connections to the same worker. One connection already
-// sustains many in-flight queries; a pool adds socket-level parallelism
-// (separate kernel buffers, separate reader goroutines) for coordinators
-// driving very high concurrency at one worker. Broken connections are
-// re-dialed lazily, so a worker restart heals without restarting the
-// coordinator.
+// Pool is the TCP client: a Machine and Updater backed by a remote
+// worker over n multiplexed connections, with calls spread round-robin.
+// One connection already sustains many in-flight queries; more add
+// socket-level parallelism (separate kernel buffers, separate reader
+// goroutines) for coordinators driving very high concurrency at one
+// worker. Broken connections are re-dialed lazily, so a worker restart
+// heals without restarting the coordinator.
 type Pool struct {
 	addr    string
 	next    atomic.Uint64
 	healing atomic.Bool // one background re-dial at a time
 
 	mu     sync.Mutex
-	conns  []*TCPMachine
+	conns  []*tcpMachine
 	closed bool
 }
 
-// DialPool opens n multiplexed connections to the worker at addr.
+// DialPool opens n multiplexed connections to the worker at addr
+// (n ≤ 0 means 1).
 func DialPool(addr string, n int) (*Pool, error) {
 	if n <= 0 {
 		n = 1
 	}
-	p := &Pool{addr: addr, conns: make([]*TCPMachine, 0, n)}
+	p := &Pool{addr: addr, conns: make([]*tcpMachine, 0, n)}
 	for i := 0; i < n; i++ {
-		m, err := DialMachine(addr)
+		m, err := dialMachine(context.Background(), addr)
 		if err != nil {
 			p.Close()
 			return nil, err
@@ -280,7 +266,7 @@ func DialPool(addr string, n int) (*Pool, error) {
 // is re-dialed in place — outside the pool lock, under the caller's
 // context plus a dial timeout, so a down worker neither serializes
 // concurrent queries behind the mutex nor outlives the query deadline.
-func (p *Pool) pick(ctx context.Context) (*TCPMachine, error) {
+func (p *Pool) pick(ctx context.Context) (*tcpMachine, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -288,12 +274,12 @@ func (p *Pool) pick(ctx context.Context) (*TCPMachine, error) {
 	}
 	start := p.next.Add(1)
 	slot := -1
-	var healthy *TCPMachine
+	var healthy *tcpMachine
 	for i := 0; i < len(p.conns); i++ {
 		s := int((start + uint64(i)) % uint64(len(p.conns)))
-		if healthy == nil && p.conns[s].Healthy() {
+		if healthy == nil && p.conns[s].healthy() {
 			healthy = p.conns[s]
-		} else if slot < 0 && !p.conns[s].Healthy() {
+		} else if slot < 0 && !p.conns[s].healthy() {
 			slot = s
 		}
 	}
@@ -307,7 +293,7 @@ func (p *Pool) pick(ctx context.Context) (*TCPMachine, error) {
 		return healthy, nil
 	}
 
-	m, err := dialMachineCtx(ctx, p.addr)
+	m, err := dialMachine(ctx, p.addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: all %d pool connections to %s are down: %w", len(p.conns), p.addr, err)
 	}
@@ -320,7 +306,7 @@ func (p *Pool) pick(ctx context.Context) (*TCPMachine, error) {
 // install swaps a freshly dialed machine into a broken slot, closing the
 // dead fd. Returns the machine now serving the slot (the new one, or a
 // concurrent heal's) — nil only when the pool was closed meanwhile.
-func (p *Pool) install(slot int, m *TCPMachine) *TCPMachine {
+func (p *Pool) install(slot int, m *tcpMachine) *tcpMachine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -328,7 +314,7 @@ func (p *Pool) install(slot int, m *TCPMachine) *TCPMachine {
 		return nil
 	}
 	old := p.conns[slot]
-	if old.Healthy() {
+	if old.healthy() {
 		m.Close() // a concurrent pick already healed this slot
 		return old
 	}
@@ -345,7 +331,7 @@ func (p *Pool) maybeHeal(slot int) {
 	}
 	go func() {
 		defer p.healing.Store(false)
-		m, err := DialMachine(p.addr)
+		m, err := dialMachine(context.Background(), p.addr)
 		if err != nil {
 			return // worker still down; the next pick will retry
 		}
@@ -382,16 +368,16 @@ func (p *Pool) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, er
 	return m.ApplyUpdates(ctx, d)
 }
 
-// SupportsUpdates probes the worker behind the pool; see
-// TCPMachine.SupportsUpdates.
+// SupportsUpdates probes the worker behind the pool with an empty delta
+// batch — a no-op on an update-enabled worker, a clean "updates not
+// enabled" error otherwise. Unlike the interface check (every Pool has
+// the method), this reflects the worker's actual -updates
+// configuration.
 func (p *Pool) SupportsUpdates() bool {
 	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	defer cancel()
-	m, err := p.pick(ctx)
-	if err != nil {
-		return false
-	}
-	return m.SupportsUpdates()
+	_, err := p.ApplyUpdates(ctx, graph.Delta{})
+	return err == nil
 }
 
 // Close closes every connection in the pool and stops re-dialing.

@@ -58,7 +58,7 @@ func startWorker(t *testing.T, m Machine) (addr string, stop func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go Serve(l, m)
+	go (&Server{Machine: m}).Serve(l)
 	return l.Addr().String(), func() { l.Close() }
 }
 
@@ -85,7 +85,7 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 	gate := newGateMachine(&ShardMachine{Shard: shards[0]})
 	addr, stop := startWorker(t, gate)
 	defer stop()
-	m, err := DialMachine(addr)
+	m, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])
 		}
-		got, err := sparse.Decode(payloads[i])
+		got, err := sparse.DecodePacked(payloads[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 		}
 		// Each caller must get the answer to ITS source node — any demux
 		// mix-up swaps whole distinct vectors and trips this immediately.
-		if d := sparse.LInfDistance(got, want); d != 0 {
+		if d := sparse.LInfDistance(got.Unpack(), want); d != 0 {
 			t.Fatalf("query %d demuxed wrong response, L∞ = %v", i, d)
 		}
 	}
@@ -167,7 +167,7 @@ func TestThroughputScalesWithConcurrency(t *testing.T) {
 	const clients = 32
 	addr, stop := startWorker(t, &delayMachine{inner: &ShardMachine{Shard: shards[0]}, delay: delay})
 	defer stop()
-	m, err := DialMachine(addr)
+	m, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,9 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	}
 	defer inner.Close()
 	rl := &recordingListener{Listener: inner, conns: make(chan net.Conn, 1)}
-	go Serve(rl, gate)
-	doomed, err := DialMachine(rl.Addr().String())
+	go (&Server{Machine: gate}).Serve(rl)
+	// One raw connection, not a Pool: a pool would re-dial the listener.
+	doomed, err := dialMachine(context.Background(), rl.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	// Healthy worker.
 	healthyAddr, stopHealthy := startWorker(t, &ShardMachine{Shard: shards[1]})
 	defer stopHealthy()
-	healthy, err := DialMachine(healthyAddr)
+	healthy, err := DialPool(healthyAddr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 			t.Fatalf("query %d: want a transport error, got %v", i, err)
 		}
 	}
-	if doomed.Healthy() {
+	if doomed.healthy() {
 		t.Fatal("dead transport still reports healthy")
 	}
 
@@ -312,7 +313,7 @@ func TestMuxContextTimeout(t *testing.T) {
 	gate := newGateMachine(&ShardMachine{Shard: shards[0]})
 	addr, stop := startWorker(t, gate)
 	defer stop()
-	m, err := DialMachine(addr)
+	m, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestMuxContextTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("connection should survive an abandoned query: %v", err)
 	}
-	got, err := sparse.Decode(payload)
+	got, err := sparse.DecodePacked(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,13 +340,13 @@ func TestMuxContextTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := sparse.LInfDistance(got, want); d != 0 {
+	if d := sparse.LInfDistance(got.Unpack(), want); d != 0 {
 		t.Fatalf("post-timeout query demuxed wrong response, L∞ = %v", d)
 	}
 }
 
-// TestCoordinatorTimeout: the coordinator-level default deadline turns a
-// stuck worker into a clean deadline error.
+// TestCoordinatorTimeout: a query deadline turns a stuck worker into a
+// clean deadline error.
 func TestCoordinatorTimeout(t *testing.T) {
 	s := testStore(t)
 	shards, err := core.Split(s, 1)
@@ -356,7 +357,7 @@ func TestCoordinatorTimeout(t *testing.T) {
 	defer close(gate.release)
 	addr, stop := startWorker(t, gate)
 	defer stop()
-	m, err := DialMachine(addr)
+	m, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +366,9 @@ func TestCoordinatorTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Timeout = 50 * time.Millisecond
-	if _, err := c.Query(1); !errors.Is(err, context.DeadlineExceeded) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.QueryCtx(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
@@ -416,7 +418,7 @@ func TestPool(t *testing.T) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		for _, m := range p.conns {
-			if !m.Healthy() {
+			if !m.healthy() {
 				return false
 			}
 		}
@@ -439,7 +441,7 @@ func TestPool(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer l.Close()
-	go Serve(l, &ShardMachine{Shard: shards[0]})
+	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
 	if _, _, err := p.QueryShare(context.Background(), 1); err != nil {
 		t.Fatalf("pool should re-dial a restarted worker: %v", err)
 	}
@@ -457,7 +459,7 @@ func TestCoordinatorConcurrentQueries(t *testing.T) {
 	for _, sh := range shards {
 		addr, stop := startWorker(t, &ShardMachine{Shard: sh})
 		defer stop()
-		m, err := DialMachine(addr)
+		m, err := DialPool(addr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,8 +521,8 @@ func BenchmarkTCPCoordinator(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &ShardMachine{Shard: shards[0]})
-	m, err := DialMachine(l.Addr().String())
+	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -568,8 +570,8 @@ func BenchmarkTCPCoordinatorLatency(b *testing.B) {
 	}
 	defer l.Close()
 	const delay = 2 * time.Millisecond
-	go Serve(l, &delayMachine{inner: &ShardMachine{Shard: shards[0]}, delay: delay})
-	m, err := DialMachine(l.Addr().String())
+	go (&Server{Machine: &delayMachine{inner: &ShardMachine{Shard: shards[0]}, delay: delay}}).Serve(l)
+	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

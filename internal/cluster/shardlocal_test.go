@@ -39,7 +39,7 @@ func TestCoordinatorChecksUpdateDigests(t *testing.T) {
 			srv := &Server{Machine: &ShardMachine{Shard: shards[i]}, Updater: fixedUpdater{ack}}
 			go srv.Serve(l)
 			t.Cleanup(func() { l.Close() })
-			m, err := DialMachine(l.Addr().String())
+			m, err := DialPool(l.Addr().String(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,9 @@ import (
 //	                                   the canonical (sorted by id) wire
 //	                                   encoding + 8-byte compute-time (ns)
 //	                                   prefix
-//	opError     worker → coordinator   payload = error text
+//	opError     worker → coordinator   payload = 1-byte error class
+//	                                   (errorClasses index; 0 =
+//	                                   unclassified) + error text
 //	opUpdate    coordinator → worker   payload = edge-delta batch:
 //	                                   uint32 insert count, count ×
 //	                                   (int32 u, int32 v), then the same
@@ -66,6 +68,11 @@ func writeFrame(w io.Writer, op byte, id uint64, payload []byte) error {
 	return err
 }
 
+// frameChunk is the largest payload readFrame allocates up front.
+// Longer payloads grow as their bytes arrive, so a peer that announces
+// a huge frame and sends nothing pins no memory.
+const frameChunk = 1 << 20
+
 func readFrame(r io.Reader) (op byte, id uint64, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -76,32 +83,74 @@ func readFrame(r io.Reader) (op byte, id uint64, payload []byte, err error) {
 	if n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if n <= frameChunk {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(r, payload)
+	} else if payload, err = io.ReadAll(io.LimitReader(r, int64(n))); err == nil && len(payload) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	return hdr[0], id, payload, nil
 }
 
-// DefaultMaxInFlight bounds the per-connection worker goroutine pool
-// when Server.MaxInFlight is zero. The bound keeps a misbehaving client
-// from spawning unbounded query goroutines while still allowing deep
-// pipelining (well past the 64 in-flight queries the serving layer is
-// specified to sustain).
-const DefaultMaxInFlight = 256
+// errorClasses are the error classes an opError frame carries in its
+// first byte, by index; index 0 is an unclassified error. A classified
+// worker error unwraps to the same sentinel on the caller's side, so
+// the gateway maps remote and in-process failures to the same status.
+var errorClasses = [...]error{nil, core.ErrNodeOutOfRange, core.ErrBadPreference, graph.ErrEdgeOutOfRange}
+
+// encodeError builds the opError payload for err.
+func encodeError(err error) []byte {
+	var class byte
+	for i, c := range errorClasses[1:] {
+		if errors.Is(err, c) {
+			class = byte(i + 1)
+			break
+		}
+	}
+	return append([]byte{class}, err.Error()...)
+}
+
+// workerError is an error a worker answered over the wire.
+type workerError struct {
+	msg   string
+	class error // nil when unclassified
+}
+
+func (e *workerError) Error() string { return "cluster: worker: " + e.msg }
+func (e *workerError) Unwrap() error { return e.class }
+
+// decodeError parses an opError payload. An unknown class byte (a newer
+// worker) leaves the error unclassified.
+func decodeError(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("cluster: empty error frame")
+	}
+	e := &workerError{msg: string(payload[1:])}
+	if int(payload[0]) < len(errorClasses) {
+		e.class = errorClasses[payload[0]]
+	}
+	return e
+}
+
+// maxInFlight bounds concurrently executing queries per connection;
+// excess requests queue in the reader. The bound keeps a misbehaving
+// client from spawning unbounded query goroutines while still allowing
+// deep pipelining (well past the 64 in-flight queries the serving layer
+// is specified to sustain).
+const maxInFlight = 256
 
 // Server runs the worker side of the protocol: a stream of multiplexed
-// query frames executed on a bounded goroutine pool, responses written
-// back as they complete.
+// query frames executed on a bounded goroutine pool per connection,
+// responses written back as they complete.
 type Server struct {
 	Machine Machine
 	// Updater, when non-nil, enables opUpdate frames: edge-delta batches
 	// applied to the worker's live store. A worker without an Updater
 	// answers update frames with opError and keeps serving queries.
 	Updater Updater
-	// MaxInFlight bounds concurrently executing queries per connection
-	// (0 = DefaultMaxInFlight). Excess requests queue in the reader.
-	MaxInFlight int
 }
 
 // Serve accepts connections on l until the listener is closed, handling
@@ -119,20 +168,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Serve runs a worker loop over l with default settings: each accepted
-// connection handles a stream of multiplexed query frames against the
-// given machine until EOF. Serve returns when the listener is closed.
-func Serve(l net.Listener, m Machine) error {
-	return (&Server{Machine: m}).Serve(l)
-}
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	limit := s.MaxInFlight
-	if limit <= 0 {
-		limit = DefaultMaxInFlight
-	}
-	sem := make(chan struct{}, limit)
+	sem := make(chan struct{}, maxInFlight)
 	var (
 		wmu sync.Mutex // serializes response frames on conn
 		wg  sync.WaitGroup
@@ -147,7 +185,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if op != opQuery && op != opQuerySet && op != opUpdate {
 			wmu.Lock()
-			writeFrame(conn, opError, id, []byte("bad request"))
+			writeFrame(conn, opError, id, encodeError(errors.New("bad request")))
 			wmu.Unlock()
 			return
 		}
@@ -201,7 +239,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op 
 	// pin the worker's handler goroutines behind wmu forever.
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err != nil {
-		if werr := writeFrame(conn, opError, id, []byte(err.Error())); werr != nil {
+		if werr := writeFrame(conn, opError, id, encodeError(err)); werr != nil {
 			conn.Close() // a partial frame corrupts the stream for every caller
 		}
 		return

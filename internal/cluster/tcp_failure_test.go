@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,6 +31,25 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestTruncatedFrameAllocatesLittle: a header announcing a large
+// payload that never arrives fails without allocating the announced
+// size, so a peer cannot pin 256 MiB per frame with 13 bytes.
+func TestTruncatedFrameAllocatesLittle(t *testing.T) {
+	frame := make([]byte, frameHeaderSize+10)
+	frame[0] = opUpdate
+	binary.LittleEndian.PutUint32(frame[9:], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*frameChunk {
+		t.Fatalf("truncated frame allocated %d bytes", got)
+	}
+}
+
 // TestWorkerDropsMalformedRequest: a garbage opcode terminates the
 // connection (opError then close) without crashing the worker loop.
 func TestWorkerDropsMalformedRequest(t *testing.T) {
@@ -37,7 +60,7 @@ func TestWorkerDropsMalformedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &ShardMachine{Shard: shards[0]})
+	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
 
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
@@ -56,7 +79,7 @@ func TestWorkerDropsMalformedRequest(t *testing.T) {
 		t.Fatalf("op = %d id = %d, want opError echoing id 7", op, id)
 	}
 	// The worker then closes; the NEXT worker connection must still work.
-	m, err := DialMachine(l.Addr().String())
+	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +98,8 @@ func TestCoordinatorPropagatesDeadMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go Serve(l, &ShardMachine{Shard: shards[0]})
-	m, err := DialMachine(l.Addr().String())
+	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func TestTCPClusterUpdates(t *testing.T) {
 	}
 	var ms []Machine
 	for _, addr := range addrs {
-		m, err := DialMachine(addr)
+		m, err := DialPool(addr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestTCPClusterUpdates(t *testing.T) {
 	}
 	addr, stop := startWorker(t, &ShardMachine{Shard: shards[0]})
 	defer stop()
-	m, err := DialMachine(addr)
+	m, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestTCPClusterUpdates(t *testing.T) {
 	// The capability probe reflects the WORKER's configuration, not the
 	// client stub's method set: true for -updates workers, false for the
 	// read-only one, so the gateway's 501 pre-check fires over the wire.
-	if !ms[0].(*TCPMachine).SupportsUpdates() {
+	if !ms[0].(*Pool).SupportsUpdates() {
 		t.Fatal("updatable worker probed as read-only")
 	}
 	if m.SupportsUpdates() {

@@ -87,39 +87,17 @@ func newVecCache(shards, capacity int) *vecCache {
 	c := &vecCache{shards: make([]vecCacheShard, shards), mask: uint32(shards - 1)}
 	for i := range c.shards {
 		c.shards[i] = vecCacheShard{
+			cap:    max(1, capacity/shards),
 			pos:    make(map[cacheKey]int),
 			flight: make(map[cacheKey]*flightCall),
 		}
 	}
-	c.setCap(capacity)
 	return c
 }
 
 func (c *vecCache) shard(k cacheKey) *vecCacheShard {
 	h := uint32(k.key)*2654435761 ^ uint32(k.section)<<27
 	return &c.shards[h&c.mask]
-}
-
-// setCap rebounds the total capacity, shrinking shards via the CLOCK
-// policy (no arbitrary map-iteration eviction).
-func (c *vecCache) setCap(total int, st ...*diskCounters) {
-	if total < 1 {
-		total = 1
-	}
-	per := max(1, total/len(c.shards))
-	var counters *diskCounters
-	if len(st) > 0 {
-		counters = st[0]
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.cap = per
-		for len(sh.ring) > sh.cap {
-			sh.evictOneLocked(counters)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // purge drops every cached value (used by Close before unmapping the

@@ -55,25 +55,6 @@ func TestClockCacheSecondChance(t *testing.T) {
 	}
 }
 
-// TestClockCacheShrink: SetCacheCap-style shrinking evicts down to the
-// new bound through the CLOCK policy.
-func TestClockCacheShrink(t *testing.T) {
-	var st diskCounters
-	c := newVecCache(1, 32)
-	for i := int32(0); i < 32; i++ {
-		mustLoad(t, c, &st, cacheKey{secSkeleton, i}, float64(i))
-	}
-	c.setCap(5, &st)
-	if c.len() > 5 {
-		t.Fatalf("cache holds %d entries after shrink to 5", c.len())
-	}
-	// Still functional after the shrink.
-	mustLoad(t, c, &st, cacheKey{secSkeleton, 99}, 99)
-	if c.len() > 5 {
-		t.Fatalf("cache holds %d entries after shrink to 5", c.len())
-	}
-}
-
 // TestCacheCoalescesConcurrentMisses: a storm of concurrent misses on
 // one key runs the loader exactly once — everyone else waits for its
 // result (the singleflight miss-storm fix).

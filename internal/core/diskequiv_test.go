@@ -18,6 +18,8 @@ import (
 
 type diskVariant struct {
 	name string
+	path string
+	opts DiskOptions
 	ds   *DiskStore
 }
 
@@ -49,7 +51,7 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 			t.Fatalf("%s: %v", spec.name, err)
 		}
 		t.Cleanup(func() { ds.Close() })
-		variants = append(variants, diskVariant{spec.name, ds})
+		variants = append(variants, diskVariant{spec.name, spec.path, spec.opts, ds})
 	}
 
 	var loaded []*Store
@@ -218,7 +220,13 @@ func TestDiskStoreConcurrentEquivalence(t *testing.T) {
 		want[i] = w
 	}
 	for _, v := range variants {
-		v.ds.SetCacheCap(8) // force eviction + coalescing pressure
+		opts := v.opts
+		opts.CacheCap = 8 // force eviction + coalescing pressure
+		ds, err := OpenDiskStoreWith(v.path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
 		var wg sync.WaitGroup
 		errCh := make(chan error, 32)
 		for w := 0; w < 8; w++ {
@@ -227,7 +235,7 @@ func TestDiskStoreConcurrentEquivalence(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 30; i++ {
 					k := (seed + i) % len(queries)
-					got, err := v.ds.Query(queries[k])
+					got, err := ds.Query(queries[k])
 					if err != nil {
 						errCh <- err
 						return

@@ -23,9 +23,9 @@ import (
 //   - Zero-copy mmap. The store file is memory-mapped by default and
 //     vector payloads are served as sparse.PackedView slices aliasing
 //     the mapping — no read buffer, no decode copy; the OS page cache is
-//     the real vector cache. A -mmap=off knob (DiskOptions.DisableMmap),
-//     unsupported platforms, and map failures all fall back to the
-//     portable ReadAt+decode path.
+//     the real vector cache. Unsupported platforms and map failures
+//     fall back to the portable ReadAt+decode path, which tests also
+//     select with DiskOptions.DisableMmap.
 //   - Transposed skeleton index. A query folds exactly one hub-plan row
 //     (leaf + Σ (h, S_u(h))·partial) instead of fetching every path
 //     hub's entire skeleton vector to read a single scalar. The store
@@ -91,10 +91,12 @@ const (
 // copies.
 const defaultCacheCap = 1024
 
-// DiskOptions tunes OpenDiskStoreWith.
+// DiskOptions tunes OpenDiskStoreWith. The serving commands open with
+// the zero value; tests set the fields to drive the fallback path and
+// cache eviction.
 type DiskOptions struct {
 	// DisableMmap forces the portable ReadAt+decode path even where
-	// mapping would work — the -mmap=off serving knob.
+	// mapping would work — the only path on platforms without mmap.
 	DisableMmap bool
 	// CacheCap bounds the number of cached vectors (0 = default 1024;
 	// minimum 1 per cache shard).
@@ -122,20 +124,6 @@ type DiskStats struct {
 	// Mmap reports whether the store is serving zero-copy from a
 	// memory-mapped file (false: the ReadAt fallback).
 	Mmap bool
-}
-
-// ParseDiskOptions builds DiskOptions from the serving commands' shared
-// -mmap ("on"/"off") and -cachecap flag values.
-func ParseDiskOptions(mmapMode string, cacheCap int) (DiskOptions, error) {
-	opts := DiskOptions{CacheCap: cacheCap}
-	switch mmapMode {
-	case "on":
-	case "off":
-		opts.DisableMmap = true
-	default:
-		return opts, fmt.Errorf("core: bad mmap mode %q (want on or off)", mmapMode)
-	}
-	return opts, nil
 }
 
 // OpenDiskStore opens a store file for on-demand querying with default
@@ -194,12 +182,6 @@ func (d *DiskStore) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// SetCacheCap rebounds the in-memory vector cache (minimum 1 per cache
-// shard). Shrinking evicts through the same CLOCK policy as inserts.
-func (d *DiskStore) SetCacheCap(n int) {
-	d.cache.setCap(n, &d.stats)
 }
 
 // Stats snapshots the serving counters. Safe concurrently with queries

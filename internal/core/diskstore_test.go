@@ -13,6 +13,11 @@ import (
 
 func diskStoreFixture(t *testing.T) (*Store, *DiskStore) {
 	t.Helper()
+	return diskStoreFixtureWith(t, DiskOptions{})
+}
+
+func diskStoreFixtureWith(t *testing.T, opts DiskOptions) (*Store, *DiskStore) {
+	t.Helper()
 	g := testGraph(t, 60)
 	s, err := BuildHGPA(g, hierarchy.Options{Seed: 60}, tightParams(), 2)
 	if err != nil {
@@ -22,7 +27,7 @@ func diskStoreFixture(t *testing.T) (*Store, *DiskStore) {
 	if err := SaveFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := OpenDiskStore(path)
+	ds, err := OpenDiskStoreWith(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +54,7 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 }
 
 func TestDiskStoreTinyCache(t *testing.T) {
-	s, ds := diskStoreFixture(t)
-	ds.SetCacheCap(2) // force constant eviction
+	s, ds := diskStoreFixtureWith(t, DiskOptions{CacheCap: 2}) // constant eviction
 	for _, u := range []int32{0, 50, 100, 150, 0, 50} {
 		want, err := s.Query(u)
 		if err != nil {
@@ -64,7 +68,6 @@ func TestDiskStoreTinyCache(t *testing.T) {
 			t.Fatalf("u=%d with tiny cache: %v", u, d)
 		}
 	}
-	ds.SetCacheCap(0) // clamps to 1
 }
 
 func TestDiskStoreConcurrent(t *testing.T) {
@@ -129,8 +132,7 @@ func writeFileHelper(path string, data []byte) error {
 // TestDiskStoreCloseTyped: queries after Close fail with ErrStoreClosed
 // (not a raw *os.File error), and Close is idempotent.
 func TestDiskStoreCloseTyped(t *testing.T) {
-	_, ds := diskStoreFixture(t)
-	ds.SetCacheCap(1) // make sure queries must hit the file
+	_, ds := diskStoreFixtureWith(t, DiskOptions{CacheCap: 1}) // queries must hit the file
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +306,7 @@ func TestDiskStoreMissStormCoalesces(t *testing.T) {
 // in-flight reads drain, later ones get ErrStoreClosed.
 // Run under -race in CI.
 func TestDiskStoreCloseRace(t *testing.T) {
-	s, ds := diskStoreFixture(t)
-	ds.SetCacheCap(1) // force every fetch through ReadAt
+	s, ds := diskStoreFixtureWith(t, DiskOptions{CacheCap: 1}) // every fetch hits the file
 	n := int32(s.H.G.NumNodes())
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)

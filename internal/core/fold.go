@@ -110,7 +110,7 @@ func serve[T any](src vectorSource, own *owner, u int32, set *Preference, drain 
 	alpha := src.alpha()
 	for i, u := range nodes {
 		if u < 0 || int(u) >= n {
-			return out, fmt.Errorf("core: query node %d out of range", u)
+			return out, nodeOutOfRange("query", u)
 		}
 		w := ws[i]
 		row, err := src.pathHubs(u, own, scratch)

@@ -1,9 +1,32 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// Query errors a front end answers as the caller's fault. They keep
+// their class across the TCP transport (cluster's opError carries it),
+// so callers classify with errors.Is, never by the message text.
+var (
+	// ErrNodeOutOfRange reports a query or preference node outside the
+	// graph.
+	ErrNodeOutOfRange = errors.New("core: node out of range")
+	// ErrBadPreference reports a malformed preference set: empty, a
+	// duplicate node, or weights that are not one positive finite value
+	// per node with a finite sum.
+	ErrBadPreference = errors.New("core: malformed preference set")
+)
+
+// nodeOutOfRange wraps ErrNodeOutOfRange for a query or preference node.
+// It is never inlined, so the formatting adds nothing to serve's frame
+// (see serve).
+//
+//go:noinline
+func nodeOutOfRange(kind string, u int32) error {
+	return fmt.Errorf("%w: %s node %d", ErrNodeOutOfRange, kind, u)
+}
 
 // Preference-set queries. The PPV of a preference set P with weights w
 // is the w-weighted combination of the members' PPVs — the linearity
@@ -29,17 +52,17 @@ func (p Preference) CheckWeights() error {
 		return nil
 	}
 	if len(p.Weights) != len(p.Nodes) {
-		return fmt.Errorf("core: %d weights for %d nodes", len(p.Weights), len(p.Nodes))
+		return fmt.Errorf("%w: %d weights for %d nodes", ErrBadPreference, len(p.Weights), len(p.Nodes))
 	}
 	var total float64
 	for i, wi := range p.Weights {
 		if !(wi > 0) || math.IsInf(wi, 1) {
-			return fmt.Errorf("core: weight %v for node %d is not positive and finite", wi, p.Nodes[i])
+			return fmt.Errorf("%w: weight %v for node %d is not positive and finite", ErrBadPreference, wi, p.Nodes[i])
 		}
 		total += wi
 	}
 	if math.IsInf(total, 1) {
-		return fmt.Errorf("core: preference weights sum past the float64 range")
+		return fmt.Errorf("%w: weights sum past the float64 range", ErrBadPreference)
 	}
 	return nil
 }
@@ -48,7 +71,7 @@ func (p Preference) CheckWeights() error {
 // weights.
 func (p Preference) normalized(n int) ([]float64, error) {
 	if len(p.Nodes) == 0 {
-		return nil, fmt.Errorf("core: empty preference set")
+		return nil, fmt.Errorf("%w: no nodes", ErrBadPreference)
 	}
 	if err := p.CheckWeights(); err != nil {
 		return nil, err
@@ -58,10 +81,10 @@ func (p Preference) normalized(n int) ([]float64, error) {
 	var total float64
 	for i, u := range p.Nodes {
 		if u < 0 || int(u) >= n {
-			return nil, fmt.Errorf("core: preference node %d out of range", u)
+			return nil, nodeOutOfRange("preference", u)
 		}
 		if seen[u] {
-			return nil, fmt.Errorf("core: duplicate preference node %d", u)
+			return nil, fmt.Errorf("%w: duplicate node %d", ErrBadPreference, u)
 		}
 		seen[u] = true
 		wi := 1.0

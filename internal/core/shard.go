@@ -122,7 +122,7 @@ func (sh *Shard) QuerySetPacked(p Preference) (sparse.Packed, error) {
 func (sh *Shard) QueryWork(u int32) (int64, error) {
 	s := sh.store
 	if u < 0 || int(u) >= s.H.G.NumNodes() {
-		return 0, fmt.Errorf("core: query node %d out of range", u)
+		return 0, nodeOutOfRange("query", u)
 	}
 	var work int64
 	row, _ := s.pathHubs(u, s.own, new(planRow))

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
+
+// ErrEdgeOutOfRange reports a delta edge whose endpoint is not a node
+// of the graph.
+var ErrEdgeOutOfRange = errors.New("graph: delta edge out of range")
 
 // Delta is a batch of edge insertions and deletions against a Graph. The
 // node set is fixed: deltas change edges only. Batches are the unit of
@@ -31,7 +36,7 @@ func (d Delta) Effective(g *Graph) (ins, del [][2]int32, err error) {
 	n := int32(g.NumNodes())
 	check := func(e [2]int32) error {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return fmt.Errorf("graph: delta edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
+			return fmt.Errorf("%w: (%d,%d) not in [0,%d)", ErrEdgeOutOfRange, e[0], e[1], n)
 		}
 		return nil
 	}

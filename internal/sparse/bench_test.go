@@ -169,8 +169,7 @@ func BenchmarkTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkEncode contrasts canonical map encoding (sort every call)
-// with the packed straight copy.
+// BenchmarkEncode measures the packed share encoder, a straight copy.
 func BenchmarkEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	v := make(Vector, 5000)
@@ -178,14 +177,6 @@ func BenchmarkEncode(b *testing.B) {
 		v[int32(rng.Intn(1<<26))] = rng.Float64()
 	}
 	p := Pack(v)
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if len(Encode(v)) == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
 	b.Run("packed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

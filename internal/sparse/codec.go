@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // The wire format for a vector is:
@@ -16,15 +15,13 @@ import (
 // accounts communication cost, mirroring the paper's KB-on-the-wire
 // metric.
 //
-// Encoding is CANONICAL: entries are always written in ascending id
-// order, so equal vectors produce byte-identical payloads regardless of
-// representation (map or packed) and across repeated encodes. The
-// decoder accepts any entry order for compatibility with payloads
-// written before canonicalization.
+// Encoding is CANONICAL: entries are written in ascending id order, so
+// equal vectors produce byte-identical payloads across repeated
+// encodes, and the decoder rejects any other order.
 
-// EncodedSize returns the number of bytes Encode will produce for v.
-// Explicit zeros (possible in a hand-built map, never from Set/Add) are
-// not encoded.
+// EncodedSize returns the wire size of v: the bytes EncodePacked(Pack(v))
+// produces. Explicit zeros (possible in a hand-built map, never from
+// Set/Add) are not encoded.
 func EncodedSize(v Vector) int {
 	n := 0
 	for _, x := range v {
@@ -35,53 +32,12 @@ func EncodedSize(v Vector) int {
 	return 4 + 12*n
 }
 
-// Encode serializes v into a fresh byte slice in canonical (sorted by
-// id, zeros dropped) order.
-func Encode(v Vector) []byte {
-	ids := make([]int32, 0, len(v))
-	for i, x := range v {
-		if x != 0 {
-			ids = append(ids, i)
-		}
-	}
-	slices.Sort(ids)
-	buf := make([]byte, 4+12*len(ids))
-	binary.LittleEndian.PutUint32(buf, uint32(len(ids)))
-	off := 4
-	for _, i := range ids {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(i))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(v[i]))
-		off += 12
-	}
-	return buf
-}
-
-// Decode parses a vector previously produced by Encode or EncodePacked.
-func Decode(buf []byte) (Vector, error) {
-	n, err := decodeCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	v := make(Vector, n)
-	off := 4
-	for k := 0; k < n; k++ {
-		id := int32(binary.LittleEndian.Uint32(buf[off:]))
-		x := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-		if x != 0 {
-			v[id] = x
-		}
-		off += 12
-	}
-	return v, nil
-}
-
 // EncodedSizePacked returns the number of bytes EncodePacked produces.
 func EncodedSizePacked(p Packed) int { return 4 + 12*p.Len() }
 
 // EncodePacked serializes a packed vector. The arrays are already in
 // canonical order, so this is a single sequential copy — no sorting, no
-// map iteration. Byte-compatible with Encode: Encode(v) and
-// EncodePacked(Pack(v)) produce identical payloads.
+// map iteration.
 func EncodePacked(p Packed) []byte {
 	buf := make([]byte, EncodedSizePacked(p))
 	binary.LittleEndian.PutUint32(buf, uint32(p.Len()))
@@ -94,11 +50,10 @@ func EncodePacked(p Packed) []byte {
 	return buf
 }
 
-// DecodePacked parses a payload straight into columnar form. Canonical
-// payloads decode with one sequential pass; legacy payloads with
-// unsorted entries (pre-canonical encoders) are detected and sorted.
-// Zero scores are dropped and duplicate ids rejected, so the result is
-// always a valid Packed.
+// DecodePacked parses a canonical payload straight into columnar form
+// in one sequential pass. Zero scores are dropped; ids out of ascending
+// order (unsorted or duplicate) are an error, so the result is always a
+// valid Packed.
 func DecodePacked(buf []byte) (Packed, error) {
 	n, err := decodeCount(buf)
 	if err != nil {
@@ -106,7 +61,6 @@ func DecodePacked(buf []byte) (Packed, error) {
 	}
 	ids := make([]int32, 0, n)
 	scores := make([]float64, 0, n)
-	sorted := true
 	off := 4
 	for k := 0; k < n; k++ {
 		id := int32(binary.LittleEndian.Uint32(buf[off:]))
@@ -116,23 +70,12 @@ func DecodePacked(buf []byte) (Packed, error) {
 			continue
 		}
 		if len(ids) > 0 && id <= ids[len(ids)-1] {
-			sorted = false
+			return Packed{}, fmt.Errorf("sparse: decode: id %d after %d (ids must ascend)", id, ids[len(ids)-1])
 		}
 		ids = append(ids, id)
 		scores = append(scores, x)
 	}
-	if sorted {
-		return Packed{ids, scores}, nil
-	}
-	es := make([]Entry, len(ids))
-	for k := range ids {
-		es[k] = Entry{ids[k], scores[k]}
-	}
-	p, err := PackEntries(es)
-	if err != nil {
-		return Packed{}, fmt.Errorf("sparse: decode: %w", err)
-	}
-	return p, nil
+	return Packed{ids, scores}, nil
 }
 
 func decodeCount(buf []byte) (int, error) {

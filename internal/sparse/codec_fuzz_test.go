@@ -7,75 +7,47 @@ import (
 	"testing"
 )
 
-// FuzzCodecRoundTrip drives arbitrary byte strings through both
-// decoders and checks the codec invariants end to end:
+// FuzzCodecRoundTrip drives arbitrary byte strings through DecodePacked
+// and checks the codec invariants end to end:
 //
-//   - Decode and DecodePacked accept and reject exactly the same
-//     payloads (modulo duplicate ids, which only the packed decoder can
-//     detect — the map decoder silently last-write-wins).
-//   - Whatever decodes must re-encode canonically: Encode(Decode(b))
-//     and EncodePacked(DecodePacked(b)) agree byte for byte, and
-//     re-decoding the canonical bytes is a fixed point.
+//   - Whatever decodes is a valid Packed: ids strictly ascending, no
+//     explicit zeros. Unsorted and duplicate ids are rejected.
+//   - Whatever decodes re-encodes canonically: EncodePacked gives back
+//     the input minus its zero-score entries, and re-decoding the
+//     canonical bytes is a fixed point.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Encode(Vector{}))
-	f.Add(Encode(Vector{1: 0.5}))
-	f.Add(Encode(Vector{3: 1, 1: 2, 2: -3, 1 << 20: 1e-9}))
-	// zero-score entry on the wire (must be dropped by both decoders)
+	f.Add(EncodePacked(Packed{}))
+	f.Add(EncodePacked(Pack(Vector{1: 0.5})))
+	f.Add(EncodePacked(Pack(Vector{3: 1, 1: 2, 2: -3, 1 << 20: 1e-9})))
+	// zero-score entry on the wire (must be dropped)
 	zero := make([]byte, 16)
 	binary.LittleEndian.PutUint32(zero, 1)
 	binary.LittleEndian.PutUint32(zero[4:], 42)
 	f.Add(zero)
-	// unsorted legacy payload
-	f.Add(encodeInMapOrder(Vector{9: 9, 2: 2, 5: 5}))
+	// unsorted ids
+	f.Add(EncodePacked(Packed{ids: []int32{9, 2, 5}, scores: []float64{9, 2, 5}}))
 	// duplicate ids
 	f.Add(EncodePacked(Packed{ids: []int32{7, 7}, scores: []float64{1, 2}}))
 	// truncated frame
-	f.Add(Encode(Vector{1: 1})[:10])
+	f.Add(EncodePacked(Pack(Vector{1: 1}))[:10])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, verr := Decode(data)
-		p, perr := DecodePacked(data)
-		if verr != nil {
-			if perr == nil {
-				t.Fatalf("Decode rejected (%v) but DecodePacked accepted", verr)
-			}
+		p, err := DecodePacked(data)
+		if err != nil {
 			return
 		}
-		hasDup := perr != nil // only legal divergence: duplicate ids
-		if hasDup {
-			if len(v) == countWireEntries(data) {
-				t.Fatalf("DecodePacked rejected (%v) but payload has no duplicates", perr)
-			}
-			return
-		}
-
-		// The two decoders agree on the value (bitwise: NaN payloads
-		// must round-trip too, so == on floats is not enough).
-		pv := p.Unpack()
-		if len(pv) != len(v) {
-			t.Fatalf("decoders disagree: map %v vs packed %v", v, pv)
-		}
-		for id, x := range v {
-			if math.Float64bits(pv[id]) != math.Float64bits(x) {
-				t.Fatalf("decoders disagree at %d: %v vs %v", id, x, pv[id])
-			}
-		}
-		for _, x := range v {
+		for k, x := range p.scores {
 			if x == 0 {
 				t.Fatal("decoder kept an explicit zero")
 			}
+			if k > 0 && p.ids[k] <= p.ids[k-1] {
+				t.Fatalf("decoded ids not strictly ascending: %v", p.ids)
+			}
 		}
-
-		// Canonical re-encode: both representations produce identical
-		// bytes, stable across repeats, and a decode/encode fixed point.
-		cv := Encode(v)
 		cp := EncodePacked(p)
-		if !bytes.Equal(cv, cp) {
-			t.Fatalf("canonical encodings differ: % x vs % x", cv, cp)
-		}
-		if !bytes.Equal(Encode(v), cv) {
-			t.Fatal("Encode nondeterministic")
+		if !bytes.Equal(cp, dropZeros(data)) {
+			t.Fatalf("canonical encoding % x is not the input minus zeros % x", cp, data)
 		}
 		p2, err := DecodePacked(cp)
 		if err != nil {
@@ -84,21 +56,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(EncodePacked(p2), cp) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
-		if len(cv) > len(data) {
-			t.Fatalf("canonical encoding grew: %d > %d bytes", len(cv), len(data))
-		}
 	})
 }
 
-// countWireEntries returns the number of non-zero-score entries a valid
-// frame carries, counting duplicates separately.
-func countWireEntries(buf []byte) int {
-	n := int(binary.LittleEndian.Uint32(buf))
-	c := 0
-	for k := 0; k < n; k++ {
-		if math.Float64frombits(binary.LittleEndian.Uint64(buf[4+12*k+4:])) != 0 {
-			c++
+// dropZeros returns a well-framed payload without its zero-score
+// entries.
+func dropZeros(buf []byte) []byte {
+	out := []byte{0, 0, 0, 0}
+	n := 0
+	for off := 4; off < len(buf); off += 12 {
+		if math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:])) != 0 {
+			out = append(out, buf[off:off+12]...)
+			n++
 		}
 	}
-	return c
+	binary.LittleEndian.PutUint32(out, uint32(n))
+	return out
 }

@@ -333,24 +333,21 @@ func TestEncodeCanonical(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		v[int32(rng.Intn(5000))] = rng.NormFloat64()
 	}
-	first := Encode(v)
+	first := EncodePacked(Pack(v))
 	for i := 0; i < 10; i++ {
-		if !bytes.Equal(Encode(v), first) {
-			t.Fatal("Encode is nondeterministic across repeated encodes")
+		if !bytes.Equal(EncodePacked(Pack(v)), first) {
+			t.Fatal("EncodePacked is nondeterministic across repeated encodes")
 		}
 	}
-	if !bytes.Equal(EncodePacked(Pack(v)), first) {
-		t.Fatal("Encode and EncodePacked disagree on equal vectors")
-	}
 	// A clone (different map, same values) must also encode identically.
-	if !bytes.Equal(Encode(v.Clone()), first) {
+	if !bytes.Equal(EncodePacked(Pack(v.Clone())), first) {
 		t.Fatal("equal vectors encode unequally")
 	}
 	// Explicit zeros (only possible in a hand-built map) are dropped, so
 	// vectors that compare equal via Get encode identically too.
 	withZero := v.Clone()
 	withZero[int32(1<<27)] = 0
-	if !bytes.Equal(Encode(withZero), first) {
+	if !bytes.Equal(EncodePacked(Pack(withZero)), first) {
 		t.Fatal("explicit zero changed the encoding")
 	}
 	if EncodedSize(withZero) != len(first) {
@@ -368,43 +365,15 @@ func TestPackedCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(q.Entries(), p.Entries()) {
 		t.Fatalf("round trip = %v, want %v", q.Entries(), p.Entries())
 	}
-	// The two decoders agree on the same payload.
-	v, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v, p.Unpack()) {
-		t.Fatalf("Decode = %v, want %v", v, p.Unpack())
-	}
 }
 
+// TestDecodePackedLegacyUnsorted: no encoder emits unsorted shares, so
+// an unsorted payload is corrupt and DecodePacked rejects it.
 func TestDecodePackedLegacyUnsorted(t *testing.T) {
-	// Payloads written before canonicalization may carry entries in any
-	// order; DecodePacked must still produce a sorted result.
-	v := Vector{4: 4, 1: 1, 3: 3}
-	legacy := encodeInMapOrder(v)
-	p, err := DecodePacked(legacy)
-	if err != nil {
-		t.Fatal(err)
+	unsorted := Packed{ids: []int32{4, 1, 3}, scores: []float64{4, 1, 3}}
+	if p, err := DecodePacked(EncodePacked(unsorted)); err == nil {
+		t.Fatalf("DecodePacked accepted unsorted ids: %v", p.Entries())
 	}
-	if !reflect.DeepEqual(p.Unpack(), v) {
-		t.Fatalf("legacy decode = %v, want %v", p.Unpack(), v)
-	}
-}
-
-// encodeInMapOrder reproduces the pre-canonical encoder (map iteration
-// order) for legacy-payload tests.
-func encodeInMapOrder(v Vector) []byte {
-	buf := make([]byte, EncodedSize(v))
-	// Count then entries, exactly as Encode, but unsorted. Reuse the
-	// packed encoder on a deliberately shuffled "packed" value.
-	shuffled := Packed{}
-	for i, x := range v {
-		shuffled.ids = append(shuffled.ids, i)
-		shuffled.scores = append(shuffled.scores, x)
-	}
-	copy(buf, EncodePacked(shuffled))
-	return buf
 }
 
 func TestDecodePackedRejectsDuplicates(t *testing.T) {

@@ -186,26 +186,26 @@ func TestCodecRoundTrip(t *testing.T) {
 		for i := 0; i < rng.Intn(40); i++ {
 			v.Set(int32(rng.Intn(1000)), rng.NormFloat64())
 		}
-		buf := Encode(v)
+		buf := EncodePacked(Pack(v))
 		if len(buf) != EncodedSize(v) {
 			t.Fatalf("EncodedSize mismatch: %d vs %d", len(buf), EncodedSize(v))
 		}
-		got, err := Decode(buf)
+		got, err := DecodePacked(buf)
 		if err != nil {
-			t.Fatalf("Decode: %v", err)
+			t.Fatalf("DecodePacked: %v", err)
 		}
-		if !reflect.DeepEqual(got, v) {
+		if !reflect.DeepEqual(got.Unpack(), v) {
 			t.Fatalf("round trip: got %v, want %v", got, v)
 		}
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) should fail")
+	if _, err := DecodePacked(nil); err == nil {
+		t.Fatal("DecodePacked(nil) should fail")
 	}
-	if _, err := Decode([]byte{1, 0, 0, 0, 9}); err == nil {
-		t.Fatal("Decode with truncated payload should fail")
+	if _, err := DecodePacked([]byte{1, 0, 0, 0, 9}); err == nil {
+		t.Fatal("DecodePacked with truncated payload should fail")
 	}
 }
 
@@ -250,8 +250,8 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 			}
 			v.Set(int32(ids[i]), vals[i])
 		}
-		got, err := Decode(Encode(v))
-		return err == nil && reflect.DeepEqual(got, v)
+		got, err := DecodePacked(EncodePacked(Pack(v)))
+		return err == nil && reflect.DeepEqual(got.Unpack(), v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
