@@ -144,12 +144,9 @@ func localCluster(path string, of int, disk, updates bool) (cluster.Querier, str
 // (core.LoadShard), live when -updates is set. It also describes the
 // slice for the startup log.
 func worker(path string, shard, of int, disk, updates bool) (*cluster.Server, string, error) {
-	var sh interface {
-		HubCount() int
-		LeafCount() int
-		SpaceBytes() int64
-	}
 	srv := &cluster.Server{}
+	var hubs, leaves int
+	var space int64
 	where := "owned"
 	if disk {
 		if shard < 0 || shard >= of {
@@ -163,15 +160,16 @@ func worker(path string, shard, of int, disk, updates bool) (*cluster.Server, st
 		if err != nil {
 			return nil, "", err
 		}
-		sh, where = shards[shard], "on disk, "+diskMode(ds)
-		srv.Machine = &cluster.LocalMachine{Backend: shards[shard]}
+		sh := shards[shard]
+		hubs, leaves, space, where = sh.HubCount(), sh.LeafCount(), sh.SpaceBytes(), "on disk, "+diskMode(ds)
+		srv.Machine = &cluster.LocalMachine{Backend: sh}
 	} else {
 		store, err := core.LoadShard(path, shard, of)
 		if err != nil {
 			return nil, "", err
 		}
-		sh = store.Shard()
-		srv.Machine = &cluster.ShardMachine{Shard: store.Shard()}
+		hubs, leaves, space = store.HubCount(), store.LeafCount(), store.SpaceBytes()
+		srv.Machine = &cluster.ShardMachine{Shard: store}
 		if updates {
 			live, err := cluster.NewLiveShard(core.NewLiveStore(store), shard, of)
 			if err != nil {
@@ -181,7 +179,7 @@ func worker(path string, shard, of int, disk, updates bool) (*cluster.Server, st
 		}
 	}
 	return srv, fmt.Sprintf("shard %d/%d (%d hubs, %d leaves, %.2f MB %s, updates=%v)",
-		shard, of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), where, updates), nil
+		shard, of, hubs, leaves, float64(space)/(1<<20), where, updates), nil
 }
 
 // diskMode names the disk store's serving path for the startup log.

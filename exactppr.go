@@ -20,7 +20,7 @@
 //	}
 //
 // For a real cluster, persist the store with SaveStore, Split it across
-// machines, serve each shard with cluster workers (see cmd/pprserve and
+// machines, serve each slice with cluster workers (see cmd/pprserve and
 // examples/distributed), and point a Coordinator at them.
 package exactppr
 
@@ -69,6 +69,8 @@ type (
 	// Hierarchy is the tree of subgraphs with per-level hub sets.
 	Hierarchy = hierarchy.Hierarchy
 	// Store is the HGPA pre-computation plus exact query construction.
+	// Split returns one Store per machine, each holding that machine's
+	// slice; a query on a slice answers the slice's additive share.
 	Store = core.Store
 	// LiveStore publishes a Store behind an atomic pointer and applies
 	// edge-delta batches with dirty-partition recomputation; queries
@@ -76,15 +78,13 @@ type (
 	LiveStore = core.LiveStore
 	// UpdateInfo reports the cost of one incremental update batch.
 	UpdateInfo = core.UpdateInfo
-	// Shard is one machine's slice of a Store.
-	Shard = core.Shard
 	// Coordinator fans queries out to machines and sums the shares.
 	Coordinator = cluster.Coordinator
 	// QueryStats reports one distributed query (result, bytes, times).
 	QueryStats = cluster.QueryStats
 	// Machine is the worker-side query interface.
 	Machine = cluster.Machine
-	// ShardMachine is an in-process Machine over a Shard.
+	// ShardMachine is an in-process Machine over one slice from Split.
 	ShardMachine = cluster.ShardMachine
 	// Gateway serves PPV queries over HTTP/JSON.
 	Gateway = cluster.Gateway
@@ -146,8 +146,9 @@ func BuildGPA(g *Graph, m int, params Params, workers int, seed int64) (*Store, 
 }
 
 // Split divides a store across n machines (the paper's hub-distributed
-// load balancing).
-func Split(s *Store, n int) ([]*Shard, error) { return core.Split(s, n) }
+// load balancing): slice i is a Store holding machine i's vectors, whose
+// queries answer that machine's additive share of the exact PPV.
+func Split(s *Store, n int) ([]*Store, error) { return core.Split(s, n) }
 
 // NewLiveStore wraps a store for incremental maintenance: ApplyUpdates
 // applies an edge-delta batch (recomputing only the dirty partitions of
@@ -201,6 +202,8 @@ type Preference = core.Preference
 // DiskStore answers exact queries straight from a store file, for
 // pre-computations larger than memory: memory-mapped zero-copy serving,
 // a transposed skeleton index, and a sharded coalescing vector cache.
+// SplitDisk returns one DiskStore view per machine; a query on a view
+// answers that machine's additive share.
 type DiskStore = core.DiskStore
 
 // DiskOptions tunes OpenDiskStoreWith (mmap on/off, cache capacity).
@@ -210,10 +213,7 @@ type DiskOptions = core.DiskOptions
 // hits/misses, coalesced reads, mmap vs fallback).
 type DiskStats = core.DiskStats
 
-// DiskShard is one machine's slice of a DiskStore.
-type DiskShard = core.DiskShard
-
-// DiskCluster is a coordinator over in-process disk shards; its
+// DiskCluster is a coordinator over in-process disk slices; its
 // DiskStats feed the gateway's /stats.
 type DiskCluster = cluster.DiskCluster
 
@@ -227,9 +227,10 @@ func OpenDiskStoreWith(path string, opts DiskOptions) (*DiskStore, error) {
 }
 
 // SplitDisk divides a disk store across n machines with the same
-// assignment as Split, so disk and memory shard shares are
-// interchangeable.
-func SplitDisk(ds *DiskStore, n int) ([]*DiskShard, error) { return core.SplitDisk(ds, n) }
+// assignment as Split, so disk and memory slice shares are
+// interchangeable. The views share ds's file, mapping and cache;
+// closing any of them closes all.
+func SplitDisk(ds *DiskStore, n int) ([]*DiskStore, error) { return core.SplitDisk(ds, n) }
 
 // NewDiskLocalCluster shards a disk store across n in-process machines
 // behind a coordinator — single-host serving for stores larger than

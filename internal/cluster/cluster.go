@@ -21,8 +21,9 @@
 // (DialPool), the one TCP client, which re-dials after a worker
 // restart. Both transports speak through the Machine interface, so the
 // Coordinator is transport-agnostic. Every in-process machine is one
-// LocalMachine body over a core backend that drains packed shares — an
-// in-memory or disk shard, or a whole disk store; ShardMachine and
+// LocalMachine body over a core.Store or core.DiskStore that drains
+// packed shares: a store holding one machine's slice answers that
+// slice's share, a whole store the whole PPV. ShardMachine and
 // LiveShard (the updatable worker) delegate to it, so every backend
 // encodes its share the same way. Concurrent and
 // sequential fan-outs (QuerySequential) likewise share one decode,
@@ -81,11 +82,12 @@ type UpdateStats struct {
 	Wall time.Duration
 }
 
-// ShardMachine is an in-process Machine over a core.Shard: a
-// LocalMachine over the shard, kept as a named type for callers that
+// ShardMachine is an in-process Machine over one machine's slice of a
+// store (core.Split, core.LoadShard), answering that slice's share: a
+// LocalMachine over the slice, kept as a named type for callers that
 // build it as ShardMachine{Shard: sh}.
 type ShardMachine struct {
-	Shard *core.Shard
+	Shard *core.Store
 }
 
 // QueryShare implements Machine.

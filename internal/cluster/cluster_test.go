@@ -84,7 +84,7 @@ func TestQueryStatsAccounting(t *testing.T) {
 	shards, _ := core.Split(s, 4)
 	var want int64
 	for _, sh := range shards {
-		v, err := sh.QueryVector(10)
+		v, err := sh.Query(10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -286,3 +286,62 @@ func TestGatewayHealthAndStats(t *testing.T) {
 		t.Fatalf("bytes_received = %v", stats["bytes_received"])
 	}
 }
+
+// FuzzGatewayBatch sends arbitrary POST /ppv bodies to a gateway over an
+// in-process cluster. Whatever the body, the gateway must not panic, must
+// answer 200, 400, 404 or 413, and every 200 must decode as JSON that
+// carries only finite scores.
+func FuzzGatewayBatch(f *testing.F) {
+	s, err := buildStore()
+	if err != nil {
+		f.Fatal(err)
+	}
+	c, err := NewLocalCluster(s, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewGateway(c).Handler()
+	for _, body := range []string{
+		`{"nodes":[1,7,42],"topk":3}`,
+		`{"nodes":[1,1],"set":true}`,
+		`{"nodes":[1,7],"weights":[1,2],"set":true}`,
+		`{"nodes":[1,7],"weights":[1e308,1e308],"set":true}`,
+		`{"nodes":[1,7],"weights":[1,2]}`,
+		`{"nodes":[1,999999]}`,
+		`{"nodes":[1,999999],"set":true}`,
+		`{"nodes":[-1],"topk":-5}`,
+		`{"nodes":[]}`,
+		`{"nodes":[3],"topk":2147483647}`,
+		`{"nodes":"x"}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ppv", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		// One shape covers both answers: a preference-set result, or a
+		// batch's results.
+		var resp struct {
+			resultJSON
+			Results []resultJSON `json:"results"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: 200 answer does not decode: %v (%q)", body, err, rec.Body)
+		}
+		for _, r := range append(resp.Results, resp.resultJSON) {
+			for _, e := range r.TopK {
+				if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) {
+					t.Fatalf("body %q: node %d scores %v", body, e.ID, e.Score)
+				}
+			}
+		}
+	})
+}

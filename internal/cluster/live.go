@@ -10,11 +10,11 @@ import (
 	"exactppr/internal/graph"
 )
 
-// shardSlot is an in-process Machine over a swappable shard snapshot:
-// every query reads the current shard through one atomic load, so it is
+// shardSlot is an in-process Machine over a swappable slice snapshot:
+// every query reads the current slice through one atomic load, so it is
 // answered entirely against one batch boundary.
 type shardSlot struct {
-	shard atomic.Pointer[core.Shard]
+	shard atomic.Pointer[core.Store]
 }
 
 // QueryShare implements Machine.
@@ -27,15 +27,15 @@ func (m *shardSlot) QuerySetShare(ctx context.Context, p core.Preference) ([]byt
 	return (&LocalMachine{Backend: m.shard.Load()}).QuerySetShare(ctx, p)
 }
 
-// LiveShard is a Machine over one shard of an updatable store. It holds
+// LiveShard is a Machine over one slice of an updatable store. It holds
 // only its own slice: NewLiveShard narrows the LiveStore to it, and
 // each batch recomputes only the slice's dirty vectors (stable deal
-// ranks keep the slice the same across batches), then swaps the shard
-// pointer. It is the worker-side Updater for `pprserve -updates`.
+// ranks keep the slice the same across batches) before the LiveStore
+// publishes the new snapshot. Every query reads the snapshot once, so it
+// is answered against one batch boundary. It is the worker-side Updater
+// for `pprserve -updates`.
 type LiveShard struct {
-	shardSlot
 	live *core.LiveStore
-	mu   sync.Mutex // serializes ApplyUpdates + shard swap
 }
 
 // NewLiveShard returns the machine serving shard index of total over
@@ -47,13 +47,21 @@ func NewLiveShard(live *core.LiveStore, index, total int) (*LiveShard, error) {
 	if err := live.Narrow(index, total); err != nil {
 		return nil, err
 	}
-	ls := &LiveShard{live: live}
-	ls.shard.Store(live.Store().Shard())
-	return ls, nil
+	return &LiveShard{live: live}, nil
 }
 
-// Shard returns the currently served shard snapshot.
-func (m *LiveShard) Shard() *core.Shard { return m.shard.Load() }
+// Shard returns the currently served slice snapshot.
+func (m *LiveShard) Shard() *core.Store { return m.live.Store() }
+
+// QueryShare implements Machine.
+func (m *LiveShard) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
+	return (&LocalMachine{Backend: m.live.Store()}).QueryShare(ctx, u)
+}
+
+// QuerySetShare implements Machine.
+func (m *LiveShard) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
+	return (&LocalMachine{Backend: m.live.Store()}).QuerySetShare(ctx, p)
+}
 
 // ApplyUpdates implements Updater. The batch recompute runs to
 // completion once started; ctx only gates the start. Recomputed counts
@@ -63,15 +71,10 @@ func (m *LiveShard) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStat
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	start := time.Now()
 	info, err := m.live.ApplyUpdates(d, 0)
 	if err != nil {
 		return UpdateStats{}, err
-	}
-	if info.Inserted+info.Deleted > 0 { // no-op batches (capability probes) keep the snapshot
-		m.shard.Store(m.live.Store().Shard())
 	}
 	return updateStats(info, start), nil
 }
@@ -89,7 +92,7 @@ func updateStats(info *core.UpdateInfo, start time.Time) UpdateStats {
 // LiveLocalCluster is NewLocalCluster over an updatable store: n
 // in-process machines share ONE whole LiveStore, and ApplyUpdates
 // applies each batch exactly once before re-splitting it into every
-// machine's shard. It backs the single-host `pprserve -store … -http …
+// machine's slice. It backs the single-host `pprserve -store … -http …
 // -updates` gateway.
 //
 // Unlike a multi-host cluster, queries here are snapshot-atomic across

@@ -9,10 +9,12 @@ import (
 )
 
 // PackedQuerier is any in-process query engine that drains its share in
-// packed columnar form: an in-memory core.Shard, a disk-resident
-// core.DiskShard, or a whole core.DiskStore acting as a one-machine
-// cluster. LocalMachine adapts it to the Machine interface so every
-// backend rides the same coordinator, wire protocol, and gateway.
+// packed columnar form: a core.Store or core.DiskStore holding one
+// machine's slice (from core.Split, core.LoadShard or core.SplitDisk),
+// which answers that slice's additive share, or a whole store acting as
+// a one-machine cluster. LocalMachine adapts it to the Machine
+// interface so every backend rides the same coordinator, wire protocol,
+// and gateway.
 type PackedQuerier interface {
 	QueryPacked(u int32) (sparse.Packed, error)
 	QuerySetPacked(p core.Preference) (sparse.Packed, error)
@@ -52,9 +54,9 @@ func (m *LocalMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]
 	return sparse.EncodePacked(v), time.Since(start), nil
 }
 
-// DiskCluster is a Coordinator over in-process disk shards: the
+// DiskCluster is a Coordinator over in-process disk slices: the
 // single-host serving setup for pre-computations larger than memory.
-// All shards share the store's memory map and coalescing cache, so
+// All slices share the store's memory map and coalescing cache, so
 // concurrent HTTP traffic through a gateway exercises the zero-copy
 // path end to end. Its DiskStats method feeds the gateway's /stats.
 type DiskCluster struct {

@@ -116,7 +116,7 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := shards[0].QueryVector(int32(i))
+		want, err := shards[0].Query(int32(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestMuxContextTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := shards[0].QueryVector(2)
+	want, err := shards[0].Query(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,16 +80,21 @@ func TestCoordinatorChecksUpdateDigests(t *testing.T) {
 // reachable through it, and batches keep it narrow.
 func TestNewLiveShardNarrowsStore(t *testing.T) {
 	s := testStore(t)
-	whole := s.Shard().SpaceBytes()
+	whole := s.SpaceBytes()
 	live := core.NewLiveStore(s)
 	ls, err := NewLiveShard(live, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string) {
-		sh := live.Store().Shard()
-		if sh.Index != 1 || sh.Total != 2 || ls.Shard().SpaceBytes() != sh.SpaceBytes() {
-			t.Fatalf("%s: live store serves shard %d of %d", when, sh.Index, sh.Total)
+		sh := live.Store()
+		if ls.Shard() != sh {
+			t.Fatalf("%s: the worker does not serve the live store's snapshot", when)
+		}
+		for u := range sh.LeafPPV {
+			if u%2 != 1 {
+				t.Fatalf("%s: live store holds node %d's leaf vector, which belongs to shard 0 of 2", when, u)
+			}
 		}
 		if b := sh.SpaceBytes(); b <= 0 || b >= whole {
 			t.Fatalf("%s: worker holds %d of the whole store's %d bytes", when, b, whole)

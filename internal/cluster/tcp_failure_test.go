@@ -114,7 +114,7 @@ func TestCoordinatorPropagatesDeadMachine(t *testing.T) {
 	}
 }
 
-func core_Split(t *testing.T, s *core.Store) ([]*core.Shard, error) {
+func core_Split(t *testing.T, s *core.Store) ([]*core.Store, error) {
 	t.Helper()
 	shards, err := core.Split(s, 1)
 	if err != nil {

@@ -20,7 +20,7 @@ func TestSharePayloadCanonical(t *testing.T) {
 	}
 	ctx := context.Background()
 	pref := core.Preference{Nodes: []int32{4, 9}, Weights: []float64{1, 3}}
-	for _, sh := range shards {
+	for i, sh := range shards {
 		m := &ShardMachine{Shard: sh}
 		for _, u := range []int32{0, 77, 299} {
 			first, _, err := m.QueryShare(ctx, u)
@@ -33,16 +33,16 @@ func TestSharePayloadCanonical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(first, again) {
-					t.Fatalf("shard %d u=%d: share payload differs across encodes", sh.Index, u)
+					t.Fatalf("shard %d u=%d: share payload differs across encodes", i, u)
 				}
 			}
 			p, err := sparse.DecodePacked(first)
 			if err != nil {
-				t.Fatalf("shard %d u=%d: payload not decodable as packed: %v", sh.Index, u, err)
+				t.Fatalf("shard %d u=%d: payload not decodable as packed: %v", i, u, err)
 			}
 			// Canonical payloads round-trip to the identical bytes.
 			if !bytes.Equal(sparse.EncodePacked(p), first) {
-				t.Fatalf("shard %d u=%d: payload is not canonical", sh.Index, u)
+				t.Fatalf("shard %d u=%d: payload is not canonical", i, u)
 			}
 		}
 		a, _, err := m.QuerySetShare(ctx, pref)
@@ -54,7 +54,7 @@ func TestSharePayloadCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("shard %d: set share payload differs across encodes", sh.Index)
+			t.Fatalf("shard %d: set share payload differs across encodes", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestShardsSumToQuery(t *testing.T) {
 			}
 			sum := sparse.New(64)
 			for _, sh := range shards {
-				v, err := sh.QueryVector(u)
+				v, err := sh.Query(u)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,7 +218,7 @@ func TestQueryErrors(t *testing.T) {
 		t.Fatal("out-of-range query should fail")
 	}
 	shards, _ := Split(s, 2)
-	if _, err := shards[0].QueryVector(-5); err == nil {
+	if _, err := shards[0].Query(-5); err == nil {
 		t.Fatal("shard query out of range should fail")
 	}
 }
@@ -421,4 +422,37 @@ func TestQueryWorkScalesDown(t *testing.T) {
 	if _, err := shards[0].QueryWork(-1); err == nil {
 		t.Fatal("bad node should fail")
 	}
+}
+
+// TestQueryWorkReportsMissingVector: a slice that lacks a partial its
+// fold needs fails QueryWork with the fold's ErrMissingVector, instead
+// of reporting the missing vector's entries as work not done.
+func TestQueryWorkReportsMissingVector(t *testing.T) {
+	g := testGraph(t, 90)
+	s := buildStore(t, g, hierarchy.Options{Seed: 90})
+	shards, err := Split(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := shards[0]
+	for u := int32(0); u < int32(g.NumNodes()); u++ {
+		row, err := sl.pathHubs(u, sl.own, new(planRow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range row.hubs {
+			if h == u || row.s[i] == 0 {
+				continue
+			}
+			delete(sl.HubPartial, h)
+			if _, err := sl.Query(u); !errors.Is(err, ErrMissingVector) {
+				t.Fatalf("u=%d without hub %d's partial: Query err = %v, want ErrMissingVector", u, h, err)
+			}
+			if w, err := sl.QueryWork(u); !errors.Is(err, ErrMissingVector) {
+				t.Fatalf("u=%d without hub %d's partial: QueryWork = %d, %v; want ErrMissingVector", u, h, w, err)
+			}
+			return
+		}
+	}
+	t.Fatal("no query node has a path hub with a non-zero skeleton value")
 }

@@ -225,7 +225,7 @@ func FuzzStoreParams(f *testing.F) {
 		}
 		for i := range 2 {
 			if local, err := load(bytes.NewReader(file), i, 2); err == nil {
-				check("LoadShard", local.Params, local.Shard().QueryPacked)
+				check("LoadShard", local.Params, local.QueryPacked)
 			}
 		}
 		path := filepath.Join(t.TempDir(), "f.store")
@@ -277,7 +277,7 @@ func FuzzStoreSections(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sections []byte) {
 		file := append(header, sections...)
 		n := g.NumNodes()
-		var split []*Shard
+		var split []*Store
 		if ls, err := Load(bytes.NewReader(file)); err == nil {
 			if split, err = Split(ls, 2); err != nil {
 				t.Fatal(err)
@@ -293,11 +293,11 @@ func FuzzStoreSections(f *testing.F) {
 				continue
 			}
 			if split == nil {
-				queryAll(n, local.Shard().QueryPacked)
+				queryAll(n, local.QueryPacked)
 				continue
 			}
 			for u := int32(0); u < int32(n); u++ {
-				a, errA := local.Shard().QueryPacked(u)
+				a, errA := local.QueryPacked(u)
 				b, errB := split[i].QueryPacked(u)
 				if (errA == nil) != (errB == nil) || errA == nil && !bytes.Equal(sparse.EncodePacked(a), sparse.EncodePacked(b)) {
 					t.Fatalf("shard %d/2 u=%d: loaded share (%v) differs from Split(Load)'s (%v)", i, u, errA, errB)

@@ -254,3 +254,31 @@ func TestDiskStoreConcurrentEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestSliceAccountingAgreesAcrossBackends: a memory slice and the disk
+// slice of the same store and machine report the same hub count, leaf
+// count and space — the per-machine space of §6.2.3 is one measure,
+// whichever backend holds the vectors.
+func TestSliceAccountingAgreesAcrossBackends(t *testing.T) {
+	s, ds := diskStoreFixture(t)
+	if s.SpaceBytes() != ds.SpaceBytes() {
+		t.Fatalf("whole store: memory %d bytes, disk %d", s.SpaceBytes(), ds.SpaceBytes())
+	}
+	for n := 1; n <= 3; n++ {
+		mem, err := Split(s, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk, err := SplitDisk(ds, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range mem {
+			m, d := mem[i], disk[i]
+			if m.HubCount() != d.HubCount() || m.LeafCount() != d.LeafCount() || m.SpaceBytes() != d.SpaceBytes() {
+				t.Fatalf("shard %d of %d: memory %d hubs, %d leaves, %d bytes; disk %d hubs, %d leaves, %d bytes",
+					i, n, m.HubCount(), m.LeafCount(), m.SpaceBytes(), d.HubCount(), d.LeafCount(), d.SpaceBytes())
+			}
+		}
+	}
+}

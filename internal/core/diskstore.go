@@ -41,9 +41,23 @@ import (
 // as the source of each path hub's s_u(h), so disk and memory answers
 // are bit-identical.
 //
+// A DiskStore holds the whole store, or — from SplitDisk — one
+// machine's slice of it: a view over the same open file that folds only
+// the vectors its owner admits, so a query on a slice answers that
+// slice's additive share. Memory and disk slices of one store answer
+// the same bytes.
+//
 // DiskStore is safe for concurrent queries and is read-only: it does not
 // support ApplyUpdates — rebuild and reopen to pick up new graph state.
 type DiskStore struct {
+	*diskFile
+	own *owner // the slice this view serves; nil for the whole store
+}
+
+// diskFile is the open store file every slice of it shares: the file,
+// its mapping, the offset index and the vector cache. It is the disk
+// vectorSource.
+type diskFile struct {
 	H      *hierarchy.Hierarchy
 	Params ppr.Params
 
@@ -72,6 +86,11 @@ type span struct {
 	off int64
 	len int32
 }
+
+// entries is the entry count of the columnar vector record sp spans,
+// the inverse of sparse.EncodedSizeColumnar (8+12n bytes, plus 4 of
+// padding when n is odd).
+func (sp span) entries() int { return (int(sp.len) - 8) / 12 }
 
 type cacheKey struct {
 	section int8
@@ -141,7 +160,7 @@ func OpenDiskStoreWith(path string, opts DiskOptions) (*DiskStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := indexStoreFile(f)
+	df, err := indexStoreFile(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -150,21 +169,22 @@ func OpenDiskStoreWith(path string, opts DiskOptions) (*DiskStore, error) {
 	if cap <= 0 {
 		cap = defaultCacheCap
 	}
-	ds.cache = newVecCache(0, cap)
+	df.cache = newVecCache(0, cap)
 	if !opts.DisableMmap {
 		// Mapping failures (platform without mmap, exotic filesystems)
 		// degrade to the ReadAt path silently: same answers, fewer tricks.
 		if data, err := mmapfile.Map(f); err == nil {
-			ds.data = data
+			df.data = data
 		}
 	}
-	return ds, nil
+	return &DiskStore{diskFile: df}, nil
 }
 
-// Close releases the mapping and the underlying file. It blocks until
-// in-flight queries drain — cached vector views alias the mapping, so
-// unmapping mid-fold would be a fault, not just a race; queries issued
-// afterwards fail with ErrStoreClosed. Close is idempotent.
+// Close releases the mapping and the underlying file, for every slice
+// of the store at once. It blocks until in-flight queries drain —
+// cached vector views alias the mapping, so unmapping mid-fold would be
+// a fault, not just a race; queries issued afterwards fail with
+// ErrStoreClosed. Close is idempotent.
 func (d *DiskStore) Close() error {
 	d.fmu.Lock()
 	defer d.fmu.Unlock()
@@ -184,8 +204,9 @@ func (d *DiskStore) Close() error {
 	return err
 }
 
-// Stats snapshots the serving counters. Safe concurrently with queries
-// and Close (the mapping state is read under the lifecycle lock).
+// Stats snapshots the serving counters, which every slice of the store
+// shares. Safe concurrently with queries and Close (the mapping state
+// is read under the lifecycle lock).
 func (d *DiskStore) Stats() DiskStats {
 	d.fmu.RLock()
 	mmap := d.data != nil
@@ -203,7 +224,7 @@ func (d *DiskStore) Stats() DiskStats {
 
 // acquire takes the shared lifecycle lock for one query; the caller must
 // release() when its fold (including the drain) is done.
-func (d *DiskStore) acquire() error {
+func (d *diskFile) acquire() error {
 	d.fmu.RLock()
 	if d.closed {
 		d.fmu.RUnlock()
@@ -212,11 +233,11 @@ func (d *DiskStore) acquire() error {
 	return nil
 }
 
-func (d *DiskStore) release() { d.fmu.RUnlock() }
+func (d *diskFile) release() { d.fmu.RUnlock() }
 
 // indexStoreFile parses the header exactly as Load does, then walks the
 // sections recording each payload's span and skipping its bytes.
-func indexStoreFile(f *os.File) (*DiskStore, error) {
+func indexStoreFile(f *os.File) (*diskFile, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
 	params, opts, g, err := readStoreHeader(cr)
 	if err != nil {
@@ -226,18 +247,18 @@ func indexStoreFile(f *os.File) (*DiskStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &DiskStore{H: h, Params: params, f: f}
-	for sec := range ds.idx {
-		ds.idx[sec] = make(map[int32]span)
+	df := &diskFile{H: h, Params: params, f: f}
+	for sec := range df.idx {
+		df.idx[sec] = make(map[int32]span)
 	}
 	err = walkSections(cr, g.NumNodes(), func(sec int8, key, vlen int32) error {
-		ds.idx[sec][key] = span{off: cr.n, len: vlen}
+		df.idx[sec][key] = span{off: cr.n, len: vlen}
 		return cr.skip(int64(vlen))
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return df, nil
 }
 
 // countingReader tracks the absolute file offset while reading through a
@@ -272,7 +293,7 @@ var fetchBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retur
 // readPayload returns the raw bytes of one record: a slice of the
 // mapping (alias — do not retain past the lifecycle lock without going
 // through the cache) or a pooled buffer with done() returning it.
-func (d *DiskStore) readPayload(sp span) (buf []byte, done func(), err error) {
+func (d *diskFile) readPayload(sp span) (buf []byte, done func(), err error) {
 	if d.data != nil {
 		end := sp.off + int64(sp.len)
 		if sp.off < 0 || end > int64(len(d.data)) {
@@ -294,7 +315,7 @@ func (d *DiskStore) readPayload(sp span) (buf []byte, done func(), err error) {
 
 // loadVector decodes one vector record. In mmap mode this is zero-copy:
 // the returned Packed is a view over the mapping.
-func (d *DiskStore) loadVector(section int8, key int32) (cval, error) {
+func (d *diskFile) loadVector(section int8, key int32) (cval, error) {
 	sp, ok := d.idx[section][key]
 	if !ok {
 		return cval{}, missingVector(section, key)
@@ -323,7 +344,7 @@ func (d *DiskStore) loadVector(section int8, key int32) (cval, error) {
 }
 
 // fetch reads (and caches) one vector through the coalescing cache.
-func (d *DiskStore) fetch(section int8, key int32) (sparse.Packed, error) {
+func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 	v, err := d.cache.getOrLoad(cacheKey{section, key}, &d.stats, func() (cval, error) {
 		return d.loadVector(section, key)
 	})
@@ -332,7 +353,7 @@ func (d *DiskStore) fetch(section int8, key int32) (sparse.Packed, error) {
 
 // plan returns query node u's hub-weight row, fetched and cached like
 // any other vector (a node with no path hubs simply has no row).
-func (d *DiskStore) plan(u int32) (planRow, error) {
+func (d *diskFile) plan(u int32) (planRow, error) {
 	v, err := d.cache.getOrLoad(cacheKey{secHubPlan, u}, &d.stats, func() (cval, error) {
 		sp, ok := d.idx[secHubPlan][u]
 		if !ok {
@@ -366,15 +387,15 @@ func (d *DiskStore) plan(u int32) (planRow, error) {
 
 // The disk vectorSource: the lifecycle lock pins the mapping for a
 // whole query, and a path walk is one cached plan row — returned as is
-// for the whole store, filtered into the scratch row for a shard.
+// for the whole store, filtered into the scratch row for a slice.
 
-func (d *DiskStore) numNodes() int { return d.H.G.NumNodes() }
+func (d *diskFile) numNodes() int { return d.H.G.NumNodes() }
 
-func (d *DiskStore) alpha() float64 { return d.Params.Alpha }
+func (d *diskFile) alpha() float64 { return d.Params.Alpha }
 
-func (d *DiskStore) isHub(u int32) bool { return d.H.IsHub(u) }
+func (d *diskFile) isHub(u int32) bool { return d.H.IsHub(u) }
 
-func (d *DiskStore) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
+func (d *diskFile) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
 	plan, err := d.plan(u)
 	if err != nil || own == nil {
 		return plan, err
@@ -389,35 +410,72 @@ func (d *DiskStore) pathHubs(u int32, own *owner, row *planRow) (planRow, error)
 	return *row, nil
 }
 
-func (d *DiskStore) partial(h int32) (sparse.Packed, error) { return d.fetch(secHubPartial, h) }
+func (d *diskFile) partial(h int32) (sparse.Packed, error) { return d.fetch(secHubPartial, h) }
 
-func (d *DiskStore) leaf(u int32) (sparse.Packed, error) { return d.fetch(secLeafPPV, u) }
+func (d *diskFile) leaf(u int32) (sparse.Packed, error) { return d.fetch(secLeafPPV, u) }
 
 // Query constructs the exact PPV of u reading vectors from disk — the
-// same identity as Store.Query, bit-for-bit.
+// same identity as Store.Query, bit-for-bit; on a slice, that slice's
+// additive share.
 func (d *DiskStore) Query(u int32) (sparse.Vector, error) {
-	return serve(d, nil, u, nil, (*sparse.Accumulator).Vector)
+	return serve(d.diskFile, d.own, u, nil, (*sparse.Accumulator).Vector)
 }
 
 // QueryPacked is Query draining into the columnar representation the
 // serving layer encodes straight onto the wire.
 func (d *DiskStore) QueryPacked(u int32) (sparse.Packed, error) {
-	return serve(d, nil, u, nil, (*sparse.Accumulator).Packed)
+	return serve(d.diskFile, d.own, u, nil, (*sparse.Accumulator).Packed)
 }
 
-// QueryTopK returns the k highest-scoring nodes of u's exact PPV without
-// materializing the full vector.
+// QueryTopK returns the k highest-scoring nodes of u's exact PPV (of a
+// slice's share, on a slice) without materializing the full vector.
 func (d *DiskStore) QueryTopK(u int32, k int) ([]sparse.Entry, error) {
-	return serve(d, nil, u, nil, drainTopK(k))
+	return serve(d.diskFile, d.own, u, nil, drainTopK(k))
 }
 
 // QuerySet constructs the exact PPV of a weighted preference set by
 // linearity — the disk-resident analogue of Store.QuerySet.
 func (d *DiskStore) QuerySet(p Preference) (sparse.Vector, error) {
-	return serve(d, nil, 0, &p, (*sparse.Accumulator).Vector)
+	return serve(d.diskFile, d.own, 0, &p, (*sparse.Accumulator).Vector)
 }
 
 // QuerySetPacked is QuerySet draining into columnar form.
 func (d *DiskStore) QuerySetPacked(p Preference) (sparse.Packed, error) {
-	return serve(d, nil, 0, &p, (*sparse.Accumulator).Packed)
+	return serve(d.diskFile, d.own, 0, &p, (*sparse.Accumulator).Packed)
+}
+
+// HubCount returns the number of hubs whose vectors the store (or
+// slice) serves.
+func (d *DiskStore) HubCount() int { n, _ := d.owned(secHubPartial); return n }
+
+// LeafCount returns the number of leaf vectors the store (or slice)
+// serves.
+func (d *DiskStore) LeafCount() int { n, _ := d.owned(secLeafPPV); return n }
+
+// SpaceBytes reports the space of the vectors the store (or slice)
+// serves, in Store.SpaceBytes's measure — the per-machine space of
+// §6.2.3 — so memory and disk slices of one store report the same.
+func (d *DiskStore) SpaceBytes() int64 {
+	var total int64
+	for _, sec := range [...]int8{secHubPartial, secSkeleton, secLeafPPV} {
+		_, b := d.owned(sec)
+		total += b
+	}
+	return total
+}
+
+// owned counts the vectors of one payload section that d serves, and
+// their space.
+func (d *DiskStore) owned(sec int8) (count int, bytes int64) {
+	admit := d.own.hub
+	if sec == secLeafPPV {
+		admit = d.own.leaf
+	}
+	for key, sp := range d.idx[sec] {
+		if admit(key) {
+			count++
+			bytes += vectorBytes(sp.entries())
+		}
+	}
+	return count, bytes
 }

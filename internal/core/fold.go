@@ -8,12 +8,13 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// The serving fold. Every backend — the in-memory Store and its Shards,
-// the disk-resident DiskStore and its DiskShards, and the flat JWStore
-// baseline — answers a query by running serve over its vectorSource,
-// restricted to one machine's slice by an owner (nil: the whole store).
-// The identity is the one in the package comment, written once; the
-// backends differ only in where the vectors come from.
+// The serving fold. Every backend — the in-memory Store, the
+// disk-resident DiskStore, and the flat JWStore baseline — answers a
+// query by running serve over its vectorSource, restricted by an owner
+// to the one machine's slice the store holds (nil: the whole store), so
+// a query on a slice answers that slice's additive share. The identity
+// is the one in the package comment, written once; the backends differ
+// only in where the vectors come from.
 
 // vectorSource is what the fold reads from a backend.
 type vectorSource interface {
@@ -46,7 +47,7 @@ type vectorSource interface {
 // although most tree nodes hold only one or two hubs, and a rank never
 // changes across updates, so neither does an existing hub's owner.
 // Non-hub u's leaf vector belongs to machine u mod total. Both follow
-// from the hierarchy alone, so memory and disk shards of one store own
+// from the hierarchy alone, so memory and disk slices of one store own
 // the same vectors. A nil *owner admits everything.
 type owner struct {
 	index, total int
@@ -57,25 +58,25 @@ func (o *owner) hub(h int32) bool { return o == nil || o.h.DealRank(h)%o.total =
 
 func (o *owner) leaf(u int32) bool { return o == nil || int(u)%o.total == o.index }
 
+// ownedHubs lists the hierarchy's hubs that own admits, in Nodes()×Hubs order.
+func ownedHubs(h *hierarchy.Hierarchy, own *owner) []int32 {
+	var out []int32
+	for _, node := range h.Nodes() {
+		for _, hub := range node.Hubs {
+			if own.hub(hub) {
+				out = append(out, hub)
+			}
+		}
+	}
+	return out
+}
+
 // checkShard rejects a machine index outside an n-way split.
 func checkShard(i, n int) error {
 	if n < 1 || i < 0 || i >= n {
 		return fmt.Errorf("core: shard %d of %d does not exist", i, n)
 	}
 	return nil
-}
-
-// split returns every machine's slice of h under an n-way split — the
-// one shard-assignment rule behind Split and SplitDisk.
-func split(h *hierarchy.Hierarchy, n int) ([]*owner, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: cannot split into %d shards", n)
-	}
-	owners := make([]*owner, n)
-	for i := range owners {
-		owners[i] = &owner{index: i, total: n, h: h}
-	}
-	return owners, nil
 }
 
 // serve answers one query: node u alone when set is nil, else the

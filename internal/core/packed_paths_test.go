@@ -47,9 +47,9 @@ func TestShardPackedMatchesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	pref := Preference{Nodes: []int32{1, 7, 42}, Weights: []float64{1, 2, 3}}
-	for _, sh := range shards {
+	for i, sh := range shards {
 		for _, u := range sampleQueries(s) {
-			v, err := sh.QueryVector(u)
+			v, err := sh.Query(u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,10 +58,10 @@ func TestShardPackedMatchesVector(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(p.Unpack(), v) {
-				t.Fatalf("shard %d u=%d: packed share differs", sh.Index, u)
+				t.Fatalf("shard %d u=%d: packed share differs", i, u)
 			}
 		}
-		v, err := sh.QuerySetVector(pref)
+		v, err := sh.QuerySet(pref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestShardPackedMatchesVector(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p.Unpack(), v) {
-			t.Fatalf("shard %d: packed set share differs", sh.Index)
+			t.Fatalf("shard %d: packed set share differs", i)
 		}
 	}
 }

@@ -88,8 +88,8 @@ func TestQuerySetRejectsNonFiniteWeights(t *testing.T) {
 		if _, err := s.QuerySet(p); err == nil {
 			t.Errorf("Store.QuerySet(%v) accepted", w)
 		}
-		if _, err := shards[0].QuerySetVector(p); err == nil {
-			t.Errorf("Shard.QuerySetVector(%v) accepted", w)
+		if _, err := shards[0].QuerySet(p); err == nil {
+			t.Errorf("Shard.QuerySet(%v) accepted", w)
 		}
 	}
 	got, err := s.QuerySet(Preference{Nodes: []int32{5, 9}, Weights: []float64{1.2e308, 0.4e308}})
@@ -120,7 +120,7 @@ func TestShardQuerySetSumsToCentral(t *testing.T) {
 	}
 	sum := sparse.New(0)
 	for _, sh := range shards {
-		v, err := sh.QuerySetVector(pref)
+		v, err := sh.QuerySet(pref)
 		if err != nil {
 			t.Fatal(err)
 		}

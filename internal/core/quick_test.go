@@ -59,7 +59,7 @@ func TestQuickExactnessRandomized(t *testing.T) {
 			}
 			sum := sparse.New(0)
 			for _, sh := range shards {
-				v, err := sh.QueryVector(u)
+				v, err := sh.Query(u)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -88,7 +88,7 @@ func TestDealRanksStableAcrossUpdates(t *testing.T) {
 		}
 		out := make(map[int32]int)
 		for i, sh := range shards {
-			for h := range sh.store.HubPartial {
+			for h := range sh.HubPartial {
 				out[h] = i
 			}
 		}
@@ -186,12 +186,11 @@ func TestShardLocalUpdatesMatchSplit(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, w := range workers {
-				got := w.Shard()
-				if got.Index != i || got.Total != n {
-					t.Fatalf("worker %d serves shard %d of %d", i, got.Index, got.Total)
+				if o := w.own; o.index != i || o.total != n {
+					t.Fatalf("worker %d serves shard %d of %d", i, o.index, o.total)
 				}
 				for u := int32(0); u < int32(whole.H.G.NumNodes()); u++ {
-					a, err := got.QueryPacked(u)
+					a, err := w.QueryPacked(u)
 					if err != nil {
 						t.Fatalf("n=%d batch %d worker %d u=%d: %v", n, batch, i, u, err)
 					}
@@ -211,9 +210,9 @@ func TestShardLocalUpdatesMatchSplit(t *testing.T) {
 	}
 }
 
-// TestShardLocalStoreRefusesResplitAndSave: a shard-local store holds a
-// slice, so splitting it again or writing it as a whole store file
-// would silently drop the other machines' vectors.
+// TestShardLocalStoreRefusesResplitAndSave: a shard-local store (or a
+// disk slice) holds a slice, so splitting it again or writing it as a
+// whole store file would silently drop the other machines' vectors.
 func TestShardLocalStoreRefusesResplitAndSave(t *testing.T) {
 	s, ds := diskStoreFixture(t)
 	defer ds.Close()
@@ -221,15 +220,22 @@ func TestShardLocalStoreRefusesResplitAndSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := shards[1].store
+	local := shards[1]
 	if _, err := Split(local, 2); err == nil {
 		t.Fatal("re-splitting a shard-local store must fail")
 	}
 	if err := Save(&bytes.Buffer{}, local); err == nil {
 		t.Fatal("saving a shard-local store must fail")
 	}
-	if sh := local.Shard(); sh.Index != 1 || sh.Total != 2 || sh.store != local {
-		t.Fatalf("shard-local store's Shard = %d of %d", sh.Index, sh.Total)
+	if o := local.own; o == nil || o.index != 1 || o.total != 2 {
+		t.Fatalf("Split's slice 1 of 2 holds %+v", o)
+	}
+	views, err := SplitDisk(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SplitDisk(views[1], 2); err == nil {
+		t.Fatal("re-splitting a disk slice must fail")
 	}
 	live := NewLiveStore(s)
 	if err := live.Narrow(1, 2); err != nil {

@@ -6,9 +6,11 @@
 //     local PPVs — plus the exact query-time construction (§4.3–4.4,
 //     Theorems 1 and 3). GPA (§3) is the special case of a single-level
 //     hierarchy.
-//   - Shard: the per-machine slice of a Store under the paper's
-//     hub-distributed load balancing (§4.4); shard outputs sum to the
-//     exact PPV, one vector per machine per query.
+//   - Split: the per-machine slices of a Store under the paper's
+//     hub-distributed load balancing (§4.4). A slice is itself a Store
+//     (or, from SplitDisk, a DiskStore) holding one machine's vectors;
+//     a query on a slice answers that slice's additive share, and the
+//     shares sum to the exact PPV, one vector per machine per query.
 //   - JWStore: the PPV-JW brute-force baseline (§2.3) with
 //     PageRank-selected hub nodes.
 //
@@ -353,34 +355,88 @@ func (s *Store) computeLeaf(t precomputeTask, sc *ppr.Scratch) (sparse.Packed, e
 }
 
 // Query constructs the exact PPV of u centrally (HGPA on one machine,
-// §6.2.9). See the package comment for the identity used. The fold runs
-// through a pooled dense accumulator — no per-entry hashing, no
-// intermediate maps — and drains once into the map Vector the public
-// API promises.
+// §6.2.9) — or, on a slice from Split or LoadShard, that slice's
+// additive share of it (Algorithm 1 of the paper, with the skeleton
+// hub-entry term included so the shares stay exact; see the package
+// comment). The fold runs through a pooled dense accumulator — no
+// per-entry hashing, no intermediate maps — and drains once into the
+// map Vector the public API promises.
 func (s *Store) Query(u int32) (sparse.Vector, error) {
-	return serve(s, nil, u, nil, (*sparse.Accumulator).Vector)
+	return serve(s, s.own, u, nil, (*sparse.Accumulator).Vector)
 }
 
 // QueryPacked is Query draining into the columnar representation —
 // the form the serving layer encodes straight onto the wire.
 func (s *Store) QueryPacked(u int32) (sparse.Packed, error) {
-	return serve(s, nil, u, nil, (*sparse.Accumulator).Packed)
+	return serve(s, s.own, u, nil, (*sparse.Accumulator).Packed)
 }
 
-// QueryTopK returns the k highest-scoring nodes of u's exact PPV — the
-// common application-facing call (recommendation, link prediction). The
-// top-k selection runs straight off the accumulator: no map, no full
-// sort.
+// QueryTopK returns the k highest-scoring nodes of u's exact PPV (of a
+// slice's share, on a slice) — the common application-facing call
+// (recommendation, link prediction). The top-k selection runs straight
+// off the accumulator: no map, no full sort.
 func (s *Store) QueryTopK(u int32, k int) ([]sparse.Entry, error) {
-	return serve(s, nil, u, nil, drainTopK(k))
+	return serve(s, s.own, u, nil, drainTopK(k))
 }
 
 // QuerySet constructs the exact PPV of a preference node set by
-// linearity. All members fold into one shared accumulator — no
-// per-member intermediate vectors.
+// linearity (on a slice, that slice's share; the slices' shares sum to
+// the whole store's answer, still in one round). All members fold into
+// one shared accumulator — no per-member intermediate vectors.
 func (s *Store) QuerySet(p Preference) (sparse.Vector, error) {
-	return serve(s, nil, 0, &p, (*sparse.Accumulator).Vector)
+	return serve(s, s.own, 0, &p, (*sparse.Accumulator).Vector)
 }
+
+// QuerySetPacked is QuerySet draining into the columnar form the wire
+// protocol encodes directly.
+func (s *Store) QuerySetPacked(p Preference) (sparse.Packed, error) {
+	return serve(s, s.own, 0, &p, (*sparse.Accumulator).Packed)
+}
+
+// QueryWork returns the number of sparse-vector entries the store (or
+// slice) folds to answer a query for u — a deterministic proxy for
+// per-machine compute that is immune to scheduling noise. The paper's
+// load-balance claim (§4.4) is that the MAX of this quantity across
+// machines shrinks as 1/machines; see the fig10 experiment. It runs the
+// query's own fold, so it fails exactly where Query does: a vector the
+// fold needs but the store lacks is ErrMissingVector, not less work.
+func (s *Store) QueryWork(u int32) (int64, error) {
+	w := &workCounter{Store: s}
+	_, err := serve(w, s.own, u, nil, func(*sparse.Accumulator) struct{} { return struct{}{} })
+	return w.work, err
+}
+
+// workCounter is a Store as vectorSource that counts what the fold
+// reads: one skeleton lookup per path hub, and every entry of each
+// vector it fetches (plus the x_h entry a partial adds).
+type workCounter struct {
+	*Store
+	work int64
+}
+
+func (w *workCounter) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
+	r, err := w.Store.pathHubs(u, own, row)
+	w.work += int64(len(r.hubs))
+	return r, err
+}
+
+func (w *workCounter) partial(h int32) (sparse.Packed, error) {
+	p, err := w.Store.partial(h)
+	w.work += int64(p.Len()) + 1
+	return p, err
+}
+
+func (w *workCounter) leaf(u int32) (sparse.Packed, error) {
+	v, err := w.Store.leaf(u)
+	w.work += int64(v.Len())
+	return v, err
+}
+
+// HubCount returns the number of hubs whose vectors the store holds.
+func (s *Store) HubCount() int { return len(s.HubPartial) }
+
+// LeafCount returns the number of leaf vectors the store holds.
+func (s *Store) LeafCount() int { return len(s.LeafPPV) }
 
 // The in-memory vectorSource: no pinning (a Store snapshot is immutable
 // while served), and a path walk that reads s_u(h) from the skeleton
@@ -472,17 +528,23 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// SpaceBytes reports the encoded size of all stored vectors — the space
-// metric of §6.2.2/§6.2.4.
+// SpaceBytes reports the space of all stored vectors — the space
+// metric of §6.2.2/§6.2.4, and on a slice the per-machine space of
+// §6.2.3 (no redundancy across machines).
 func (s *Store) SpaceBytes() int64 {
 	var total int64
 	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
 		for _, v := range m {
-			total += int64(sparse.EncodedSizePacked(v))
+			total += vectorBytes(v.Len())
 		}
 	}
 	return total
 }
+
+// vectorBytes is the one space measure of a stored vector of n entries,
+// whichever backend holds it: its packed encoding, 4+12n bytes
+// (sparse.EncodedSizePacked).
+func vectorBytes(n int) int64 { return 4 + 12*int64(n) }
 
 // Stats summarizes the store for experiment reports.
 type Stats struct {

@@ -162,7 +162,7 @@ func TestApplyUpdatesShardsStayExact(t *testing.T) {
 		}
 		sum := sparse.New(64)
 		for _, sh := range shards {
-			v, err := sh.QueryVector(u)
+			v, err := sh.Query(u)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -366,9 +366,9 @@ func runBalance(cfg Config) ([]Table, error) {
 		Title:  fmt.Sprintf("Shard balance on Web analogue, %d machines", cfg.Machines),
 		Header: []string{"Shard", "Hubs", "Leaves", "Space(MB)"},
 	}
-	for _, sh := range shards {
+	for i, sh := range shards {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(sh.Index), fmt.Sprint(sh.HubCount()),
+			fmt.Sprint(i), fmt.Sprint(sh.HubCount()),
 			fmt.Sprint(sh.LeafCount()), mb(sh.SpaceBytes()),
 		})
 	}
