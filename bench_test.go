@@ -537,106 +537,57 @@ func BenchmarkLoadShard(b *testing.B) {
 	}
 }
 
-var diskBenchModes = []struct {
-	name string
-	opts core.DiskOptions
-}{
-	{"mmap", core.DiskOptions{}},
-	{"fallback", core.DiskOptions{DisableMmap: true}},
-}
-
 // BenchmarkDiskStoreQuery measures the disk-resident query path (§5.2's
 // "vectors larger than main memory" deployment) against the in-memory
-// BenchmarkHGPACentral: cold-cache (64-vector cap, the historical
-// configuration — every query pays real fetches) and hot-cache (default
-// cap, warmed — the steady serving state), over both the zero-copy mmap
-// path and the ReadAt fallback.
+// BenchmarkHGPACentral: one goroutine folding views over the mapped
+// store file, with the page cache warm.
 func BenchmarkDiskStoreQuery(b *testing.B) {
 	f := benchFixture(b)
-	path := benchStorePath(b)
+	ds, err := core.OpenDiskStore(benchStorePath(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
 	qs := benchQueries(f.g, 16)
-	for _, mode := range diskBenchModes {
-		for _, temp := range []string{"cold", "hot"} {
-			b.Run(temp+"/"+mode.name, func(b *testing.B) {
-				opts := mode.opts
-				if temp == "cold" {
-					opts.CacheCap = 64 // force real disk traffic
-				}
-				ds, err := core.OpenDiskStoreWith(path, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer ds.Close()
-				for _, u := range qs {
-					if _, err := ds.Query(u); err != nil { // warm (evicted again when cold)
-						b.Fatal(err)
-					}
-				}
-				base := ds.Stats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ds.Query(qs[i%len(qs)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := ds.Stats()
-				b.ReportMetric(float64(st.Reads-base.Reads)/float64(b.N), "reads/query")
-			})
+	for _, u := range qs {
+		if _, err := ds.Query(u); err != nil { // fault the pages in
+			b.Fatal(err)
 		}
 	}
+	base := ds.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ds.Query(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ds.Stats().Reads-base.Reads)/float64(b.N), "reads/query")
 }
 
-// BenchmarkDiskServeConcurrent is the disk store under parallel serving
-// traffic. The mixed variant spreads queries over the node set with a
-// cold cache; the hotkey variant hammers one node so the reported
-// reads/query shows the coalescing fix (reads ≪ in-flight queries).
+// BenchmarkDiskServeConcurrent is the mapped disk store under parallel
+// serving traffic spread over the node set.
 func BenchmarkDiskServeConcurrent(b *testing.B) {
 	f := benchFixture(b)
-	path := benchStorePath(b)
-	qs := benchQueries(f.g, 16)
-	for _, mode := range diskBenchModes {
-		for _, load := range []string{"mixed-cold", "hotkey"} {
-			b.Run(load+"/"+mode.name, func(b *testing.B) {
-				opts := mode.opts
-				if load == "mixed-cold" {
-					opts.CacheCap = 64
-				}
-				ds, err := core.OpenDiskStoreWith(path, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer ds.Close()
-				// hotkey keeps the default cache: the storm of parallel
-				// queries misses together once at the start, coalesces to
-				// one read per distinct vector, and reads/query ≪ 1 —
-				// the deterministic assertion lives in
-				// TestDiskStoreMissStormCoalesces.
-				base := ds.Stats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := 0
-					for pb.Next() {
-						u := qs[0]
-						if load == "mixed-cold" {
-							u = qs[i%len(qs)]
-							i++
-						}
-						if _, err := ds.QueryPacked(u); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.StopTimer()
-				st := ds.Stats()
-				n := float64(b.N)
-				b.ReportMetric(float64(st.Reads-base.Reads)/n, "reads/query")
-				b.ReportMetric(float64(st.CoalescedReads-base.CoalescedReads)/n, "coalesced/query")
-			})
-		}
+	ds, err := core.OpenDiskStore(benchStorePath(b))
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer ds.Close()
+	qs := benchQueries(f.g, 16)
+	base := ds.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := ds.QueryPacked(qs[i%len(qs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(ds.Stats().Reads-base.Reads)/float64(b.N), "reads/query")
 }
 
 // BenchmarkMonteCarlo measures the random-walk estimator [5] at a walk

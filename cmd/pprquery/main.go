@@ -42,12 +42,12 @@ func main() {
 			fatal(err)
 		}
 		st := ds.Stats()
-		mode := "readat-fallback"
+		mode := "in-memory copy"
 		if st.Mmap {
 			mode = "mmap"
 		}
-		fmt.Printf("disk-resident query (%s): %v — %d reads, %d cache hits\n",
-			mode, time.Since(start).Round(time.Microsecond), st.Reads, st.CacheHits)
+		fmt.Printf("disk-resident query (%s): %v — %d reads\n",
+			mode, time.Since(start).Round(time.Microsecond), st.Reads)
 		printTop(ppv, q, *topk)
 		return
 	}

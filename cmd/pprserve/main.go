@@ -33,9 +33,8 @@
 // Add -disk to serve straight from the store file instead of loading it
 // into memory — the §5.2 "vectors larger than main memory" deployment.
 // The file is memory-mapped and vectors are folded zero-copy out of the
-// page cache, through a 1,024-vector cache. Works in both worker and
-// local gateway mode; /stats then reports the disk cache and coalescing
-// counters. -disk serving is read-only: it cannot be combined with
+// page cache. Works in both worker and local gateway mode; /stats then
+// reports the records read and whether the file is mapped. -disk serving is read-only: it cannot be combined with
 // -updates.
 //
 // Gateway endpoints: GET /ppv/{node}?topk=K, POST /ppv (batch or
@@ -187,7 +186,7 @@ func diskMode(ds *core.DiskStore) string {
 	if ds.Stats().Mmap {
 		return "mmap"
 	}
-	return "readat-fallback"
+	return "in-memory copy"
 }
 
 func dialCoordinator(workerList string, conns int) *cluster.Coordinator {

@@ -200,17 +200,15 @@ func PowerIterationSet(g *Graph, pref []int32, p Params) (Vector, error) {
 type Preference = core.Preference
 
 // DiskStore answers exact queries straight from a store file, for
-// pre-computations larger than memory: memory-mapped zero-copy serving,
-// a transposed skeleton index, and a sharded coalescing vector cache.
+// pre-computations larger than memory: memory-mapped zero-copy serving
+// (the OS page cache is its vector cache) and a transposed skeleton
+// index.
 // SplitDisk returns one DiskStore view per machine; a query on a view
 // answers that machine's additive share.
 type DiskStore = core.DiskStore
 
-// DiskOptions tunes OpenDiskStoreWith (mmap on/off, cache capacity).
-type DiskOptions = core.DiskOptions
-
-// DiskStats is a snapshot of a DiskStore's serving counters (cache
-// hits/misses, coalesced reads, mmap vs fallback).
+// DiskStats is a snapshot of a DiskStore's serving counters (records
+// read, mmap or in-memory copy).
 type DiskStats = core.DiskStats
 
 // DiskCluster is a coordinator over in-process disk slices; its
@@ -218,18 +216,13 @@ type DiskStats = core.DiskStats
 type DiskCluster = cluster.DiskCluster
 
 // OpenDiskStore opens a store file for on-demand (disk-resident)
-// querying with default options; see core.DiskStore.
+// querying; see core.DiskStore.
 func OpenDiskStore(path string) (*DiskStore, error) { return core.OpenDiskStore(path) }
-
-// OpenDiskStoreWith is OpenDiskStore with explicit serving options.
-func OpenDiskStoreWith(path string, opts DiskOptions) (*DiskStore, error) {
-	return core.OpenDiskStoreWith(path, opts)
-}
 
 // SplitDisk divides a disk store across n machines with the same
 // assignment as Split, so disk and memory slice shares are
-// interchangeable. The views share ds's file, mapping and cache;
-// closing any of them closes all.
+// interchangeable. The views share ds's file bytes; closing any of
+// them closes all.
 func SplitDisk(ds *DiskStore, n int) ([]*DiskStore, error) { return core.SplitDisk(ds, n) }
 
 // NewDiskLocalCluster shards a disk store across n in-process machines

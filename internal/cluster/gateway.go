@@ -403,19 +403,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		"avg_wall_ns":    avg,
 		"uptime_s":       time.Since(g.start).Seconds(),
 	}
-	// Disk-resident backends surface their serving counters so cache or
-	// mmap regressions are observable in production, not just in benches.
+	// Disk-resident backends surface their serving counters so mmap
+	// regressions are observable in production, not just in benches.
 	if p, ok := g.backend.(interface{ DiskStats() core.DiskStats }); ok {
 		ds := p.DiskStats()
-		stats["disk"] = map[string]any{
-			"cache_hits":      ds.CacheHits,
-			"cache_misses":    ds.CacheMisses,
-			"coalesced_reads": ds.CoalescedReads,
-			"reads":           ds.Reads,
-			"evictions":       ds.Evictions,
-			"cached":          ds.Cached,
-			"mmap":            ds.Mmap,
-		}
+		stats["disk"] = map[string]any{"reads": ds.Reads, "mmap": ds.Mmap}
 	}
 	writeJSON(w, http.StatusOK, stats)
 }

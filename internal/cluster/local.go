@@ -56,9 +56,8 @@ func (m *LocalMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]
 
 // DiskCluster is a Coordinator over in-process disk slices: the
 // single-host serving setup for pre-computations larger than memory.
-// All slices share the store's memory map and coalescing cache, so
-// concurrent HTTP traffic through a gateway exercises the zero-copy
-// path end to end. Its DiskStats method feeds the gateway's /stats.
+// All slices share the store's memory map, so concurrent HTTP traffic
+// through a gateway exercises the zero-copy path end to end. Its DiskStats method feeds the gateway's /stats.
 type DiskCluster struct {
 	*Coordinator
 	ds *core.DiskStore
@@ -82,8 +81,8 @@ func NewDiskLocalCluster(ds *core.DiskStore, n int) (*DiskCluster, error) {
 	return &DiskCluster{Coordinator: coord, ds: ds}, nil
 }
 
-// DiskStats exposes the underlying store's serving counters (cache
-// hits/misses, coalesced reads, mmap vs fallback) for /stats.
+// DiskStats exposes the underlying store's serving counters (records
+// read, mmap or in-memory copy) for /stats.
 func (c *DiskCluster) DiskStats() core.DiskStats { return c.ds.Stats() }
 
 // Store returns the shared disk store (e.g. to Close it on shutdown).

@@ -16,7 +16,7 @@ import (
 )
 
 // Store files are untrusted bytes: every malformed input must end in an
-// error from Load or OpenDiskStoreWith (or, when the framing is sound,
+// error from Load or OpenDiskStore (or, when the framing is sound,
 // in answers), never in a panic or an allocation sized by the file.
 
 // storeHeaderLen is the byte length of a store file's header: magic,
@@ -42,8 +42,8 @@ func openBoth(t *testing.T, data []byte) []error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
-		ds, err := OpenDiskStoreWith(path, opts)
+	for _, mapped := range []bool{true, false} {
+		ds, err := openDiskStore(path, mapped)
 		if err == nil {
 			ds.Close()
 		}
@@ -232,8 +232,8 @@ func FuzzStoreParams(f *testing.F) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
-			if ds, err := OpenDiskStoreWith(path, opts); err == nil {
+		for _, mapped := range []bool{true, false} {
+			if ds, err := openDiskStore(path, mapped); err == nil {
 				check("OpenDiskStore", ds.Params, ds.QueryPacked)
 				ds.Close()
 			}
@@ -308,8 +308,8 @@ func FuzzStoreSections(f *testing.F) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []DiskOptions{{}, {DisableMmap: true}} {
-			ds, err := OpenDiskStoreWith(path, opts)
+		for _, mapped := range []bool{true, false} {
+			ds, err := openDiskStore(path, mapped)
 			if err != nil {
 				continue
 			}

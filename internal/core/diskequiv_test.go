@@ -12,14 +12,13 @@ import (
 
 // The cross-path equivalence suite: every way of serving a saved store —
 // in-memory (Load), disk-resident over a memory map, and disk-resident
-// over the ReadAt fallback — must return BIT-IDENTICAL vectors. The
+// over a copy of the file read into memory — must return BIT-IDENTICAL
+// vectors. The
 // transposed hub-plan index preserves the exact floating-point fold
 // order of the in-memory query, so equality here is ==, not a tolerance.
 
 type diskVariant struct {
 	name string
-	path string
-	opts DiskOptions
 	ds   *DiskStore
 }
 
@@ -37,21 +36,17 @@ func equivFixture(t *testing.T) (*Store, []diskVariant, []*Store) {
 	}
 
 	var variants []diskVariant
-	for _, spec := range []struct {
-		name string
-		path string
-		opts DiskOptions
-	}{
-		{"mmap/v2", v2, DiskOptions{}},
-		{"fallback/v2", v2, DiskOptions{DisableMmap: true}},
-		{"tiny-cache/v2", v2, DiskOptions{CacheCap: 2}}, // constant eviction
-	} {
-		ds, err := OpenDiskStoreWith(spec.path, spec.opts)
+	for _, mapped := range []bool{true, false} {
+		name := "in-memory"
+		if mapped {
+			name = "mmap"
+		}
+		ds, err := openDiskStore(v2, mapped)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		t.Cleanup(func() { ds.Close() })
-		variants = append(variants, diskVariant{spec.name, spec.path, spec.opts, ds})
+		variants = append(variants, diskVariant{name, ds})
 	}
 
 	var loaded []*Store
@@ -205,9 +200,8 @@ func TestDiskShardsMatchMemoryShards(t *testing.T) {
 	}
 }
 
-// TestDiskStoreConcurrentEquivalence: the sharded cache and coalescing
-// paths stay bit-identical under concurrent mixed traffic (run with
-// -race in CI).
+// TestDiskStoreConcurrentEquivalence: both byte sources stay
+// bit-identical under concurrent mixed traffic (run with -race in CI).
 func TestDiskStoreConcurrentEquivalence(t *testing.T) {
 	s, variants, _ := equivFixture(t)
 	queries := sampleQueries(s)
@@ -220,13 +214,7 @@ func TestDiskStoreConcurrentEquivalence(t *testing.T) {
 		want[i] = w
 	}
 	for _, v := range variants {
-		opts := v.opts
-		opts.CacheCap = 8 // force eviction + coalescing pressure
-		ds, err := OpenDiskStoreWith(v.path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
+		ds := v.ds
 		var wg sync.WaitGroup
 		errCh := make(chan error, 32)
 		for w := 0; w < 8; w++ {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"exactppr/internal/hierarchy"
 	"exactppr/internal/mmapfile"
@@ -17,29 +18,26 @@ import (
 // by Save/SaveFile, reading vectors on demand instead of materializing
 // them in memory. The paper points out that pre-computed vectors "could
 // likely be larger than available main memory" and suggests a disk-based
-// implementation (§5.2); this is that implementation, built around three
+// implementation (§5.2); this is that implementation, built around two
 // compounding serving optimisations:
 //
-//   - Zero-copy mmap. The store file is memory-mapped by default and
-//     vector payloads are served as sparse.PackedView slices aliasing
-//     the mapping — no read buffer, no decode copy; the OS page cache is
-//     the real vector cache. Unsupported platforms and map failures
-//     fall back to the portable ReadAt+decode path, which tests also
-//     select with DiskOptions.DisableMmap.
+//   - Zero-copy mmap. The store file is memory-mapped and vector
+//     payloads are served as sparse.PackedView slices aliasing the
+//     mapping — no read buffer, no decode copy, no vector cache of its
+//     own: the OS page cache is the vector cache. Where mapping is
+//     unsupported or fails, the file is read into one heap buffer at
+//     open and served through the same views.
 //   - Transposed skeleton index. A query folds exactly one hub-plan row
 //     (leaf + Σ (h, S_u(h))·partial) instead of fetching every path
 //     hub's entire skeleton vector to read a single scalar. The store
 //     file carries the transpose as its fourth section.
-//   - Sharded coalescing cache. Decoded vectors (views, in mmap mode)
-//     live in an N-way sharded CLOCK cache with per-key singleflight, so
-//     a miss storm on a hot hub issues ONE read however many queries are
-//     in flight. See diskcache.go.
 //
 // Only the graph, the hierarchy, and an offset index are always
-// resident; vector payloads stay on disk (or in the page cache). Queries
-// run the same fold as the in-memory Store (fold.go), with the plan row
-// as the source of each path hub's s_u(h), so disk and memory answers
-// are bit-identical.
+// resident; vector payloads stay on disk (or in the page cache). Every
+// record is checked each time it is viewed, so a corrupt file fails the
+// query that reads it. Queries run the same fold as the in-memory Store
+// (fold.go), with the plan row as the source of each path hub's s_u(h),
+// so disk and memory answers are bit-identical.
 //
 // A DiskStore holds the whole store, or — from SplitDisk — one
 // machine's slice of it: a view over the same open file that folds only
@@ -54,29 +52,29 @@ type DiskStore struct {
 	own *owner // the slice this view serves; nil for the whole store
 }
 
-// diskFile is the open store file every slice of it shares: the file,
-// its mapping, the offset index and the vector cache. It is the disk
-// vectorSource.
+// diskFile is the open store file every slice of it shares: the file's
+// bytes and the offset index. It is the disk vectorSource.
 type diskFile struct {
 	H      *hierarchy.Hierarchy
 	Params ppr.Params
 
-	f    *os.File
-	data []byte // mmap of the whole file; nil on the fallback path
+	// data is the whole store file: a read-only mapping, or a heap copy
+	// read at open where mapping is unsupported or fails (mapped false).
+	data   []byte
+	mapped bool
 
 	idx [numSections]map[int32]span // hub partials, skeletons, leaf PPVs, hub plans
 
-	// fmu guards the file AND mapping lifecycle. Queries hold it shared
-	// for their entire duration — not just across the read — because in
-	// mmap mode the vectors being folded are views over the mapping;
-	// Close takes it exclusively, so it cannot unmap bytes an in-flight
-	// fold is reading. Drained results never alias the mapping (the
-	// accumulator copies on drain), so nothing escapes the lock.
+	// fmu guards the mapping's lifecycle. Queries hold it shared for
+	// their entire duration — not just across the read — because the
+	// vectors being folded are views over data; Close takes it
+	// exclusively, so it cannot unmap bytes an in-flight fold is
+	// reading. Drained results never alias data (the accumulator copies
+	// on drain), so nothing escapes the lock.
 	fmu    sync.RWMutex
 	closed bool
 
-	cache *vecCache
-	stats diskCounters
+	reads atomic.Int64 // records viewed
 }
 
 // ErrStoreClosed reports a query against a DiskStore after Close.
@@ -92,11 +90,6 @@ type span struct {
 // padding when n is odd).
 func (sp span) entries() int { return (int(sp.len) - 8) / 12 }
 
-type cacheKey struct {
-	section int8
-	key     int32
-}
-
 const (
 	secHubPartial = 0
 	secSkeleton   = 1
@@ -104,87 +97,83 @@ const (
 	secHubPlan    = 3
 )
 
-// defaultCacheCap bounds the vector cache when DiskOptions.CacheCap is
-// zero. In mmap mode the cache holds slice headers, not payloads, so
-// this is a count of cheap entries; in fallback mode it bounds real heap
-// copies.
-const defaultCacheCap = 1024
+// DiskOptions is empty: the disk store has no serving options.
+//
+// Deprecated: the perfbench module still names this; it goes with
+// perfbench's next change.
+type DiskOptions struct{}
 
-// DiskOptions tunes OpenDiskStoreWith. The serving commands open with
-// the zero value; tests set the fields to drive the fallback path and
-// cache eviction.
-type DiskOptions struct {
-	// DisableMmap forces the portable ReadAt+decode path even where
-	// mapping would work — the only path on platforms without mmap.
-	DisableMmap bool
-	// CacheCap bounds the number of cached vectors (0 = default 1024;
-	// minimum 1 per cache shard).
-	CacheCap int
-}
+// OpenDiskStoreWith is OpenDiskStore.
+//
+// Deprecated: the perfbench module still names this; it goes with
+// perfbench's next change.
+func OpenDiskStoreWith(path string, _ DiskOptions) (*DiskStore, error) { return OpenDiskStore(path) }
 
 // DiskStats is a snapshot of the serving counters, exposed through the
-// gateway's /stats so cache and mmap regressions are observable in
-// production, not just in benchmarks.
+// gateway's /stats so mmap regressions are observable in production,
+// not just in benchmarks.
 type DiskStats struct {
-	// CacheHits/CacheMisses count cache probes.
-	CacheHits, CacheMisses int64
-	// CoalescedReads counts misses that waited on another query's
-	// in-flight read instead of issuing their own (the miss-storm fix:
-	// under a hot-key storm this approaches CacheMisses while Reads
-	// stays near the distinct-vector count).
-	CoalescedReads int64
-	// Reads counts actual payload loads (ReadAt+decode, or view
-	// construction in mmap mode).
+	// Reads counts the vector and plan records viewed.
 	Reads int64
-	// Evictions counts CLOCK evictions.
-	Evictions int64
-	// Cached is the current number of cached vectors.
-	Cached int
-	// Mmap reports whether the store is serving zero-copy from a
-	// memory-mapped file (false: the ReadAt fallback).
+	// Mmap reports whether the store serves from a memory-mapped file
+	// (false: from a copy of the file read into memory at open).
 	Mmap bool
+
+	// These always read 0.
+	//
+	// Deprecated: the perfbench module still names these; they go with
+	// perfbench's next change.
+	CacheHits, CacheMisses, CoalescedReads, Evictions int64
 }
 
-// OpenDiskStore opens a store file for on-demand querying with default
-// options (mmap on, 1024-vector cache).
-func OpenDiskStore(path string) (*DiskStore, error) {
-	return OpenDiskStoreWith(path, DiskOptions{})
-}
+// OpenDiskStore opens a store file for on-demand querying. The header,
+// graph, and hierarchy are loaded; vector payloads are indexed by offset
+// and served zero-copy from a read-only memory map — or, where mapping
+// is unsupported or fails, from one copy of the file read into memory.
+func OpenDiskStore(path string) (*DiskStore, error) { return openDiskStore(path, true) }
 
-// OpenDiskStoreWith opens a store file for on-demand querying. The
-// header, graph, and hierarchy are loaded; vector payloads are indexed
-// by offset and (unless mapping is disabled or unavailable) served
-// zero-copy from a read-only memory map.
-func OpenDiskStoreWith(path string, opts DiskOptions) (*DiskStore, error) {
+// openDiskStore is OpenDiskStore with the mapping optional: mapped
+// false reads the file into memory even where mapping would work.
+func openDiskStore(path string, mapped bool) (*DiskStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // a mapping outlives its file descriptor
 	df, err := indexStoreFile(f)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	cap := opts.CacheCap
-	if cap <= 0 {
-		cap = defaultCacheCap
+	if mapped {
+		// A failed map (no mmap on the platform, a filesystem that
+		// refuses it) falls back to reading the file: same answers.
+		df.data, err = mmapfile.Map(f)
+		df.mapped = err == nil
 	}
-	df.cache = newVecCache(0, cap)
-	if !opts.DisableMmap {
-		// Mapping failures (platform without mmap, exotic filesystems)
-		// degrade to the ReadAt path silently: same answers, fewer tricks.
-		if data, err := mmapfile.Map(f); err == nil {
-			df.data = data
+	if !df.mapped {
+		if df.data, err = readFile(f); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return &DiskStore{diskFile: df}, nil
 }
 
-// Close releases the mapping and the underlying file, for every slice
-// of the store at once. It blocks until in-flight queries drain —
-// cached vector views alias the mapping, so unmapping mid-fold would be
-// a fault, not just a race; queries issued afterwards fail with
-// ErrStoreClosed. Close is idempotent.
+// readFile reads the whole of f into one buffer.
+func readFile(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	_, err = f.ReadAt(data, 0)
+	return data, err
+}
+
+// Close releases the file's bytes for every slice of the store at once.
+// It blocks until in-flight queries drain — their vector views alias
+// the mapping, so unmapping mid-fold would be a fault, not just a race;
+// queries issued afterwards fail with ErrStoreClosed. Close is
+// idempotent.
 func (d *DiskStore) Close() error {
 	d.fmu.Lock()
 	defer d.fmu.Unlock()
@@ -192,34 +181,18 @@ func (d *DiskStore) Close() error {
 		return nil
 	}
 	d.closed = true
-	d.cache.purge() // cached views must not survive the mapping
 	var err error
-	if d.data != nil {
+	if d.mapped {
 		err = mmapfile.Unmap(d.data)
-		d.data = nil
 	}
-	if cerr := d.f.Close(); err == nil {
-		err = cerr
-	}
+	d.data = nil
 	return err
 }
 
 // Stats snapshots the serving counters, which every slice of the store
-// shares. Safe concurrently with queries and Close (the mapping state
-// is read under the lifecycle lock).
+// shares. Safe concurrently with queries and Close.
 func (d *DiskStore) Stats() DiskStats {
-	d.fmu.RLock()
-	mmap := d.data != nil
-	d.fmu.RUnlock()
-	return DiskStats{
-		CacheHits:      d.stats.hits.Load(),
-		CacheMisses:    d.stats.misses.Load(),
-		CoalescedReads: d.stats.coalesced.Load(),
-		Reads:          d.stats.reads.Load(),
-		Evictions:      d.stats.evictions.Load(),
-		Cached:         d.cache.len(),
-		Mmap:           mmap,
-	}
+	return DiskStats{Reads: d.reads.Load(), Mmap: d.mapped}
 }
 
 // acquire takes the shared lifecycle lock for one query; the caller must
@@ -237,8 +210,8 @@ func (d *diskFile) release() { d.fmu.RUnlock() }
 
 // indexStoreFile parses the header exactly as Load does, then walks the
 // sections recording each payload's span and skipping its bytes.
-func indexStoreFile(f *os.File) (*diskFile, error) {
-	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
+func indexStoreFile(r io.Reader) (*diskFile, error) {
+	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
 	params, opts, g, err := readStoreHeader(cr)
 	if err != nil {
 		return nil, err
@@ -247,7 +220,7 @@ func indexStoreFile(f *os.File) (*diskFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	df := &diskFile{H: h, Params: params, f: f}
+	df := &diskFile{H: h, Params: params}
 	for sec := range df.idx {
 		df.idx[sec] = make(map[int32]span)
 	}
@@ -283,110 +256,62 @@ func (c *countingReader) skip(n int64) error {
 	return err
 }
 
-// fetchBufPool recycles the ReadAt buffers of the non-mmap path: a cache
-// miss used to allocate a fresh payload-sized slice, which at
-// disk-resident cache rates made the read buffer the top allocation of
-// the query path. Both decoders copy out of the buffer, so returning it
-// to the pool before the decoded vector escapes is safe.
-var fetchBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// readPayload returns the raw bytes of one record: a slice of the
-// mapping (alias — do not retain past the lifecycle lock without going
-// through the cache) or a pooled buffer with done() returning it.
-func (d *diskFile) readPayload(sp span) (buf []byte, done func(), err error) {
-	if d.data != nil {
-		end := sp.off + int64(sp.len)
-		if sp.off < 0 || end > int64(len(d.data)) {
-			return nil, nil, fmt.Errorf("core: record at %d+%d outside mapped file (%d bytes)", sp.off, sp.len, len(d.data))
-		}
-		return d.data[sp.off:end:end], func() {}, nil
+// record returns the columns of the record sp spans, aliasing d.data
+// (do not retain past the lifecycle lock), after checking its framing.
+// It counts one read.
+func (d *diskFile) record(sp span) ([]int32, []float64, error) {
+	end := sp.off + int64(sp.len)
+	if sp.off < 0 || end > int64(len(d.data)) {
+		return nil, nil, fmt.Errorf("core: record at %d+%d outside the %d-byte file", sp.off, sp.len, len(d.data))
 	}
-	bp := fetchBufPool.Get().(*[]byte)
-	if cap(*bp) < int(sp.len) {
-		*bp = make([]byte, sp.len)
-	}
-	buf = (*bp)[:sp.len]
-	if _, err := d.f.ReadAt(buf, sp.off); err != nil {
-		fetchBufPool.Put(bp)
-		return nil, nil, err
-	}
-	return buf, func() { fetchBufPool.Put(bp) }, nil
+	d.reads.Add(1)
+	return sparse.ViewColumnar(d.data[sp.off:end:end])
 }
 
-// loadVector decodes one vector record. In mmap mode this is zero-copy:
-// the returned Packed is a view over the mapping.
-func (d *diskFile) loadVector(section int8, key int32) (cval, error) {
+// fetch returns one vector as a view over the file, checked on every
+// call: ids strictly ascending and naming nodes of the graph.
+func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 	sp, ok := d.idx[section][key]
 	if !ok {
-		return cval{}, missingVector(section, key)
+		return sparse.Packed{}, missingVector(section, key)
 	}
-	buf, done, err := d.readPayload(sp)
-	if err != nil {
-		return cval{}, err
-	}
-	defer done()
-	decode := sparse.DecodeColumnar // pooled buffer: must copy
-	if d.data != nil {
-		decode = sparse.ViewColumnar // aliases the mapping
-	}
-	ids, scores, err := decode(buf)
+	ids, scores, err := d.record(sp)
 	var v sparse.Packed
 	if err == nil {
 		v, err = sparse.PackedView(ids, scores)
 	}
 	if err != nil {
-		return cval{}, fmt.Errorf("core: vector for section %d key %d: %w", section, key, err)
+		return sparse.Packed{}, fmt.Errorf("core: vector for section %d key %d: %w", section, key, err)
 	}
-	if !v.InRange(d.H.G.NumNodes()) {
-		return cval{}, fmt.Errorf("core: vector for section %d key %d has out-of-range node ids (corrupt store?)", section, key)
+	if !v.InRange(d.numNodes()) {
+		return sparse.Packed{}, fmt.Errorf("core: vector for section %d key %d has out-of-range node ids (corrupt store?)", section, key)
 	}
-	return cval{vec: v}, nil
+	return v, nil
 }
 
-// fetch reads (and caches) one vector through the coalescing cache.
-func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
-	v, err := d.cache.getOrLoad(cacheKey{section, key}, &d.stats, func() (cval, error) {
-		return d.loadVector(section, key)
-	})
-	return v.vec, err
-}
-
-// plan returns query node u's hub-weight row, fetched and cached like
-// any other vector (a node with no path hubs simply has no row).
+// plan returns query node u's hub-weight row as a view over the file,
+// its hubs checked on every call (a node with no path hubs simply has
+// no row).
 func (d *diskFile) plan(u int32) (planRow, error) {
-	v, err := d.cache.getOrLoad(cacheKey{secHubPlan, u}, &d.stats, func() (cval, error) {
-		sp, ok := d.idx[secHubPlan][u]
-		if !ok {
-			return cval{}, nil
+	sp, ok := d.idx[secHubPlan][u]
+	if !ok {
+		return planRow{}, nil
+	}
+	hubs, s, err := d.record(sp)
+	if err != nil {
+		return planRow{}, fmt.Errorf("core: hub plan for %d: %w", u, err)
+	}
+	n := int32(d.numNodes())
+	for _, h := range hubs {
+		if h < 0 || h >= n {
+			return planRow{}, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", u, h)
 		}
-		buf, done, err := d.readPayload(sp)
-		if err != nil {
-			return cval{}, err
-		}
-		defer done()
-		var hubs []int32
-		var s []float64
-		if d.data != nil {
-			hubs, s, err = sparse.ViewColumnar(buf)
-		} else {
-			hubs, s, err = sparse.DecodeColumnar(buf)
-		}
-		if err != nil {
-			return cval{}, fmt.Errorf("core: hub plan for %d: %w", u, err)
-		}
-		n := int32(d.H.G.NumNodes())
-		for _, h := range hubs {
-			if h < 0 || h >= n {
-				return cval{}, fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", u, h)
-			}
-		}
-		return cval{plan: planRow{hubs: hubs, s: s}}, nil
-	})
-	return v.plan, err
+	}
+	return planRow{hubs: hubs, s: s}, nil
 }
 
 // The disk vectorSource: the lifecycle lock pins the mapping for a
-// whole query, and a path walk is one cached plan row — returned as is
+// whole query, and a path walk is one plan row — returned as is
 // for the whole store, filtered into the scratch row for a slice.
 
 func (d *diskFile) numNodes() int { return d.H.G.NumNodes() }

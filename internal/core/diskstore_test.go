@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,10 +16,12 @@ import (
 
 func diskStoreFixture(t *testing.T) (*Store, *DiskStore) {
 	t.Helper()
-	return diskStoreFixtureWith(t, DiskOptions{})
+	return diskStoreFixtureFrom(t, true)
 }
 
-func diskStoreFixtureWith(t *testing.T, opts DiskOptions) (*Store, *DiskStore) {
+// diskStoreFixtureFrom opens the fixture store mapped, or read into
+// memory when mapped is false.
+func diskStoreFixtureFrom(t *testing.T, mapped bool) (*Store, *DiskStore) {
 	t.Helper()
 	g := testGraph(t, 60)
 	s, err := BuildHGPA(g, hierarchy.Options{Seed: 60}, tightParams(), 2)
@@ -27,7 +32,7 @@ func diskStoreFixtureWith(t *testing.T, opts DiskOptions) (*Store, *DiskStore) {
 	if err := SaveFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := OpenDiskStoreWith(path, opts)
+	ds, err := openDiskStore(path, mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,23 +54,6 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 		}
 		if d := sparse.LInfDistance(got, want); d != 0 {
 			t.Fatalf("u=%d: disk store differs by %v", u, d)
-		}
-	}
-}
-
-func TestDiskStoreTinyCache(t *testing.T) {
-	s, ds := diskStoreFixtureWith(t, DiskOptions{CacheCap: 2}) // constant eviction
-	for _, u := range []int32{0, 50, 100, 150, 0, 50} {
-		want, err := s.Query(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ds.Query(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sparse.LInfDistance(got, want); d != 0 {
-			t.Fatalf("u=%d with tiny cache: %v", u, d)
 		}
 	}
 }
@@ -130,57 +118,109 @@ func writeFileHelper(path string, data []byte) error {
 }
 
 // TestDiskStoreCloseTyped: queries after Close fail with ErrStoreClosed
-// (not a raw *os.File error), and Close is idempotent.
+// (not a raw *os.File error), and Close is idempotent, from either byte
+// source.
 func TestDiskStoreCloseTyped(t *testing.T) {
-	_, ds := diskStoreFixtureWith(t, DiskOptions{CacheCap: 1}) // queries must hit the file
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	_, err := ds.Query(0)
-	if !errors.Is(err, ErrStoreClosed) {
-		t.Fatalf("post-close Query error = %v, want ErrStoreClosed", err)
+	for _, mapped := range []bool{true, false} {
+		_, ds := diskStoreFixtureFrom(t, mapped)
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatalf("mapped=%v: second Close: %v", mapped, err)
+		}
+		_, err := ds.Query(0)
+		if !errors.Is(err, ErrStoreClosed) {
+			t.Fatalf("mapped=%v: post-close Query error = %v, want ErrStoreClosed", mapped, err)
+		}
 	}
 }
 
-// TestDiskStoreMmapOffFallback: with mapping disabled the store serves
-// through the legacy ReadAt path — Stats reports it, and answers stay
-// bit-identical to the in-memory store.
+// TestDiskStoreMmapOffFallback: the mapped file and the copy read into
+// memory — the byte source where mapping is unsupported or fails —
+// serve byte-identical shares for every node, on the whole store and on
+// each slice of a 2-way split, and Stats reports which source is in use.
 func TestDiskStoreMmapOffFallback(t *testing.T) {
-	g := testGraph(t, 61)
-	s, err := BuildHGPA(g, hierarchy.Options{Seed: 62}, tightParams(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := diskStoreFixture(t)
 	path := filepath.Join(t.TempDir(), "s.store")
 	if err := SaveFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := OpenDiskStoreWith(path, DiskOptions{DisableMmap: true})
-	if err != nil {
+	n := int32(s.H.G.NumNodes())
+	var shares [2][][]byte // per source: every node's share, whole store then each slice
+	for i, mapped := range []bool{true, false} {
+		ds, err := openDiskStore(path, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if ds.Stats().Mmap != mapped {
+			t.Fatalf("opened with mapped=%v, Stats().Mmap = %v", mapped, ds.Stats().Mmap)
+		}
+		slices, err := SplitDisk(ds, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, view := range append([]*DiskStore{ds}, slices...) {
+			for u := range n {
+				p, err := view.QueryPacked(u)
+				if err != nil {
+					t.Fatalf("mapped=%v u=%d: %v", mapped, u, err)
+				}
+				shares[i] = append(shares[i], sparse.EncodePacked(p))
+			}
+		}
+		if ds.Stats().Reads == 0 {
+			t.Fatalf("mapped=%v: no reads recorded", mapped)
+		}
+	}
+	for k := range shares[0] {
+		if !bytes.Equal(shares[0][k], shares[1][k]) {
+			t.Fatalf("share %d (view %d, node %d): mapped and in-memory bytes differ", k, k/int(n), k%int(n))
+		}
+	}
+}
+
+// TestDiskStoreChecksEveryFetch: nothing is cached, so a plan row that
+// names an out-of-range hub fails every query of its node — the first
+// and a repeat alike, the same way from either byte source — and never
+// as a caller's mistake.
+func TestDiskStoreChecksEveryFetch(t *testing.T) {
+	s, ds := diskStoreFixture(t)
+	u := int32(-1)
+	for v, sp := range ds.idx[secHubPlan] {
+		if sp.entries() > 0 && (u < 0 || v < u) {
+			u = v
+		}
+	}
+	if u < 0 {
+		t.Fatal("fixture has no non-empty plan row")
+	}
+	data := savedBytes(t, s) // the bytes ds was opened from
+	binary.LittleEndian.PutUint32(data[ds.idx[secHubPlan][u].off+8:], uint32(s.H.G.NumNodes()))
+	path := filepath.Join(t.TempDir(), "bad.store")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
-	if ds.Stats().Mmap {
-		t.Fatal("DisableMmap did not disable the mapping")
-	}
-	for _, u := range sampleQueries(s) {
-		want, err := s.Query(u)
+	var first error
+	for _, mapped := range []bool{true, false} {
+		bad, err := openDiskStore(path, mapped)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ds.Query(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sparse.LInfDistance(got, want); d != 0 {
-			t.Fatalf("u=%d on fallback path: %v", u, d)
+		defer bad.Close()
+		for try := range 2 {
+			_, err := bad.QueryPacked(u)
+			if first == nil {
+				first = err
+			}
+			if err == nil || err.Error() != first.Error() || errors.Is(err, ErrNodeOutOfRange) || errors.Is(err, ErrMissingVector) {
+				t.Fatalf("mapped=%v query %d of u=%d: err = %v, want %v", mapped, try+1, u, err, first)
+			}
 		}
 	}
-	if st := ds.Stats(); st.Reads == 0 {
-		t.Fatal("fallback path recorded no reads")
+	if !strings.Contains(first.Error(), "out-of-range hub") {
+		t.Fatalf("u=%d: err = %v, want an out-of-range hub", u, first)
 	}
 }
 
@@ -258,55 +298,19 @@ func TestDiskStoreCloseWaitsForFold(t *testing.T) {
 	}
 }
 
-// TestDiskStoreMissStormCoalesces: a burst of concurrent queries for the
-// same node on a cold cache issues exactly as many reads as one query
-// would — the singleflight guarantee, observed end to end.
-func TestDiskStoreMissStormCoalesces(t *testing.T) {
-	s, ds := diskStoreFixture(t)
-	u := sampleQueries(s)[0]
-
-	// Reference: the read count of a single cold query on a fresh store.
-	path := filepath.Join(t.TempDir(), "ref.store")
-	if err := SaveFile(path, s); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := OpenDiskStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	if _, err := ref.Query(u); err != nil {
-		t.Fatal(err)
-	}
-	coldReads := ref.Stats().Reads
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if _, err := ds.Query(u); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	st := ds.Stats()
-	if st.Reads != coldReads {
-		t.Fatalf("32-query miss storm did %d reads, want %d (one per distinct vector)", st.Reads, coldReads)
-	}
-}
-
 // TestDiskStoreCloseRace: Close landing in the middle of a storm of
 // concurrent queries must never surface an os-level "file already
 // closed" error (or, in mmap mode, a fault on an unmapped view) —
 // in-flight reads drain, later ones get ErrStoreClosed.
 // Run under -race in CI.
 func TestDiskStoreCloseRace(t *testing.T) {
-	s, ds := diskStoreFixtureWith(t, DiskOptions{CacheCap: 1}) // every fetch hits the file
+	for _, mapped := range []bool{true, false} {
+		closeRace(t, mapped)
+	}
+}
+
+func closeRace(t *testing.T, mapped bool) {
+	s, ds := diskStoreFixtureFrom(t, mapped)
 	n := int32(s.H.G.NumNodes())
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
@@ -330,7 +334,7 @@ func TestDiskStoreCloseRace(t *testing.T) {
 	wg.Wait()
 	select {
 	case err := <-errCh:
-		t.Fatalf("query during Close: %v", err)
+		t.Fatalf("mapped=%v: query during Close: %v", mapped, err)
 	default:
 	}
 }

@@ -89,8 +89,8 @@ func checkShard(i, n int) error {
 //
 // The fold lives in this one frame on purpose: the coordinator runs
 // each in-process machine's call on a fresh goroutine, and a disk fold
-// that misses the cache is deep enough that each frame added above the
-// cache can make those goroutines copy their stacks once more.
+// is deep enough that each frame added above it can make those
+// goroutines copy their stacks once more.
 func serve[T any](src vectorSource, own *owner, u int32, set *Preference, drain func(*sparse.Accumulator) T) (out T, err error) {
 	if err = src.acquire(); err != nil {
 		return out, err

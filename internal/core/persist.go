@@ -354,7 +354,7 @@ func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
 func LoadFile(path string) (*Store, error) { return loadFile(path, 0, 0) }
 
 // LoadShard is LoadFile for machine i of n: it returns the shard-local
-// store that Split(LoadFile(path), n)[i] wraps, without ever decoding —
+// store that Split(LoadFile(path), n)[i] returns, without ever decoding —
 // or allocating — the vectors the other machines own. Their payloads
 // are skipped; the section framing and the plan rows are still checked
 // for every record, and every owned payload is checked in full.

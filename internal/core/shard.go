@@ -37,7 +37,7 @@ func Split(s *Store, n int) ([]*Store, error) {
 // SplitDisk divides the disk store across n machines with Split's
 // assignment, so disk and memory slices of one store own the same
 // vectors and answer the same share bytes. Each slice is a DiskStore
-// view over ds's file, mapping, index and cache: nothing is copied, and
+// view over ds's file bytes and index: nothing is copied, and
 // closing any view closes them all.
 func SplitDisk(ds *DiskStore, n int) ([]*DiskStore, error) {
 	owners, err := split(ds.H, ds.own, n)

@@ -1,12 +1,12 @@
 // Package mmapfile memory-maps read-only files. It exists for the
 // disk-resident serving store: mapping the store file lets the OS page
 // cache hold hot vectors and lets the query path alias vector payloads
-// in place instead of ReadAt-ing them into heap buffers.
+// in place instead of copying them into heap buffers.
 //
 // On platforms without mmap support (or when a map fails at runtime —
 // e.g. a filesystem that refuses MAP_SHARED) Map returns an error and
-// callers fall back to plain file reads; nothing here is load-bearing
-// for correctness, only for speed.
+// callers fall back to reading the whole file into memory; nothing here
+// is load-bearing for correctness, only for speed.
 package mmapfile
 
 import (

@@ -80,8 +80,8 @@ func columnarBounds(buf []byte) (int, int, error) {
 }
 
 // DecodeColumnar parses a columnar payload into freshly allocated
-// columns — the portable path used when the file is read with ReadAt
-// instead of mapped, or when a mapping is misaligned.
+// columns — the store loader's path, and ViewColumnar's when a buffer
+// is misaligned.
 func DecodeColumnar(buf []byte) (ids []int32, scores []float64, err error) {
 	n, so, err := columnarBounds(buf)
 	if err != nil {
@@ -132,8 +132,7 @@ func ViewColumnar(buf []byte) (ids []int32, scores []float64, err error) {
 // caller must (1) never mutate them afterwards — Packed is promised
 // immutable — and (2) not let the Packed outlive the memory backing
 // them. DiskStore enforces (2) by holding its lifecycle lock across
-// every fold that touches a view and dropping all cached views before
-// unmapping.
+// every fold that touches a view, so Close cannot unmap under one.
 func PackedView(ids []int32, scores []float64) (Packed, error) {
 	if len(ids) != len(scores) {
 		return Packed{}, fmt.Errorf("sparse: view has %d ids but %d scores", len(ids), len(scores))
