@@ -1,9 +1,10 @@
-// Command pprquery answers PPV queries against a pre-computed store.
+// Command pprquery answers PPV queries against a pre-computed store. It
+// memory-maps the store file (core.OpenDiskStore) and folds vectors
+// zero-copy out of the page cache, in every mode.
 //
 //	pprquery -store web.store -node 42 -topk 10
 //	pprquery -store web.store -node 42 -machines 6      # simulate a cluster
 //	pprquery -store web.store -node 42 -verify          # check vs power iteration
-//	pprquery -store web.store -node 42 -disk            # serve from the mmap'd file
 package main
 
 import (
@@ -25,41 +26,19 @@ func main() {
 		topk      = flag.Int("topk", 10, "entries to print")
 		machines  = flag.Int("machines", 0, "simulate an n-machine cluster (0 = centralized)")
 		verify    = flag.Bool("verify", false, "compare against power iteration")
-		disk      = flag.Bool("disk", false, "serve vectors from disk instead of loading the store into memory")
 	)
 	flag.Parse()
 
-	q := int32(*node)
-	if *disk {
-		ds, err := core.OpenDiskStore(*storePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer ds.Close()
-		start := time.Now()
-		ppv, err := ds.Query(q)
-		if err != nil {
-			fatal(err)
-		}
-		st := ds.Stats()
-		mode := "in-memory copy"
-		if st.Mmap {
-			mode = "mmap"
-		}
-		fmt.Printf("disk-resident query (%s): %v — %d reads\n",
-			mode, time.Since(start).Round(time.Microsecond), st.Reads)
-		printTop(ppv, q, *topk)
-		return
-	}
-
-	store, err := core.LoadFile(*storePath)
+	ds, err := core.OpenDiskStore(*storePath)
 	if err != nil {
 		fatal(err)
 	}
+	defer ds.Close()
+	q := int32(*node)
 	var ppv sparse.Vector
 	start := time.Now()
 	if *machines > 0 {
-		coord, err := cluster.NewLocalCluster(store, *machines)
+		coord, err := cluster.NewDiskLocalCluster(ds, *machines)
 		if err != nil {
 			fatal(err)
 		}
@@ -72,22 +51,28 @@ func main() {
 			*machines, stats.Wall.Round(time.Microsecond),
 			float64(stats.BytesReceived)/1024, stats.MaxMachineTime().Round(time.Microsecond))
 	} else {
-		ppv, err = store.Query(q)
+		ppv, err = ds.Query(q)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("centralized query: %v\n", time.Since(start).Round(time.Microsecond))
+		st := ds.Stats()
+		mode := "in-memory copy"
+		if st.Mmap {
+			mode = "mmap"
+		}
+		fmt.Printf("centralized query (%s): %v — %d reads\n",
+			mode, time.Since(start).Round(time.Microsecond), st.Reads)
 	}
 
 	printTop(ppv, q, *topk)
 
 	if *verify {
-		oracle, err := ppr.PowerIteration(store.H.G, q, store.Params)
+		oracle, err := ppr.PowerIteration(ds.H.G, q, ds.Params)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("vs power iteration: avg-L1 %.3e, L∞ %.3e\n",
-			sparse.L1Distance(ppv, oracle)/float64(store.H.G.NumNodes()),
+			sparse.L1Distance(ppv, oracle)/float64(ds.H.G.NumNodes()),
 			sparse.LInfDistance(ppv, oracle))
 	}
 }

@@ -6,16 +6,21 @@
 //
 //	pprserve -store web.store -shard 0 -of 3 -listen :7001
 //
-// A worker loads only its own slice of the store's vectors (about 1/n
-// of them, core.LoadShard) plus the graph and tree; its startup log
-// reports the megabytes of vectors it owns.
+// A read-only worker memory-maps the store file and folds its slice
+// (core.SplitDisk) zero-copy out of the page cache — the paper's §5.2
+// deployment for vectors larger than main memory. Its startup log
+// reports the megabytes of vectors it owns. Records are checked when a
+// query reads them, so a corrupt payload fails the queries that read
+// it, not the worker's startup. Where mmap is unavailable the worker
+// reads the whole file into memory, not just its slice.
 //
 // Add -updates to accept edge-delta batches (UPDATE frames from a
-// coordinator, POST /edges through a gateway): each batch recomputes
-// only the dirty vectors of the worker's slice and swaps the serving
-// snapshot atomically. The worker acknowledges with its own recompute
-// count and a digest of the batch's whole dirty set; the coordinator
-// requires equal digests and reports the summed count.
+// coordinator, POST /edges through a gateway). The worker then loads
+// only its own slice onto the heap (core.LoadShard); each batch
+// recomputes only the dirty vectors of that slice and swaps the
+// serving snapshot atomically. The worker acknowledges with its own
+// recompute count and a digest of the batch's whole dirty set; the
+// coordinator requires equal digests and reports the summed count.
 //
 // Coordinator mode — query workers once and print the result:
 //
@@ -26,16 +31,13 @@
 //
 //	pprserve -coordinator -workers host1:7001,host2:7002 -http :8080
 //
-// or over a local store with in-process shards (single-host quickstart):
+// or over a local store with in-process shards (single-host quickstart),
+// mapped like a read-only worker's, or loaded and live with -updates:
 //
 //	pprserve -store web.store -of 4 -http :8080
 //
-// Add -disk to serve straight from the store file instead of loading it
-// into memory — the §5.2 "vectors larger than main memory" deployment.
-// The file is memory-mapped and vectors are folded zero-copy out of the
-// page cache. Works in both worker and local gateway mode; /stats then
-// reports the records read and whether the file is mapped. -disk serving is read-only: it cannot be combined with
-// -updates.
+// A read-only gateway's /stats reports the records read and whether the
+// file is mapped.
 //
 // Gateway endpoints: GET /ppv/{node}?topk=K, POST /ppv (batch or
 // preference set), POST /edges, GET /healthz, GET /stats. -timeout
@@ -70,7 +72,6 @@ func main() {
 		httpAddr    = flag.String("http", "", "serve the HTTP/JSON gateway on this address")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (gateway and coordinator mode)")
 		updates     = flag.Bool("updates", false, "accept edge-delta updates (worker / local gateway mode)")
-		disk        = flag.Bool("disk", false, "serve vectors from the store file on demand instead of loading it into memory")
 	)
 	flag.Parse()
 
@@ -83,14 +84,10 @@ func main() {
 		runQuery(coord, int32(*node), *topk, *timeout)
 		return
 	}
-	if *disk && *updates {
-		fatal(fmt.Errorf("-disk serving is read-only: drop -updates or serve from memory"))
-	}
-
 	if *httpAddr != "" {
 		// Local gateway: shard the store across in-process machines and
 		// serve HTTP directly — no TCP workers needed on one host.
-		backend, what, err := localCluster(*storePath, *of, *disk, *updates)
+		backend, what, err := localCluster(*storePath, *of, *updates)
 		if err != nil {
 			fatal(err)
 		}
@@ -99,7 +96,7 @@ func main() {
 		return
 	}
 
-	srv, what, err := worker(*storePath, *shard, *of, *disk, *updates)
+	srv, what, err := worker(*storePath, *shard, *of, *updates)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,71 +111,63 @@ func main() {
 }
 
 // localCluster opens the local gateway's backend: of in-process
-// machines over the disk store (-disk), over one live store that
-// POST /edges updates (-updates), or over the loaded store. It also
-// describes the machines for the startup log.
-func localCluster(path string, of int, disk, updates bool) (cluster.Querier, string, error) {
-	if disk {
-		ds, err := core.OpenDiskStore(path)
+// machines over one live store that POST /edges updates (-updates), or
+// over the mapped store file. It also describes the machines for the
+// startup log.
+func localCluster(path string, of int, updates bool) (cluster.Querier, string, error) {
+	if updates {
+		store, err := core.LoadFile(path)
 		if err != nil {
 			return nil, "", err
 		}
-		c, err := cluster.NewDiskLocalCluster(ds, of)
-		return c, "disk shards (" + diskMode(ds) + ")", err
-	}
-	store, err := core.LoadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	if updates {
 		c, err := cluster.NewLiveLocalCluster(store, of)
 		return c, "shards (updates=true)", err
 	}
-	c, err := cluster.NewLocalCluster(store, of)
-	return c, "shards (updates=false)", err
+	ds, err := core.OpenDiskStore(path)
+	if err != nil {
+		return nil, "", err
+	}
+	c, err := cluster.NewDiskLocalCluster(ds, of)
+	return c, "shards (" + diskMode(ds) + ", updates=false)", err
 }
 
-// worker builds the TCP server for machine shard of `of`: a slice of
-// the disk store (-disk), or the shard's slice loaded into memory
-// (core.LoadShard), live when -updates is set. It also describes the
-// slice for the startup log.
-func worker(path string, shard, of int, disk, updates bool) (*cluster.Server, string, error) {
-	srv := &cluster.Server{}
-	var hubs, leaves int
-	var space int64
-	where := "owned"
-	if disk {
-		if shard < 0 || shard >= of {
-			return nil, "", fmt.Errorf("shard %d out of range [0,%d)", shard, of)
-		}
-		ds, err := core.OpenDiskStore(path)
-		if err != nil {
-			return nil, "", err
-		}
-		shards, err := core.SplitDisk(ds, of)
-		if err != nil {
-			return nil, "", err
-		}
-		sh := shards[shard]
-		hubs, leaves, space, where = sh.HubCount(), sh.LeafCount(), sh.SpaceBytes(), "on disk, "+diskMode(ds)
-		srv.Machine = &cluster.LocalMachine{Backend: sh}
-	} else {
+// worker builds the TCP server for machine shard of `of`: a view of the
+// mapped store file, or with -updates the shard's slice loaded onto the
+// heap (core.LoadShard) behind a LiveShard. It also describes the slice
+// for the startup log.
+func worker(path string, shard, of int, updates bool) (*cluster.Server, string, error) {
+	if shard < 0 || shard >= of {
+		return nil, "", fmt.Errorf("shard %d out of range [0,%d)", shard, of)
+	}
+	describe := func(sh interface {
+		HubCount() int
+		LeafCount() int
+		SpaceBytes() int64
+	}, where string) string {
+		return fmt.Sprintf("shard %d/%d (%d hubs, %d leaves, %.2f MB %s, updates=%v)",
+			shard, of, sh.HubCount(), sh.LeafCount(), float64(sh.SpaceBytes())/(1<<20), where, updates)
+	}
+	if updates {
 		store, err := core.LoadShard(path, shard, of)
 		if err != nil {
 			return nil, "", err
 		}
-		hubs, leaves, space = store.HubCount(), store.LeafCount(), store.SpaceBytes()
-		srv.Machine = &cluster.ShardMachine{Shard: store}
-		if updates {
-			live, err := cluster.NewLiveShard(core.NewLiveStore(store), shard, of)
-			if err != nil {
-				return nil, "", err
-			}
-			srv.Machine, srv.Updater = live, live
+		live, err := cluster.NewLiveShard(core.NewLiveStore(store), shard, of)
+		if err != nil {
+			return nil, "", err
 		}
+		return &cluster.Server{Machine: live, Updater: live}, describe(store, "owned"), nil
 	}
-	return srv, fmt.Sprintf("shard %d/%d (%d hubs, %d leaves, %.2f MB %s, updates=%v)",
-		shard, of, hubs, leaves, float64(space)/(1<<20), where, updates), nil
+	ds, err := core.OpenDiskStore(path)
+	if err != nil {
+		return nil, "", err
+	}
+	shards, err := core.SplitDisk(ds, of)
+	if err != nil {
+		return nil, "", err
+	}
+	sh := shards[shard]
+	return &cluster.Server{Machine: &cluster.LocalMachine{Backend: sh}}, describe(sh, "on disk, "+diskMode(ds)), nil
 }
 
 // diskMode names the disk store's serving path for the startup log.

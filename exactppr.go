@@ -19,9 +19,11 @@
 //	    fmt.Println(e.ID, e.Score)
 //	}
 //
-// For a real cluster, persist the store with SaveStore, Split it across
-// machines, serve each slice with cluster workers (see cmd/pprserve and
-// examples/distributed), and point a Coordinator at them.
+// For a real cluster, persist the store with SaveStore, serve one slice
+// per machine with cluster workers, and point a Coordinator at them. A
+// read-only cmd/pprserve worker maps the file and serves its SplitDisk
+// view; examples/distributed wires Split slices the same way in one
+// process.
 package exactppr
 
 import (
@@ -84,8 +86,9 @@ type (
 	QueryStats = cluster.QueryStats
 	// Machine is the worker-side query interface.
 	Machine = cluster.Machine
-	// ShardMachine is an in-process Machine over one slice from Split.
-	ShardMachine = cluster.ShardMachine
+	// LocalMachine is an in-process Machine over a Store or DiskStore:
+	// a slice from Split or SplitDisk answers its machine's share.
+	LocalMachine = cluster.LocalMachine
 	// Gateway serves PPV queries over HTTP/JSON.
 	Gateway = cluster.Gateway
 	// Querier is the backend interface a Gateway serves from

@@ -53,7 +53,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		go (&cluster.Server{Machine: &cluster.ShardMachine{Shard: sh}}).Serve(l)
+		go (&cluster.Server{Machine: &cluster.LocalMachine{Backend: sh}}).Serve(l)
 		m, err := exactppr.DialPool(l.Addr().String(), 1)
 		if err != nil {
 			log.Fatal(err)

@@ -45,6 +45,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("power-iteration check: top node %d (exact construction agrees: %v)\n",
-		oracle.TopK(1)[0].ID, oracle.TopK(1)[0].ID == ppv.TopK(1)[0].ID)
+	top := oracle.TopK(1)[0].ID
+	if top != ppv.TopK(1)[0].ID {
+		log.Fatalf("power iteration's top node %d disagrees with the exact construction's %d", top, ppv.TopK(1)[0].ID)
+	}
+	fmt.Printf("power-iteration check: top node %d (exact construction agrees)\n", top)
 }

@@ -23,9 +23,9 @@
 // Coordinator is transport-agnostic. Every in-process machine is one
 // LocalMachine body over a core.Store or core.DiskStore that drains
 // packed shares: a store holding one machine's slice answers that
-// slice's share, a whole store the whole PPV. ShardMachine and
-// LiveShard (the updatable worker) delegate to it, so every backend
-// encodes its share the same way. Concurrent and
+// slice's share, a whole store the whole PPV. LiveShard (the updatable
+// worker) delegates to it, so every backend encodes its share the same
+// way. Concurrent and
 // sequential fan-outs (QuerySequential) likewise share one decode,
 // byte-accounting, and merge step.
 package cluster
@@ -83,9 +83,10 @@ type UpdateStats struct {
 }
 
 // ShardMachine is an in-process Machine over one machine's slice of a
-// store (core.Split, core.LoadShard), answering that slice's share: a
-// LocalMachine over the slice, kept as a named type for callers that
-// build it as ShardMachine{Shard: sh}.
+// store (core.Split, core.LoadShard), answering that slice's share.
+//
+// Deprecated: use LocalMachine{Backend: sh}. ShardMachine is kept only
+// because the perfbench module still names it.
 type ShardMachine struct {
 	Shard *core.Store
 }

@@ -121,7 +121,7 @@ func TestTCPCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go (&Server{Machine: &ShardMachine{Shard: sh}}).Serve(l)
+		go (&Server{Machine: &LocalMachine{Backend: sh}}).Serve(l)
 		m, err := DialPool(l.Addr().String(), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestTCPWorkerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
 	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestTCPMachineConcurrentSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
 	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestQuerySetDistributed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		go (&Server{Machine: &ShardMachine{Shard: sh}}).Serve(l)
+		go (&Server{Machine: &LocalMachine{Backend: sh}}).Serve(l)
 		m, err := DialPool(l.Addr().String(), 1)
 		if err != nil {
 			t.Fatal(err)

@@ -10,23 +10,6 @@ import (
 	"exactppr/internal/graph"
 )
 
-// shardSlot is an in-process Machine over a swappable slice snapshot:
-// every query reads the current slice through one atomic load, so it is
-// answered entirely against one batch boundary.
-type shardSlot struct {
-	shard atomic.Pointer[core.Store]
-}
-
-// QueryShare implements Machine.
-func (m *shardSlot) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	return (&LocalMachine{Backend: m.shard.Load()}).QueryShare(ctx, u)
-}
-
-// QuerySetShare implements Machine.
-func (m *shardSlot) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	return (&LocalMachine{Backend: m.shard.Load()}).QuerySetShare(ctx, p)
-}
-
 // LiveShard is a Machine over one slice of an updatable store. It holds
 // only its own slice: NewLiveShard narrows the LiveStore to it, and
 // each batch recomputes only the slice's dirty vectors (stable deal
@@ -96,67 +79,68 @@ func updateStats(info *core.UpdateInfo, start time.Time) UpdateStats {
 // -updates` gateway.
 //
 // Unlike a multi-host cluster, queries here are snapshot-atomic across
-// machines: a query holds a read lock over its whole fan-out, and the
-// batch's shard swap takes the write lock, so no query ever sums
-// pre-batch and post-batch shares. The dirty-partition recompute and
-// the re-split run BEFORE the write lock is taken — queries are only
-// excluded for the duration of n pointer swaps.
+// machines: each batch publishes a whole new Coordinator (NewLocalCluster
+// over the new snapshot) behind one atomic pointer, and a query loads
+// that pointer once, so no query ever sums pre-batch and post-batch
+// shares. The dirty-partition recompute and the re-split run while
+// queries keep flowing against the old Coordinator; nothing blocks them.
 type LiveLocalCluster struct {
-	*Coordinator
-	live     *core.LiveStore
-	mu       sync.Mutex   // serializes ApplyUpdates callers
-	rw       sync.RWMutex // queries share it; the shard swap excludes them
-	machines []*shardSlot
+	coord atomic.Pointer[Coordinator]
+	live  *core.LiveStore
+	mu    sync.Mutex // serializes ApplyUpdates callers
 }
 
 // NewLiveLocalCluster shards s across n updatable in-process machines.
 func NewLiveLocalCluster(s *core.Store, n int) (*LiveLocalCluster, error) {
-	shards, err := core.Split(s, n)
+	coord, err := NewLocalCluster(s, n)
 	if err != nil {
 		return nil, err
 	}
 	c := &LiveLocalCluster{live: core.NewLiveStore(s)}
-	machines := make([]Machine, n)
-	for i, sh := range shards {
-		m := &shardSlot{}
-		m.shard.Store(sh)
-		c.machines = append(c.machines, m)
-		machines[i] = m
-	}
-	coord, err := NewCoordinator(machines...)
-	if err != nil {
-		return nil, err
-	}
-	c.Coordinator = coord
+	c.coord.Store(coord)
 	return c, nil
 }
 
 // Store returns the current snapshot (for stats and direct reads).
 func (c *LiveLocalCluster) Store() *core.Store { return c.live.Store() }
 
-// QueryCtx shadows the embedded Coordinator's to hold the snapshot read
-// lock across the whole fan-out (see the type comment).
+// NumMachines returns the cluster size.
+func (c *LiveLocalCluster) NumMachines() int { return c.coord.Load().NumMachines() }
+
+// Query runs one exact PPV query against the current batch's snapshot.
+func (c *LiveLocalCluster) Query(u int32) (*QueryStats, error) {
+	return c.coord.Load().Query(u)
+}
+
+// QueryCtx is Query with per-query cancellation.
 func (c *LiveLocalCluster) QueryCtx(ctx context.Context, u int32) (*QueryStats, error) {
-	c.rw.RLock()
-	defer c.rw.RUnlock()
-	return c.Coordinator.QueryCtx(ctx, u)
+	return c.coord.Load().QueryCtx(ctx, u)
 }
 
-// QuerySetCtx shadows the embedded Coordinator's; see QueryCtx.
+// QuerySet runs a preference-set query against the current snapshot.
+func (c *LiveLocalCluster) QuerySet(p core.Preference) (*QueryStats, error) {
+	return c.coord.Load().QuerySet(p)
+}
+
+// QuerySetCtx is QuerySet with per-query cancellation.
 func (c *LiveLocalCluster) QuerySetCtx(ctx context.Context, p core.Preference) (*QueryStats, error) {
-	c.rw.RLock()
-	defer c.rw.RUnlock()
-	return c.Coordinator.QuerySetCtx(ctx, p)
+	return c.coord.Load().QuerySetCtx(ctx, p)
 }
 
-// SupportsUpdates shadows the embedded Coordinator's probe: the cluster
-// applies batches itself, not through its machines.
+// QuerySequential is Coordinator.QuerySequential against the current
+// snapshot.
+func (c *LiveLocalCluster) QuerySequential(u int32) (*QueryStats, error) {
+	return c.coord.Load().QuerySequential(u)
+}
+
+// SupportsUpdates reports true: the cluster applies batches itself, not
+// through its machines.
 func (c *LiveLocalCluster) SupportsUpdates() bool { return true }
 
-// ApplyUpdates applies the batch once to the shared store and swaps
-// every machine's shard. It deliberately shadows the embedded
-// Coordinator's fan-out: fanning a shared-store delta to n machines
-// would apply it n times.
+// ApplyUpdates applies the batch once to the shared store and publishes
+// a Coordinator over the new snapshot's slices. It does not fan the
+// delta out to the machines: they share one store, so that would apply
+// it n times.
 func (c *LiveLocalCluster) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
@@ -164,24 +148,16 @@ func (c *LiveLocalCluster) ApplyUpdates(ctx context.Context, d graph.Delta) (Upd
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
-	// The expensive part — dirty-partition recompute — runs while
-	// queries keep flowing against the old snapshot.
 	info, err := c.live.ApplyUpdates(d, 0)
 	if err != nil {
 		return UpdateStats{}, err
 	}
 	if info.Inserted+info.Deleted > 0 {
-		shards, err := core.Split(c.live.Store(), len(c.machines))
+		coord, err := NewLocalCluster(c.live.Store(), c.NumMachines())
 		if err != nil {
 			return UpdateStats{}, err
 		}
-		// Swap under the write lock: in-flight queries drain on the old
-		// shards, then every machine flips to the new batch at once.
-		c.rw.Lock()
-		for i, m := range c.machines {
-			m.shard.Store(shards[i])
-		}
-		c.rw.Unlock()
+		c.coord.Store(coord)
 	}
 	return updateStats(info, start), nil
 }

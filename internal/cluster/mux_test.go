@@ -82,7 +82,7 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newGateMachine(&ShardMachine{Shard: shards[0]})
+	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
 	addr, stop := startWorker(t, gate)
 	defer stop()
 	m, err := DialPool(addr, 1)
@@ -165,7 +165,7 @@ func TestThroughputScalesWithConcurrency(t *testing.T) {
 	}
 	const delay = 20 * time.Millisecond
 	const clients = 32
-	addr, stop := startWorker(t, &delayMachine{inner: &ShardMachine{Shard: shards[0]}, delay: delay})
+	addr, stop := startWorker(t, &delayMachine{inner: &LocalMachine{Backend: shards[0]}, delay: delay})
 	defer stop()
 	m, err := DialPool(addr, 1)
 	if err != nil {
@@ -228,7 +228,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	}
 
 	// Doomed worker, gated so queries are provably in flight at the kill.
-	gate := newGateMachine(&ShardMachine{Shard: shards[0]})
+	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	defer doomed.Close()
 
 	// Healthy worker.
-	healthyAddr, stopHealthy := startWorker(t, &ShardMachine{Shard: shards[1]})
+	healthyAddr, stopHealthy := startWorker(t, &LocalMachine{Backend: shards[1]})
 	defer stopHealthy()
 	healthy, err := DialPool(healthyAddr, 1)
 	if err != nil {
@@ -310,7 +310,7 @@ func TestMuxContextTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newGateMachine(&ShardMachine{Shard: shards[0]})
+	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
 	addr, stop := startWorker(t, gate)
 	defer stop()
 	m, err := DialPool(addr, 1)
@@ -353,7 +353,7 @@ func TestCoordinatorTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newGateMachine(&ShardMachine{Shard: shards[0]})
+	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
 	defer close(gate.release)
 	addr, stop := startWorker(t, gate)
 	defer stop()
@@ -381,7 +381,7 @@ func TestPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startWorker(t, &ShardMachine{Shard: shards[0]})
+	addr, stop := startWorker(t, &LocalMachine{Backend: shards[0]})
 	defer stop()
 	p, err := DialPool(addr, 3)
 	if err != nil {
@@ -441,7 +441,7 @@ func TestPool(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer l.Close()
-	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
 	if _, _, err := p.QueryShare(context.Background(), 1); err != nil {
 		t.Fatalf("pool should re-dial a restarted worker: %v", err)
 	}
@@ -457,7 +457,7 @@ func TestCoordinatorConcurrentQueries(t *testing.T) {
 	}
 	var machines []Machine
 	for _, sh := range shards {
-		addr, stop := startWorker(t, &ShardMachine{Shard: sh})
+		addr, stop := startWorker(t, &LocalMachine{Backend: sh})
 		defer stop()
 		m, err := DialPool(addr, 1)
 		if err != nil {
@@ -521,7 +521,7 @@ func BenchmarkTCPCoordinator(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
 	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -570,7 +570,7 @@ func BenchmarkTCPCoordinatorLatency(b *testing.B) {
 	}
 	defer l.Close()
 	const delay = 2 * time.Millisecond
-	go (&Server{Machine: &delayMachine{inner: &ShardMachine{Shard: shards[0]}, delay: delay}}).Serve(l)
+	go (&Server{Machine: &delayMachine{inner: &LocalMachine{Backend: shards[0]}, delay: delay}}).Serve(l)
 	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		b.Fatal(err)

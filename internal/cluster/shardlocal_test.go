@@ -36,7 +36,7 @@ func TestCoordinatorChecksUpdateDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := &Server{Machine: &ShardMachine{Shard: shards[i]}, Updater: fixedUpdater{ack}}
+			srv := &Server{Machine: &LocalMachine{Backend: shards[i]}, Updater: fixedUpdater{ack}}
 			go srv.Serve(l)
 			t.Cleanup(func() { l.Close() })
 			m, err := DialPool(l.Addr().String(), 1)

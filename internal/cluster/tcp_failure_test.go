@@ -60,7 +60,7 @@ func TestWorkerDropsMalformedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
 
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
@@ -98,7 +98,7 @@ func TestCoordinatorPropagatesDeadMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go (&Server{Machine: &ShardMachine{Shard: shards[0]}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
 	m, err := DialPool(l.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,7 @@ func TestTCPClusterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startWorker(t, &ShardMachine{Shard: shards[0]})
+	addr, stop := startWorker(t, &LocalMachine{Backend: shards[0]})
 	defer stop()
 	m, err := DialPool(addr, 1)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestSharePayloadCanonical(t *testing.T) {
 	ctx := context.Background()
 	pref := core.Preference{Nodes: []int32{4, 9}, Weights: []float64{1, 3}}
 	for i, sh := range shards {
-		m := &ShardMachine{Shard: sh}
+		m := &LocalMachine{Backend: sh}
 		for _, u := range []int32{0, 77, 299} {
 			first, _, err := m.QueryShare(ctx, u)
 			if err != nil {
