@@ -9,9 +9,13 @@
 // The serving layer is fully concurrent: the one-round protocol is
 // embarrassingly parallel across queries, so the TCP transport
 // multiplexes many in-flight queries over one connection (request-id
-// demux, see mux.go), workers execute frames on a bounded goroutine pool
-// per connection (tcp.go), and the Coordinator is safe for concurrent
-// Query/QuerySet calls with per-query context cancellation. An
+// demux, see mux.go), workers hand frames to a bounded pool of
+// long-lived handler goroutines per connection (tcp.go), and the
+// Coordinator is safe for concurrent Query/QuerySet calls with
+// per-query context cancellation. Every frame is one write and usually
+// one buffered read; over TCP machines a query starts no goroutine: the
+// caller writes every machine's request itself and then waits on one
+// channel for the replies (Coordinator.fanOutWire). An
 // HTTP/JSON gateway (gateway.go) exposes the whole thing to ordinary web
 // clients. The serving limits are fixed constants, not settings; the
 // gateway's per-query Timeout is the one knob.
@@ -58,6 +62,12 @@ type Machine interface {
 // Updater applies edge-delta batches to a machine's live store.
 // Machines are free not to implement it (a read-only worker); the
 // coordinator refuses to start an update unless every machine does.
+//
+// Having the method does not make a backend updatable: a Coordinator
+// (and so a DiskCluster) always has it, and so does every Pool,
+// whatever its worker's configuration. Ask SupportsUpdates() where a
+// backend has it; a read-only backend's ApplyUpdates fails with an
+// error wrapping ErrReadOnly.
 type Updater interface {
 	// ApplyUpdates applies one batch atomically w.r.t. this machine's
 	// queries: every query share is computed against either the
@@ -133,8 +143,14 @@ func (qs *QueryStats) MaxMachineTime() time.Duration {
 // It holds no per-query state, so any number of goroutines may call
 // Query/QuerySet concurrently; throughput then scales with worker-side
 // parallelism because the TCP transport multiplexes in-flight queries.
+// When every machine is a TCP client (Pool, or one connection) a query
+// runs the two-phase fanOutWire; otherwise fanOut calls each machine on
+// its own goroutine.
 type Coordinator struct {
 	machines []Machine
+	// wire holds the machines again when every one of them is a TCP
+	// client: queries then take the two-phase fan-out (fanOutWire).
+	wire []wireMachine
 }
 
 // NewCoordinator returns a coordinator over the given machines.
@@ -142,7 +158,17 @@ func NewCoordinator(machines ...Machine) (*Coordinator, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("cluster: no machines")
 	}
-	return &Coordinator{machines: machines}, nil
+	c := &Coordinator{machines: machines}
+	wire := make([]wireMachine, len(machines))
+	for i, m := range machines {
+		w, ok := m.(wireMachine)
+		if !ok {
+			return c, nil
+		}
+		wire[i] = w
+	}
+	c.wire = wire
+	return c, nil
 }
 
 // NumMachines returns the cluster size.
@@ -177,9 +203,12 @@ func (c *Coordinator) Query(u int32) (*QueryStats, error) {
 }
 
 // QueryCtx is Query with per-query cancellation: when ctx is done, the
-// fan-out is abandoned (in-flight worker calls are cancelled) and the
-// context error is returned.
+// fan-out is abandoned (in-flight worker calls are cancelled or their
+// replies dropped) and the context error is returned.
 func (c *Coordinator) QueryCtx(ctx context.Context, u int32) (*QueryStats, error) {
+	if c.wire != nil {
+		return c.fanOutWire(ctx, queryFrame(u))
+	}
 	return c.fanOut(ctx, func(ctx context.Context, m Machine) ([]byte, time.Duration, error) {
 		return m.QueryShare(ctx, u)
 	})
@@ -194,6 +223,14 @@ func (c *Coordinator) QuerySet(p core.Preference) (*QueryStats, error) {
 
 // QuerySetCtx is QuerySet with per-query cancellation.
 func (c *Coordinator) QuerySetCtx(ctx context.Context, p core.Preference) (*QueryStats, error) {
+	if c.wire != nil {
+		frame, err := querySetFrame(p)
+		if err != nil {
+			// Every machine would reject the set; fanOut names the first.
+			return nil, fmt.Errorf("cluster: machine 0: %w", err)
+		}
+		return c.fanOutWire(ctx, frame)
+	}
 	return c.fanOut(ctx, func(ctx context.Context, m Machine) ([]byte, time.Duration, error) {
 		return m.QuerySetShare(ctx, p)
 	})
@@ -222,6 +259,51 @@ func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Mac
 		}(i, m)
 	}
 	wg.Wait()
+	return sumReplies(replies, start)
+}
+
+// fanOutWire is the one-round protocol over TCP machines, in two
+// phases and without a goroutine: write every machine's request frame
+// from the caller's goroutine, then take the replies from one channel
+// until all are in or the first error arrives. On an error the
+// remaining requests are abandoned (their late replies are dropped) and
+// the error is the one sumReplies picks, as for fanOut.
+func (c *Coordinator) fanOutWire(ctx context.Context, frame []byte) (*QueryStats, error) {
+	start := time.Now()
+	replies := make([]reply, len(c.wire))
+	calls := make([]wireCall, len(c.wire))
+	done := make(chan muxReply, len(c.wire))
+	// abandon gives up on every request still pending, recording err as
+	// its reply.
+	abandon := func(err error) (*QueryStats, error) {
+		for i, call := range calls {
+			if call.t != nil {
+				call.abandon()
+				replies[i].err = err
+			}
+		}
+		return sumReplies(replies, start)
+	}
+	for i, m := range c.wire {
+		call, err := m.send(ctx, frame, i, done)
+		if err != nil {
+			replies[i].err = err
+			return abandon(context.Canceled)
+		}
+		calls[i] = call
+	}
+	for range c.wire {
+		select {
+		case r := <-done:
+			calls[r.index] = wireCall{}
+			rp := &replies[r.index]
+			if rp.payload, rp.compute, rp.err = decodeReply(r); rp.err != nil {
+				return abandon(context.Canceled)
+			}
+		case <-ctx.Done():
+			return abandon(ctx.Err())
+		}
+	}
 	return sumReplies(replies, start)
 }
 
@@ -297,7 +379,7 @@ func (c *Coordinator) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateSt
 	for i, m := range c.machines {
 		u, ok := m.(Updater)
 		if !ok {
-			return UpdateStats{}, fmt.Errorf("cluster: machine %d does not support updates", i)
+			return UpdateStats{}, fmt.Errorf("cluster: machine %d: %w", i, ErrReadOnly)
 		}
 		updaters[i] = u
 	}

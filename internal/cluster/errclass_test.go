@@ -1,17 +1,21 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"exactppr/internal/core"
+	"exactppr/internal/graph"
 	"exactppr/internal/sparse"
 )
 
@@ -149,11 +153,63 @@ func TestErrorClassRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadOnlyBackendsTyped: an edge-delta batch sent to a read-only
+// backend fails with ErrReadOnly, in-process and across TCP alike, and
+// the gateway answers POST /edges with 501 on each.
+func TestReadOnlyBackendsTyped(t *testing.T) {
+	s, disk := testDiskCluster(t, 2)
+	local, err := NewLocalCluster(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := core.Split(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := make([]Machine, len(shards))
+	for i, sh := range shards {
+		addr, stop := startWorker(t, &LocalMachine{Backend: sh})
+		t.Cleanup(stop)
+		p, err := DialPool(addr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		remote[i] = p
+	}
+	tcp, err := NewCoordinator(remote...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type backend interface {
+		Querier
+		Updater
+	}
+	d := graph.Delta{Insert: [][2]int32{{0, 1}}}
+	for name, b := range map[string]backend{"disk": disk, "in-process": local, "tcp": tcp} {
+		t.Run(name, func(t *testing.T) {
+			_, err := b.ApplyUpdates(context.Background(), d)
+			if !errors.Is(err, ErrReadOnly) {
+				t.Fatalf("err = %v, want ErrReadOnly", err)
+			}
+			if got := queryErrorStatus(err); got != http.StatusNotImplemented {
+				t.Fatalf("status %d for %v, want 501", got, err)
+			}
+			srv := httptest.NewServer(NewGateway(b).Handler())
+			defer srv.Close()
+			var e map[string]string
+			postJSON(t, srv.URL+"/edges", map[string]any{"insert": [][2]int32{{0, 1}}}, http.StatusNotImplemented, &e)
+		})
+	}
+}
+
 // FuzzWireFrames runs arbitrary bytes through every decoder a worker or
 // coordinator applies to a frame from the network: readFrame, then the
 // preference decode, the share-reply decode (decodeReply, then
 // DecodePacked), and the error-class byte. None may panic, and every
-// share accepted must have strictly ascending ids.
+// share accepted must have strictly ascending ids. Reading through the
+// connections' buffered reader, whole or one byte per Read, must decode
+// the same first frame as the plain reader.
 func FuzzWireFrames(f *testing.F) {
 	frame := func(op byte, payload []byte) []byte {
 		var b bytes.Buffer
@@ -171,9 +227,21 @@ func FuzzWireFrames(f *testing.F) {
 	long := frame(opShare, nil)
 	long[9], long[12] = 0xff, 0x0f
 	f.Add(long)
+	// Two frames back to back, as one buffered read delivers them.
+	f.Add(append(frame(opQuery, []byte{1, 0, 0, 0}), frame(opShare, share)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, _, payload, err := readFrame(bytes.NewReader(data))
+		op, id, payload, err := readFrame(bytes.NewReader(data))
+		for name, r := range map[string]io.Reader{
+			"buffered":          bufio.NewReaderSize(bytes.NewReader(data), readBufSize),
+			"buffered one-byte": bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), readBufSize),
+		} {
+			bop, bid, bpayload, berr := readFrame(r)
+			if (berr == nil) != (err == nil) || bop != op || bid != id || !bytes.Equal(bpayload, payload) {
+				t.Fatalf("%s read gave op %d id %d %d bytes (err %v), plain read op %d id %d %d bytes (err %v)",
+					name, bop, bid, len(bpayload), berr, op, id, len(payload), err)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -183,7 +251,7 @@ func FuzzWireFrames(f *testing.F) {
 		if err := decodeError(payload); err == nil {
 			t.Fatal("opError payload decoded to no error")
 		}
-		body, _, err := decodeReply(muxReply{op, payload})
+		body, _, err := decodeReply(muxReply{op: op, payload: payload})
 		if err != nil || op != opShare {
 			return
 		}

@@ -170,7 +170,8 @@ const statusClientClosedRequest = 499
 // deadline is the gateway timing out (504), a cancellation is the
 // client hanging up (499), an out-of-range node is the client asking
 // for something that does not exist (404), a malformed preference set
-// or delta edge is a bad request (400), anything else is a broken or
+// or delta edge is a bad request (400), an update sent to a read-only
+// machine is not implemented (501), anything else is a broken or
 // unhappy cluster behind the gateway (502). Worker errors keep their
 // class across TCP (see errorClasses), so every case is an errors.Is.
 func queryErrorStatus(err error) int {
@@ -183,6 +184,8 @@ func queryErrorStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrBadPreference), errors.Is(err, graph.ErrEdgeOutOfRange):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrReadOnly):
+		return http.StatusNotImplemented
 	default:
 		return http.StatusBadGateway
 	}

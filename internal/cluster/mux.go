@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -20,25 +21,64 @@ var ErrMachineClosed = fmt.Errorf("cluster: machine closed")
 
 // tcpMachine is one multiplexed TCP connection to a worker, the unit a
 // Pool holds: any number of callers may have queries in flight
-// concurrently; a single reader goroutine demuxes response frames back
-// to the waiting caller by request id. When the connection dies, every
-// in-flight call fails with the transport error — no call ever hangs on
-// a dead worker — and the connection stays dead; the Pool re-dials.
+// concurrently. A call is two steps (send): register a request id and
+// write the request as one frame from the caller's goroutine, then take
+// the reply from the channel the caller named. A single reader
+// goroutine demuxes reply frames to those channels by request id. When
+// the connection dies, every pending caller receives the transport
+// error on its channel — no call ever hangs on a dead worker — and the
+// connection stays dead; the Pool re-dials.
 type tcpMachine struct {
-	conn net.Conn
-
-	wmu sync.Mutex // serializes request frames
+	conn   net.Conn
+	w      frameWriter
+	broken atomic.Bool // set once by fail; read lock-free by Pool.pick
 
 	mu      sync.Mutex
-	pending map[uint64]chan muxReply
+	pending map[uint64]waiter
 	nextID  uint64
-	err     error         // terminal transport error, set once
-	done    chan struct{} // closed when the reader loop exits
+	err     error // terminal transport error, set once
 }
 
+// waiter is where one pending request's reply goes: the caller's
+// channel, tagged with the caller's slot (a fan-out's machine index).
+type waiter struct {
+	ch    chan<- muxReply
+	index int
+}
+
+// muxReply is one reply frame, or the transport error that ended the
+// connection before it arrived.
 type muxReply struct {
 	op      byte
 	payload []byte
+	err     error
+	index   int
+}
+
+// wireCall is a request sent on a tcpMachine whose reply is pending.
+type wireCall struct {
+	t  *tcpMachine
+	id uint64
+}
+
+// abandon unregisters the request; the reader drops its late reply.
+func (c wireCall) abandon() {
+	c.t.mu.Lock()
+	delete(c.t.pending, c.id)
+	c.t.mu.Unlock()
+}
+
+// wireMachine is a machine whose call splits in two, so that a fan-out
+// can write every machine's request from the caller's goroutine and
+// then wait on one channel (Coordinator.fanOutWire). *tcpMachine and
+// *Pool implement it.
+type wireMachine interface {
+	// send sets frame's request id, writes it, and arranges for the
+	// reply, or the transport error that ends the connection first, to
+	// arrive on done tagged with index. done must have room for it: a
+	// send never blocks the connection's reader. frame may be reused
+	// once send returns.
+	send(ctx context.Context, frame []byte, index int, done chan<- muxReply) (wireCall, error)
 }
 
 // dialTimeout bounds connection attempts (initial dials and pool
@@ -60,47 +100,56 @@ func dialMachine(ctx context.Context, addr string) (*tcpMachine, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &tcpMachine{
-		conn:    conn,
-		pending: make(map[uint64]chan muxReply),
-		done:    make(chan struct{}),
-	}
-	go t.readLoop()
-	return t, nil
+	return newTCPMachine(conn), nil
 }
 
-// readLoop is the single reader: it demuxes every response frame to the
-// caller registered under its request id. Responses for ids nobody is
-// waiting on (caller gave up via context) are discarded.
+// newTCPMachine runs the client side of the protocol on conn.
+func newTCPMachine(conn net.Conn) *tcpMachine {
+	t := &tcpMachine{
+		conn:    conn,
+		w:       frameWriter{conn: conn},
+		pending: make(map[uint64]waiter),
+	}
+	go t.readLoop()
+	return t
+}
+
+// readLoop is the single reader: it demuxes every reply frame to the
+// caller registered under its request id. Replies for ids nobody is
+// waiting on (the caller gave up) are discarded.
 func (t *tcpMachine) readLoop() {
+	r := bufio.NewReaderSize(t.conn, readBufSize)
 	for {
-		op, id, payload, err := readFrame(t.conn)
+		op, id, payload, err := readFrame(r)
 		if err != nil {
 			t.fail(err)
 			return
 		}
 		t.mu.Lock()
-		ch := t.pending[id]
+		w, ok := t.pending[id]
 		delete(t.pending, id)
 		t.mu.Unlock()
-		if ch != nil {
-			ch <- muxReply{op, payload} // buffered; never blocks the reader
+		if ok {
+			w.ch <- muxReply{op: op, payload: payload, index: w.index}
 		}
 	}
 }
 
 // fail marks the machine broken, closes the socket (so the fd is never
-// leaked, whichever side noticed first), and releases every waiting
-// caller.
+// leaked, whichever side noticed first), and hands the terminal error
+// to every pending caller.
 func (t *tcpMachine) fail(err error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.err == nil {
 		t.err = err
-		close(t.done)
+		t.broken.Store(true)
 		t.conn.Close()
 	}
-	clear(t.pending)
-	t.mu.Unlock()
+	for id, w := range t.pending {
+		w.ch <- muxReply{err: t.err, index: w.index}
+		delete(t.pending, id)
+	}
 }
 
 // Close shuts the connection down; in-flight calls fail promptly.
@@ -110,25 +159,100 @@ func (t *tcpMachine) Close() error {
 }
 
 // healthy reports whether the transport is still usable.
-func (t *tcpMachine) healthy() bool {
+func (t *tcpMachine) healthy() bool { return !t.broken.Load() }
+
+// send implements wireMachine.
+func (t *tcpMachine) send(_ context.Context, frame []byte, index int, done chan<- muxReply) (wireCall, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err == nil
+	if t.err != nil {
+		err := t.err
+		t.mu.Unlock()
+		return wireCall{}, err
+	}
+	id := t.nextID
+	t.nextID++
+	t.pending[id] = waiter{done, index}
+	t.mu.Unlock()
+
+	// The write deadline is deliberately NOT tightened to ctx's: an
+	// aborted write leaves a partial frame that corrupts the stream, so
+	// a single tight-deadline query must not tear down the shared
+	// connection. A genuinely stalled peer still fails within
+	// writeTimeout instead of blocking the writer forever.
+	binary.LittleEndian.PutUint64(frame[1:], id)
+	c := wireCall{t, id}
+	if err := t.w.write(frame); err != nil {
+		c.abandon()
+		// A failed write means the transport is broken (and may have
+		// emitted a partial frame): mark the machine unhealthy so pools
+		// stop routing to it. Silent partitions with no write traffic
+		// are caught by the dialer's default TCP keepalive instead.
+		t.fail(err)
+		return wireCall{}, err
+	}
+	return c, nil
 }
 
 // QueryShare implements Machine over the wire.
 func (t *tcpMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], uint32(u))
-	return t.call(ctx, opQuery, req[:])
+	return call(ctx, t, queryFrame(u))
 }
 
 // ApplyUpdates implements Updater over the wire: the delta batch rides
 // the same multiplexed connection as queries (opUpdate frame), so a
 // long recompute on the worker never blocks pipelined query traffic.
 func (t *tcpMachine) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
+	return applyUpdates(ctx, t, d)
+}
+
+// QuerySetShare implements Machine for preference sets over the wire.
+func (t *tcpMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
+	frame, err := querySetFrame(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	return call(ctx, t, frame)
+}
+
+// queryFrame is the opQuery request frame for u, request id unset.
+func queryFrame(u int32) []byte {
+	frame := newFrame(opQuery, 0, 4)
+	binary.LittleEndian.PutUint32(frame[frameHeaderSize:], uint32(u))
+	return frame
+}
+
+// querySetFrame is the opQuerySet request frame for p, request id
+// unset. It mirrors the in-process validation
+// (core.Preference.normalized) so both transports reject the same
+// malformed sets.
+func querySetFrame(p core.Preference) ([]byte, error) {
+	if err := p.CheckWeights(); err != nil {
+		return nil, err
+	}
+	return frameOf(opQuerySet, 0, encodePreference(p)), nil
+}
+
+// call sends one request frame on m and waits for its reply.
+func call(ctx context.Context, m wireMachine, frame []byte) ([]byte, time.Duration, error) {
+	done := make(chan muxReply, 1)
+	c, err := m.send(ctx, frame, 0, done)
+	if err != nil {
+		return nil, 0, err
+	}
+	select {
+	case r := <-done:
+		return decodeReply(r)
+	case <-ctx.Done():
+		// Abandon the request: the reader discards the late response.
+		c.abandon()
+		return nil, 0, ctx.Err()
+	}
+}
+
+// applyUpdates sends one edge-delta batch on m and decodes the ack.
+func applyUpdates(ctx context.Context, m wireMachine, d graph.Delta) (UpdateStats, error) {
 	start := time.Now()
-	ack, _, err := t.call(ctx, opUpdate, encodeDelta(d))
+	ack, _, err := call(ctx, m, frameOf(opUpdate, 0, encodeDelta(d)))
 	if err != nil {
 		return UpdateStats{}, err
 	}
@@ -140,77 +264,10 @@ func (t *tcpMachine) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateSta
 	return stats, nil
 }
 
-// QuerySetShare implements Machine for preference sets over the wire.
-func (t *tcpMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]byte, time.Duration, error) {
-	// Mirror the in-process validation (core.Preference.normalized) so
-	// both transports reject the same malformed sets.
-	if err := p.CheckWeights(); err != nil {
-		return nil, 0, err
-	}
-	return t.call(ctx, opQuerySet, encodePreference(p))
-}
-
-func (t *tcpMachine) call(ctx context.Context, op byte, req []byte) ([]byte, time.Duration, error) {
-	ch := make(chan muxReply, 1)
-	t.mu.Lock()
-	if t.err != nil {
-		err := t.err
-		t.mu.Unlock()
-		return nil, 0, err
-	}
-	id := t.nextID
-	t.nextID++
-	t.pending[id] = ch
-	t.mu.Unlock()
-
-	// The write deadline is deliberately NOT tightened to ctx's: an
-	// aborted write leaves a partial frame that corrupts the stream, so
-	// a single tight-deadline query must not tear down the shared
-	// connection. A genuinely stalled peer still fails within
-	// writeTimeout instead of blocking wmu forever.
-	t.wmu.Lock()
-	t.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	err := writeFrame(t.conn, op, id, req)
-	t.wmu.Unlock()
-	if err != nil {
-		t.unregister(id)
-		// A failed write means the transport is broken (and may have
-		// emitted a partial frame): mark the machine unhealthy so pools
-		// stop routing to it. Silent partitions with no write traffic
-		// are caught by the dialer's default TCP keepalive instead.
-		t.fail(err)
-		return nil, 0, err
-	}
-
-	select {
-	case r := <-ch:
-		return decodeReply(r)
-	case <-ctx.Done():
-		// Abandon the request: the reader discards the late response.
-		t.unregister(id)
-		return nil, 0, ctx.Err()
-	case <-t.done:
-		// The transport died, but the response may have been delivered
-		// just before: prefer it over the error.
-		select {
-		case r := <-ch:
-			return decodeReply(r)
-		default:
-		}
-		t.mu.Lock()
-		err := t.err
-		t.mu.Unlock()
-		return nil, 0, err
-	}
-}
-
-func (t *tcpMachine) unregister(id uint64) {
-	t.mu.Lock()
-	delete(t.pending, id)
-	t.mu.Unlock()
-}
-
 func decodeReply(r muxReply) ([]byte, time.Duration, error) {
+	if r.err != nil {
+		return nil, 0, r.err
+	}
 	switch r.op {
 	case opShare:
 		if len(r.payload) < 8 {
@@ -339,33 +396,34 @@ func (p *Pool) maybeHeal(slot int) {
 	}()
 }
 
-// QueryShare implements Machine.
-func (p *Pool) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
+// send implements wireMachine on the next healthy connection.
+func (p *Pool) send(ctx context.Context, frame []byte, index int, done chan<- muxReply) (wireCall, error) {
 	m, err := p.pick(ctx)
 	if err != nil {
-		return nil, 0, err
+		return wireCall{}, err
 	}
-	return m.QueryShare(ctx, u)
+	return m.send(ctx, frame, index, done)
+}
+
+// QueryShare implements Machine.
+func (p *Pool) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
+	return call(ctx, p, queryFrame(u))
 }
 
 // QuerySetShare implements Machine.
 func (p *Pool) QuerySetShare(ctx context.Context, pref core.Preference) ([]byte, time.Duration, error) {
-	m, err := p.pick(ctx)
+	frame, err := querySetFrame(pref)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m.QuerySetShare(ctx, pref)
+	return call(ctx, p, frame)
 }
 
 // ApplyUpdates implements Updater: the batch is sent on one connection —
 // the worker process behind every pooled connection is the same, so one
 // delivery updates them all.
 func (p *Pool) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
-	m, err := p.pick(ctx)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	return m.ApplyUpdates(ctx, d)
+	return applyUpdates(ctx, p, d)
 }
 
 // SupportsUpdates probes the worker behind the pool with an empty delta

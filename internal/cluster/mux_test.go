@@ -506,51 +506,60 @@ func TestCoordinatorConcurrentQueries(t *testing.T) {
 }
 
 // BenchmarkTCPCoordinator measures query throughput against one TCP
-// worker over one multiplexed connection. The parallel variant issues
-// queries from many goroutines; on a multi-core runner it must beat the
-// serial variant because the worker executes frames on its goroutine
-// pool instead of one at a time.
+// worker over one multiplexed connection, and (two-workers/…) against
+// two workers holding one slice each, the tcp-read topology. The
+// parallel variants issue queries from many goroutines; on a multi-core
+// runner they must beat the serial ones because the worker executes
+// frames on its handler pool instead of one at a time.
 func BenchmarkTCPCoordinator(b *testing.B) {
 	s := benchStore(b)
-	shards, err := core.Split(s, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
-	m, err := DialPool(l.Addr().String(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	c, err := NewCoordinator(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Query(int32(i % 300)); err != nil {
+	run := func(b *testing.B, workers int) {
+		shards, err := core.Split(s, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		machines := make([]Machine, workers)
+		for i, sh := range shards {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
 				b.Fatal(err)
 			}
+			defer l.Close()
+			go (&Server{Machine: &LocalMachine{Backend: sh}}).Serve(l)
+			m, err := DialPool(l.Addr().String(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			machines[i] = m
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		var next atomic.Int64
-		b.SetParallelism(4) // 4×GOMAXPROCS client goroutines
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				u := int32(next.Add(1) % 300)
-				if _, err := c.Query(u); err != nil {
+		c, err := NewCoordinator(machines...)
+		if err != nil {
+			b.Fatal(err)
+		}
+
+		b.Run("serial", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Query(int32(i % 300)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	})
+		b.Run("parallel", func(b *testing.B) {
+			var next atomic.Int64
+			b.SetParallelism(4) // 4×GOMAXPROCS client goroutines
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					u := int32(next.Add(1) % 300)
+					if _, err := c.Query(u); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+	run(b, 1)
+	b.Run("two-workers", func(b *testing.B) { run(b, 2) })
 }
 
 // BenchmarkTCPCoordinatorLatency is the same comparison with 2ms of

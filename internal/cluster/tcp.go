@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -41,6 +42,11 @@ import (
 //	                                   recomputed (the worker's slice),
 //	                                   batch digest
 //
+// Both ends build each frame, header and payload, in one buffer and send
+// it with one Write, and both read through one readBufSize buffered
+// reader per connection, so a frame usually costs one read syscall and
+// a burst of small frames shares one.
+//
 // Share payloads are canonical: identical shares are byte-identical
 // across repeated encodes, and the coordinator consumes them as sorted
 // streams (see sparse.MergePacked) without rebuilding maps.
@@ -57,14 +63,44 @@ const maxFrame = 1 << 28 // 256 MiB guard against corrupt lengths
 
 const frameHeaderSize = 1 + 8 + 4
 
-func writeFrame(w io.Writer, op byte, id uint64, payload []byte) error {
-	hdr := [frameHeaderSize]byte{op}
-	binary.LittleEndian.PutUint64(hdr[1:], id)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// readBufSize sizes the buffered reader in front of each connection,
+// on both ends: large enough for a burst of query frames or a typical
+// share reply, small beside a connection's kernel buffers.
+const readBufSize = 16 << 10
+
+// newFrame returns a whole frame of op and id with an n-byte payload,
+// its header filled in; the caller writes the payload at
+// frame[frameHeaderSize:].
+func newFrame(op byte, id uint64, n int) []byte {
+	frame := make([]byte, frameHeaderSize+n)
+	frame[0] = op
+	binary.LittleEndian.PutUint64(frame[1:], id)
+	binary.LittleEndian.PutUint32(frame[9:], uint32(n))
+	return frame
+}
+
+// frameOf returns the whole frame of op and id around payload.
+func frameOf(op byte, id uint64, payload []byte) []byte {
+	frame := newFrame(op, id, len(payload))
+	copy(frame[frameHeaderSize:], payload)
+	return frame
+}
+
+// frameWriter sends whole frames on a connection shared by concurrent
+// writers.
+type frameWriter struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+// write sends frame with one Write under the connection's lock. The
+// deadline bounds it, so a peer that stops draining its socket fails
+// the write instead of pinning every writer behind mu.
+func (w *frameWriter) write(frame []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err := w.conn.Write(frame)
 	return err
 }
 
@@ -95,11 +131,17 @@ func readFrame(r io.Reader) (op byte, id uint64, payload []byte, err error) {
 	return hdr[0], id, payload, nil
 }
 
+// ErrReadOnly reports an edge-delta batch sent to a machine that takes
+// no updates: an in-process read-only slice, or a worker started
+// without an Updater.
+var ErrReadOnly = errors.New("cluster: machine is read-only")
+
 // errorClasses are the error classes an opError frame carries in its
 // first byte, by index; index 0 is an unclassified error. A classified
 // worker error unwraps to the same sentinel on the caller's side, so
 // the gateway maps remote and in-process failures to the same status.
-var errorClasses = [...]error{nil, core.ErrNodeOutOfRange, core.ErrBadPreference, graph.ErrEdgeOutOfRange}
+// New classes are appended: an index never changes meaning.
+var errorClasses = [...]error{nil, core.ErrNodeOutOfRange, core.ErrBadPreference, graph.ErrEdgeOutOfRange, ErrReadOnly}
 
 // encodeError builds the opError payload for err.
 func encodeError(err error) []byte {
@@ -137,19 +179,23 @@ func decodeError(payload []byte) error {
 
 // maxInFlight bounds concurrently executing queries per connection;
 // excess requests queue in the reader. The bound keeps a misbehaving
-// client from spawning unbounded query goroutines while still allowing
-// deep pipelining (well past the 64 in-flight queries the serving layer
-// is specified to sustain).
+// client from starting unbounded handlers while still allowing deep
+// pipelining (well past the 64 in-flight queries the serving layer is
+// specified to sustain).
 const maxInFlight = 256
 
-// Server runs the worker side of the protocol: a stream of multiplexed
-// query frames executed on a bounded goroutine pool per connection,
-// responses written back as they complete.
+// Server runs the worker side of the protocol. Each connection has one
+// reader, which hands every request frame to an idle handler goroutine;
+// handlers live as long as the connection, so their stacks are grown
+// once, and a new one starts only when none is idle and fewer than
+// maxInFlight exist. Each handler writes its reply as one frame as soon
+// as its query finishes.
 type Server struct {
 	Machine Machine
 	// Updater, when non-nil, enables opUpdate frames: edge-delta batches
 	// applied to the worker's live store. A worker without an Updater
-	// answers update frames with opError and keeps serving queries.
+	// answers update frames with an opError of class ErrReadOnly and
+	// keeps serving queries.
 	Updater Updater
 }
 
@@ -168,84 +214,97 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+// request is one request frame on its way from the reader to a handler.
+type request struct {
+	op      byte
+	id      uint64
+	payload []byte
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	sem := make(chan struct{}, maxInFlight)
-	var (
-		wmu sync.Mutex // serializes response frames on conn
-		wg  sync.WaitGroup
-	)
+	w := &frameWriter{conn: conn}
+	r := bufio.NewReaderSize(conn, readBufSize)
+	// Unbuffered: a send succeeds only when a handler is idle and
+	// waiting for it.
+	work := make(chan request)
+	handlers := 0
+	var wg sync.WaitGroup
 	ctx, cancel := context.WithCancel(context.Background())
 	defer wg.Wait()
+	defer close(work)
 	defer cancel()
 	for {
-		op, id, payload, err := readFrame(conn)
+		op, id, payload, err := readFrame(r)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
 		if op != opQuery && op != opQuerySet && op != opUpdate {
-			wmu.Lock()
-			writeFrame(conn, opError, id, encodeError(errors.New("bad request")))
-			wmu.Unlock()
+			w.write(frameOf(opError, id, encodeError(errors.New("bad request"))))
 			return
 		}
-		sem <- struct{}{}
+		req := request{op, id, payload}
+		select {
+		case work <- req:
+			continue
+		default:
+		}
+		if handlers == maxInFlight {
+			work <- req // every handler is busy: queue here
+			continue
+		}
+		handlers++
 		wg.Add(1)
-		go func(op byte, id uint64, payload []byte) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			s.handle(ctx, conn, &wmu, op, id, payload)
-		}(op, id, payload)
+			s.handle(ctx, w, req)
+			for req := range work {
+				s.handle(ctx, w, req)
+			}
+		}()
 	}
 }
 
-// handle executes one query frame and writes the response. Per-query
+// handle executes one request frame and writes the reply. Per-query
 // failures (bad node, malformed preference) answer opError and keep the
 // connection streaming; only transport errors tear it down, and then the
 // reader loop notices on its next read.
-func (s *Server) handle(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op byte, id uint64, payload []byte) {
+func (s *Server) handle(ctx context.Context, w *frameWriter, req request) {
 	var (
-		respOp  byte = opShare
-		resp    []byte
 		share   []byte
 		compute time.Duration
+		frame   []byte
 		err     error
 	)
-	switch op {
+	switch req.op {
 	case opQuery:
-		if len(payload) != 4 {
+		if len(req.payload) != 4 {
 			err = fmt.Errorf("malformed query frame")
 			break
 		}
-		u := int32(binary.LittleEndian.Uint32(payload))
+		u := int32(binary.LittleEndian.Uint32(req.payload))
 		share, compute, err = s.Machine.QueryShare(ctx, u)
 	case opQuerySet:
 		var pref core.Preference
-		if pref, err = decodePreference(payload); err == nil {
+		if pref, err = decodePreference(req.payload); err == nil {
 			share, compute, err = s.Machine.QuerySetShare(ctx, pref)
 		}
 	case opUpdate:
-		respOp = opUpdateAck
-		resp, err = s.handleUpdate(ctx, payload)
-	}
-	if respOp == opShare && err == nil {
-		resp = make([]byte, 8+len(share))
-		binary.LittleEndian.PutUint64(resp, uint64(compute))
-		copy(resp[8:], share)
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	// Bound the write so a client that stops draining responses cannot
-	// pin the worker's handler goroutines behind wmu forever.
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err != nil {
-		if werr := writeFrame(conn, opError, id, encodeError(err)); werr != nil {
-			conn.Close() // a partial frame corrupts the stream for every caller
+		var ack []byte
+		if ack, err = s.handleUpdate(ctx, req.payload); err == nil {
+			frame = frameOf(opUpdateAck, req.id, ack)
 		}
-		return
 	}
-	if werr := writeFrame(conn, respOp, id, resp); werr != nil {
-		conn.Close()
+	switch {
+	case err != nil:
+		frame = frameOf(opError, req.id, encodeError(err))
+	case req.op != opUpdate:
+		frame = newFrame(opShare, req.id, 8+len(share))
+		binary.LittleEndian.PutUint64(frame[frameHeaderSize:], uint64(compute))
+		copy(frame[frameHeaderSize+8:], share)
+	}
+	if w.write(frame) != nil {
+		w.conn.Close() // a partial frame corrupts the stream for every caller
 	}
 }
 
@@ -253,7 +312,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op 
 // ack payload.
 func (s *Server) handleUpdate(ctx context.Context, payload []byte) ([]byte, error) {
 	if s.Updater == nil {
-		return nil, fmt.Errorf("updates not enabled on this worker")
+		return nil, fmt.Errorf("updates not enabled on this worker: %w", ErrReadOnly)
 	}
 	d, err := decodeDelta(payload)
 	if err != nil {
