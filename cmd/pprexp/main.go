@@ -1,6 +1,6 @@
 // Command pprexp runs the paper-reproduction experiments: one runner per
-// table and figure of the evaluation section (see DESIGN.md §4 for the
-// per-experiment index).
+// table and figure of the evaluation section (pprexp -list prints the
+// experiment ids).
 //
 //	pprexp -list
 //	pprexp -run fig9

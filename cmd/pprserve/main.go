@@ -26,8 +26,8 @@
 //
 //	pprserve -coordinator -workers host1:7001,host2:7002,host3:7003 -node 42
 //
-// Gateway mode — serve HTTP over the workers (with -conns multiplexed
-// connections per worker):
+// Gateway mode — serve HTTP over the workers (one multiplexed
+// connection per worker):
 //
 //	pprserve -coordinator -workers host1:7001,host2:7002 -http :8080
 //
@@ -66,7 +66,6 @@ func main() {
 		listen      = flag.String("listen", ":7001", "listen address (worker mode)")
 		coordinator = flag.Bool("coordinator", false, "run as coordinator")
 		workers     = flag.String("workers", "", "comma-separated worker addresses (coordinator mode)")
-		conns       = flag.Int("conns", 1, "multiplexed connections per worker (coordinator mode)")
 		node        = flag.Int("node", 0, "query node (coordinator one-shot mode)")
 		topk        = flag.Int("topk", 10, "entries to print (coordinator one-shot mode)")
 		httpAddr    = flag.String("http", "", "serve the HTTP/JSON gateway on this address")
@@ -76,7 +75,7 @@ func main() {
 	flag.Parse()
 
 	if *coordinator {
-		coord := dialCoordinator(*workers, *conns)
+		coord := dialCoordinator(*workers)
 		if *httpAddr != "" {
 			runGateway(*httpAddr, coord, *timeout)
 			return
@@ -178,14 +177,14 @@ func diskMode(ds *core.DiskStore) string {
 	return "in-memory copy"
 }
 
-func dialCoordinator(workerList string, conns int) *cluster.Coordinator {
+func dialCoordinator(workerList string) *cluster.Coordinator {
 	addrs := strings.Split(workerList, ",")
 	if workerList == "" || len(addrs) == 0 {
 		fatal(fmt.Errorf("coordinator mode needs -workers"))
 	}
 	var machines []cluster.Machine
 	for _, addr := range addrs {
-		p, err := cluster.DialPool(strings.TrimSpace(addr), conns)
+		p, err := cluster.Dial(strings.TrimSpace(addr))
 		if err != nil {
 			fatal(fmt.Errorf("dial %s: %w", addr, err))
 		}

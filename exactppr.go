@@ -87,7 +87,9 @@ type (
 	// Machine is the worker-side query interface.
 	Machine = cluster.Machine
 	// LocalMachine is an in-process Machine over a Store or DiskStore:
-	// a slice from Split or SplitDisk answers its machine's share.
+	// a slice from Split or SplitDisk answers its machine's share. A
+	// Coordinator calls it on a goroutine of its own, in the same
+	// fan-out that writes a TCP worker's (Dial) request.
 	LocalMachine = cluster.LocalMachine
 	// Gateway serves PPV queries over HTTP/JSON.
 	Gateway = cluster.Gateway
@@ -173,15 +175,15 @@ func NewLiveLocalCluster(s *Store, n int) (*cluster.LiveLocalCluster, error) {
 }
 
 // NewCoordinator wires a coordinator over explicit machines (e.g. TCP
-// workers dialed with DialPool).
+// workers reached with Dial).
 func NewCoordinator(machines ...Machine) (*Coordinator, error) {
 	return cluster.NewCoordinator(machines...)
 }
 
-// DialPool connects to a pprserve worker over n multiplexed TCP
-// connections (any number of queries may be in flight on each),
-// spreading calls round-robin and re-dialing after a worker restart.
-func DialPool(addr string, n int) (*cluster.Pool, error) { return cluster.DialPool(addr, n) }
+// Dial connects to a pprserve worker over one multiplexed TCP
+// connection (any number of queries may be in flight on it), which is
+// re-dialed after a worker restart.
+func Dial(addr string) (*cluster.Pool, error) { return cluster.Dial(addr) }
 
 // NewGateway exposes a coordinator (or any cluster.Querier) over
 // HTTP/JSON: GET /ppv/{node}, POST /ppv, /healthz, /stats.

@@ -54,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		go (&cluster.Server{Machine: &cluster.LocalMachine{Backend: sh}}).Serve(l)
-		m, err := exactppr.DialPool(l.Addr().String(), 1)
+		m, err := exactppr.Dial(l.Addr().String())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,30 +8,30 @@
 //
 // The serving layer is fully concurrent: the one-round protocol is
 // embarrassingly parallel across queries, so the TCP transport
-// multiplexes many in-flight queries over one connection (request-id
-// demux, see mux.go), workers hand frames to a bounded pool of
-// long-lived handler goroutines per connection (tcp.go), and the
+// multiplexes many in-flight queries over one connection per worker
+// (request-id demux, see mux.go), workers hand frames to a bounded pool
+// of long-lived handler goroutines per connection (tcp.go), and the
 // Coordinator is safe for concurrent Query/QuerySet calls with
 // per-query context cancellation. Every frame is one write and usually
-// one buffered read; over TCP machines a query starts no goroutine: the
-// caller writes every machine's request itself and then waits on one
-// channel for the replies (Coordinator.fanOutWire). An
-// HTTP/JSON gateway (gateway.go) exposes the whole thing to ordinary web
-// clients. The serving limits are fixed constants, not settings; the
-// gateway's per-query Timeout is the one knob.
+// one buffered read. A query has one fan-out (Coordinator.fanOut) over
+// either transport: the caller writes each TCP machine's request itself
+// and calls each in-process machine on a goroutine of its own, then
+// waits on one channel for every reply. An HTTP/JSON gateway
+// (gateway.go) exposes the whole thing to ordinary web clients. The
+// serving limits are fixed constants, not settings; the gateway's
+// per-query Timeout is the one knob.
 //
 // Two transports are provided: in-process machines and TCP. A worker
 // process runs a Server; the coordinator reaches it through a Pool
-// (DialPool), the one TCP client, which re-dials after a worker
-// restart. Both transports speak through the Machine interface, so the
-// Coordinator is transport-agnostic. Every in-process machine is one
-// LocalMachine body over a core.Store or core.DiskStore that drains
-// packed shares: a store holding one machine's slice answers that
-// slice's share, a whole store the whole PPV. LiveShard (the updatable
-// worker) delegates to it, so every backend encodes its share the same
-// way. Concurrent and
-// sequential fan-outs (QuerySequential) likewise share one decode,
-// byte-accounting, and merge step.
+// (Dial), the one TCP client: one multiplexed connection, re-dialed
+// after a worker restart. Both transports speak through the Machine
+// interface, so the Coordinator is transport-agnostic. Every in-process
+// machine is one LocalMachine body over a core.Store or core.DiskStore
+// that drains packed shares: a store holding one machine's slice
+// answers that slice's share, a whole store the whole PPV. LiveShard
+// (the updatable worker) delegates to it, so every backend encodes its
+// share the same way. The concurrent and sequential fan-outs
+// (QuerySequential) share one decode, byte-accounting, and merge step.
 package cluster
 
 import (
@@ -143,14 +143,8 @@ func (qs *QueryStats) MaxMachineTime() time.Duration {
 // It holds no per-query state, so any number of goroutines may call
 // Query/QuerySet concurrently; throughput then scales with worker-side
 // parallelism because the TCP transport multiplexes in-flight queries.
-// When every machine is a TCP client (Pool, or one connection) a query
-// runs the two-phase fanOutWire; otherwise fanOut calls each machine on
-// its own goroutine.
 type Coordinator struct {
 	machines []Machine
-	// wire holds the machines again when every one of them is a TCP
-	// client: queries then take the two-phase fan-out (fanOutWire).
-	wire []wireMachine
 }
 
 // NewCoordinator returns a coordinator over the given machines.
@@ -158,42 +152,43 @@ func NewCoordinator(machines ...Machine) (*Coordinator, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("cluster: no machines")
 	}
-	c := &Coordinator{machines: machines}
-	wire := make([]wireMachine, len(machines))
-	for i, m := range machines {
-		w, ok := m.(wireMachine)
-		if !ok {
-			return c, nil
-		}
-		wire[i] = w
-	}
-	c.wire = wire
-	return c, nil
+	return &Coordinator{machines: machines}, nil
 }
 
 // NumMachines returns the cluster size.
 func (c *Coordinator) NumMachines() int { return len(c.machines) }
 
 // SupportsUpdates reports whether every machine accepts edge-delta
-// batches — the condition ApplyUpdates enforces. The gateway uses it to
-// answer 501 for read-only clusters instead of tearing one mid-fan-out.
-// Machines exposing their own probe (TCP transports send a no-op delta
-// so the answer reflects the remote worker's -updates configuration,
-// not just the client stub's method set) are asked; for in-process
-// machines the interface check is exact.
+// batches — the check ApplyUpdates runs before it sends a batch
+// anywhere (see probeUpdates).
 func (c *Coordinator) SupportsUpdates() bool {
-	for _, m := range c.machines {
-		if probe, ok := m.(interface{ SupportsUpdates() bool }); ok {
-			if !probe.SupportsUpdates() {
-				return false
-			}
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	defer cancel()
+	return c.probeUpdates(ctx) == nil
+}
+
+// probeUpdates checks that every machine takes edge-delta batches. It
+// fails with ErrReadOnly for a read-only machine and with the probe's
+// own error (say, a dead worker's) otherwise, tagged with the machine's
+// index. An in-process machine takes batches iff it is an Updater. A
+// TCP client has the method whatever its worker's configuration, so a
+// machine that also has SupportsUpdates is asked: it is sent an empty
+// batch, which an update-enabled worker acks without touching its
+// store.
+func (c *Coordinator) probeUpdates(ctx context.Context) error {
+	for i, m := range c.machines {
+		u, ok := m.(Updater)
+		if !ok {
+			return fmt.Errorf("cluster: machine %d: %w", i, ErrReadOnly)
+		}
+		if _, remote := m.(interface{ SupportsUpdates() bool }); !remote {
 			continue
 		}
-		if _, ok := m.(Updater); !ok {
-			return false
+		if _, err := u.ApplyUpdates(ctx, graph.Delta{}); err != nil {
+			return fmt.Errorf("cluster: machine %d: %w", i, err)
 		}
 	}
-	return true
+	return nil
 }
 
 // Query runs one exact PPV query: one request to each machine, one vector
@@ -206,12 +201,7 @@ func (c *Coordinator) Query(u int32) (*QueryStats, error) {
 // fan-out is abandoned (in-flight worker calls are cancelled or their
 // replies dropped) and the context error is returned.
 func (c *Coordinator) QueryCtx(ctx context.Context, u int32) (*QueryStats, error) {
-	if c.wire != nil {
-		return c.fanOutWire(ctx, queryFrame(u))
-	}
-	return c.fanOut(ctx, func(ctx context.Context, m Machine) ([]byte, time.Duration, error) {
-		return m.QueryShare(ctx, u)
-	})
+	return c.fanOut(ctx, &query{op: opQuery, u: u})
 }
 
 // QuerySet runs the one-round protocol for a preference node set: each
@@ -223,81 +213,84 @@ func (c *Coordinator) QuerySet(p core.Preference) (*QueryStats, error) {
 
 // QuerySetCtx is QuerySet with per-query cancellation.
 func (c *Coordinator) QuerySetCtx(ctx context.Context, p core.Preference) (*QueryStats, error) {
-	if c.wire != nil {
-		frame, err := querySetFrame(p)
-		if err != nil {
-			// Every machine would reject the set; fanOut names the first.
-			return nil, fmt.Errorf("cluster: machine 0: %w", err)
-		}
-		return c.fanOutWire(ctx, frame)
-	}
-	return c.fanOut(ctx, func(ctx context.Context, m Machine) ([]byte, time.Duration, error) {
-		return m.QuerySetShare(ctx, p)
-	})
+	return c.fanOut(ctx, &query{op: opQuerySet, set: p})
 }
 
-// fanOut implements the one-round protocol: call every machine once,
-// concurrently, and sum the decoded shares. The first failure cancels
-// the remaining calls and is reported with its machine index, so a
-// worker dying mid-flight surfaces as one clean error instead of a hang.
-func (c *Coordinator) fanOut(ctx context.Context, call func(context.Context, Machine) ([]byte, time.Duration, error)) (*QueryStats, error) {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// query is one query of a fan-out, in the form each machine takes: a
+// Pool the wire frame, any other machine the node or set itself.
+type query struct {
+	op    byte // opQuery or opQuerySet
+	u     int32
+	set   core.Preference
+	frame []byte // request id unset; encoded for the first Pool
+}
 
-	replies := make([]reply, len(c.machines))
-	var wg sync.WaitGroup
-	wg.Add(len(c.machines))
-	for i, m := range c.machines {
-		go func(i int, m Machine) {
-			defer wg.Done()
-			payload, compute, err := call(ctx, m)
-			replies[i] = reply{payload, compute, err}
-			if err != nil {
-				cancel() // release the other machines early
+// send starts m's share of q, whose reply arrives on done tagged with
+// index. A Pool's frame is written from the caller's goroutine; any
+// other machine is called on a goroutine of its own.
+func (q *query) send(ctx context.Context, m Machine, index int, done chan<- reply) (wireCall, error) {
+	if p, ok := m.(*Pool); ok {
+		if q.frame == nil {
+			if q.op == opQuery {
+				q.frame = queryFrame(q.u)
+			} else if frame, err := querySetFrame(q.set); err != nil {
+				return wireCall{}, err
+			} else {
+				q.frame = frame
 			}
-		}(i, m)
+		}
+		return p.send(ctx, q.frame, index, done)
 	}
-	wg.Wait()
-	return sumReplies(replies, start)
+	op, u, set := q.op, q.u, q.set
+	go func() {
+		rp := reply{index: index}
+		if op == opQuery {
+			rp.payload, rp.compute, rp.err = m.QueryShare(ctx, u)
+		} else {
+			rp.payload, rp.compute, rp.err = m.QuerySetShare(ctx, set)
+		}
+		done <- rp
+	}()
+	return wireCall{open: true}, nil
 }
 
-// fanOutWire is the one-round protocol over TCP machines, in two
-// phases and without a goroutine: write every machine's request frame
-// from the caller's goroutine, then take the replies from one channel
-// until all are in or the first error arrives. On an error the
-// remaining requests are abandoned (their late replies are dropped) and
-// the error is the one sumReplies picks, as for fanOut.
-func (c *Coordinator) fanOutWire(ctx context.Context, frame []byte) (*QueryStats, error) {
+// fanOut implements the one-round protocol: send q to every machine,
+// then take the replies from one channel until all are in or the first
+// error arrives. On an error the replies still pending are abandoned
+// (a Pool's reader drops them, a goroutine's lands in the buffered
+// channel) and the error is the one sumReplies picks, tagged with the
+// failing machine's index, so a worker dying mid-flight surfaces as one
+// clean error instead of a hang.
+func (c *Coordinator) fanOut(ctx context.Context, q *query) (*QueryStats, error) {
 	start := time.Now()
-	replies := make([]reply, len(c.wire))
-	calls := make([]wireCall, len(c.wire))
-	done := make(chan muxReply, len(c.wire))
-	// abandon gives up on every request still pending, recording err as
+	replies := make([]reply, len(c.machines))
+	calls := make([]wireCall, len(c.machines))
+	done := make(chan reply, len(c.machines))
+	// abandon gives up on every reply still pending, recording err as
 	// its reply.
 	abandon := func(err error) (*QueryStats, error) {
 		for i, call := range calls {
-			if call.t != nil {
+			if call.open {
 				call.abandon()
 				replies[i].err = err
 			}
 		}
 		return sumReplies(replies, start)
 	}
-	for i, m := range c.wire {
-		call, err := m.send(ctx, frame, i, done)
+	for i, m := range c.machines {
+		call, err := q.send(ctx, m, i, done)
 		if err != nil {
 			replies[i].err = err
 			return abandon(context.Canceled)
 		}
 		calls[i] = call
 	}
-	for range c.wire {
+	for range c.machines {
 		select {
-		case r := <-done:
-			calls[r.index] = wireCall{}
-			rp := &replies[r.index]
-			if rp.payload, rp.compute, rp.err = decodeReply(r); rp.err != nil {
+		case rp := <-done:
+			calls[rp.index] = wireCall{}
+			replies[rp.index] = rp
+			if rp.err != nil {
 				return abandon(context.Canceled)
 			}
 		case <-ctx.Done():
@@ -307,16 +300,10 @@ func (c *Coordinator) fanOutWire(ctx context.Context, frame []byte) (*QueryStats
 	return sumReplies(replies, start)
 }
 
-// reply is one machine's answer to one query.
-type reply struct {
-	payload []byte
-	compute time.Duration
-	err     error
-}
-
-// sumReplies finishes the one-round protocol for either fan-out: it
-// reports the most informative machine error, or else decodes every
-// share, accounts its bytes and compute time, and sums the shares.
+// sumReplies finishes the one-round protocol for either fan-out
+// (Coordinator.fanOut, QuerySequential): it reports the most
+// informative machine error, or else decodes every share, accounts its
+// bytes and compute time, and sums the shares.
 func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 	// A machine failure beats the context cancellation it triggered on
 	// its siblings.
@@ -355,8 +342,10 @@ func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 
 // ApplyUpdates fans an edge-delta batch out to every machine, which
 // applies it to its own copy of the graph and tree and recomputes the
-// dirty vectors of its own slice of the store. All machines must
-// implement Updater or the call is refused before anything is sent.
+// dirty vectors of its own slice of the store. Every machine is probed
+// first (probeUpdates): if any is read-only the call fails with
+// ErrReadOnly, and if a probe fails otherwise (a dead worker) with that
+// error, before the batch is sent anywhere.
 //
 // Agreement: every machine must report the same edge counts and the
 // same Digest — the dirty set and hub promotions over the WHOLE store,
@@ -375,27 +364,22 @@ func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 // are idempotent) or rebuild.
 func (c *Coordinator) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	start := time.Now()
-	updaters := make([]Updater, len(c.machines))
-	for i, m := range c.machines {
-		u, ok := m.(Updater)
-		if !ok {
-			return UpdateStats{}, fmt.Errorf("cluster: machine %d: %w", i, ErrReadOnly)
-		}
-		updaters[i] = u
+	if err := c.probeUpdates(ctx); err != nil {
+		return UpdateStats{}, err
 	}
 	type reply struct {
 		stats UpdateStats
 		err   error
 	}
-	replies := make([]reply, len(updaters))
+	replies := make([]reply, len(c.machines))
 	var wg sync.WaitGroup
-	wg.Add(len(updaters))
-	for i, u := range updaters {
+	wg.Add(len(c.machines))
+	for i, m := range c.machines {
 		go func(i int, u Updater) {
 			defer wg.Done()
 			stats, err := u.ApplyUpdates(ctx, d)
 			replies[i] = reply{stats, err}
-		}(i, u)
+		}(i, m.(Updater))
 	}
 	wg.Wait()
 	var out UpdateStats

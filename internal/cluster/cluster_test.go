@@ -122,7 +122,7 @@ func TestTCPCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		go (&Server{Machine: &LocalMachine{Backend: sh}}).Serve(l)
-		m, err := DialPool(l.Addr().String(), 1)
+		m, err := Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestTCPWorkerError(t *testing.T) {
 	}
 	defer l.Close()
 	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
-	m, err := DialPool(l.Addr().String(), 1)
+	m, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestTCPMachineConcurrentSafe(t *testing.T) {
 	}
 	defer l.Close()
 	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
-	m, err := DialPool(l.Addr().String(), 1)
+	m, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestQuerySetDistributed(t *testing.T) {
 		}
 		defer l.Close()
 		go (&Server{Machine: &LocalMachine{Backend: sh}}).Serve(l)
-		m, err := DialPool(l.Addr().String(), 1)
+		m, err := Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func classifiedGateways(t *testing.T) map[string]string {
 		t.Cleanup(func() { l.Close() })
 		live := remote[i].(*LiveShard)
 		go (&Server{Machine: live, Updater: live}).Serve(l)
-		p, err := DialPool(l.Addr().String(), 1)
+		p, err := Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestGatewayUnclassifiedErrorIs502(t *testing.T) {
 	}
 	defer l.Close()
 	go (&Server{Machine: broken}).Serve(l)
-	p, err := DialPool(l.Addr().String(), 1)
+	p, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReadOnlyBackendsTyped(t *testing.T) {
 	for i, sh := range shards {
 		addr, stop := startWorker(t, &LocalMachine{Backend: sh})
 		t.Cleanup(stop)
-		p, err := DialPool(addr, 1)
+		p, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func FuzzWireFrames(f *testing.F) {
 		if err := decodeError(payload); err == nil {
 			t.Fatal("opError payload decoded to no error")
 		}
-		body, _, err := decodeReply(muxReply{op: op, payload: payload})
+		body, _, err := decodeReply(op, payload)
 		if err != nil || op != opShare {
 			return
 		}

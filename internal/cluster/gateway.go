@@ -31,7 +31,7 @@ type Querier interface {
 //	POST /ppv                 batch: many sources fanned out concurrently,
 //	                          or one weighted preference-set query
 //	POST /edges               edge-delta batch applied to the live store
-//	                          (requires an Updater backend, else 501)
+//	                          (501 unless every machine takes updates)
 //	GET  /healthz             liveness + uptime
 //	GET  /stats               serving counters (queries, errors, bytes, …)
 //
@@ -337,10 +337,6 @@ func (g *Gateway) handleEdges(w http.ResponseWriter, r *http.Request) {
 	backend, ok := g.backend.(Updater)
 	if !ok {
 		httpError(w, http.StatusNotImplemented, "backend does not support updates")
-		return
-	}
-	if probe, ok := g.backend.(interface{ SupportsUpdates() bool }); ok && !probe.SupportsUpdates() {
-		httpError(w, http.StatusNotImplemented, "cluster has read-only machines — restart workers with -updates")
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, maxUpdateBytes)

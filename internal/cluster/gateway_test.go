@@ -183,7 +183,7 @@ func TestTCPMachineWeightsMismatch(t *testing.T) {
 	}
 	addr, stop := startWorker(t, &LocalMachine{Backend: shards[0]})
 	defer stop()
-	m, err := DialPool(addr, 1)
+	m, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,12 @@ func startWorker(t *testing.T, m Machine) (addr string, stop func()) {
 	return l.Addr().String(), func() { l.Close() }
 }
 
+// newTCPMachine returns a Pool over an open connection to a worker;
+// once conn breaks, the Pool re-dials its remote address.
+func newTCPMachine(conn net.Conn) *Pool {
+	return newPool(conn.RemoteAddr().String(), startConn(conn))
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -85,7 +91,7 @@ func TestMux64InFlightOneConnection(t *testing.T) {
 	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
 	addr, stop := startWorker(t, gate)
 	defer stop()
-	m, err := DialPool(addr, 1)
+	m, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestThroughputScalesWithConcurrency(t *testing.T) {
 	const clients = 32
 	addr, stop := startWorker(t, &delayMachine{inner: &LocalMachine{Backend: shards[0]}, delay: delay})
 	defer stop()
-	m, err := DialPool(addr, 1)
+	m, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +242,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	defer inner.Close()
 	rl := &recordingListener{Listener: inner, conns: make(chan net.Conn, 1)}
 	go (&Server{Machine: gate}).Serve(rl)
-	// One raw connection, not a Pool: a pool would re-dial the listener.
-	doomed, err := dialMachine(context.Background(), rl.Addr().String())
+	doomed, err := Dial(rl.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	// Healthy worker.
 	healthyAddr, stopHealthy := startWorker(t, &LocalMachine{Backend: shards[1]})
 	defer stopHealthy()
-	healthy, err := DialPool(healthyAddr, 1)
+	healthy, err := Dial(healthyAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +269,10 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 	}
 	waitFor(t, "in-flight queries", func() bool { return gate.entered.Load() == inFlight })
 
-	workerConn := <-rl.conns
-	workerConn.Close() // kill the worker mid-flight
+	// Kill the worker mid-flight. The listener goes first, so that the
+	// Pool's re-dial fails as it would against a dead host.
+	inner.Close()
+	(<-rl.conns).Close()
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -282,7 +289,7 @@ func TestWorkerKilledMidFlight(t *testing.T) {
 			t.Fatalf("query %d: want a transport error, got %v", i, err)
 		}
 	}
-	if doomed.healthy() {
+	if !doomed.conn.Load().broken.Load() {
 		t.Fatal("dead transport still reports healthy")
 	}
 
@@ -313,7 +320,7 @@ func TestMuxContextTimeout(t *testing.T) {
 	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
 	addr, stop := startWorker(t, gate)
 	defer stop()
-	m, err := DialPool(addr, 1)
+	m, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,93 +352,116 @@ func TestMuxContextTimeout(t *testing.T) {
 	}
 }
 
-// TestCoordinatorTimeout: a query deadline turns a stuck worker into a
-// clean deadline error.
+// TestCoordinatorTimeout: a query deadline turns a stuck machine into a
+// clean deadline error, over either transport.
 func TestCoordinatorTimeout(t *testing.T) {
 	s := testStore(t)
 	shards, err := core.Split(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
-	defer close(gate.release)
-	addr, stop := startWorker(t, gate)
-	defer stop()
-	m, err := DialPool(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	c, err := NewCoordinator(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := c.QueryCtx(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			gate := newGateMachine(&LocalMachine{Backend: shards[0]})
+			defer close(gate.release)
+			c, err := NewCoordinator(tr.machine(t, gate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if _, err := c.QueryCtx(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want deadline exceeded", err)
+			}
+		})
 	}
 }
 
-// TestPool: round-robin over several multiplexed connections, surviving
-// the death of one of them.
+// transports names the two ways a Coordinator reaches a machine: called
+// in process, or served by a TCP worker and reached through a Pool.
+var transports = []struct {
+	name    string
+	machine func(t *testing.T, m Machine) Machine
+}{
+	{"in-process", func(t *testing.T, m Machine) Machine { return m }},
+	{"tcp", func(t *testing.T, m Machine) Machine {
+		t.Helper()
+		addr, stop := startWorker(t, m)
+		t.Cleanup(stop)
+		p, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}},
+}
+
+// TestPool: a Pool is one multiplexed connection. Severing it under 32
+// concurrent callers costs exactly one re-dial, after which every query
+// succeeds; a worker that is gone fails calls cleanly, a restarted one
+// heals the pool, and a closed pool stays closed.
 func TestPool(t *testing.T) {
 	s := testStore(t)
 	shards, err := core.Split(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startWorker(t, &LocalMachine{Backend: shards[0]})
-	defer stop()
-	p, err := DialPool(addr, 3)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	rl := &recordingListener{Listener: inner, conns: make(chan net.Conn, 8)}
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(rl)
+	addr := rl.Addr().String()
+	p, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	query := func(u int32) error {
+		_, _, err := p.QueryShare(context.Background(), u)
+		return err
+	}
+	if err := query(1); err != nil {
+		t.Fatal(err)
+	}
 
+	(<-rl.conns).Close() // sever the connection from the worker's end
+	waitFor(t, "the pool to see its connection break", func() bool { return p.conn.Load().broken.Load() })
 	var wg sync.WaitGroup
 	errs := make([]error, 32)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = p.QueryShare(context.Background(), int32(i%8))
+			errs[i] = query(int32(i % 8))
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("pooled query %d: %v", i, err)
+			t.Fatalf("query %d after the break: %v", i, err)
 		}
 	}
-
-	// One broken socket must not poison the pool: the slot is either
-	// skipped or re-dialed while the worker is alive.
-	p.conns[0].Close()
+	waitFor(t, "the re-dial's accept", func() bool { return len(rl.conns) > 0 })
+	time.Sleep(50 * time.Millisecond) // room for a second accept to show
+	if n := len(rl.conns); n != 1 {
+		t.Fatalf("%d re-dials after one break, want 1", n)
+	}
 	for i := 0; i < 6; i++ {
-		if _, _, err := p.QueryShare(context.Background(), 1); err != nil {
-			t.Fatalf("pool should route around a dead connection: %v", err)
+		if err := query(int32(i)); err != nil {
+			t.Fatalf("query on the re-dialed connection: %v", err)
 		}
 	}
-	// …and the background heal restores full parallelism.
-	waitFor(t, "pool heal", func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		for _, m := range p.conns {
-			if !m.healthy() {
-				return false
-			}
-		}
-		return true
-	})
 
-	// Worker gone entirely: every socket dead and re-dial refused — the
+	// Worker gone entirely: connection dead and re-dial refused — the
 	// pool must error cleanly, not hang.
-	stop()
-	for _, m := range p.conns {
-		m.Close()
-	}
-	if _, _, err := p.QueryShare(context.Background(), 1); err == nil {
+	inner.Close()
+	(<-rl.conns).Close()
+	waitFor(t, "the pool to see its connection break", func() bool { return p.conn.Load().broken.Load() })
+	if err := query(1); err == nil {
 		t.Fatal("pool with an unreachable worker must error")
 	}
 
@@ -442,8 +472,13 @@ func TestPool(t *testing.T) {
 	}
 	defer l.Close()
 	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
-	if _, _, err := p.QueryShare(context.Background(), 1); err != nil {
+	if err := query(1); err != nil {
 		t.Fatalf("pool should re-dial a restarted worker: %v", err)
+	}
+
+	p.Close()
+	if err := query(1); !errors.Is(err, ErrMachineClosed) {
+		t.Fatalf("query on a closed pool: err = %v, want ErrMachineClosed", err)
 	}
 }
 
@@ -459,7 +494,7 @@ func TestCoordinatorConcurrentQueries(t *testing.T) {
 	for _, sh := range shards {
 		addr, stop := startWorker(t, &LocalMachine{Backend: sh})
 		defer stop()
-		m, err := DialPool(addr, 1)
+		m, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,34 +545,16 @@ func TestCoordinatorConcurrentQueries(t *testing.T) {
 // two workers holding one slice each, the tcp-read topology. The
 // parallel variants issue queries from many goroutines; on a multi-core
 // runner they must beat the serial ones because the worker executes
-// frames on its handler pool instead of one at a time.
+// frames on its handler pool instead of one at a time. two-local/… runs
+// the same queries over two in-process machines holding the same two
+// slices: the coordinator's one fan-out, without the wire.
 func BenchmarkTCPCoordinator(b *testing.B) {
 	s := benchStore(b)
-	run := func(b *testing.B, workers int) {
-		shards, err := core.Split(s, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		machines := make([]Machine, workers)
-		for i, sh := range shards {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			go (&Server{Machine: &LocalMachine{Backend: sh}}).Serve(l)
-			m, err := DialPool(l.Addr().String(), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			machines[i] = m
-		}
+	run := func(b *testing.B, machines []Machine) {
 		c, err := NewCoordinator(machines...)
 		if err != nil {
 			b.Fatal(err)
 		}
-
 		b.Run("serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Query(int32(i % 300)); err != nil {
@@ -558,8 +575,40 @@ func BenchmarkTCPCoordinator(b *testing.B) {
 			})
 		})
 	}
-	run(b, 1)
-	b.Run("two-workers", func(b *testing.B) { run(b, 2) })
+	// slices returns an in-process machine over each of n slices of s.
+	slices := func(b *testing.B, n int) []Machine {
+		shards, err := core.Split(s, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		machines := make([]Machine, n)
+		for i, sh := range shards {
+			machines[i] = &LocalMachine{Backend: sh}
+		}
+		return machines
+	}
+	// workers serves each of n slices of s from a TCP worker.
+	workers := func(b *testing.B, n int) []Machine {
+		machines := slices(b, n)
+		for i, m := range machines {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { l.Close() })
+			go (&Server{Machine: m}).Serve(l)
+			p, err := Dial(l.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { p.Close() })
+			machines[i] = p
+		}
+		return machines
+	}
+	run(b, workers(b, 1))
+	b.Run("two-workers", func(b *testing.B) { run(b, workers(b, 2)) })
+	b.Run("two-local", func(b *testing.B) { run(b, slices(b, 2)) })
 }
 
 // BenchmarkTCPCoordinatorLatency is the same comparison with 2ms of
@@ -580,7 +629,7 @@ func BenchmarkTCPCoordinatorLatency(b *testing.B) {
 	defer l.Close()
 	const delay = 2 * time.Millisecond
 	go (&Server{Machine: &delayMachine{inner: &LocalMachine{Backend: shards[0]}, delay: delay}}).Serve(l)
-	m, err := DialPool(l.Addr().String(), 1)
+	m, err := Dial(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestCoordinatorChecksUpdateDigests(t *testing.T) {
 			srv := &Server{Machine: &LocalMachine{Backend: shards[i]}, Updater: fixedUpdater{ack}}
 			go srv.Serve(l)
 			t.Cleanup(func() { l.Close() })
-			m, err := DialPool(l.Addr().String(), 1)
+			m, err := Dial(l.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}

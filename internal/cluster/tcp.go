@@ -309,7 +309,7 @@ func (s *Server) handle(ctx context.Context, w *frameWriter, req request) {
 }
 
 // handleUpdate decodes and applies one edge-delta batch, answering the
-// ack payload.
+// ack payload. An empty batch is acked without reaching the Updater.
 func (s *Server) handleUpdate(ctx context.Context, payload []byte) ([]byte, error) {
 	if s.Updater == nil {
 		return nil, fmt.Errorf("updates not enabled on this worker: %w", ErrReadOnly)
@@ -317,6 +317,12 @@ func (s *Server) handleUpdate(ctx context.Context, payload []byte) ([]byte, erro
 	d, err := decodeDelta(payload)
 	if err != nil {
 		return nil, err
+	}
+	if d.Len() == 0 {
+		// The coordinator's capability probe (Pool.SupportsUpdates).
+		// The Updater would make it wait behind any running batch and
+		// clone the store's hierarchy, to change nothing.
+		return encodeUpdateStats(UpdateStats{Digest: core.EmptyBatchDigest}), nil
 	}
 	stats, err := s.Updater.ApplyUpdates(ctx, d)
 	if err != nil {

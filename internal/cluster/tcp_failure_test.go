@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestWorkerDropsMalformedRequest(t *testing.T) {
 		t.Fatalf("op = %d id = %d, want opError echoing id 7", op, id)
 	}
 	// The worker then closes; the NEXT worker connection must still work.
-	m, err := DialPool(l.Addr().String(), 1)
+	m, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,28 +90,54 @@ func TestWorkerDropsMalformedRequest(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPropagatesDeadMachine: a machine whose connection died
-// turns into a clean coordinator error, not a hang.
+// TestCoordinatorPropagatesDeadMachine: a dead machine (an in-process
+// machine that fails every call, a TCP worker whose connection is closed
+// and whose address refuses re-dials) turns into a clean coordinator
+// error, not a hang.
 func TestCoordinatorPropagatesDeadMachine(t *testing.T) {
 	s := testStore(t)
 	shards, _ := core_Split(t, s)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	dead := map[string]func(t *testing.T) Machine{
+		"in-process": func(t *testing.T) Machine {
+			d := &dyingMachine{dead: make(chan struct{})}
+			close(d.dead)
+			return d
+		},
+		"tcp": func(t *testing.T) Machine {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
+			m, err := Dial(l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			m.Close() // kill the transport under the coordinator
+			return m
+		},
 	}
-	go (&Server{Machine: &LocalMachine{Backend: shards[0]}}).Serve(l)
-	m, err := DialPool(l.Addr().String(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCoordinator(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	m.Close() // kill the transport under the coordinator
-	if _, err := c.Query(1); err == nil {
-		t.Fatal("dead machine must surface as an error")
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			c, err := NewCoordinator(dead[tr.name](t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := c.Query(1)
+				errc <- err
+			}()
+			select {
+			case err = <-errc:
+			case <-time.After(10 * time.Second):
+				t.Fatal("query hung on a dead machine")
+			}
+			if err == nil || !strings.Contains(err.Error(), "machine 0:") {
+				t.Fatalf("err = %v, want the dead machine's error tagged with machine 0", err)
+			}
+		})
 	}
 }
 

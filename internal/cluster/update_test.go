@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"net/http"
@@ -170,7 +171,7 @@ func TestTCPClusterUpdates(t *testing.T) {
 	}
 	var ms []Machine
 	for _, addr := range addrs {
-		m, err := DialPool(addr, 1)
+		m, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +221,7 @@ func TestTCPClusterUpdates(t *testing.T) {
 	}
 	addr, stop := startWorker(t, &LocalMachine{Backend: shards[0]})
 	defer stop()
-	m, err := DialPool(addr, 1)
+	m, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,8 @@ func TestTCPClusterUpdates(t *testing.T) {
 	}
 	// The capability probe reflects the WORKER's configuration, not the
 	// client stub's method set: true for -updates workers, false for the
-	// read-only one, so the gateway's 501 pre-check fires over the wire.
+	// read-only one, so Coordinator.ApplyUpdates refuses a mixed cluster
+	// before sending it anything.
 	if !ms[0].(*Pool).SupportsUpdates() {
 		t.Fatal("updatable worker probed as read-only")
 	}
@@ -363,4 +365,158 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if _, err := decodeUpdateStats([]byte{1}); err == nil {
 		t.Fatal("malformed ack must fail")
 	}
+}
+
+// heldUpdater holds every batch until released, serializing batches the
+// way core.LiveStore does.
+type heldUpdater struct {
+	mu      sync.Mutex
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *heldUpdater) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.entered <- struct{}{}
+	<-h.release
+	return UpdateStats{Inserted: int64(len(d.Insert))}, nil
+}
+
+// TestUpdateProbeSkipsStore: the capability probe (an empty batch) is
+// answered by the worker itself. It does not wait behind a batch that is
+// still running, and it acks the digest a live store reports for an
+// empty batch, so the coordinator's agreement check is unchanged.
+func TestUpdateProbeSkipsStore(t *testing.T) {
+	shards, err := core.Split(testStore(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldUpdater{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go (&Server{Machine: &LocalMachine{Backend: shards[0]}, Updater: held}).Serve(l)
+	p, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	batch := make(chan error, 1)
+	go func() {
+		_, err := p.ApplyUpdates(context.Background(), graph.Delta{Insert: [][2]int32{{1, 2}}})
+		batch <- err
+	}()
+	<-held.entered // the batch is running on the worker
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	ack, err := p.ApplyUpdates(ctx, graph.Delta{})
+	if err != nil {
+		t.Fatalf("probe behind a running batch: %v", err)
+	}
+	close(held.release)
+	if err := <-batch; err != nil {
+		t.Fatal(err)
+	}
+
+	live, err := NewLiveShard(core.NewLiveStore(testStore(t)), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.ApplyUpdates(context.Background(), graph.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Inserted != 0 || ack.Deleted != 0 || ack.Recomputed != 0 || ack.Digest != want.Digest {
+		t.Fatalf("probe ack %+v, want 0/0/0 and the live store's empty-batch digest %016x", ack, want.Digest)
+	}
+}
+
+// TestUpdateProbedBeforeSend: Coordinator.ApplyUpdates asks every
+// machine before it sends the batch anywhere. A read-only worker makes
+// it fail with ErrReadOnly (501 through the gateway) with the updatable
+// worker's graph untouched; a dead worker makes it fail with the
+// transport error (502), not ErrReadOnly.
+func TestUpdateProbedBeforeSend(t *testing.T) {
+	d := graph.Delta{Insert: [][2]int32{{3, 200}}}
+	// updatable starts an -updates worker for slice 0 of 2.
+	updatable := func(t *testing.T) (*LiveShard, net.Listener) {
+		live, err := NewLiveShard(core.NewLiveStore(testStore(t)), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go (&Server{Machine: live, Updater: live}).Serve(l)
+		return live, l
+	}
+	dial := func(t *testing.T, addr string) *Pool {
+		p, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+
+	t.Run("read-only worker", func(t *testing.T) {
+		live, l := updatable(t)
+		shards, err := core.Split(testStore(t), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roAddr, stop := startWorker(t, &LocalMachine{Backend: shards[1]})
+		defer stop()
+		c, err := NewCoordinator(dial(t, l.Addr().String()), dial(t, roAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch := live.Shard().H.G.Epoch()
+		_, err = c.ApplyUpdates(context.Background(), d)
+		if got := live.Shard().H.G.Epoch(); got != epoch {
+			t.Fatalf("the updatable worker's graph moved from epoch %d to %d: the cluster is torn", epoch, got)
+		}
+		if !errors.Is(err, ErrReadOnly) || !strings.Contains(err.Error(), "machine 1:") {
+			t.Fatalf("err = %v, want machine 1's ErrReadOnly", err)
+		}
+	})
+
+	t.Run("dead worker", func(t *testing.T) {
+		live, l := updatable(t)
+		inner, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl := &recordingListener{Listener: inner, conns: make(chan net.Conn, 1)}
+		other, err := NewLiveShard(core.NewLiveStore(testStore(t)), 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go (&Server{Machine: other, Updater: other}).Serve(rl)
+		c, err := NewCoordinator(dial(t, l.Addr().String()), dial(t, rl.Addr().String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner.Close()
+		(<-rl.conns).Close() // worker 1 is gone
+		epoch := live.Shard().H.G.Epoch()
+
+		srv := httptest.NewServer(NewGateway(c).Handler())
+		defer srv.Close()
+		var e map[string]string
+		postJSON(t, srv.URL+"/edges", map[string]any{"insert": d.Insert}, http.StatusBadGateway, &e)
+		if !strings.Contains(e["error"], "machine 1:") {
+			t.Fatalf("error = %q, want machine 1's failure", e["error"])
+		}
+		if got := live.Shard().H.G.Epoch(); got != epoch {
+			t.Fatalf("the live worker's graph moved from epoch %d to %d: the cluster is torn", epoch, got)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -186,7 +187,7 @@ func TestServerInFlightBound(t *testing.T) {
 	b := &boundMachine{release: make(chan struct{})}
 	addr, stop := startWorker(t, b)
 	defer stop()
-	m, err := dialMachine(context.Background(), addr)
+	m, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,64 +223,91 @@ func TestServerInFlightBound(t *testing.T) {
 	}
 }
 
-// TestFanOutFailsFast: when one worker's connection dies mid-query, the
-// coordinator returns that transport error, tagged with the failing
-// machine's index, without waiting for its slow sibling.
+// dyingMachine holds every query until it dies, then fails it, the way
+// a machine that loses its worker mid-query does.
+type dyingMachine struct {
+	entered atomic.Int64
+	dead    chan struct{}
+}
+
+func (d *dyingMachine) QueryShare(ctx context.Context, u int32) ([]byte, time.Duration, error) {
+	d.entered.Add(1)
+	<-d.dead
+	return nil, 0, errors.New("machine died")
+}
+
+func (d *dyingMachine) QuerySetShare(ctx context.Context, _ core.Preference) ([]byte, time.Duration, error) {
+	return d.QueryShare(ctx, 0)
+}
+
+// TestFanOutFailsFast: when machine 0 dies mid-query (an in-process
+// machine fails, a TCP worker's connection is cut), the coordinator
+// returns that error, tagged with the failing machine's index, without
+// waiting for its slow sibling.
 func TestFanOutFailsFast(t *testing.T) {
 	shards, err := core.Split(testStore(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newGateMachine(&LocalMachine{Backend: shards[0]})
-	defer close(gate.release)
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Close()
-	rl := &recordingListener{Listener: inner, conns: make(chan net.Conn, 1)}
-	go (&Server{Machine: gate}).Serve(rl)
-	doomed, err := DialPool(rl.Addr().String(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer doomed.Close()
-
 	const delay = 2 * time.Second
-	slowAddr, stopSlow := startWorker(t, &delayMachine{inner: &LocalMachine{Backend: shards[1]}, delay: delay})
-	defer stopSlow()
-	slow, err := DialPool(slowAddr, 1)
-	if err != nil {
-		t.Fatal(err)
+	// doomed returns machine 0 over each transport, a count of the
+	// queries it holds, and the call that kills it.
+	doomed := map[string]func(t *testing.T) (m Machine, entered func() int64, kill func()){
+		"in-process": func(t *testing.T) (Machine, func() int64, func()) {
+			d := &dyingMachine{dead: make(chan struct{})}
+			return d, d.entered.Load, func() { close(d.dead) }
+		},
+		"tcp": func(t *testing.T) (Machine, func() int64, func()) {
+			gate := newGateMachine(&LocalMachine{Backend: shards[0]})
+			t.Cleanup(func() { close(gate.release) })
+			inner, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { inner.Close() })
+			rl := &recordingListener{Listener: inner, conns: make(chan net.Conn, 1)}
+			go (&Server{Machine: gate}).Serve(rl)
+			p, err := Dial(rl.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			return p, gate.entered.Load, func() { (<-rl.conns).Close() }
+		},
 	}
-	defer slow.Close()
-	c, err := NewCoordinator(doomed, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			m, entered, kill := doomed[tr.name](t)
+			slow := &delayMachine{inner: &LocalMachine{Backend: shards[1]}, delay: delay}
+			c, err := NewCoordinator(m, tr.machine(t, slow))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	start := time.Now()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.Query(1)
-		errc <- err
-	}()
-	waitFor(t, "query in flight", func() bool { return gate.entered.Load() == 1 })
-	(<-rl.conns).Close() // kill worker 0's connection
+			start := time.Now()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := c.Query(1)
+				errc <- err
+			}()
+			waitFor(t, "query in flight", func() bool { return entered() == 1 })
+			kill()
 
-	select {
-	case err = <-errc:
-	case <-time.After(10 * time.Second):
-		t.Fatal("query hung after its worker died")
-	}
-	elapsed := time.Since(start)
-	if err == nil || isCancel(err) {
-		t.Fatalf("err = %v, want the transport error", err)
-	}
-	if !strings.Contains(err.Error(), "machine 0:") {
-		t.Fatalf("err = %v, want it tagged with machine 0", err)
-	}
-	if elapsed > delay/2 {
-		t.Fatalf("query failed after %v, waiting on the %v sibling", elapsed, delay)
+			select {
+			case err = <-errc:
+			case <-time.After(10 * time.Second):
+				t.Fatal("query hung after its machine died")
+			}
+			elapsed := time.Since(start)
+			if err == nil || isCancel(err) {
+				t.Fatalf("err = %v, want the machine's own error", err)
+			}
+			if !strings.Contains(err.Error(), "machine 0:") {
+				t.Fatalf("err = %v, want it tagged with machine 0", err)
+			}
+			if elapsed > delay/2 {
+				t.Fatalf("query failed after %v, waiting on the %v sibling", elapsed, delay)
+			}
+		})
 	}
 }

@@ -166,6 +166,10 @@ func updateDigest(tasks []precomputeTask, upd *hierarchy.Update) uint64 {
 	return h.Sum64()
 }
 
+// EmptyBatchDigest is the UpdateInfo.Digest of a batch with no edge
+// operations: it dirties no vector and promotes no hub.
+var EmptyBatchDigest = updateDigest(nil, &hierarchy.Update{})
+
 // storeVectors counts the vectors a from-scratch pre-computation would
 // produce for this store.
 func (s *Store) storeVectors() int {

@@ -2,8 +2,7 @@
 // paper's evaluation (§6 and the appendices). Runners print plain-text
 // tables shaped like the paper's plots — same axes, same series — so the
 // qualitative claims (who wins, by what factor, where trends bend) can be
-// compared row by row against the published numbers recorded in
-// EXPERIMENTS.md.
+// compared row by row against the paper's published numbers.
 package experiments
 
 import (
@@ -24,8 +23,9 @@ import (
 
 // Config tunes the harness. Zero values select sensible defaults.
 type Config struct {
-	// Scale multiplies the preset dataset sizes (default 0.5; DESIGN.md
-	// explains the laptop-scale substitution).
+	// Scale multiplies the preset dataset sizes (default 0.5; the
+	// presets are laptop-scale analogues of the paper's datasets, see
+	// gen.Specs).
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64

@@ -11,7 +11,7 @@ import (
 // paper dataset's *shape* — edge/node density, community structure, degree
 // skew — at a scale that runs on a laptop. The `scale` argument multiplies
 // the node count (1.0 = the default reduced size below, NOT the paper's
-// size; see DESIGN.md §3 for the substitution rationale).
+// size; PaperNodes and PaperEdges record the paper's sizes beside it).
 
 // DatasetSpec describes one named synthetic dataset.
 type DatasetSpec struct {
