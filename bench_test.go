@@ -511,26 +511,43 @@ func benchStorePath(b *testing.B) string {
 
 // BenchmarkLoadShard compares what a worker allocates to load its
 // slice of a 2-way split (core.LoadShard) against a whole-store load of
-// the same file. Both rebuild the graph and tree; the shard skips the
-// other machine's payloads. vectorMB is the encoded size of the vectors
-// the loaded store holds.
+// the same file, and against opening the file as a DiskStore and taking
+// the same slice as a view (core.OpenDiskStore + core.SplitDisk). All
+// three rebuild the graph and tree; the shard copies only its own
+// payloads and the view copies none. vectorMB is the encoded size of
+// the vectors the loaded store or slice holds.
 func BenchmarkLoadShard(b *testing.B) {
 	path := benchStorePath(b)
+	type slice interface{ SpaceBytes() int64 }
 	for _, bc := range []struct {
 		name string
-		load func() (*core.Store, error)
+		load func() (slice, func(), error)
 	}{
-		{"whole", func() (*core.Store, error) { return core.LoadFile(path) }},
-		{"shard=0of2", func() (*core.Store, error) { return core.LoadShard(path, 0, 2) }},
+		{"whole", func() (slice, func(), error) { s, err := core.LoadFile(path); return s, func() {}, err }},
+		{"shard=0of2", func() (slice, func(), error) { s, err := core.LoadShard(path, 0, 2); return s, func() {}, err }},
+		{"open-disk", func() (slice, func(), error) {
+			ds, err := core.OpenDiskStore(path)
+			if err != nil {
+				return nil, nil, err
+			}
+			views, err := core.SplitDisk(ds, 2)
+			if err != nil {
+				ds.Close()
+				return nil, nil, err
+			}
+			return views[0], func() { ds.Close() }, nil
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var s *core.Store
+			var s slice
 			for i := 0; i < b.N; i++ {
+				var release func()
 				var err error
-				if s, err = bc.load(); err != nil {
+				if s, release, err = bc.load(); err != nil {
 					b.Fatal(err)
 				}
+				release()
 			}
 			b.ReportMetric(float64(s.SpaceBytes())/(1<<20), "vectorMB")
 		})

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"exactppr/internal/gen"
 	"exactppr/internal/hierarchy"
@@ -32,22 +35,48 @@ func savedBytes(t testing.TB, s *Store) []byte {
 	return buf.Bytes()
 }
 
-// openBoth runs the in-memory loader and both disk openers over data and
-// returns their errors.
-func openBoth(t *testing.T, data []byte) []error {
+// opener opens a store file's bytes one way and closes what it opened.
+type opener struct {
+	name string
+	open func() error
+}
+
+// storeOpeners lists every way to open data: Load, LoadShard for each
+// machine of a 2-way split, and both disk openers.
+func storeOpeners(t *testing.T, data []byte) []opener {
 	t.Helper()
-	_, err := Load(bytes.NewReader(data))
-	errs := []error{err}
 	path := filepath.Join(t.TempDir(), "s.store")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	openers := []opener{{"Load", func() error {
+		_, err := Load(bytes.NewReader(data))
+		return err
+	}}}
+	for i := range 2 {
+		openers = append(openers, opener{fmt.Sprintf("LoadShard %d/2", i), func() error {
+			_, err := LoadShard(path, i, 2)
+			return err
+		}})
+	}
 	for _, mapped := range []bool{true, false} {
-		ds, err := openDiskStore(path, mapped)
-		if err == nil {
-			ds.Close()
-		}
-		errs = append(errs, err)
+		openers = append(openers, opener{fmt.Sprintf("OpenDiskStore mapped=%v", mapped), func() error {
+			ds, err := openDiskStore(path, mapped)
+			if err == nil {
+				ds.Close()
+			}
+			return err
+		}})
+	}
+	return openers
+}
+
+// openBoth runs every opener over data and returns their errors.
+func openBoth(t *testing.T, data []byte) []error {
+	t.Helper()
+	var errs []error
+	for _, o := range storeOpeners(t, data) {
+		errs = append(errs, o.open())
 	}
 	return errs
 }
@@ -161,7 +190,7 @@ func TestLoadRejectsInvalidParams(t *testing.T) {
 			putStoreParams(data, tc.alpha, tc.eps, tc.maxIter, tc.dangling)
 			errs := openBoth(t, data)
 			for i := range 2 {
-				_, err := load(bytes.NewReader(data), i, 2)
+				_, err := loadBytes(data, i, 2)
 				errs = append(errs, err)
 			}
 			for i, err := range errs {
@@ -173,11 +202,101 @@ func TestLoadRejectsInvalidParams(t *testing.T) {
 	}
 }
 
-// FuzzStoreParams mutates the 24-byte params block of a tiny store —
-// and nothing else: the node and edge counts that follow wait on a
-// length bound — and serves whatever opens: Load, each shard's load,
-// and both disk openers. A store that opens must hold params that pass
-// ValidatePrecompute and must answer every node with finite entries.
+// storeOptionsOff is the file offset of the 28-byte hierarchy-options
+// block: fanout, maxLevels, minSize int32; imbalance float64; seed
+// int64. The node and edge counts n, m int32 follow it.
+const storeOptionsOff = storeParamsOff + 24
+
+// putStoreOptions overwrites the hierarchy options and the graph counts
+// of a saved store.
+func putStoreOptions(data []byte, fanout, maxLevels, minSize int32, imbalanceBits uint64, seed int64, n, m int32) {
+	b := data[storeOptionsOff:]
+	binary.LittleEndian.PutUint32(b[0:], uint32(fanout))
+	binary.LittleEndian.PutUint32(b[4:], uint32(maxLevels))
+	binary.LittleEndian.PutUint32(b[8:], uint32(minSize))
+	binary.LittleEndian.PutUint64(b[12:], imbalanceBits)
+	binary.LittleEndian.PutUint64(b[20:], uint64(seed))
+	binary.LittleEndian.PutUint32(b[28:], uint32(n))
+	binary.LittleEndian.PutUint32(b[32:], uint32(m))
+}
+
+// TestLoadRejectsHostileImbalance: the header's imbalance reached the
+// partitioner unchecked, whose part-weight bounds overflow for it; the
+// bisection then kept a subgraph whole and hierarchy.Build split the
+// same member set forever: with a NaN imbalance this fixture's Load
+// never returned. Every opener now fails with ErrInvalidStoreParams,
+// each under a 1 s deadline.
+func TestLoadRejectsHostileImbalance(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	o := s.H.Opts
+	for _, imb := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		data := savedBytes(t, s)
+		putStoreOptions(data, int32(o.Fanout), int32(o.MaxLevels), int32(o.MinSize), math.Float64bits(imb), o.Seed,
+			int32(s.H.G.NumNodes()), int32(s.H.G.NumEdges()))
+		for _, op := range storeOpeners(t, data) {
+			done := make(chan error, 1)
+			go func() { done <- op.open() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrInvalidStoreParams) {
+					t.Errorf("imbalance %v: %s: got %v, want ErrInvalidStoreParams", imb, op.name, err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("imbalance %v: %s still running after 1 s", imb, op.name)
+			}
+		}
+	}
+}
+
+// TestLoadBoundsCountsByFileLength: the header's node count sized the
+// graph's and the tree's arrays before a record was read, so n =
+// 0x7fffffff asked for more than 50 GiB. A store holds a record of at
+// least 16 bytes for every node and 8 bytes for every edge; a count the
+// file is too short to hold now fails every opener, which allocates
+// under 1 MiB doing so.
+func TestLoadBoundsCountsByFileLength(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	// The bound's premise, on this fixture and equivFixture's: every
+	// node has a hub-partial or a leaf record.
+	eq, _, _ := equivFixture(t)
+	for _, st := range []*Store{s, eq} {
+		for u := range int32(st.H.G.NumNodes()) {
+			if _, ok := st.HubPartial[u]; !ok && st.H.IsHub(u) {
+				t.Fatalf("hub %d has no partial", u)
+			}
+			if _, ok := st.LeafPPV[u]; !ok && !st.H.IsHub(u) {
+				t.Fatalf("node %d has no leaf PPV", u)
+			}
+		}
+	}
+	o := s.H.Opts
+	n, m := int32(s.H.G.NumNodes()), int32(s.H.G.NumEdges())
+	for _, tc := range []struct {
+		name string
+		n, m int32
+	}{{"n", 0x7fffffff, m}, {"m", n, 0x7fffffff}} {
+		data := savedBytes(t, s)
+		putStoreOptions(data, int32(o.Fanout), int32(o.MaxLevels), int32(o.MinSize), math.Float64bits(o.Imbalance), o.Seed, tc.n, tc.m)
+		for _, op := range storeOpeners(t, data) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := op.open()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s = 0x7fffffff: %s opened", tc.name, op.name)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("%s = 0x7fffffff: %s allocated %d bytes before failing (%v)", tc.name, op.name, alloc, err)
+			}
+		}
+	}
+}
+
+// FuzzStoreParams mutates the header of a tiny store — the params, the
+// hierarchy options and the node and edge counts — and serves whatever
+// opens: Load, each shard's load, and both disk openers. A store that
+// opens must hold params that pass ValidatePrecompute and options that
+// pass Validate, and must answer every node with finite entries.
 func FuzzStoreParams(f *testing.F) {
 	g, err := gen.Community(gen.Config{
 		Nodes: 24, AvgOutDegree: 3, Communities: 3,
@@ -192,20 +311,39 @@ func FuzzStoreParams(f *testing.F) {
 	}
 	data := savedBytes(f, s)
 	alpha, eps := math.Float64bits(0.15), math.Float64bits(1e-3)
-	f.Add(alpha, eps, int32(0), int32(0))
-	f.Add(math.Float64bits(math.NaN()), eps, int32(0), int32(0))
-	f.Add(uint64(1), eps, int32(0), int32(0))
-	f.Add(math.Float64bits(1e-6), eps, int32(0), int32(0))
-	f.Add(math.Float64bits(0.999), math.Float64bits(math.Inf(1)), int32(1), int32(0))
-	f.Add(alpha, eps, int32(-5), int32(7))
-	f.Fuzz(func(t *testing.T, alphaBits, epsBits uint64, maxIter, dangling int32) {
+	o := s.H.Opts
+	fanout, maxLevels, minSize := int32(o.Fanout), int32(o.MaxLevels), int32(o.MinSize)
+	imb := math.Float64bits(o.Imbalance)
+	n, m := int32(g.NumNodes()), int32(g.NumEdges())
+	for _, p := range []struct {
+		alpha, eps        uint64
+		maxIter, dangling int32
+	}{
+		{alpha, eps, 0, 0},
+		{math.Float64bits(math.NaN()), eps, 0, 0},
+		{1, eps, 0, 0},
+		{math.Float64bits(1e-6), eps, 0, 0},
+		{math.Float64bits(0.999), math.Float64bits(math.Inf(1)), 1, 0},
+		{alpha, eps, -5, 7},
+	} {
+		f.Add(p.alpha, p.eps, p.maxIter, p.dangling, fanout, maxLevels, minSize, imb, o.Seed, n, m)
+	}
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, math.Float64bits(math.NaN()), o.Seed, n, m)
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, int32(0x7fffffff), m)
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, n, int32(0x7fffffff))
+	f.Add(alpha, eps, int32(0), int32(0), int32(1), int32(0), int32(1), imb, o.Seed, n, m)
+	f.Fuzz(func(t *testing.T, alphaBits, epsBits uint64, maxIter, dangling, fanout, maxLevels, minSize int32, imbalanceBits uint64, seed int64, nodes, edges int32) {
 		file := bytes.Clone(data)
 		putStoreParams(file, alphaBits, epsBits, maxIter, dangling)
-		n := int32(g.NumNodes())
-		check := func(opener string, p ppr.Params, queries ...func(int32) (sparse.Packed, error)) {
+		putStoreOptions(file, fanout, maxLevels, minSize, imbalanceBits, seed, nodes, edges)
+		check := func(opener string, p ppr.Params, h *hierarchy.Hierarchy, queries ...func(int32) (sparse.Packed, error)) {
 			if err := p.ValidatePrecompute(); err != nil {
 				t.Fatalf("%s opened a store with invalid params: %v", opener, err)
 			}
+			if err := h.Opts.Validate(); err != nil {
+				t.Fatalf("%s opened a store with invalid options: %v", opener, err)
+			}
+			n := int32(h.G.NumNodes())
 			for _, q := range queries {
 				for u := int32(0); u < n; u++ {
 					v, err := q(u)
@@ -221,11 +359,11 @@ func FuzzStoreParams(f *testing.F) {
 			}
 		}
 		if ls, err := Load(bytes.NewReader(file)); err == nil {
-			check("Load", ls.Params, ls.QueryPacked)
+			check("Load", ls.Params, ls.H, ls.QueryPacked)
 		}
 		for i := range 2 {
-			if local, err := load(bytes.NewReader(file), i, 2); err == nil {
-				check("LoadShard", local.Params, local.QueryPacked)
+			if local, err := loadBytes(file, i, 2); err == nil {
+				check("LoadShard", local.Params, local.H, local.QueryPacked)
 			}
 		}
 		path := filepath.Join(t.TempDir(), "f.store")
@@ -234,7 +372,7 @@ func FuzzStoreParams(f *testing.F) {
 		}
 		for _, mapped := range []bool{true, false} {
 			if ds, err := openDiskStore(path, mapped); err == nil {
-				check("OpenDiskStore", ds.Params, ds.QueryPacked)
+				check("OpenDiskStore", ds.Params, ds.H, ds.QueryPacked)
 				ds.Close()
 			}
 		}
@@ -242,8 +380,7 @@ func FuzzStoreParams(f *testing.F) {
 }
 
 // FuzzStoreSections mutates the record sections of a tiny store — never
-// its header, whose node count sizes the graph's arrays — and serves
-// whatever opens: Load and both disk openers, each split two ways and
+// its header, which FuzzStoreParams covers — and serves whatever opens: Load and both disk openers, each split two ways and
 // queried for every node, whole and per shard. Each shard is also
 // loaded on its own, as LoadShard does; when Load succeeds so must it,
 // with every share equal to the split's.
@@ -285,7 +422,7 @@ func FuzzStoreSections(f *testing.F) {
 			queryAll(n, ls.QueryPacked, split[0].QueryPacked, split[1].QueryPacked)
 		}
 		for i := range 2 {
-			local, err := load(bytes.NewReader(file), i, 2)
+			local, err := loadBytes(file, i, 2)
 			if err != nil {
 				if split != nil {
 					t.Fatalf("Load succeeded but the load of shard %d/2 failed: %v", i, err)

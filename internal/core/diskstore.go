@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -33,9 +31,12 @@ import (
 //     file carries the transpose as its fourth section.
 //
 // Only the graph, the hierarchy, and an offset index are always
-// resident; vector payloads stay on disk (or in the page cache). Every
-// record is checked each time it is viewed, so a corrupt file fails the
-// query that reads it. Queries run the same fold as the in-memory Store
+// resident; vector payloads stay on disk (or in the page cache). Opening
+// checks what Load checks before it copies a vector: the header, the
+// section framing, and that every hub has its partial and skeleton
+// records (parseStore). Every record's payload is checked each time it
+// is viewed, so a corrupt vector fails the query that reads it. Queries
+// run the same fold as the in-memory Store
 // (fold.go), with the plan row as the source of each path hub's s_u(h),
 // so disk and memory answers are bit-identical.
 //
@@ -126,10 +127,13 @@ type DiskStats struct {
 	CacheHits, CacheMisses, CoalescedReads, Evictions int64
 }
 
-// OpenDiskStore opens a store file for on-demand querying. The header,
-// graph, and hierarchy are loaded; vector payloads are indexed by offset
-// and served zero-copy from a read-only memory map — or, where mapping
-// is unsupported or fails, from one copy of the file read into memory.
+// OpenDiskStore opens a store file for on-demand querying. The file is
+// mapped read-only — or, where mapping is unsupported or fails, read
+// into one buffer — and parsed once: the header, graph and hierarchy
+// are loaded, and vector payloads are indexed by offset and served
+// zero-copy from those bytes. A file that Load rejects fails here too,
+// at open, except for a corrupt payload, which fails the queries that
+// view it.
 func OpenDiskStore(path string) (*DiskStore, error) { return openDiskStore(path, true) }
 
 // openDiskStore is OpenDiskStore with the mapping optional: mapped
@@ -140,21 +144,26 @@ func openDiskStore(path string, mapped bool) (*DiskStore, error) {
 		return nil, err
 	}
 	defer f.Close() // a mapping outlives its file descriptor
-	df, err := indexStoreFile(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
+	var data []byte
 	if mapped {
 		// A failed map (no mmap on the platform, a filesystem that
 		// refuses it) falls back to reading the file: same answers.
-		df.data, err = mmapfile.Map(f)
-		df.mapped = err == nil
+		data, err = mmapfile.Map(f)
+		mapped = err == nil
 	}
-	if !df.mapped {
-		if df.data, err = readFile(f); err != nil {
+	if !mapped {
+		if data, err = readFile(f); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
+	df, err := parseStore(data)
+	if err != nil {
+		if mapped {
+			mmapfile.Unmap(data)
+		}
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	df.mapped = mapped
 	return &DiskStore{diskFile: df}, nil
 }
 
@@ -207,54 +216,6 @@ func (d *diskFile) acquire() error {
 }
 
 func (d *diskFile) release() { d.fmu.RUnlock() }
-
-// indexStoreFile parses the header exactly as Load does, then walks the
-// sections recording each payload's span and skipping its bytes.
-func indexStoreFile(r io.Reader) (*diskFile, error) {
-	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
-	params, opts, g, err := readStoreHeader(cr)
-	if err != nil {
-		return nil, err
-	}
-	h, err := hierarchy.Build(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	df := &diskFile{H: h, Params: params}
-	for sec := range df.idx {
-		df.idx[sec] = make(map[int32]span)
-	}
-	err = walkSections(cr, g.NumNodes(), func(sec int8, key, vlen int32) error {
-		df.idx[sec][key] = span{off: cr.n, len: vlen}
-		return cr.skip(int64(vlen))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return df, nil
-}
-
-// countingReader tracks the absolute file offset while reading through a
-// buffered reader.
-type countingReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) skip(n int64) error {
-	k, err := c.r.Discard(int(n))
-	c.n += int64(k)
-	if err == nil && int64(k) < n {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
 
 // record returns the columns of the record sp spans, aliasing d.data
 // (do not retain past the lifecycle lock), after checking its framing.
@@ -392,12 +353,8 @@ func (d *DiskStore) SpaceBytes() int64 {
 // owned counts the vectors of one payload section that d serves, and
 // their space.
 func (d *DiskStore) owned(sec int8) (count int, bytes int64) {
-	admit := d.own.hub
-	if sec == secLeafPPV {
-		admit = d.own.leaf
-	}
 	for key, sp := range d.idx[sec] {
-		if admit(key) {
+		if d.own.admits(sec, key) {
 			count++
 			bytes += vectorBytes(sp.entries())
 		}

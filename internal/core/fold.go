@@ -58,17 +58,13 @@ func (o *owner) hub(h int32) bool { return o == nil || o.h.DealRank(h)%o.total =
 
 func (o *owner) leaf(u int32) bool { return o == nil || int(u)%o.total == o.index }
 
-// ownedHubs lists the hierarchy's hubs that own admits, in Nodes()×Hubs order.
-func ownedHubs(h *hierarchy.Hierarchy, own *owner) []int32 {
-	var out []int32
-	for _, node := range h.Nodes() {
-		for _, hub := range node.Hubs {
-			if own.hub(hub) {
-				out = append(out, hub)
-			}
-		}
+// admits reports whether o's slice holds the record of key in payload
+// section sec: a leaf PPV by the leaf rule, a hub vector by the hub rule.
+func (o *owner) admits(sec int8, key int32) bool {
+	if sec == secLeafPPV {
+		return o.leaf(key)
 	}
-	return out
+	return o.hub(key)
 }
 
 // checkShard rejects a machine index outside an n-way split.

@@ -58,3 +58,16 @@ func TestGoldenShareDigests(t *testing.T) {
 		}
 	}
 }
+
+// goldenStoreFileDigest is the SHA-256 of the file Save writes for the
+// equivFixture store. It pins the store format: a change to it must
+// change this digest on purpose.
+const goldenStoreFileDigest = "e74e0d38fb39d5b453b687b2287b3a8dba5add3d46c1edc71b5b870f33532099"
+
+func TestGoldenStoreFileDigest(t *testing.T) {
+	s, _, _ := equivFixture(t)
+	sum := sha256.Sum256(savedBytes(t, s))
+	if got := hex.EncodeToString(sum[:]); got != goldenStoreFileDigest {
+		t.Fatalf("store file digest %s, want %s", got, goldenStoreFileDigest)
+	}
+}

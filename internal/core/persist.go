@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,12 +29,15 @@ import (
 // version-1 file (interleaved payloads, no hub-plan section) fails with
 // ErrUnsupportedStoreVersion.
 //
-// Load and LoadShard are one reader. LoadShard(path, i, n) loads only
-// machine i's slice of an n-way split (see Split): it decodes the
-// payloads that slice owns and skips the rest, so a worker never
-// allocates the vectors it does not serve. Payload lengths are in the
-// record framing, so a skipped payload is never parsed; the framing of
-// every record and every hub-plan row is still checked.
+// Load, LoadFile, LoadShard and OpenDiskStore are one reader: parseStore
+// checks the header and the section framing of the file's bytes (the
+// mapped file, or a copy read into memory) and indexes every record. A
+// DiskStore serves views over those bytes; the loaders copy out the
+// vectors their slice owns and release the bytes. LoadShard(path, i, n)
+// copies only machine i's slice of an n-way split (see Split), so a
+// worker never allocates the vectors it does not serve. Payload lengths
+// are in the record framing, so a payload outside the slice is never
+// parsed; every hub-plan row is still checked.
 //
 // Layout (little-endian throughout):
 //
@@ -47,7 +51,7 @@ import (
 //
 // Keys are written strictly increasing, and every section count, key,
 // and payload length is bounded by n; readers reject a file that breaks
-// any of these before allocating from it (walkSections). Vector payloads
+// any of these before allocating from it (parseStore). Vector payloads
 // use the columnar layout of sparse.EncodeColumnar — the 8-byte
 // alignment of every payload is what lets a mapped DiskStore alias the
 // id/score arrays in place. The fourth section is the TRANSPOSED
@@ -65,11 +69,13 @@ var (
 var ErrUnsupportedStoreVersion = errors.New("core: store format version 1 is no longer supported — re-run pprprecomp")
 
 // ErrInvalidStoreParams reports a store header whose PPR parameters
-// fail ppr.Params.ValidatePrecompute: alpha outside [1e-6,1), eps not
-// positive, a negative maxIter, or a dangling policy other than absorb.
-// Such a file cannot come from Save, and serving it would fold vectors
-// under parameters they were never computed with (a NaN alpha answers
-// NaN entries).
+// fail ppr.Params.ValidatePrecompute — alpha outside [1e-6,1), eps not
+// positive, a negative maxIter, or a dangling policy other than absorb
+// — or whose hierarchy options fail hierarchy.Options.Validate (an
+// imbalance that is not finite or is above 1). Such a file cannot come
+// from Save. Serving it would fold vectors under parameters they were
+// never computed with (a NaN alpha answers NaN entries), and rebuilding
+// its tree would not end (a NaN imbalance).
 var ErrInvalidStoreParams = errors.New("core: invalid store parameters")
 
 // numSections is the record-section count of a store file.
@@ -200,164 +206,148 @@ func SaveFile(path string, s *Store) error {
 	return f.Close()
 }
 
-// readStoreHeader parses the magic, parameters, hierarchy options, and
-// graph that precede the record sections. The parameters must pass the
-// checks Precompute applies (ErrInvalidStoreParams).
-func readStoreHeader(cr *countingReader) (params ppr.Params, opts hierarchy.Options, g *graph.Graph, err error) {
-	var magic [8]byte
-	if _, err = io.ReadFull(cr, magic[:]); err != nil {
-		return params, opts, nil, err
+// headerLen is the byte length of the header before the edge list:
+// magic, params (24), hierarchy options (28), and the counts n and m.
+const headerLen = 8 + 24 + 28 + 8
+
+// minRecordLen is the smallest record a section can hold: key and
+// length (8) and an empty vector's payload (8). Every node has a
+// hub-partial or a leaf record, so a store file holds at least n of them.
+const minRecordLen = 16
+
+// parseStore is the one reader of the store format: it checks the
+// header and the section framing of a whole file's bytes, rebuilds the
+// hierarchy, and returns the index of every record in data. The
+// parameters must pass the checks Precompute applies and the hierarchy
+// options those Build applies (ErrInvalidStoreParams). Counts are
+// bounded by the bytes that could hold them before anything is
+// allocated from them; a key outside [0,n) or not above the previous
+// key (Save writes keys sorted) and a payload longer than an n-entry
+// vector are rejected, and so is a hub without its partial or
+// skeleton. Payloads are checked when they are viewed (fetch, plan).
+func parseStore(data []byte) (*diskFile, error) {
+	if len(data) < len(storeMagic) {
+		return nil, fmt.Errorf("core: not a store file (%d bytes)", len(data))
 	}
-	switch magic {
+	switch [8]byte(data) {
 	case storeMagic:
 	case storeMagicV1:
-		return params, opts, nil, ErrUnsupportedStoreVersion
+		return nil, ErrUnsupportedStoreVersion
 	default:
-		return params, opts, nil, fmt.Errorf("core: not a store file (magic %q)", magic)
+		return nil, fmt.Errorf("core: not a store file (magic %q)", data[:8])
 	}
-
-	readU64 := func() (x uint64, err error) {
-		err = binary.Read(cr, binary.LittleEndian, &x)
-		return
+	if len(data) < headerLen {
+		return nil, fmt.Errorf("core: store header truncated at %d bytes", len(data))
 	}
-	readI32 := func() (x int32, err error) {
-		err = binary.Read(cr, binary.LittleEndian, &x)
-		return
+	i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(data[off:])) }
+	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[off:])) }
+	params := ppr.Params{
+		Alpha:    f64(8),
+		Eps:      f64(16),
+		MaxIter:  int(i32(24)),
+		Dangling: ppr.DanglingPolicy(i32(28)),
 	}
-
-	var bits uint64
-	var x int32
-	if bits, err = readU64(); err != nil {
-		return
+	opts := hierarchy.Options{
+		Fanout:    int(i32(32)),
+		MaxLevels: int(i32(36)),
+		MinSize:   int(i32(40)),
+		Imbalance: f64(44),
+		Seed:      int64(binary.LittleEndian.Uint64(data[52:])),
 	}
-	params.Alpha = math.Float64frombits(bits)
-	if bits, err = readU64(); err != nil {
-		return
+	if err := errors.Join(params.ValidatePrecompute(), opts.Validate()); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidStoreParams, err)
 	}
-	params.Eps = math.Float64frombits(bits)
-	if x, err = readI32(); err != nil {
-		return
+	n, m := int(i32(60)), int(i32(64))
+	off := headerLen
+	if n < 0 || m < 0 || n > len(data)/minRecordLen || m > (len(data)-off)/8 {
+		return nil, fmt.Errorf("core: corrupt store header (n=%d m=%d) for a %d-byte file", n, m, len(data))
 	}
-	params.MaxIter = int(x)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	params.Dangling = ppr.DanglingPolicy(x)
-	if err = params.ValidatePrecompute(); err != nil {
-		err = fmt.Errorf("%w: %w", ErrInvalidStoreParams, err)
-		return
-	}
-
-	if x, err = readI32(); err != nil {
-		return
-	}
-	opts.Fanout = int(x)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	opts.MaxLevels = int(x)
-	if x, err = readI32(); err != nil {
-		return
-	}
-	opts.MinSize = int(x)
-	if bits, err = readU64(); err != nil {
-		return
-	}
-	opts.Imbalance = math.Float64frombits(bits)
-	if bits, err = readU64(); err != nil {
-		return
-	}
-	opts.Seed = int64(bits)
-
-	var n, m int32
-	if n, err = readI32(); err != nil {
-		return
-	}
-	if m, err = readI32(); err != nil {
-		return
-	}
-	if n < 0 || m < 0 {
-		err = fmt.Errorf("core: corrupt store header (n=%d m=%d)", n, m)
-		return
-	}
-	b := graph.NewBuilder(int(n))
-	for e := int32(0); e < m; e++ {
-		var u, v int32
-		if u, err = readI32(); err != nil {
-			return
-		}
-		if v, err = readI32(); err != nil {
-			return
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			err = fmt.Errorf("core: corrupt edge (%d,%d)", u, v)
-			return
+	b := graph.NewBuilder(n)
+	for ; off < headerLen+8*m; off += 8 {
+		u, v := i32(off), i32(off+4)
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("core: corrupt edge (%d,%d)", u, v)
 		}
 		b.AddEdge(u, v)
 	}
-	g = b.Build()
-	return
-}
-
-// walkSections reads the record sections that follow the header,
-// calling rec for each record with cr positioned at its payload; rec
-// must consume exactly vlen bytes. It is the one reader of section
-// framing, shared by Load and OpenDiskStore, and trusts none of it: a
-// count above the node count n, a key outside [0,n) or not above the
-// previous key (Save writes keys sorted), and a payload longer than an
-// n-entry vector are rejected before anything is allocated from them.
-func walkSections(cr *countingReader, n int, rec func(sec int8, key, vlen int32) error) error {
+	h, err := hierarchy.Build(b.Build(), opts)
+	if err != nil {
+		return nil, err
+	}
+	d := &diskFile{H: h, Params: params, data: data}
 	maxLen := sparse.EncodedSizeColumnar(n)
-	for sec := int8(0); sec < numSections; sec++ {
-		var count int32
-		if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-			return err
+	for sec := range d.idx {
+		if len(data)-off < 4 {
+			return nil, fmt.Errorf("core: store truncated before section %d", sec)
 		}
-		if count < 0 || int(count) > n {
-			return fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, n)
+		count := int(i32(off))
+		off += 4
+		if maxCount := min(n, (len(data)-off)/minRecordLen); count < 0 || count > maxCount {
+			return nil, fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, maxCount)
 		}
+		d.idx[sec] = make(map[int32]span, count)
 		prev := int32(-1)
-		for i := int32(0); i < count; i++ {
-			var meta [2]int32 // key, payload length
-			if err := binary.Read(cr, binary.LittleEndian, &meta); err != nil {
-				return err
+		for range count {
+			if len(data)-off < 8 {
+				return nil, fmt.Errorf("core: section %d truncated after key %d", sec, prev)
 			}
-			key, vlen := meta[0], meta[1]
+			key, vlen := i32(off), i32(off+4)
 			if key <= prev || int(key) >= n {
-				return fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
+				return nil, fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
 			}
 			prev = key
-			if vlen < 0 || int(vlen) > maxLen {
-				return fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
+			off += 8
+			off += (8 - off%8) % 8 // payloads start at 8-byte file offsets
+			if vlen < 0 || int(vlen) > maxLen || int(vlen) > len(data)-off {
+				return nil, fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
 			}
-			if pad := (8 - cr.n%8) % 8; pad > 0 {
-				if err := cr.skip(pad); err != nil {
-					return err
-				}
-			}
-			if err := rec(sec, key, vlen); err != nil {
-				return err
-			}
+			d.idx[sec][key] = span{off: int64(off), len: vlen}
+			off += int(vlen)
 		}
 	}
-	return nil
+	for u := range int32(n) {
+		if !h.IsHub(u) {
+			continue
+		}
+		if _, ok := d.idx[secHubPartial][u]; !ok {
+			return nil, fmt.Errorf("core: store missing partial for hub %d (seed/version drift?)", u)
+		}
+		if _, ok := d.idx[secSkeleton][u]; !ok {
+			return nil, fmt.Errorf("core: store missing skeleton for hub %d", u)
+		}
+	}
+	return d, nil
 }
 
 // Load reads a store written by Save, rebuilding the hierarchy
-// deterministically from the stored options. The plan section is
-// validated and discarded: an in-memory store folds skeletons directly,
-// but a truncated or corrupt trailer must still be reported at load
-// time, not at first serve.
-func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
+// deterministically from the stored options. It reads all of r (into
+// one buffer when r reports its Len, as a bytes.Reader does), parses it
+// as OpenDiskStore does, and copies every vector onto the heap. The
+// plan rows are checked and dropped: an in-memory store folds skeletons
+// directly, but a corrupt trailer must still be reported at load time,
+// not at first serve.
+func Load(r io.Reader) (*Store, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return loadBytes(buf.Bytes(), 0, 0)
+}
 
 // LoadFile reads a store from a file path.
 func LoadFile(path string) (*Store, error) { return loadFile(path, 0, 0) }
 
 // LoadShard is LoadFile for machine i of n: it returns the shard-local
-// store that Split(LoadFile(path), n)[i] returns, without ever decoding —
-// or allocating — the vectors the other machines own. Their payloads
-// are skipped; the section framing and the plan rows are still checked
-// for every record, and every owned payload is checked in full.
+// store that Split(LoadFile(path), n)[i] returns, copying onto the heap
+// only the vectors that slice owns. It parses the file as OpenDiskStore
+// does, from a read-only mapping that it releases before returning, so
+// a worker never allocates the vectors it does not serve. Where mapping
+// is unsupported or fails, the whole file is read into one buffer that
+// lives only until the slice is copied out. Every plan row and every
+// owned vector is checked in full; the other payloads are never parsed.
 func LoadShard(path string, i, n int) (*Store, error) {
 	if err := checkShard(i, n); err != nil {
 		return nil, err
@@ -365,84 +355,66 @@ func LoadShard(path string, i, n int) (*Store, error) {
 	return loadFile(path, i, n)
 }
 
+// loadFile is loadBytes over the bytes OpenDiskStore opens, which are
+// released before it returns.
 func loadFile(path string, shard, of int) (*Store, error) {
-	f, err := os.Open(path)
+	ds, err := OpenDiskStore(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := load(f, shard, of)
+	defer ds.Close()
+	s, err := ds.load(shard, of)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }
 
-// load is the one store reader: the whole store when of is 0, else the
-// shard-local store of machine shard of of.
-func load(r io.Reader, shard, of int) (*Store, error) {
-	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
-	params, opts, g, err := readStoreHeader(cr)
+// loadBytes parses a whole store file's bytes and copies out the
+// shard-local store of machine shard of of — the whole store when of
+// is 0.
+func loadBytes(data []byte, shard, of int) (*Store, error) {
+	d, err := parseStore(data)
 	if err != nil {
 		return nil, err
 	}
-	h, err := hierarchy.Build(g, opts)
-	if err != nil {
-		return nil, err
+	return d.load(shard, of)
+}
+
+// load copies the vectors of machine shard of of (every vector when of
+// is 0) out of d's checked views, each into exact-size arrays of its
+// own, so the store shares no byte with d.data. It checks every plan
+// row through plan.
+func (d *diskFile) load(shard, of int) (*Store, error) {
+	var own *owner
+	if of != 0 {
+		own = &owner{index: shard, total: of, h: d.H}
 	}
 	s := &Store{
-		H:          h,
-		Params:     params,
+		H:          d.H,
+		Params:     d.Params,
 		HubPartial: make(map[int32]sparse.Packed),
 		Skeleton:   make(map[int32]sparse.Packed),
 		LeafPPV:    make(map[int32]sparse.Packed),
+		own:        own,
 	}
-	if of != 0 {
-		s.own = &owner{index: shard, total: of, h: h}
-	}
-	sections := [...]map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV}
-	n := g.NumNodes()
-	var buf []byte // DecodeColumnar copies out, so one buffer serves every record
-	err = walkSections(cr, n, func(sec int8, key, vlen int32) error {
-		if sec == secLeafPPV && !s.own.leaf(key) || sec < secLeafPPV && !s.own.hub(key) {
-			return cr.skip(int64(vlen))
-		}
-		buf = slices.Grow(buf[:0], int(vlen))[:vlen]
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return err
-		}
-		ids, scores, err := sparse.DecodeColumnar(buf)
-		if err != nil {
-			return fmt.Errorf("core: section %d key %d: %w", sec, key, err)
-		}
-		if sec == secHubPlan {
-			for _, hub := range ids {
-				if hub < 0 || int(hub) >= n {
-					return fmt.Errorf("core: hub plan for %d references out-of-range hub %d (corrupt store?)", key, hub)
-				}
+	for sec, to := range [...]map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
+		// In file order, so vectors adjacent in the file, such as the
+		// hubs of one tree node, are adjacent on the heap too.
+		for _, key := range sortedKeys(d.idx[sec]) {
+			if !own.admits(int8(sec), key) {
+				continue
 			}
-			return nil
+			v, err := d.fetch(int8(sec), key)
+			if err != nil {
+				return nil, err
+			}
+			to[key] = v.Clone()
 		}
-		vec, err := sparse.PackedView(ids, scores)
-		if err != nil {
-			return fmt.Errorf("core: section %d key %d: %w", sec, key, err)
-		}
-		if !vec.InRange(n) {
-			return fmt.Errorf("core: vector for key %d has node ids outside [0,%d) (corrupt store?)", key, n)
-		}
-		sections[sec][key] = vec
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	// Consistency: every hub the store holds must have its vectors.
-	for _, hub := range ownedHubs(h, s.own) {
-		if _, ok := s.HubPartial[hub]; !ok {
-			return nil, fmt.Errorf("core: store missing partial for hub %d (seed/version drift?)", hub)
-		}
-		if _, ok := s.Skeleton[hub]; !ok {
-			return nil, fmt.Errorf("core: store missing skeleton for hub %d", hub)
+	for u := range d.idx[secHubPlan] {
+		if _, err := d.plan(u); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -84,5 +85,49 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Truncated after a valid magic.
 	if _, err := Load(bytes.NewReader(storeMagic[:])); err == nil {
 		t.Fatal("truncated header should fail")
+	}
+}
+
+// TestLoadedStoresOwnTheirVectors: LoadFile and LoadShard copy their
+// vectors out of the mapped file and release it, so emptying the file
+// afterwards changes nothing. A store that aliased the mapping would
+// fault (SIGBUS) reading a page past the truncated end.
+func TestLoadedStoresOwnTheirVectors(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	path := filepath.Join(t.TempDir(), "s.store")
+	if err := SaveFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local [2]*Store
+	for i := range local {
+		if local[i], err = LoadShard(path, i, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	split, err := Split(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range int32(s.H.G.NumNodes()) {
+		for _, pair := range [][2]*Store{{whole, s}, {local[0], split[0]}, {local[1], split[1]}} {
+			got, err := pair[0].QueryPacked(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pair[1].QueryPacked(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sparse.EncodePacked(got), sparse.EncodePacked(want)) {
+				t.Fatalf("u=%d: loaded share differs from the in-memory store's", u)
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"exactppr/internal/graph"
@@ -35,10 +36,22 @@ type Options struct {
 	// the floor matters; §6.2.4's "further partitioning cannot reduce
 	// space any more" observation is the same effect.
 	MinSize int
-	// Imbalance is passed through to the partitioner.
+	// Imbalance is passed through to the partitioner. It must be finite
+	// and at most 1 (see Validate).
 	Imbalance float64
 	// Seed drives deterministic partitioning.
 	Seed int64
+}
+
+// Validate rejects options no hierarchy can be built from: an Imbalance
+// that is NaN, infinite or above 1. The partitioner bounds a part's
+// weight by target·(1±Imbalance); for such a value that bound overflows
+// or goes negative, and the bisection keeps the subgraph whole.
+func (o Options) Validate() error {
+	if math.IsNaN(o.Imbalance) || math.IsInf(o.Imbalance, 0) || o.Imbalance > 1 {
+		return fmt.Errorf("hierarchy: imbalance %v is not a finite value of at most 1", o.Imbalance)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -96,6 +109,9 @@ func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 	}
 	if g.HasVirtualSink() {
 		return nil, fmt.Errorf("hierarchy: root graph must not have a virtual sink")
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	h := &Hierarchy{
@@ -172,6 +188,12 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 	for i, cm := range childMembers {
 		if len(cm) == 0 {
 			continue
+		}
+		if len(cm) == len(members) {
+			// The split selected no hub and kept every member in one part
+			// (fanout 1 does nothing else): recursing would repeat this
+			// node at every level, so it stays a leaf.
+			return n, nil
 		}
 		child, err := h.build(cm, level+1, n, seed*31+int64(i)+1)
 		if err != nil {

@@ -1,7 +1,9 @@
 package hierarchy
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"exactppr/internal/gen"
 	"exactppr/internal/graph"
@@ -24,6 +26,35 @@ func TestBuildErrors(t *testing.T) {
 	vs := graph.VirtualSubgraph(g, []int32{0, 1})
 	if _, err := Build(vs.G, Options{}); err == nil {
 		t.Fatal("root with virtual sink should fail")
+	}
+	for _, imb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 1.5} {
+		if _, err := Build(g, Options{Imbalance: imb}); err == nil {
+			t.Fatalf("imbalance %v should fail", imb)
+		}
+	}
+}
+
+// TestFanoutOneStopsAtTheRoot: a fanout-1 split selects no hub and keeps
+// every member, so Build used to split the same member set again at
+// every level and never returned without a level cap. The root now
+// stays a leaf.
+func TestFanoutOneStopsAtTheRoot(t *testing.T) {
+	g := email(t)
+	done := make(chan *Hierarchy, 1)
+	go func() {
+		h, err := Build(g, Options{Fanout: 1, Seed: 3})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- h
+	}()
+	select {
+	case h := <-done:
+		if h != nil && (len(h.Nodes()) != 1 || !h.Root.IsLeaf()) {
+			t.Fatalf("fanout 1 built %d tree nodes, want the root leaf alone", len(h.Nodes()))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Build with fanout 1 still running after 5 s")
 	}
 }
 

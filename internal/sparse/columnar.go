@@ -80,8 +80,7 @@ func columnarBounds(buf []byte) (int, int, error) {
 }
 
 // DecodeColumnar parses a columnar payload into freshly allocated
-// columns — the store loader's path, and ViewColumnar's when a buffer
-// is misaligned.
+// columns — ViewColumnar's path when a buffer cannot be aliased.
 func DecodeColumnar(buf []byte) (ids []int32, scores []float64, err error) {
 	n, so, err := columnarBounds(buf)
 	if err != nil {
