@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,8 +25,72 @@ import (
 // in answers), never in a panic or an allocation sized by the file.
 
 // storeHeaderLen is the byte length of a store file's header: magic,
-// params (24), hierarchy options (28), graph counts (8), and m edges.
-func storeHeaderLen(edges int) int { return 8 + 24 + 28 + 8 + 8*edges }
+// params (24), hierarchy options (28), graph counts (8), graph epoch
+// (8), and m edges. The tree section follows it.
+func storeHeaderLen(edges int) int { return 8 + 24 + 28 + 8 + 8 + 8*edges }
+
+// treeRecord is one node record of a store file's tree section (see
+// hierarchy.AppendTree).
+type treeRecord struct {
+	parent            int32
+	hubs, ranks, leaf []int32
+}
+
+// storeTree splits a saved store into the bytes before its tree
+// section, the tree's nextRank and node records, and the bytes after it.
+func storeTree(data []byte, edges int) (head []byte, nextRank int32, nodes []treeRecord, tail []byte) {
+	off := storeHeaderLen(edges)
+	head = data[:off:off]
+	next := func() int32 {
+		x := int32(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+		return x
+	}
+	count := next()
+	nextRank = next()
+	for range count {
+		r := treeRecord{parent: next()}
+		hubs, leaf := next(), next()
+		for range hubs {
+			r.hubs = append(r.hubs, next())
+			r.ranks = append(r.ranks, next())
+		}
+		for range leaf {
+			r.leaf = append(r.leaf, next())
+		}
+		nodes = append(nodes, r)
+	}
+	return head, nextRank, nodes, data[off:]
+}
+
+// withTree joins head, a tree section encoding nextRank and nodes, and
+// tail into a fresh store file.
+func withTree(head []byte, nextRank int32, nodes []treeRecord, tail []byte) []byte {
+	out := bytes.Clone(head)
+	put := func(x int32) { out = binary.LittleEndian.AppendUint32(out, uint32(x)) }
+	put(int32(len(nodes)))
+	put(nextRank)
+	for _, r := range nodes {
+		put(r.parent)
+		put(int32(len(r.hubs)))
+		put(int32(len(r.leaf)))
+		for k := range r.hubs {
+			put(r.hubs[k])
+			put(r.ranks[k])
+		}
+		for _, x := range r.leaf {
+			put(x)
+		}
+	}
+	return append(out, tail...)
+}
+
+// sectionsOff is the file offset of a saved store's first record
+// section: the end of its tree section.
+func sectionsOff(data []byte, edges int) int {
+	_, _, _, tail := storeTree(data, edges)
+	return len(data) - len(tail)
+}
 
 func savedBytes(t testing.TB, s *Store) []byte {
 	t.Helper()
@@ -88,7 +154,7 @@ func openBoth(t *testing.T, data []byte) []error {
 func TestLoadRejectsHugeSectionCount(t *testing.T) {
 	s, _ := diskStoreFixture(t)
 	data := savedBytes(t, s)
-	binary.LittleEndian.PutUint32(data[storeHeaderLen(s.H.G.NumEdges()):], 0x7fffffff)
+	binary.LittleEndian.PutUint32(data[sectionsOff(data, s.H.G.NumEdges()):], 0x7fffffff)
 	for i, err := range openBoth(t, data) {
 		if err == nil {
 			t.Fatalf("opener %d accepted a section count of 0x7fffffff", i)
@@ -119,7 +185,7 @@ func TestLoadRejectsUnsortedKeys(t *testing.T) {
 	s, _ := diskStoreFixture(t)
 	data := savedBytes(t, s)
 	// Point the first section's second record at the first one's key.
-	off := storeHeaderLen(s.H.G.NumEdges()) + 4
+	off := sectionsOff(data, s.H.G.NumEdges()) + 4
 	first := binary.LittleEndian.Uint32(data[off:])
 	vlen := int(binary.LittleEndian.Uint32(data[off+4:]))
 	next := off + 8
@@ -133,16 +199,18 @@ func TestLoadRejectsUnsortedKeys(t *testing.T) {
 	}
 }
 
-// TestUnsupportedStoreVersion: a version-1 file gets the typed error
-// from both openers, so callers can tell "rebuild the store" apart from
-// corruption.
+// TestUnsupportedStoreVersion: a version-1 or version-2 file gets the
+// typed error from every opener, so callers can tell "rebuild the
+// store" apart from corruption.
 func TestUnsupportedStoreVersion(t *testing.T) {
 	s, _ := diskStoreFixture(t)
-	data := savedBytes(t, s)
-	copy(data, storeMagicV1[:])
-	for i, err := range openBoth(t, data) {
-		if !errors.Is(err, ErrUnsupportedStoreVersion) {
-			t.Fatalf("opener %d: got %v, want ErrUnsupportedStoreVersion", i, err)
+	for _, magic := range [][8]byte{storeMagicV1, storeMagicV2} {
+		data := savedBytes(t, s)
+		copy(data, magic[:])
+		for i, err := range openBoth(t, data) {
+			if !errors.Is(err, ErrUnsupportedStoreVersion) {
+				t.Fatalf("%s opener %d: got %v, want ErrUnsupportedStoreVersion", magic, i, err)
+			}
 		}
 	}
 }
@@ -206,6 +274,10 @@ func TestLoadRejectsInvalidParams(t *testing.T) {
 // block: fanout, maxLevels, minSize int32; imbalance float64; seed
 // int64. The node and edge counts n, m int32 follow it.
 const storeOptionsOff = storeParamsOff + 24
+
+// storeEpochOff is the file offset of the graph epoch, which follows
+// the graph counts.
+const storeEpochOff = storeOptionsOff + 28 + 8
 
 // putStoreOptions overwrites the hierarchy options and the graph counts
 // of a saved store.
@@ -293,10 +365,12 @@ func TestLoadBoundsCountsByFileLength(t *testing.T) {
 }
 
 // FuzzStoreParams mutates the header of a tiny store — the params, the
-// hierarchy options and the node and edge counts — and serves whatever
-// opens: Load, each shard's load, and both disk openers. A store that
-// opens must hold params that pass ValidatePrecompute and options that
-// pass Validate, and must answer every node with finite entries.
+// hierarchy options, the node and edge counts and the graph epoch — and
+// the tree section's nextRank, and serves whatever opens: Load, each
+// shard's load, and both disk openers. A store that opens must hold
+// params that pass ValidatePrecompute, options and a tree that pass
+// Validate, and the file's epoch, and must answer every node with
+// finite entries.
 func FuzzStoreParams(f *testing.F) {
 	g, err := gen.Community(gen.Config{
 		Nodes: 24, AvgOutDegree: 3, Communities: 3,
@@ -315,6 +389,7 @@ func FuzzStoreParams(f *testing.F) {
 	fanout, maxLevels, minSize := int32(o.Fanout), int32(o.MaxLevels), int32(o.MinSize)
 	imb := math.Float64bits(o.Imbalance)
 	n, m := int32(g.NumNodes()), int32(g.NumEdges())
+	_, nextRank, _, _ := storeTree(data, g.NumEdges())
 	for _, p := range []struct {
 		alpha, eps        uint64
 		maxIter, dangling int32
@@ -326,22 +401,35 @@ func FuzzStoreParams(f *testing.F) {
 		{math.Float64bits(0.999), math.Float64bits(math.Inf(1)), 1, 0},
 		{alpha, eps, -5, 7},
 	} {
-		f.Add(p.alpha, p.eps, p.maxIter, p.dangling, fanout, maxLevels, minSize, imb, o.Seed, n, m)
+		f.Add(p.alpha, p.eps, p.maxIter, p.dangling, fanout, maxLevels, minSize, imb, o.Seed, n, m, nextRank, uint64(0))
 	}
-	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, math.Float64bits(math.NaN()), o.Seed, n, m)
-	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, int32(0x7fffffff), m)
-	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, n, int32(0x7fffffff))
-	f.Add(alpha, eps, int32(0), int32(0), int32(1), int32(0), int32(1), imb, o.Seed, n, m)
-	f.Fuzz(func(t *testing.T, alphaBits, epsBits uint64, maxIter, dangling, fanout, maxLevels, minSize int32, imbalanceBits uint64, seed int64, nodes, edges int32) {
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, math.Float64bits(math.NaN()), o.Seed, n, m, nextRank, uint64(0))
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, int32(0x7fffffff), m, nextRank, uint64(0))
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, n, int32(0x7fffffff), nextRank, uint64(0))
+	f.Add(alpha, eps, int32(0), int32(0), int32(1), int32(0), int32(1), imb, o.Seed, n, m, nextRank, uint64(0))
+	for _, r := range []int32{0, nextRank - 1, nextRank + 1, n + 1, -1, 0x7fffffff} {
+		f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, n, m, r, uint64(0))
+	}
+	f.Add(alpha, eps, int32(0), int32(0), fanout, maxLevels, minSize, imb, o.Seed, n, m, nextRank, uint64(math.MaxUint64))
+	treeOff := storeHeaderLen(g.NumEdges())
+	f.Fuzz(func(t *testing.T, alphaBits, epsBits uint64, maxIter, dangling, fanout, maxLevels, minSize int32, imbalanceBits uint64, seed int64, nodes, edges, nextRank int32, epoch uint64) {
 		file := bytes.Clone(data)
 		putStoreParams(file, alphaBits, epsBits, maxIter, dangling)
 		putStoreOptions(file, fanout, maxLevels, minSize, imbalanceBits, seed, nodes, edges)
+		binary.LittleEndian.PutUint64(file[storeEpochOff:], epoch)
+		binary.LittleEndian.PutUint32(file[treeOff+4:], uint32(nextRank))
 		check := func(opener string, p ppr.Params, h *hierarchy.Hierarchy, queries ...func(int32) (sparse.Packed, error)) {
 			if err := p.ValidatePrecompute(); err != nil {
 				t.Fatalf("%s opened a store with invalid params: %v", opener, err)
 			}
 			if err := h.Opts.Validate(); err != nil {
 				t.Fatalf("%s opened a store with invalid options: %v", opener, err)
+			}
+			if err := h.Validate(); err != nil {
+				t.Fatalf("%s opened a store with an invalid tree: %v", opener, err)
+			}
+			if h.G.Epoch() != epoch {
+				t.Fatalf("%s opened a store at epoch %d from a file at epoch %d", opener, h.G.Epoch(), epoch)
 			}
 			n := int32(h.G.NumNodes())
 			for _, q := range queries {
@@ -379,8 +467,9 @@ func FuzzStoreParams(f *testing.F) {
 	})
 }
 
-// FuzzStoreSections mutates the record sections of a tiny store — never
-// its header, which FuzzStoreParams covers — and serves whatever opens: Load and both disk openers, each split two ways and
+// FuzzStoreSections mutates the tree and the record sections of a tiny
+// store — never its header, which FuzzStoreParams covers — and serves
+// whatever opens: Load and both disk openers, each split two ways and
 // queried for every node, whole and per shard. Each shard is also
 // loaded on its own, as LoadShard does; when Load succeeds so must it,
 // with every share equal to the split's.
@@ -410,6 +499,9 @@ func FuzzStoreSections(f *testing.F) {
 		mut := bytes.Clone(sections)
 		binary.LittleEndian.PutUint32(mut[patch.off:], patch.val)
 		f.Add(mut)
+	}
+	for _, tc := range hostileTrees(f, s) {
+		f.Add(tc.file[hdr:])
 	}
 	f.Fuzz(func(t *testing.T, sections []byte) {
 		file := append(header, sections...)
@@ -466,6 +558,52 @@ func queryAll(n int, queries ...func(int32) (sparse.Packed, error)) {
 	for _, q := range queries {
 		for u := int32(0); u < int32(n); u++ {
 			q(u)
+		}
+	}
+}
+
+// TestLoadChecksPlanRows: the plan rows are the only copy of the
+// skeleton values. A hub missing from its own row fails every opener
+// (the fold applies the −α self term through that entry), and a row out
+// of fold order fails the loaders, which transpose every row; the disk
+// store folds rows as they are and checks only their hub ids.
+func TestLoadChecksPlanRows(t *testing.T) {
+	s, ds := diskStoreFixture(t)
+	hubAt := func(u int32, k int) int64 { return ds.idx[secHubPlan][u].off + 8 + 4*int64(k) }
+	var hub, row int32 = -1, -1
+	for u, sp := range ds.idx[secHubPlan] {
+		if s.H.IsHub(u) && (hub < 0 || u < hub) {
+			hub = u
+		}
+		if !s.H.IsHub(u) && sp.entries() >= 2 && (row < 0 || u < row) {
+			row = u
+		}
+	}
+	if hub < 0 || row < 0 {
+		t.Fatal("fixture has no hub row or no non-hub row of two entries")
+	}
+
+	data := savedBytes(t, s)
+	plan, err := ds.row(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := slices.Index(plan.hubs, hub)
+	binary.LittleEndian.PutUint32(data[hubAt(hub, k):], uint32(s.H.G.NumNodes()-1-int(hub)))
+	for _, op := range storeOpeners(t, data) {
+		if err := op.open(); err == nil || !strings.Contains(err.Error(), "missing from its own plan row") {
+			t.Errorf("hub %d left out of its row: %s: got %v", hub, op.name, err)
+		}
+	}
+
+	data = savedBytes(t, s)
+	first, second := data[hubAt(row, 0):hubAt(row, 1)], data[hubAt(row, 1):hubAt(row, 2)]
+	a, b := bytes.Clone(first), bytes.Clone(second)
+	copy(first, b)
+	copy(second, a)
+	for i, err := range openBoth(t, data)[:3] {
+		if err == nil || !strings.Contains(err.Error(), "out of fold order") {
+			t.Errorf("row %d's first two hubs swapped: loader %d: got %v", row, i, err)
 		}
 	}
 }

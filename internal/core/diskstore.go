@@ -28,17 +28,17 @@ import (
 //   - Transposed skeleton index. A query folds exactly one hub-plan row
 //     (leaf + Σ (h, S_u(h))·partial) instead of fetching every path
 //     hub's entire skeleton vector to read a single scalar. The store
-//     file carries the transpose as its fourth section.
+//     file keeps skeleton values only in this transposed form.
 //
 // Only the graph, the hierarchy, and an offset index are always
 // resident; vector payloads stay on disk (or in the page cache). Opening
 // checks what Load checks before it copies a vector: the header, the
-// section framing, and that every hub has its partial and skeleton
-// records (parseStore). Every record's payload is checked each time it
-// is viewed, so a corrupt vector fails the query that reads it. Queries
-// run the same fold as the in-memory Store
-// (fold.go), with the plan row as the source of each path hub's s_u(h),
-// so disk and memory answers are bit-identical.
+// tree, the section framing, that every hub has its partial record, and
+// that every hub's own plan row lists it (parseStore). Every record's
+// payload is checked each time it is viewed, so a corrupt vector fails
+// the query that reads it. Queries run the same fold as the in-memory
+// Store (fold.go), with the plan row as the source of each path hub's
+// s_u(h), so disk and memory answers are bit-identical.
 //
 // A DiskStore holds the whole store, or — from SplitDisk — one
 // machine's slice of it: a view over the same open file that folds only
@@ -64,7 +64,10 @@ type diskFile struct {
 	data   []byte
 	mapped bool
 
-	idx [numSections]map[int32]span // hub partials, skeletons, leaf PPVs, hub plans
+	idx [numSections]map[int32]span // hub partials, leaf PPVs, hub plans
+	// skeletonLen[h] is the entry count of hub h's skeleton vector: the
+	// non-zero values of h's column of the plan rows.
+	skeletonLen []int32
 
 	// fmu guards the mapping's lifecycle. Queries hold it shared for
 	// their entire duration — not just across the read — because the
@@ -93,9 +96,11 @@ func (sp span) entries() int { return (int(sp.len) - 8) / 12 }
 
 const (
 	secHubPartial = 0
-	secSkeleton   = 1
-	secLeafPPV    = 2
-	secHubPlan    = 3
+	secLeafPPV    = 1
+	secHubPlan    = 2
+	// secSkeleton names an in-memory store's skeleton vectors in errors;
+	// the file stores skeleton values in the plan rows alone.
+	secSkeleton = 3
 )
 
 // DiskOptions is empty: the disk store has no serving options.
@@ -219,23 +224,23 @@ func (d *diskFile) release() { d.fmu.RUnlock() }
 
 // record returns the columns of the record sp spans, aliasing d.data
 // (do not retain past the lifecycle lock), after checking its framing.
-// It counts one read.
 func (d *diskFile) record(sp span) ([]int32, []float64, error) {
 	end := sp.off + int64(sp.len)
 	if sp.off < 0 || end > int64(len(d.data)) {
 		return nil, nil, fmt.Errorf("core: record at %d+%d outside the %d-byte file", sp.off, sp.len, len(d.data))
 	}
-	d.reads.Add(1)
 	return sparse.ViewColumnar(d.data[sp.off:end:end])
 }
 
 // fetch returns one vector as a view over the file, checked on every
-// call: ids strictly ascending and naming nodes of the graph.
+// call: ids strictly ascending and naming nodes of the graph. It counts
+// one read.
 func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 	sp, ok := d.idx[section][key]
 	if !ok {
 		return sparse.Packed{}, missingVector(section, key)
 	}
+	d.reads.Add(1)
 	ids, scores, err := d.record(sp)
 	var v sparse.Packed
 	if err == nil {
@@ -250,10 +255,17 @@ func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 	return v, nil
 }
 
-// plan returns query node u's hub-weight row as a view over the file,
-// its hubs checked on every call (a node with no path hubs simply has
-// no row).
+// plan is row for a query: it counts one read when u has a row.
 func (d *diskFile) plan(u int32) (planRow, error) {
+	if _, ok := d.idx[secHubPlan][u]; ok {
+		d.reads.Add(1)
+	}
+	return d.row(u)
+}
+
+// row returns node u's hub-weight row as a view over the file, its hubs
+// checked on every call (a node with no path hubs simply has no row).
+func (d *diskFile) row(u int32) (planRow, error) {
 	sp, ok := d.idx[secHubPlan][u]
 	if !ok {
 		return planRow{}, nil
@@ -340,12 +352,17 @@ func (d *DiskStore) LeafCount() int { n, _ := d.owned(secLeafPPV); return n }
 
 // SpaceBytes reports the space of the vectors the store (or slice)
 // serves, in Store.SpaceBytes's measure — the per-machine space of
-// §6.2.3 — so memory and disk slices of one store report the same.
+// §6.2.3 — so memory and disk slices of one store report the same. A
+// hub's skeleton vector counts as a loader rebuilds it from the plan
+// rows.
 func (d *DiskStore) SpaceBytes() int64 {
-	var total int64
-	for _, sec := range [...]int8{secHubPartial, secSkeleton, secLeafPPV} {
-		_, b := d.owned(sec)
-		total += b
+	_, total := d.owned(secHubPartial)
+	_, leaves := d.owned(secLeafPPV)
+	total += leaves
+	for hub, entries := range d.skeletonLen {
+		if d.H.IsHub(int32(hub)) && d.own.hub(int32(hub)) {
+			total += vectorBytes(int(entries))
+		}
 	}
 	return total
 }

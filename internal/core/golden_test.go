@@ -62,7 +62,7 @@ func TestGoldenShareDigests(t *testing.T) {
 // goldenStoreFileDigest is the SHA-256 of the file Save writes for the
 // equivFixture store. It pins the store format: a change to it must
 // change this digest on purpose.
-const goldenStoreFileDigest = "e74e0d38fb39d5b453b687b2287b3a8dba5add3d46c1edc71b5b870f33532099"
+const goldenStoreFileDigest = "11eb350a5ee77fd98f73dbe60ee6c7032ddf43819617d09db6713d37177b9db0"
 
 func TestGoldenStoreFileDigest(t *testing.T) {
 	s, _, _ := equivFixture(t)

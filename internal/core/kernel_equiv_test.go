@@ -36,12 +36,12 @@ func kernelTestGraph(t *testing.T, seed int64) *graph.Graph {
 
 // toGlobal maps a packed vector from a tree node's local ids to global
 // ids, dropping local id skip (-1 for none).
-func toGlobal(t *testing.T, n *hierarchy.Node, v sparse.Packed, skip int32) sparse.Packed {
+func toGlobal(t *testing.T, sub *graph.Subgraph, v sparse.Packed, skip int32) sparse.Packed {
 	t.Helper()
 	var es []sparse.Entry
 	v.ForEach(func(id int32, x float64) {
 		if id != skip {
-			es = append(es, sparse.Entry{ID: n.Sub.Parent(id), Score: x})
+			es = append(es, sparse.Entry{ID: sub.Parent(id), Score: x})
 		}
 	})
 	p, err := sparse.PackEntries(es)
@@ -62,22 +62,25 @@ func referenceStore(t *testing.T, h *hierarchy.Hierarchy, p ppr.Params) *Store {
 		LeafPPV:    map[int32]sparse.Packed{},
 	}
 	for _, n := range h.Nodes() {
-		for _, task := range nodeTasks(h, n) {
-			g, lu := n.Sub.G, n.Sub.Local(task.u)
+		tasks := nodeTasks(h, n)
+		withSubgraphs(h.G, tasks)
+		for _, task := range tasks {
+			sub := task.sub
+			g, lu := sub.G, sub.Local(task.u)
 			partial, _, err := ppr.PartialVector(g, lu, task.isHub, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !task.hub {
-				ref.LeafPPV[task.u] = toGlobal(t, n, partial, -1)
+				ref.LeafPPV[task.u] = toGlobal(t, sub, partial, -1)
 				continue
 			}
-			ref.HubPartial[task.u] = toGlobal(t, n, partial, lu)
+			ref.HubPartial[task.u] = toGlobal(t, sub, partial, lu)
 			skel, err := ppr.SkeletonVector(g, lu, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.Skeleton[task.u] = toGlobal(t, n, skel, -1)
+			ref.Skeleton[task.u] = toGlobal(t, sub, skel, -1)
 		}
 	}
 	return ref

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -17,56 +16,60 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// Store persistence. The file carries the graph (as a binary edge list),
-// the hierarchy OPTIONS (hierarchy construction is deterministic for a
-// seed, so the tree is rebuilt rather than serialized — this also sidesteps
-// the parent-pointer cycles a naive encoder would choke on), the PPR
-// parameters, and the vector sections. The rebuild is one hierarchy.Build
-// per Load or OpenDiskStore: O(m log n) per refinement pass, about 0.3 s
-// for the 12,000-node web×1 benchmark fixture on a 2-vCPU VM.
+// Store persistence. The file carries the graph (as a binary edge list,
+// with the epoch it has reached), the hierarchy options, the tree itself
+// (hierarchy.AppendTree: every node's parent, its hubs with their deal
+// ranks, a leaf's non-hub members), the PPR parameters, and the vector
+// sections. Opening a file partitions nothing: hierarchy.ParseTree reads
+// the tree back and checks it (hierarchy.Hierarchy.Validate), so an
+// update-maintained store — hub promotions, deal ranks, graph epoch —
+// saves and loads like a freshly built one.
 //
-// Save writes format version 2, the only one this package reads; a
-// version-1 file (interleaved payloads, no hub-plan section) fails with
-// ErrUnsupportedStoreVersion.
+// Save writes format version 3, the only one this package reads; a
+// version-1 or version-2 file fails with ErrUnsupportedStoreVersion.
 //
 // Load, LoadFile, LoadShard and OpenDiskStore are one reader: parseStore
-// checks the header and the section framing of the file's bytes (the
-// mapped file, or a copy read into memory) and indexes every record. A
-// DiskStore serves views over those bytes; the loaders copy out the
-// vectors their slice owns and release the bytes. LoadShard(path, i, n)
-// copies only machine i's slice of an n-way split (see Split), so a
-// worker never allocates the vectors it does not serve. Payload lengths
-// are in the record framing, so a payload outside the slice is never
-// parsed; every hub-plan row is still checked.
+// checks the header, the tree and the section framing of the file's
+// bytes (the mapped file, or a copy read into memory) and indexes every
+// record. A DiskStore serves views over those bytes; the loaders copy
+// out the vectors their slice owns, rebuild the skeleton vectors of the
+// hubs it owns from the plan rows, and release the bytes.
+// LoadShard(path, i, n) copies only machine i's slice of an n-way split
+// (see Split), so a worker never allocates the vectors it does not
+// serve. Payload lengths are in the record framing, so a payload outside
+// the slice is never parsed; every hub-plan row is still checked.
 //
 // Layout (little-endian throughout):
 //
-//	magic "EXPPRST2"
+//	magic "EXPPRST3"
 //	params:    alpha, eps float64; maxIter, dangling int32
 //	hierarchy: fanout, maxLevels, minSize int32; imbalance float64; seed int64
-//	graph:     n, m int32; m × (u, v int32)
-//	4 sections (hub partials, skeletons, leaf PPVs, hub plans):
+//	graph:     n, m int32; epoch uint64; m × (u, v int32)
+//	tree:      see hierarchy.AppendTree
+//	3 sections (hub partials, leaf PPVs, hub plans):
 //	           count int32; count × (key int32, payloadLen int32,
 //	           pad to 8-byte file offset, columnar payload)
 //
 // Keys are written strictly increasing, and every section count, key,
 // and payload length is bounded by n; readers reject a file that breaks
 // any of these before allocating from it (parseStore). Vector payloads
-// use the columnar layout of sparse.EncodeColumnar — the 8-byte
+// use the columnar layout of sparse.AppendColumnar — the 8-byte
 // alignment of every payload is what lets a mapped DiskStore alias the
-// id/score arrays in place. The fourth section is the TRANSPOSED
-// skeleton index (see plan.go): per query node, the (hub, s_u(h)) pairs
-// its fold needs, in fold order, so a disk query never reads a skeleton
-// payload.
+// id/score arrays in place. The third section is the only place skeleton
+// values are stored, TRANSPOSED (see plan.go): per query node, the
+// (hub, s_u(h)) pairs its fold needs, in fold order, so a disk query
+// never reads a skeleton vector, and a loader rebuilds each hub's
+// skeleton vector from its column of the rows.
 
 var (
-	storeMagic   = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
+	storeMagic   = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '3'}
 	storeMagicV1 = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '1'}
+	storeMagicV2 = [8]byte{'E', 'X', 'P', 'P', 'R', 'S', 'T', '2'}
 )
 
 // ErrUnsupportedStoreVersion reports a store file written in format
-// version 1, which this package no longer reads.
-var ErrUnsupportedStoreVersion = errors.New("core: store format version 1 is no longer supported — re-run pprprecomp")
+// version 1 or 2, which this package no longer reads.
+var ErrUnsupportedStoreVersion = errors.New("core: store format versions 1 and 2 are no longer supported — re-run pprprecomp")
 
 // ErrInvalidStoreParams reports a store header whose PPR parameters
 // fail ppr.Params.ValidatePrecompute — alpha outside [1e-6,1), eps not
@@ -74,67 +77,52 @@ var ErrUnsupportedStoreVersion = errors.New("core: store format version 1 is no 
 // — or whose hierarchy options fail hierarchy.Options.Validate (an
 // imbalance that is not finite or is above 1). Such a file cannot come
 // from Save. Serving it would fold vectors under parameters they were
-// never computed with (a NaN alpha answers NaN entries), and rebuilding
-// its tree would not end (a NaN imbalance).
+// never computed with (a NaN alpha answers NaN entries).
 var ErrInvalidStoreParams = errors.New("core: invalid store parameters")
 
 // numSections is the record-section count of a store file.
-const numSections = 4
+const numSections = 3
 
-// countingWriter tracks the absolute file offset through a buffered
-// writer so Save can pad payloads to 8-byte offsets.
-type countingWriter struct {
-	w *bufio.Writer
-	n int64
+// storeWriter appends a store file to buf and hands it to w in chunks,
+// tracking the absolute file offset so payloads can be padded to 8-byte
+// offsets.
+type storeWriter struct {
+	w       io.Writer
+	buf     []byte
+	written int64 // bytes already handed to w
+	err     error
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+func (sw *storeWriter) i32(x int32) { sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(x)) }
+
+func (sw *storeWriter) u64(x uint64) { sw.buf = binary.LittleEndian.AppendUint64(sw.buf, x) }
+
+// record appends one section record: its key, the length of a columnar
+// payload of n entries, zero padding up to the next 8-byte file offset,
+// and the payload appendPayload appends.
+func (sw *storeWriter) record(key int32, n int, appendPayload func([]byte) []byte) {
+	sw.i32(key)
+	sw.i32(int32(sparse.EncodedSizeColumnar(n)))
+	for (sw.written+int64(len(sw.buf)))%8 != 0 {
+		sw.buf = append(sw.buf, 0)
+	}
+	sw.buf = appendPayload(sw.buf)
+	sw.spill()
 }
 
-// checkSavable rejects incrementally updated stores (graph epoch > 0):
-// the file format rebuilds the hierarchy deterministically from (graph,
-// options), which cannot reproduce an update-maintained tree — its hub
-// promotions are a function of the delta history, not of the final
-// graph. Rebuild with BuildHGPA/Precompute on the updated graph first.
-//
-// A shard-local store is refused too: a file always holds a whole store.
-func checkSavable(s *Store) error {
-	if o := s.own; o != nil {
-		return fmt.Errorf("core: cannot save shard %d of %d: a store file holds a whole store", o.index, o.total)
+// spill hands buf to w once it holds 1 MiB.
+func (sw *storeWriter) spill() {
+	if len(sw.buf) >= 1<<20 {
+		sw.flush()
 	}
-	if s.H.G.Epoch() != 0 {
-		return fmt.Errorf("core: cannot save an incrementally updated store (graph epoch %d): rebuild from the updated graph first", s.H.G.Epoch())
-	}
-	return nil
 }
 
-// writeStoreHeader emits everything up to the vector sections.
-func writeStoreHeader(w io.Writer, params ppr.Params, opts hierarchy.Options, g *graph.Graph) {
-	writeU64 := func(x uint64) { binary.Write(w, binary.LittleEndian, x) }
-	writeI32 := func(x int32) { binary.Write(w, binary.LittleEndian, x) }
-
-	writeU64(math.Float64bits(params.Alpha))
-	writeU64(math.Float64bits(params.Eps))
-	writeI32(int32(params.MaxIter))
-	writeI32(int32(params.Dangling))
-
-	writeI32(int32(opts.Fanout))
-	writeI32(int32(opts.MaxLevels))
-	writeI32(int32(opts.MinSize))
-	writeU64(math.Float64bits(opts.Imbalance))
-	writeU64(uint64(opts.Seed))
-
-	writeI32(int32(g.NumNodes()))
-	writeI32(int32(g.NumEdges()))
-	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		for _, v := range g.Out(u) {
-			writeI32(u)
-			writeI32(v)
-		}
+func (sw *storeWriter) flush() {
+	if sw.err == nil {
+		_, sw.err = sw.w.Write(sw.buf)
 	}
+	sw.written += int64(len(sw.buf))
+	sw.buf = sw.buf[:0]
 }
 
 func sortedKeys[V any](m map[int32]V) []int32 {
@@ -146,51 +134,57 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	return keys
 }
 
-// Save writes the store to w in format version 2. Keys are written
+// Save writes the store to w in format version 3. Keys are written
 // sorted and plan rows are rank-ordered, so saving the same store twice
-// yields byte-identical files.
+// yields byte-identical files. A shard-local store is refused: a file
+// always holds a whole store.
 func Save(w io.Writer, s *Store) error {
-	if err := checkSavable(s); err != nil {
-		return err
+	if o := s.own; o != nil {
+		return fmt.Errorf("core: cannot save shard %d of %d: a store file holds a whole store", o.index, o.total)
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &countingWriter{w: bw}
-	if _, err := cw.Write(storeMagic[:]); err != nil {
-		return err
-	}
-	writeStoreHeader(cw, s.Params, s.H.Opts, s.H.G)
-
-	writeI32 := func(x int32) { binary.Write(cw, binary.LittleEndian, x) }
-	var zeros [8]byte
-	writeRecord := func(key int32, payload []byte) error {
-		writeI32(key)
-		writeI32(int32(len(payload)))
-		if pad := int((8 - cw.n%8) % 8); pad > 0 {
-			if _, err := cw.Write(zeros[:pad]); err != nil {
-				return err
-			}
+	sw := &storeWriter{w: w, buf: make([]byte, 0, 1<<20+1<<16)}
+	sw.buf = append(sw.buf, storeMagic[:]...)
+	p, o, g := s.Params, s.H.Opts, s.H.G
+	sw.u64(math.Float64bits(p.Alpha))
+	sw.u64(math.Float64bits(p.Eps))
+	sw.i32(int32(p.MaxIter))
+	sw.i32(int32(p.Dangling))
+	sw.i32(int32(o.Fanout))
+	sw.i32(int32(o.MaxLevels))
+	sw.i32(int32(o.MinSize))
+	sw.u64(math.Float64bits(o.Imbalance))
+	sw.u64(uint64(o.Seed))
+	sw.i32(int32(g.NumNodes()))
+	sw.i32(int32(g.NumEdges()))
+	sw.u64(g.Epoch())
+	for u := range int32(g.NumNodes()) {
+		for _, v := range g.Out(u) {
+			sw.i32(u)
+			sw.i32(v)
 		}
-		_, err := cw.Write(payload)
+		sw.spill()
+	}
+	var err error
+	if sw.buf, err = s.H.AppendTree(sw.buf); err != nil {
 		return err
 	}
 
-	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		writeI32(int32(len(section)))
+	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.LeafPPV} {
+		sw.i32(int32(len(section)))
 		for _, key := range sortedKeys(section) {
-			if err := writeRecord(key, sparse.EncodeColumnarPacked(section[key])); err != nil {
-				return err
-			}
+			v := section[key]
+			sw.record(key, v.Len(), func(b []byte) []byte { return sparse.AppendColumnarPacked(b, v) })
 		}
 	}
 	plans := buildHubPlans(s.H, s.Skeleton)
-	writeI32(int32(len(plans)))
-	for _, key := range sortedKeys(plans) {
-		row := plans[key]
-		if err := writeRecord(key, sparse.EncodeColumnar(row.hubs, row.s)); err != nil {
-			return err
+	sw.i32(int32(plans.rows()))
+	for u := range int32(g.NumNodes()) {
+		if row := plans.row(u); len(row.hubs) > 0 {
+			sw.record(u, len(row.hubs), func(b []byte) []byte { return sparse.AppendColumnar(b, row.hubs, row.s) })
 		}
 	}
-	return bw.Flush()
+	sw.flush()
+	return sw.err
 }
 
 // SaveFile writes the store to a file path.
@@ -207,8 +201,9 @@ func SaveFile(path string, s *Store) error {
 }
 
 // headerLen is the byte length of the header before the edge list:
-// magic, params (24), hierarchy options (28), and the counts n and m.
-const headerLen = 8 + 24 + 28 + 8
+// magic, params (24), hierarchy options (28), the counts n and m, and
+// the graph epoch.
+const headerLen = 8 + 24 + 28 + 8 + 8
 
 // minRecordLen is the smallest record a section can hold: key and
 // length (8) and an empty vector's payload (8). Every node has a
@@ -216,22 +211,24 @@ const headerLen = 8 + 24 + 28 + 8
 const minRecordLen = 16
 
 // parseStore is the one reader of the store format: it checks the
-// header and the section framing of a whole file's bytes, rebuilds the
-// hierarchy, and returns the index of every record in data. The
-// parameters must pass the checks Precompute applies and the hierarchy
-// options those Build applies (ErrInvalidStoreParams). Counts are
+// header, the tree and the section framing of a whole file's bytes, and
+// returns the index of every record in data. The parameters must pass
+// the checks Precompute applies and the hierarchy options those Build
+// applies (ErrInvalidStoreParams); the tree must pass ParseTree's
+// checks (an error wrapping hierarchy.ErrInvalidTree). Counts are
 // bounded by the bytes that could hold them before anything is
 // allocated from them; a key outside [0,n) or not above the previous
 // key (Save writes keys sorted) and a payload longer than an n-entry
-// vector are rejected, and so is a hub without its partial or
-// skeleton. Payloads are checked when they are viewed (fetch, plan).
+// vector are rejected, and so is a hub without its partial or whose own
+// plan row lacks it (the fold applies the −α self term through that
+// entry). Payloads are checked when they are viewed (fetch, plan).
 func parseStore(data []byte) (*diskFile, error) {
 	if len(data) < len(storeMagic) {
 		return nil, fmt.Errorf("core: not a store file (%d bytes)", len(data))
 	}
 	switch [8]byte(data) {
 	case storeMagic:
-	case storeMagicV1:
+	case storeMagicV1, storeMagicV2:
 		return nil, ErrUnsupportedStoreVersion
 	default:
 		return nil, fmt.Errorf("core: not a store file (magic %q)", data[:8])
@@ -258,6 +255,7 @@ func parseStore(data []byte) (*diskFile, error) {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidStoreParams, err)
 	}
 	n, m := int(i32(60)), int(i32(64))
+	epoch := binary.LittleEndian.Uint64(data[68:])
 	off := headerLen
 	if n < 0 || m < 0 || n > len(data)/minRecordLen || m > (len(data)-off)/8 {
 		return nil, fmt.Errorf("core: corrupt store header (n=%d m=%d) for a %d-byte file", n, m, len(data))
@@ -270,10 +268,11 @@ func parseStore(data []byte) (*diskFile, error) {
 		}
 		b.AddEdge(u, v)
 	}
-	h, err := hierarchy.Build(b.Build(), opts)
+	h, treeLen, err := hierarchy.ParseTree(data[off:], b.BuildAtEpoch(epoch), opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: store tree: %w", err)
 	}
+	off += treeLen
 	d := &diskFile{H: h, Params: params, data: data}
 	maxLen := sparse.EncodedSizeColumnar(n)
 	for sec := range d.idx {
@@ -305,27 +304,38 @@ func parseStore(data []byte) (*diskFile, error) {
 			off += int(vlen)
 		}
 	}
+	// A hub's skeleton vector holds the non-zero values of its column of
+	// the rows; the rows' zeros are the self entries Save injects.
+	d.skeletonLen = make([]int32, n)
+	for _, sp := range d.idx[secHubPlan] {
+		hubs, s, _ := d.record(sp)
+		for k, hub := range hubs {
+			if s[k] != 0 && hub >= 0 && int(hub) < n {
+				d.skeletonLen[hub]++
+			}
+		}
+	}
 	for u := range int32(n) {
 		if !h.IsHub(u) {
 			continue
 		}
 		if _, ok := d.idx[secHubPartial][u]; !ok {
-			return nil, fmt.Errorf("core: store missing partial for hub %d (seed/version drift?)", u)
+			return nil, fmt.Errorf("core: store missing partial for hub %d", u)
 		}
-		if _, ok := d.idx[secSkeleton][u]; !ok {
-			return nil, fmt.Errorf("core: store missing skeleton for hub %d", u)
+		// The row's other hubs are checked when it is viewed (plan).
+		hubs, _, err := d.record(d.idx[secHubPlan][u])
+		if err != nil || !slices.Contains(hubs, u) {
+			return nil, fmt.Errorf("core: hub %d is missing from its own plan row", u)
 		}
 	}
 	return d, nil
 }
 
-// Load reads a store written by Save, rebuilding the hierarchy
-// deterministically from the stored options. It reads all of r (into
-// one buffer when r reports its Len, as a bytes.Reader does), parses it
-// as OpenDiskStore does, and copies every vector onto the heap. The
-// plan rows are checked and dropped: an in-memory store folds skeletons
-// directly, but a corrupt trailer must still be reported at load time,
-// not at first serve.
+// Load reads a store written by Save. It reads all of r (into one
+// buffer when r reports its Len, as a bytes.Reader does), parses it as
+// OpenDiskStore does, copies every vector onto the heap, and rebuilds
+// every skeleton vector from the plan rows, which it checks and drops:
+// an in-memory store folds skeletons directly.
 func Load(r io.Reader) (*Store, error) {
 	var buf bytes.Buffer
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -383,39 +393,42 @@ func loadBytes(data []byte, shard, of int) (*Store, error) {
 
 // load copies the vectors of machine shard of of (every vector when of
 // is 0) out of d's checked views, each into exact-size arrays of its
-// own, so the store shares no byte with d.data. It checks every plan
-// row through plan.
+// own, so the store shares no byte with d.data: the hub partials and
+// leaf PPVs in file order, and between them the skeleton vectors of the
+// owned hubs, rebuilt from every checked plan row (skeletons).
 func (d *diskFile) load(shard, of int) (*Store, error) {
 	var own *owner
 	if of != 0 {
 		own = &owner{index: shard, total: of, h: d.H}
 	}
-	s := &Store{
-		H:          d.H,
-		Params:     d.Params,
-		HubPartial: make(map[int32]sparse.Packed),
-		Skeleton:   make(map[int32]sparse.Packed),
-		LeafPPV:    make(map[int32]sparse.Packed),
-		own:        own,
+	s := &Store{H: d.H, Params: d.Params, own: own}
+	var err error
+	if s.HubPartial, err = d.copySection(secHubPartial, own); err != nil {
+		return nil, err
 	}
-	for sec, to := range [...]map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		// In file order, so vectors adjacent in the file, such as the
-		// hubs of one tree node, are adjacent on the heap too.
-		for _, key := range sortedKeys(d.idx[sec]) {
-			if !own.admits(int8(sec), key) {
-				continue
-			}
-			v, err := d.fetch(int8(sec), key)
-			if err != nil {
-				return nil, err
-			}
-			to[key] = v.Clone()
-		}
+	if s.Skeleton, err = d.skeletons(own); err != nil {
+		return nil, err
 	}
-	for u := range d.idx[secHubPlan] {
-		if _, err := d.plan(u); err != nil {
-			return nil, err
-		}
+	if s.LeafPPV, err = d.copySection(secLeafPPV, own); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// copySection copies the vectors of section sec that own admits, in file
+// order, so vectors adjacent in the file, such as the hubs of one tree
+// node, are adjacent on the heap too.
+func (d *diskFile) copySection(sec int8, own *owner) (map[int32]sparse.Packed, error) {
+	out := make(map[int32]sparse.Packed)
+	for _, key := range sortedKeys(d.idx[sec]) {
+		if !own.admits(sec, key) {
+			continue
+		}
+		v, err := d.fetch(sec, key)
+		if err != nil {
+			return nil, err
+		}
+		out[key] = v.Clone()
+	}
+	return out, nil
 }

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"exactppr/internal/graph"
 	"exactppr/internal/hierarchy"
 	"exactppr/internal/ppr"
 	"exactppr/internal/sparse"
@@ -73,7 +74,7 @@ type Store struct {
 // adding a zero vector and answering silently wrong.
 var ErrMissingVector = errors.New("core: missing vector")
 
-var sectionNames = [...]string{"hub partial", "skeleton", "leaf PPV", "hub plan"}
+var sectionNames = [...]string{secHubPartial: "hub partial", secLeafPPV: "leaf PPV", secHubPlan: "hub plan", secSkeleton: "skeleton"}
 
 // missingVector is ErrMissingVector wrapped with the section and key.
 func missingVector(sec int8, key int32) error {
@@ -123,8 +124,8 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 	var tasks []precomputeTask
 	for _, n := range h.Nodes() {
 		tasks = append(tasks, nodeTasks(h, n)...)
-		n.Sub.G.BuildReverse() // safe to pre-build; used by skeletons
 	}
+	withSubgraphs(h.G, tasks)
 	nHubs, nLeaves := 0, 0
 	for _, t := range tasks {
 		if t.hub {
@@ -156,15 +157,16 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 }
 
 // precomputeTask is one vector-producing unit of work: a hub's
-// partial+skeleton pair, or one leaf PPV. Hub tasks of the same tree
-// node share one read-only isHub mask, built once per node instead of
-// once per hub (the mask is O(|subgraph|) and the root node alone can
-// carry dozens of hubs).
+// partial+skeleton pair, or one leaf PPV. The tasks of one tree node
+// share its virtual subgraph, and its hub tasks one read-only isHub
+// mask, built once per node instead of once per hub (the mask is
+// O(|subgraph|) and the root node alone can carry dozens of hubs).
 type precomputeTask struct {
 	node  *hierarchy.Node
 	u     int32 // global id
 	hub   bool
-	isHub []bool // hub mask in the node's local id space; nil for leaf tasks
+	sub   *graph.Subgraph // the node's virtual subgraph (withSubgraphs)
+	isHub []bool          // hub mask in sub's id space; nil for leaf tasks
 }
 
 // Vectors returns how many store vectors the task produces.
@@ -180,24 +182,43 @@ func (t precomputeTask) Vectors() int {
 // incremental updater re-runs per dirty node.
 func nodeTasks(h *hierarchy.Hierarchy, n *hierarchy.Node) []precomputeTask {
 	var tasks []precomputeTask
-	var isHub []bool
-	if len(n.Hubs) > 0 {
-		isHub = make([]bool, n.Sub.G.NumNodes())
-		for _, x := range n.Hubs {
-			isHub[n.Sub.Local(x)] = true
-		}
-	}
 	for _, hub := range n.Hubs {
-		tasks = append(tasks, precomputeTask{n, hub, true, isHub})
+		tasks = append(tasks, precomputeTask{node: n, u: hub, hub: true})
 	}
 	if n.IsLeaf() {
 		for _, m := range n.Members {
 			if !h.IsHub(m) {
-				tasks = append(tasks, precomputeTask{n, m, false, nil})
+				tasks = append(tasks, precomputeTask{node: n, u: m})
 			}
 		}
 	}
 	return tasks
+}
+
+// withSubgraphs extracts from root graph g, once per tree node, the
+// virtual subgraph the tasks of that node run on — and their hub mask —
+// and hands them to the tasks. The tasks of one node must be adjacent,
+// as nodeTasks lists them. The subgraphs live only as long as the tasks:
+// a hierarchy keeps none.
+func withSubgraphs(g *graph.Graph, tasks []precomputeTask) {
+	for i := 0; i < len(tasks); {
+		n := tasks[i].node
+		sub := graph.VirtualSubgraph(g, n.Members)
+		sub.G.BuildReverse() // the skeleton kernels read in-edges
+		var isHub []bool
+		if len(n.Hubs) > 0 {
+			isHub = make([]bool, sub.G.NumNodes())
+			for _, x := range n.Hubs {
+				isHub[sub.Local(x)] = true
+			}
+		}
+		for ; i < len(tasks) && tasks[i].node == n; i++ {
+			tasks[i].sub = sub
+			if tasks[i].hub {
+				tasks[i].isHub = isHub
+			}
+		}
+	}
 }
 
 // stagedVec is one computed vector awaiting its section-map write.
@@ -302,8 +323,8 @@ func (s *Store) runTasks(tasks []precomputeTask, workers int) (runInfo, error) {
 // alias the scratch, so each vector is drained into packed form before
 // the scratch's next use.
 func (s *Store) computeHub(t precomputeTask, sc *ppr.Scratch) (adjusted, skeleton sparse.Packed, err error) {
-	n, g := t.node, t.node.Sub.G
-	lh := n.Sub.Local(t.u)
+	sub := t.sub
+	g, lh := sub.G, sub.Local(t.u)
 	ents, err := sc.PartialEntries(g, lh, t.isHub, s.Params)
 	if err != nil {
 		return sparse.Packed{}, sparse.Packed{}, fmt.Errorf("core: partial of hub %d: %w", t.u, err)
@@ -315,7 +336,7 @@ func (s *Store) computeHub(t precomputeTask, sc *ppr.Scratch) (adjusted, skeleto
 		if e.ID == lh {
 			continue // the α·x_h adjustment removes the zero-length tour
 		}
-		ents[j] = sparse.Entry{ID: n.Sub.Parent(e.ID), Score: e.Score}
+		ents[j] = sparse.Entry{ID: sub.Parent(e.ID), Score: e.Score}
 		j++
 	}
 	adjusted, err = sparse.PackEntries(ents[:j])
@@ -327,7 +348,7 @@ func (s *Store) computeHub(t precomputeTask, sc *ppr.Scratch) (adjusted, skeleto
 		return sparse.Packed{}, sparse.Packed{}, fmt.Errorf("core: skeleton of hub %d: %w", t.u, err)
 	}
 	for i, e := range ents {
-		ents[i] = sparse.Entry{ID: n.Sub.Parent(e.ID), Score: e.Score}
+		ents[i] = sparse.Entry{ID: sub.Parent(e.ID), Score: e.Score}
 	}
 	skeleton, err = sparse.PackEntries(ents)
 	if err != nil {
@@ -339,13 +360,13 @@ func (s *Store) computeHub(t precomputeTask, sc *ppr.Scratch) (adjusted, skeleto
 // computeLeaf produces the leaf-level local PPV of non-hub node t.u in
 // global id space.
 func (s *Store) computeLeaf(t precomputeTask, sc *ppr.Scratch) (sparse.Packed, error) {
-	n, g := t.node, t.node.Sub.G
-	ents, err := sc.PartialEntries(g, n.Sub.Local(t.u), nil, s.Params)
+	sub := t.sub
+	ents, err := sc.PartialEntries(sub.G, sub.Local(t.u), nil, s.Params)
 	if err != nil {
 		return sparse.Packed{}, fmt.Errorf("core: leaf PPV of %d: %w", t.u, err)
 	}
 	for i, e := range ents {
-		ents[i] = sparse.Entry{ID: n.Sub.Parent(e.ID), Score: e.Score}
+		ents[i] = sparse.Entry{ID: sub.Parent(e.ID), Score: e.Score}
 	}
 	globalP, err := sparse.PackEntries(ents)
 	if err != nil {

@@ -36,8 +36,8 @@ type UpdateInfo struct {
 	// Inserted/Deleted count the edge operations that actually changed
 	// the graph (no-op operations in the batch are skipped).
 	Inserted, Deleted int
-	// DirtyNodes is the number of tree nodes whose virtual subgraph was
-	// re-extracted.
+	// DirtyNodes is the number of tree nodes whose virtual subgraph
+	// changed.
 	DirtyNodes int
 	// Promoted is the number of nodes promoted into a hub set to keep
 	// the separator property (and with it exactness) intact.
@@ -93,7 +93,6 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		info.Wall = time.Since(start)
 		return s, info, nil
 	}
-	upd.RefreshSubgraphs()
 
 	// Start from a structural clone: the maps are fresh (so the old
 	// snapshot is never written to), the immutable packed vectors are
@@ -120,9 +119,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		}
 		return !ns.own.leaf(t.u)
 	})
-	for _, t := range tasks {
-		t.node.Sub.G.BuildReverse()
-	}
+	withSubgraphs(upd.H.G, tasks)
 	ri, err := ns.runTasks(tasks, workers)
 	if err != nil {
 		// The shared root graph has already advanced, so the receiver

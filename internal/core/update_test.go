@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -174,21 +175,80 @@ func TestApplyUpdatesShardsStayExact(t *testing.T) {
 	}
 }
 
-// TestSaveRejectsUpdatedStore: persisting an update-maintained store
-// would silently load back wrong (the format re-partitions the graph,
-// losing promotions), so Save must refuse it loudly.
-func TestSaveRejectsUpdatedStore(t *testing.T) {
-	g := updateGraph(t, 55)
-	s, err := BuildHGPA(g, hierarchy.Options{Seed: 57}, ppr.Params{Alpha: 0.15, Eps: 1e-6}, 2)
+// TestUpdatedStoreRoundTrips: a store file carries the graph epoch,
+// the tree and its deal ranks, so an update-maintained store — hub
+// promotions and all — saves, loads and splits into the shares, ranks
+// and epoch of the store it was saved from, and the next batch lands on
+// the loaded copy exactly as on the original.
+func TestUpdatedStoreRoundTrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	s, err := BuildHGPA(updateGraph(t, 17), hierarchy.Options{Seed: 23}, updateParams(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, _, err := s.ApplyUpdates(graph.Delta{Insert: [][2]int32{{0, 100}}}, 2)
+	for promoting := 0; promoting < 3; {
+		if s.H.G.Epoch() == 200 {
+			t.Fatalf("only %d of 200 batches promoted a hub", promoting)
+		}
+		ns, info, err := s.ApplyUpdates(randomDelta(rng, s.H.G, 4), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Promoted > 0 {
+			promoting++
+		}
+		s = ns
+	}
+	path := filepath.Join(t.TempDir(), "u.store")
+	if err := SaveFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveFile(t.TempDir()+"/x.store", ns); err == nil {
-		t.Fatal("Save must reject an incrementally updated store")
+	if loaded.H.G.Epoch() != s.H.G.Epoch() {
+		t.Fatalf("loaded epoch %d, saved %d", loaded.H.G.Epoch(), s.H.G.Epoch())
+	}
+	n := s.H.G.NumNodes()
+	for u := range int32(n) {
+		if loaded.H.DealRank(u) != s.H.DealRank(u) {
+			t.Fatalf("id %d: loaded deal rank %d, saved %d", u, loaded.H.DealRank(u), s.H.DealRank(u))
+		}
+	}
+	want, err := Split(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Split(loaded, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		local, err := LoadShard(path, i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := packedStreamDigest(t, n, want[i].QueryPacked)
+		if g, l := packedStreamDigest(t, n, got[i].QueryPacked), packedStreamDigest(t, n, local.QueryPacked); g != w || l != w {
+			t.Fatalf("shard %d/2: loaded-and-split digest %s, shard load %s, saved store %s", i, g, l, w)
+		}
+	}
+	if g, w := packedStreamDigest(t, n, loaded.QueryPacked), packedStreamDigest(t, n, s.QueryPacked); g != w {
+		t.Fatalf("whole store: loaded digest %s, saved %s", g, w)
+	}
+	d := randomDelta(rng, s.H.G, 4)
+	_, wantInfo, err := s.ApplyUpdates(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gotInfo, err := loaded.ApplyUpdates(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantInfo.Inserted+wantInfo.Deleted == 0 || gotInfo.Digest != wantInfo.Digest {
+		t.Fatalf("next batch (%d inserts, %d deletes): loaded store digest %x, saved store %x",
+			wantInfo.Inserted, wantInfo.Deleted, gotInfo.Digest, wantInfo.Digest)
 	}
 }
 

@@ -184,7 +184,12 @@ func (b *Builder) AddEdge(u, v int32) {
 
 // Build finalizes the graph. The builder may be reused afterwards only by
 // calling Reset.
-func (b *Builder) Build() *Graph {
+func (b *Builder) Build() *Graph { return b.BuildAtEpoch(0) }
+
+// BuildAtEpoch is Build for a graph that has already absorbed epoch
+// edge-delta batches: a store file records its graph's epoch, and the
+// graph read back from it resumes counting there.
+func (b *Builder) BuildAtEpoch(epoch uint64) *Graph {
 	sort.Slice(b.edges, func(i, j int) bool {
 		if b.edges[i][0] != b.edges[j][0] {
 			return b.edges[i][0] < b.edges[j][0]
@@ -209,7 +214,7 @@ func (b *Builder) Build() *Graph {
 	for u := 0; u < b.n; u++ {
 		outW[u] = offsets[u+1] - offsets[u]
 	}
-	return &Graph{n: b.n, offsets: offsets, adj: adj, outW: outW, virtual: -1}
+	return &Graph{n: b.n, offsets: offsets, adj: adj, outW: outW, virtual: -1, epoch: epoch}
 }
 
 // Reset clears accumulated edges keeping capacity.

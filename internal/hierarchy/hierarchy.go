@@ -14,6 +14,7 @@
 package hierarchy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -66,20 +67,21 @@ func (o Options) withDefaults() Options {
 
 // Node is one subgraph in the hierarchy.
 type Node struct {
-	// ID is a dense identifier unique within the hierarchy (pre-order).
+	// ID is the node's pre-order index in the tree Build (or ParseTree)
+	// made. Updates keep it when they drop emptied nodes, so it stays
+	// unique and ascending in pre-order but may leave gaps.
 	ID int
 	// Level is the depth: 0 for the root (the graph G itself).
 	Level int
 	// Members are the global ids belonging to this subgraph, INCLUDING
-	// its own hub nodes but excluding every ancestor's hubs. Sorted.
+	// its own hub nodes but excluding every ancestor's hubs. Sorted. The
+	// tree keeps no subgraph: the pre-computation extracts the virtual
+	// subgraph over Members (graph.VirtualSubgraph, Definition 3) from
+	// the root graph as it is when it computes the node's vectors.
 	Members []int32
 	// Hubs are the hub nodes selected when splitting this subgraph
 	// (H(G_m^i) in the paper). Empty for leaves. Sorted.
-	Hubs []int32
-	// Sub is the virtual subgraph over Members w.r.t. the ROOT graph:
-	// members keep their original out-degrees and edges leaving the
-	// member set feed the absorbing sink (Definition 3).
-	Sub      *graph.Subgraph
+	Hubs     []int32
 	Parent   *Node
 	Children []*Node
 }
@@ -143,7 +145,6 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 		Level:   level,
 		Members: members,
 		Parent:  parent,
-		Sub:     graph.VirtualSubgraph(h.G, members),
 	}
 	h.nodes = append(h.nodes, n)
 	for _, m := range members {
@@ -294,108 +295,105 @@ func (h *Hierarchy) TotalHubs() int {
 	return t
 }
 
+// ErrInvalidTree reports a tree that breaks one of the hierarchy's
+// invariants: Validate's and ParseTree's errors wrap it.
+var ErrInvalidTree = errors.New("hierarchy: invalid tree")
+
+func invalidTree(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidTree}, args...)...)
+}
+
 // Validate checks the structural invariants of the hierarchy and returns
-// the first violation:
+// the first violation, wrapping ErrInvalidTree:
 //
-//  1. every node's children partition Members∖Hubs;
-//  2. hub sets separate the child member sets within the node's induced
-//     subgraph (the exactness precondition of Theorems 1–3);
-//  3. Home/HubLevel indexes agree with the tree.
+//  1. every node's Members and Hubs are sorted id sets, and its hubs are
+//     members;
+//  2. every node's children partition Members∖Hubs, and a leaf holds
+//     either hubs or non-hub members, not both;
+//  3. hub sets separate the child member sets within the node's induced
+//     subgraph (the exactness precondition of Theorems 1–3): no edge
+//     joins members of two different children;
+//  4. deal ranks are unique, below nextRank, and held by hubs alone;
+//  5. Home/HubLevel indexes agree with the tree.
+//
+// It runs in O((n + m)·depth) with two arrays over the node ids: one
+// pass over each node's members and their out-edges.
 func (h *Hierarchy) Validate() error {
-	for _, n := range h.nodes {
-		memberSet := make(map[int32]bool, len(n.Members))
-		for _, m := range n.Members {
-			memberSet[m] = true
-		}
-		hubSet := make(map[int32]bool, len(n.Hubs))
-		for _, hb := range n.Hubs {
-			if !memberSet[hb] {
-				return fmt.Errorf("hierarchy: node %d: hub %d not a member", n.ID, hb)
+	n := int32(h.G.NumNodes())
+	// mark[u] records what the tree node with pre-order index i last
+	// made of u: 3i+1 a member, 3i+2 a hub, 3i+3 a member of the child
+	// part[u]. Every node has tokens of its own, so nothing is reset.
+	mark := make([]int, n)
+	part := make([]int32, n)
+	for i, nd := range h.nodes {
+		member, hub, claimed := 3*i+1, 3*i+2, 3*i+3
+		for k, m := range nd.Members {
+			if m < 0 || m >= n || k > 0 && m <= nd.Members[k-1] {
+				return invalidTree("node %d: members not a sorted id set at %d", nd.ID, m)
 			}
-			hubSet[hb] = true
+			mark[m] = member
 		}
-		if n.IsLeaf() {
-			if len(n.Hubs) > 0 && countNonHub(n, hubSet) > 0 {
-				return fmt.Errorf("hierarchy: leaf %d has hubs and members", n.ID)
+		for k, hb := range nd.Hubs {
+			if hb < 0 || hb >= n || mark[hb] != member || k > 0 && hb <= nd.Hubs[k-1] {
+				return invalidTree("node %d: hub %d not a member (or hubs not sorted)", nd.ID, hb)
+			}
+			mark[hb] = hub
+		}
+		if nd.IsLeaf() {
+			if len(nd.Hubs) > 0 && len(nd.Members) > len(nd.Hubs) {
+				return invalidTree("leaf %d has hubs and members", nd.ID)
 			}
 			continue
 		}
-		seen := make(map[int32]bool)
-		for _, c := range n.Children {
+		children := 0
+		for ci, c := range nd.Children {
 			for _, m := range c.Members {
-				if !memberSet[m] || hubSet[m] {
-					return fmt.Errorf("hierarchy: node %d: child member %d invalid", n.ID, m)
+				if m < 0 || m >= n || mark[m] != member && mark[m] != claimed {
+					return invalidTree("node %d: child member %d invalid", nd.ID, m)
 				}
-				if seen[m] {
-					return fmt.Errorf("hierarchy: node %d: member %d in two children", n.ID, m)
+				if mark[m] == claimed {
+					return invalidTree("node %d: member %d in two children", nd.ID, m)
 				}
-				seen[m] = true
+				mark[m], part[m] = claimed, int32(ci)
+				children++
 			}
 		}
-		if len(seen)+len(n.Hubs) != len(n.Members) {
-			return fmt.Errorf("hierarchy: node %d: children+hubs ≠ members (%d+%d ≠ %d)",
-				n.ID, len(seen), len(n.Hubs), len(n.Members))
+		if children+len(nd.Hubs) != len(nd.Members) {
+			return invalidTree("node %d: children+hubs ≠ members (%d+%d ≠ %d)",
+				nd.ID, children, len(nd.Hubs), len(nd.Members))
 		}
-		// Separator property on the induced subgraph.
-		induced := graph.InducedSubgraph(h.G, n.Members)
-		parts := make([]int32, induced.G.NumNodes())
-		blockedHubs := make(map[int32]bool)
-		for l := int32(0); l < int32(induced.G.NumNodes()); l++ {
-			gid := induced.Parent(l)
-			if hubSet[gid] {
-				blockedHubs[l] = true
+		// Separator property: an undirected path between two children
+		// that avoids the hubs crosses some edge between them.
+		for _, a := range nd.Members {
+			if mark[a] != claimed {
 				continue
 			}
-			ci := childIndexOf(n, gid)
-			if ci < 0 {
-				return fmt.Errorf("hierarchy: node %d: member %d in no child", n.ID, gid)
+			for _, b := range h.G.Out(a) {
+				if mark[b] == claimed && part[b] != part[a] {
+					return invalidTree("node %d: hubs do not separate children (edge %d→%d)", nd.ID, a, b)
+				}
 			}
-			parts[l] = int32(ci)
-		}
-		if !graph.IsSeparator(induced.G, blockedHubs, parts) {
-			return fmt.Errorf("hierarchy: node %d: hubs do not separate children", n.ID)
 		}
 	}
 	// Index agreement.
-	ranked := make([]bool, h.nextRank)
-	for u := int32(0); u < int32(h.G.NumNodes()); u++ {
+	ranked := make([]bool, max(h.nextRank, 0))
+	for u := range n {
 		if r := h.rank[u]; h.IsHub(u) != (r >= 0) || r >= h.nextRank || r >= 0 && ranked[r] {
-			return fmt.Errorf("hierarchy: node %d has deal rank %d (hub=%v, %d ranks dealt)", u, r, h.IsHub(u), h.nextRank)
+			return invalidTree("node %d has deal rank %d (hub=%v, %d ranks dealt)", u, r, h.IsHub(u), h.nextRank)
 		} else if r >= 0 {
 			ranked[r] = true
 		}
 		home := h.home[u]
 		if home == nil {
-			return fmt.Errorf("hierarchy: node %d has no home", u)
+			return invalidTree("node %d has no home", u)
 		}
 		if h.IsHub(u) {
 			if lv := h.HubLevel(u); lv != home.Level {
-				return fmt.Errorf("hierarchy: hub %d level %d but home level %d", u, lv, home.Level)
+				return invalidTree("hub %d level %d but home level %d", u, lv, home.Level)
 			}
 		} else if !home.IsLeaf() {
-			return fmt.Errorf("hierarchy: non-hub %d homed at internal node %d", u, home.ID)
+			return invalidTree("non-hub %d homed at internal node %d", u, home.ID)
 		}
 	}
 	return nil
-}
-
-func countNonHub(n *Node, hubSet map[int32]bool) int {
-	c := 0
-	for _, m := range n.Members {
-		if !hubSet[m] {
-			c++
-		}
-	}
-	return c
-}
-
-func childIndexOf(n *Node, gid int32) int {
-	for i, c := range n.Children {
-		for _, m := range c.Members {
-			if m == gid {
-				return i
-			}
-		}
-	}
-	return -1
 }

@@ -99,6 +99,10 @@ func TestEveryNodeHasHomeAndPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	subs := make(map[*Node]*graph.Subgraph)
+	for _, n := range h.Nodes() {
+		subs[n] = graph.VirtualSubgraph(g, n.Members)
+	}
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
 		path := h.Path(u)
 		if len(path) == 0 || path[0] != h.Root {
@@ -115,7 +119,7 @@ func TestEveryNodeHasHomeAndPath(t *testing.T) {
 		}
 		// u must be a member of every node on its path.
 		for _, n := range path {
-			if n.Sub.Local(u) < 0 {
+			if subs[n].Local(u) < 0 {
 				t.Fatalf("node %d missing from path node at level %d", u, n.Level)
 			}
 		}
@@ -131,7 +135,7 @@ func TestHubRemovalFromDeeperLevels(t *testing.T) {
 	for _, n := range h.Nodes() {
 		for _, hub := range n.Hubs {
 			for _, c := range n.Children {
-				if c.Sub.Contains(hub) {
+				if graph.VirtualSubgraph(g, c.Members).Contains(hub) {
 					t.Fatalf("hub %d (level %d) appears in a child subgraph", hub, n.Level)
 				}
 			}

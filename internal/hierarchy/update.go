@@ -34,14 +34,14 @@ import (
 // a periodic full rebuild re-optimizes, exactly like any LSM-style
 // structure compacts.
 type Update struct {
-	// H is the new hierarchy. It shares the graph, every clean node's
-	// slices, and every clean node's virtual subgraph with the receiver
-	// of ApplyDelta, which remains fully usable as a snapshot.
+	// H is the new hierarchy. It shares the graph and every clean
+	// node's slices with the receiver of ApplyDelta, which remains fully
+	// usable as a snapshot.
 	H *Hierarchy
 	// Dirty lists the tree nodes (of H, sorted by ID) whose virtual
 	// subgraph changed: their hub partials, skeletons, and — for leaves —
-	// member PPVs must be recomputed. RefreshSubgraphs re-extracts their
-	// Sub fields once the root graph has advanced.
+	// member PPVs must be recomputed, over subgraphs extracted from the
+	// root graph once the batch has been applied to it.
 	Dirty []*Node
 	// Promoted lists nodes that joined a hub set to restore the
 	// separator property, in deterministic (sorted-edge) order. A
@@ -53,8 +53,7 @@ type Update struct {
 // returns a NEW hierarchy (the receiver is untouched and keeps serving
 // as a snapshot) with hub promotions applied, plus the dirty node set.
 // It must be called BEFORE the batch is applied to the shared root
-// graph — effectiveness filtering reads the pre-update edge set — and
-// RefreshSubgraphs after.
+// graph: effectiveness filtering reads the pre-update edge set.
 func (h *Hierarchy) ApplyDelta(d graph.Delta) (*Update, error) {
 	ins, del, err := d.Effective(h.G)
 	if err != nil {
@@ -78,17 +77,8 @@ func (h *Hierarchy) ApplyDelta(d graph.Delta) (*Update, error) {
 	return out, nil
 }
 
-// RefreshSubgraphs re-extracts the virtual subgraph of every dirty node
-// from the (now updated) root graph. Clean nodes keep sharing their
-// subgraphs with the previous hierarchy.
-func (u *Update) RefreshSubgraphs() {
-	for _, n := range u.Dirty {
-		n.Sub = graph.VirtualSubgraph(u.H.G, n.Members)
-	}
-}
-
 // clone produces a structurally independent copy of the tree: fresh
-// Node structs and index arrays, shared Members/Hubs/Sub payloads. Node
+// Node structs and index arrays, shared Members/Hubs payloads. Node
 // IDs are preserved, so shard assignments keyed by ID stay meaningful
 // across an update.
 func (h *Hierarchy) clone() *Hierarchy {

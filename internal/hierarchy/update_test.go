@@ -98,7 +98,6 @@ func TestApplyDeltaPromotionRestoresSeparator(t *testing.T) {
 	if _, _, err := g.ApplyDelta(graph.Delta{Insert: [][2]int32{{tail, head}}}); err != nil {
 		t.Fatal(err)
 	}
-	upd.RefreshSubgraphs()
 	if err := upd.H.Validate(); err != nil {
 		t.Fatalf("updated hierarchy invalid: %v", err)
 	}
@@ -135,7 +134,6 @@ func TestApplyDeltaRandomizedInvariants(t *testing.T) {
 		if _, _, err := g.ApplyDelta(d); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
-		upd.RefreshSubgraphs()
 		if err := upd.H.Validate(); err != nil {
 			t.Fatalf("batch %d: hierarchy invalid: %v", batch, err)
 		}

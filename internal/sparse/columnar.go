@@ -41,31 +41,30 @@ func EncodedSizeColumnar(n int) int {
 	return 8 + 4*n + 4*(n&1) + 8*n
 }
 
-// EncodeColumnar serializes parallel id/score columns (any order; the
-// caller owns the sorted-or-not invariant).
-func EncodeColumnar(ids []int32, scores []float64) []byte {
+// AppendColumnar appends the columnar payload of parallel id/score
+// columns (any order; the caller owns the sorted-or-not invariant) to b.
+func AppendColumnar(b []byte, ids []int32, scores []float64) []byte {
 	if len(ids) != len(scores) {
 		panic(fmt.Sprintf("sparse: %d ids vs %d scores", len(ids), len(scores)))
 	}
 	n := len(ids)
-	buf := make([]byte, EncodedSizeColumnar(n))
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	off := 8
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, 0)
 	for _, id := range ids {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(id))
-		off += 4
+		b = binary.LittleEndian.AppendUint32(b, uint32(id))
 	}
-	off += 4 * (n & 1)
+	if n&1 == 1 {
+		b = binary.LittleEndian.AppendUint32(b, 0)
+	}
 	for _, x := range scores {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(x))
-		off += 8
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
-	return buf
+	return b
 }
 
-// EncodeColumnarPacked serializes a canonical packed vector in columnar
-// form — a straight copy of its two arrays.
-func EncodeColumnarPacked(p Packed) []byte { return EncodeColumnar(p.ids, p.scores) }
+// AppendColumnarPacked appends the columnar payload of a canonical
+// packed vector to b — a straight copy of its two arrays.
+func AppendColumnarPacked(b []byte, p Packed) []byte { return AppendColumnar(b, p.ids, p.scores) }
 
 // columnarBounds validates the framing and returns (n, scoresOffset).
 func columnarBounds(buf []byte) (int, int, error) {

@@ -17,7 +17,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		{[]int32{9, 2, 5}, []float64{1, 2, 3}},                   // unordered (plan rows)
 	}
 	for _, c := range cases {
-		buf := EncodeColumnar(c.ids, c.scores)
+		buf := AppendColumnar(nil, c.ids, c.scores)
 		if len(buf) != EncodedSizeColumnar(len(c.ids)) {
 			t.Fatalf("size %d != EncodedSizeColumnar %d", len(buf), EncodedSizeColumnar(len(c.ids)))
 		}
@@ -44,7 +44,7 @@ func TestColumnarPackedMatchesWireDecode(t *testing.T) {
 		v.Set(i*7%201, float64(i)+0.25)
 	}
 	p := Pack(v)
-	buf := EncodeColumnarPacked(p)
+	buf := AppendColumnarPacked(nil, p)
 	ids, scores, err := ViewColumnar(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestViewColumnarAliases(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("big-endian host always copies")
 	}
-	buf := EncodeColumnar([]int32{1, 2, 3}, []float64{10, 20, 30})
+	buf := AppendColumnar(nil, []int32{1, 2, 3}, []float64{10, 20, 30})
 	ids, scores, err := ViewColumnar(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestViewColumnarAliases(t *testing.T) {
 // TestViewColumnarMisaligned: a deliberately misaligned buffer must fall
 // back to the copying decoder, not fault or return garbage.
 func TestViewColumnarMisaligned(t *testing.T) {
-	buf := EncodeColumnar([]int32{4, 8}, []float64{1.5, 2.5})
+	buf := AppendColumnar(nil, []int32{4, 8}, []float64{1.5, 2.5})
 	shifted := make([]byte, len(buf)+1)
 	copy(shifted[1:], buf)
 	ids, scores, err := ViewColumnar(shifted[1:])
@@ -94,7 +94,7 @@ func TestViewColumnarMisaligned(t *testing.T) {
 }
 
 func TestColumnarRejectsCorruptFraming(t *testing.T) {
-	buf := EncodeColumnar([]int32{1, 2}, []float64{1, 2})
+	buf := AppendColumnar(nil, []int32{1, 2}, []float64{1, 2})
 	for _, bad := range [][]byte{nil, buf[:4], buf[:len(buf)-1], append(append([]byte{}, buf...), 0)} {
 		if _, _, err := DecodeColumnar(bad); err == nil {
 			t.Fatalf("corrupt framing (%d bytes) accepted", len(bad))
