@@ -8,6 +8,7 @@ package exactppr
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -552,6 +553,40 @@ func BenchmarkLoadShard(b *testing.B) {
 			b.ReportMetric(float64(s.SpaceBytes())/(1<<20), "vectorMB")
 		})
 	}
+}
+
+// BenchmarkOpenDiskStore opens the bench fixture's store file as a
+// mapped DiskStore and closes it: the time and allocations of an open,
+// and resident-B/node, the heap the open store keeps (the live heap's
+// growth over the open, each side after two collections) per graph node.
+func BenchmarkOpenDiskStore(b *testing.B) {
+	path := benchStorePath(b)
+	n := benchFixture(b).g.NumNodes()
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds, err := core.OpenDiskStore(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.Close()
+	}
+	b.StopTimer()
+	before := liveHeap()
+	ds, err := core.OpenDiskStore(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resident := liveHeap() - before
+	ds.Close()
+	b.ReportMetric(float64(resident)/float64(n), "resident-B/node")
 }
 
 // BenchmarkDiskStoreQuery measures the disk-resident query path (§5.2's

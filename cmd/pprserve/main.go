@@ -166,7 +166,8 @@ func worker(path string, shard, of int, updates bool) (*cluster.Server, string, 
 		return nil, "", err
 	}
 	sh := shards[shard]
-	return &cluster.Server{Machine: &cluster.LocalMachine{Backend: sh}}, describe(sh, "on disk, "+diskMode(ds)), nil
+	where := fmt.Sprintf("on disk, %s, %.2f MB resident", diskMode(ds), float64(ds.Stats().ResidentBytes)/(1<<20))
+	return &cluster.Server{Machine: &cluster.LocalMachine{Backend: sh}}, describe(sh, where), nil
 }
 
 // diskMode names the disk store's serving path for the startup log.

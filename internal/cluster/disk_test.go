@@ -91,7 +91,7 @@ func TestDiskClusterConcurrent(t *testing.T) {
 }
 
 // TestGatewayDiskStats: a gateway over a disk cluster reports the
-// store's serving counters in /stats.
+// store's serving counters and resident bytes in /stats.
 func TestGatewayDiskStats(t *testing.T) {
 	_, c := testDiskCluster(t, 2)
 	srv := httptest.NewServer(NewGateway(c).Handler())
@@ -111,8 +111,9 @@ func TestGatewayDiskStats(t *testing.T) {
 	var stats struct {
 		Queries int64 `json:"queries"`
 		Disk    *struct {
-			Reads int64 `json:"reads"`
-			Mmap  bool  `json:"mmap"`
+			Reads         int64 `json:"reads"`
+			Mmap          bool  `json:"mmap"`
+			ResidentBytes int64 `json:"resident_bytes"`
 		} `json:"disk"`
 	}
 	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
@@ -124,5 +125,8 @@ func TestGatewayDiskStats(t *testing.T) {
 	}
 	if stats.Disk.Reads == 0 || !stats.Disk.Mmap {
 		t.Fatalf("disk counters empty: %+v", *stats.Disk)
+	}
+	if want := c.DiskStats().ResidentBytes; want <= 0 || stats.Disk.ResidentBytes != want {
+		t.Fatalf("resident_bytes %d, store reports %d", stats.Disk.ResidentBytes, want)
 	}
 }

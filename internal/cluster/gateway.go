@@ -402,11 +402,12 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		"avg_wall_ns":    avg,
 		"uptime_s":       time.Since(g.start).Seconds(),
 	}
-	// Disk-resident backends surface their serving counters so mmap
-	// regressions are observable in production, not just in benches.
+	// Disk-resident backends surface their serving counters and the
+	// heap the open store keeps, so mmap and footprint regressions are
+	// observable in production, not just in benches.
 	if p, ok := g.backend.(interface{ DiskStats() core.DiskStats }); ok {
 		ds := p.DiskStats()
-		stats["disk"] = map[string]any{"reads": ds.Reads, "mmap": ds.Mmap}
+		stats["disk"] = map[string]any{"reads": ds.Reads, "mmap": ds.Mmap, "resident_bytes": ds.ResidentBytes}
 	}
 	writeJSON(w, http.StatusOK, stats)
 }

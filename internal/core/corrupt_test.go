@@ -569,9 +569,13 @@ func queryAll(n int, queries ...func(int32) (sparse.Packed, error)) {
 // store folds rows as they are and checks only their hub ids.
 func TestLoadChecksPlanRows(t *testing.T) {
 	s, ds := diskStoreFixture(t)
-	hubAt := func(u int32, k int) int64 { return ds.idx[secHubPlan][u].off + 8 + 4*int64(k) }
+	hubAt := func(u int32, k int) int64 { sp, _ := ds.span(secHubPlan, u); return sp.off + 8 + 4*int64(k) }
 	var hub, row int32 = -1, -1
-	for u, sp := range ds.idx[secHubPlan] {
+	for u := range int32(s.H.G.NumNodes()) {
+		sp, ok := ds.span(secHubPlan, u)
+		if !ok {
+			continue
+		}
 		if s.H.IsHub(u) && (hub < 0 || u < hub) {
 			hub = u
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -267,6 +269,106 @@ func TestSliceAccountingAgreesAcrossBackends(t *testing.T) {
 				t.Fatalf("shard %d of %d: memory %d hubs, %d leaves, %d bytes; disk %d hubs, %d leaves, %d bytes",
 					i, n, m.HubCount(), m.LeafCount(), m.SpaceBytes(), d.HubCount(), d.LeafCount(), d.SpaceBytes())
 			}
+		}
+	}
+}
+
+// TestRecordIndexMatchesFileScan: for every section and key, the dense
+// record index finds what a linear walk of the record framing finds —
+// the same payload offset and length, or no record — on the whole store
+// and on each SplitDisk view, from the mapped and the in-memory source,
+// and each of them counts the records its slice admits.
+func TestRecordIndexMatchesFileScan(t *testing.T) {
+	s, variants, _ := equivFixture(t)
+	data := savedBytes(t, s)
+	n := s.H.G.NumNodes()
+	// Each section is a count and then, per record, its key and payload
+	// length, zero padding to the next 8-byte offset, and the payload.
+	var want [numSections]map[int32]span
+	off := sectionsOff(data, s.H.G.NumEdges())
+	i32 := func() int32 {
+		x := int32(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+		return x
+	}
+	for sec := range want {
+		want[sec] = map[int32]span{}
+		for range i32() {
+			key, size := i32(), i32()
+			for off%8 != 0 {
+				off++
+			}
+			want[sec][key] = span{off: int64(off), len: size}
+			off += int(size)
+		}
+	}
+	if off != len(data) {
+		t.Fatalf("the walk ended at byte %d of %d", off, len(data))
+	}
+	for _, v := range variants {
+		views, err := SplitDisk(v.ds, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range append([]*DiskStore{v.ds}, views...) {
+			var hubs, leaves int
+			for sec := range int8(numSections) {
+				for key := range int32(n) {
+					got, ok := d.span(sec, key)
+					w, has := want[sec][key]
+					if ok != has || got != w {
+						t.Fatalf("%s store %d: section %d key %d: index %+v (%v), walk %+v (%v)", v.name, i, sec, key, got, ok, w, has)
+					}
+					if has && d.own.admits(sec, key) {
+						switch sec {
+						case secHubPartial:
+							hubs++
+						case secLeafPPV:
+							leaves++
+						}
+					}
+				}
+			}
+			if d.HubCount() != hubs || d.LeafCount() != leaves {
+				t.Fatalf("%s store %d: counts %d hubs, %d leaves; the walk admits %d, %d", v.name, i, d.HubCount(), d.LeafCount(), hubs, leaves)
+			}
+		}
+	}
+}
+
+// TestDiskCountsAfterClose: a closed disk store and its SplitDisk views
+// report the hub count, leaf count and space they reported while open,
+// from the mapped and the in-memory source; splitting it fails typed.
+func TestDiskCountsAfterClose(t *testing.T) {
+	_, variants, _ := equivFixture(t)
+	type counts struct {
+		hubs, leaves int
+		space        int64
+	}
+	of := func(d *DiskStore) counts { return counts{d.HubCount(), d.LeafCount(), d.SpaceBytes()} }
+	for _, v := range variants {
+		views, err := SplitDisk(v.ds, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores := append([]*DiskStore{v.ds}, views...)
+		var open []counts
+		for _, d := range stores {
+			if c := of(d); c.hubs == 0 || c.leaves == 0 || c.space == 0 {
+				t.Fatalf("%s: an open store counts %+v", v.name, c)
+			}
+			open = append(open, of(d))
+		}
+		if err := v.ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range stores {
+			if got := of(d); got != open[i] {
+				t.Fatalf("%s store %d: closed %+v, open %+v", v.name, i, got, open[i])
+			}
+		}
+		if _, err := SplitDisk(v.ds, 2); !errors.Is(err, ErrStoreClosed) {
+			t.Fatalf("%s: splitting a closed store: %v, want ErrStoreClosed", v.name, err)
 		}
 	}
 }

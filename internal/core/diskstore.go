@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -31,10 +32,12 @@ import (
 //     file keeps skeleton values only in this transposed form.
 //
 // Only the graph, the hierarchy, and an offset index are always
-// resident; vector payloads stay on disk (or in the page cache). Opening
-// checks what Load checks before it copies a vector: the header, the
-// tree, the section framing, that every hub has its partial record, and
-// that every hub's own plan row lists it (parseStore). Every record's
+// resident; vector payloads stay on disk (or in the page cache). The
+// index is one int64 per node and section, and the tree stores each id
+// once (hierarchy.Node). Stats reports their heap as ResidentBytes.
+// Opening checks what Load checks before it copies a vector: the
+// header, the tree, the section framing, that every hub has its partial
+// record, and that every hub's own plan row lists it (parseStore). Every record's
 // payload is checked each time it is viewed, so a corrupt vector fails
 // the query that reads it. Queries run the same fold as the in-memory
 // Store (fold.go), with the plan row as the source of each path hub's
@@ -51,6 +54,12 @@ import (
 type DiskStore struct {
 	*diskFile
 	own *owner // the slice this view serves; nil for the whole store
+
+	// The vectors the slice serves, counted when the store or view is
+	// made, so they answer after Close: hub partials, leaf PPVs, and
+	// their space with the hubs' skeleton vectors (SpaceBytes).
+	hubs, leaves int
+	space        int64
 }
 
 // diskFile is the open store file every slice of it shares: the file's
@@ -64,10 +73,14 @@ type diskFile struct {
 	data   []byte
 	mapped bool
 
-	idx [numSections]map[int32]span // hub partials, leaf PPVs, hub plans
-	// skeletonLen[h] is the entry count of hub h's skeleton vector: the
-	// non-zero values of h's column of the plan rows.
-	skeletonLen []int32
+	// idx[sec][key] is the file offset of key's record in section sec
+	// (hub partials, leaf PPVs, hub plans), or 0 when the section holds
+	// none. Payload offsets and lengths are read from the record
+	// headers parseStore checked (span).
+	idx [numSections][]int64
+	// resident is the heap the open file keeps: the index, the tree and
+	// the graph (DiskStats.ResidentBytes).
+	resident int64
 
 	// fmu guards the mapping's lifecycle. Queries hold it shared for
 	// their entire duration — not just across the read — because the
@@ -84,10 +97,15 @@ type diskFile struct {
 // ErrStoreClosed reports a query against a DiskStore after Close.
 var ErrStoreClosed = fmt.Errorf("core: disk store is closed")
 
+// span is where a record's payload lies in the file.
 type span struct {
 	off int64
 	len int32
 }
+
+// payloadOffset is the offset of the payload of the record at rec: past
+// its key and length, at the next 8-byte file offset.
+func payloadOffset(rec int64) int64 { return (rec + 8 + 7) &^ 7 }
 
 // entries is the entry count of the columnar vector record sp spans,
 // the inverse of sparse.EncodedSizeColumnar (8+12n bytes, plus 4 of
@@ -124,6 +142,10 @@ type DiskStats struct {
 	// Mmap reports whether the store serves from a memory-mapped file
 	// (false: from a copy of the file read into memory at open).
 	Mmap bool
+	// ResidentBytes is the heap the open store keeps whatever it
+	// serves: the record index, the tree and the graph, counted at open.
+	// Vector payloads are not in it: they stay in the file's bytes.
+	ResidentBytes int64
 
 	// These always read 0.
 	//
@@ -144,6 +166,16 @@ func OpenDiskStore(path string) (*DiskStore, error) { return openDiskStore(path,
 // openDiskStore is OpenDiskStore with the mapping optional: mapped
 // false reads the file into memory even where mapping would work.
 func openDiskStore(path string, mapped bool) (*DiskStore, error) {
+	d, err := openFile(path, mapped)
+	if err != nil {
+		return nil, err
+	}
+	return d.view(nil, d.skeletonLens()), nil
+}
+
+// openFile maps the store file at path — or reads it into memory where
+// mapping is unsupported or fails, or mapped is false — and parses it.
+func openFile(path string, mapped bool) (*diskFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -161,15 +193,60 @@ func openDiskStore(path string, mapped bool) (*DiskStore, error) {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	df, err := parseStore(data)
+	d, err := parseStore(data)
 	if err != nil {
 		if mapped {
 			mmapfile.Unmap(data)
 		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	df.mapped = mapped
-	return &DiskStore{diskFile: df}, nil
+	d.mapped = mapped
+	return d, nil
+}
+
+// view returns the DiskStore serving own's slice of d (nil: the whole
+// store) with the slice's vector counts and space, counted from the
+// index and lens, each hub's skeleton length (skeletonLens).
+func (d *diskFile) view(own *owner, lens []int32) *DiskStore {
+	v := &DiskStore{diskFile: d, own: own}
+	for key := range int32(d.numNodes()) {
+		if sp, ok := d.span(secHubPartial, key); ok && own.hub(key) {
+			v.hubs++
+			v.space += vectorBytes(sp.entries())
+		}
+		if sp, ok := d.span(secLeafPPV, key); ok && own.leaf(key) {
+			v.leaves++
+			v.space += vectorBytes(sp.entries())
+		}
+		// A hub's skeleton vector counts as a loader rebuilds it.
+		if d.H.IsHub(key) && own.hub(key) {
+			v.space += vectorBytes(int(lens[key]))
+		}
+	}
+	return v
+}
+
+// skeletonLens counts the entries of each hub's skeleton vector: the
+// non-zero values of its column of the plan rows (the rows' zeros are
+// the self entries Save injects). A row that fails its framing check,
+// or a hub outside the graph, counts nothing here; either fails where
+// the row is read.
+func (d *diskFile) skeletonLens() []int32 {
+	n := int32(d.numNodes())
+	lens := make([]int32, n)
+	for u := range n {
+		sp, ok := d.span(secHubPlan, u)
+		if !ok {
+			continue
+		}
+		hubs, s, _ := d.record(sp)
+		for k, hub := range hubs {
+			if s[k] != 0 && hub >= 0 && hub < n {
+				lens[hub]++
+			}
+		}
+	}
+	return lens
 }
 
 // readFile reads the whole of f into one buffer.
@@ -188,7 +265,9 @@ func readFile(f *os.File) ([]byte, error) {
 // the mapping, so unmapping mid-fold would be a fault, not just a race;
 // queries issued afterwards fail with ErrStoreClosed. Close is
 // idempotent.
-func (d *DiskStore) Close() error {
+func (d *DiskStore) Close() error { return d.diskFile.close() }
+
+func (d *diskFile) close() error {
 	d.fmu.Lock()
 	defer d.fmu.Unlock()
 	if d.closed {
@@ -206,7 +285,7 @@ func (d *DiskStore) Close() error {
 // Stats snapshots the serving counters, which every slice of the store
 // shares. Safe concurrently with queries and Close.
 func (d *DiskStore) Stats() DiskStats {
-	return DiskStats{Reads: d.reads.Load(), Mmap: d.mapped}
+	return DiskStats{Reads: d.reads.Load(), Mmap: d.mapped, ResidentBytes: d.resident}
 }
 
 // acquire takes the shared lifecycle lock for one query; the caller must
@@ -222,6 +301,17 @@ func (d *diskFile) acquire() error {
 
 func (d *diskFile) release() { d.fmu.RUnlock() }
 
+// span returns where the payload of key's record in section sec lies,
+// from the record header parseStore checked; ok is false when the
+// section holds no record for key. The file's bytes must be open.
+func (d *diskFile) span(sec int8, key int32) (sp span, ok bool) {
+	rec := d.idx[sec][key]
+	if rec == 0 {
+		return span{}, false
+	}
+	return span{off: payloadOffset(rec), len: int32(binary.LittleEndian.Uint32(d.data[rec+4:]))}, true
+}
+
 // record returns the columns of the record sp spans, aliasing d.data
 // (do not retain past the lifecycle lock), after checking its framing.
 func (d *diskFile) record(sp span) ([]int32, []float64, error) {
@@ -236,7 +326,7 @@ func (d *diskFile) record(sp span) ([]int32, []float64, error) {
 // call: ids strictly ascending and naming nodes of the graph. It counts
 // one read.
 func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
-	sp, ok := d.idx[section][key]
+	sp, ok := d.span(section, key)
 	if !ok {
 		return sparse.Packed{}, missingVector(section, key)
 	}
@@ -257,7 +347,7 @@ func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 
 // plan is row for a query: it counts one read when u has a row.
 func (d *diskFile) plan(u int32) (planRow, error) {
-	if _, ok := d.idx[secHubPlan][u]; ok {
+	if d.idx[secHubPlan][u] != 0 {
 		d.reads.Add(1)
 	}
 	return d.row(u)
@@ -266,7 +356,7 @@ func (d *diskFile) plan(u int32) (planRow, error) {
 // row returns node u's hub-weight row as a view over the file, its hubs
 // checked on every call (a node with no path hubs simply has no row).
 func (d *diskFile) row(u int32) (planRow, error) {
-	sp, ok := d.idx[secHubPlan][u]
+	sp, ok := d.span(secHubPlan, u)
 	if !ok {
 		return planRow{}, nil
 	}
@@ -344,37 +434,15 @@ func (d *DiskStore) QuerySetPacked(p Preference) (sparse.Packed, error) {
 
 // HubCount returns the number of hubs whose vectors the store (or
 // slice) serves.
-func (d *DiskStore) HubCount() int { n, _ := d.owned(secHubPartial); return n }
+func (d *DiskStore) HubCount() int { return d.hubs }
 
 // LeafCount returns the number of leaf vectors the store (or slice)
 // serves.
-func (d *DiskStore) LeafCount() int { n, _ := d.owned(secLeafPPV); return n }
+func (d *DiskStore) LeafCount() int { return d.leaves }
 
 // SpaceBytes reports the space of the vectors the store (or slice)
 // serves, in Store.SpaceBytes's measure — the per-machine space of
 // §6.2.3 — so memory and disk slices of one store report the same. A
 // hub's skeleton vector counts as a loader rebuilds it from the plan
 // rows.
-func (d *DiskStore) SpaceBytes() int64 {
-	_, total := d.owned(secHubPartial)
-	_, leaves := d.owned(secLeafPPV)
-	total += leaves
-	for hub, entries := range d.skeletonLen {
-		if d.H.IsHub(int32(hub)) && d.own.hub(int32(hub)) {
-			total += vectorBytes(int(entries))
-		}
-	}
-	return total
-}
-
-// owned counts the vectors of one payload section that d serves, and
-// their space.
-func (d *DiskStore) owned(sec int8) (count int, bytes int64) {
-	for key, sp := range d.idx[sec] {
-		if d.own.admits(sec, key) {
-			count++
-			bytes += vectorBytes(sp.entries())
-		}
-	}
-	return count, bytes
-}
+func (d *DiskStore) SpaceBytes() int64 { return d.space }

@@ -188,8 +188,8 @@ func TestDiskStoreMmapOffFallback(t *testing.T) {
 func TestDiskStoreChecksEveryFetch(t *testing.T) {
 	s, ds := diskStoreFixture(t)
 	u := int32(-1)
-	for v, sp := range ds.idx[secHubPlan] {
-		if sp.entries() > 0 && (u < 0 || v < u) {
+	for v := range int32(s.H.G.NumNodes()) {
+		if sp, ok := ds.span(secHubPlan, v); ok && sp.entries() > 0 && (u < 0 || v < u) {
 			u = v
 		}
 	}
@@ -197,7 +197,8 @@ func TestDiskStoreChecksEveryFetch(t *testing.T) {
 		t.Fatal("fixture has no non-empty plan row")
 	}
 	data := savedBytes(t, s) // the bytes ds was opened from
-	binary.LittleEndian.PutUint32(data[ds.idx[secHubPlan][u].off+8:], uint32(s.H.G.NumNodes()))
+	sp, _ := ds.span(secHubPlan, u)
+	binary.LittleEndian.PutUint32(data[sp.off+8:], uint32(s.H.G.NumNodes()))
 	path := filepath.Join(t.TempDir(), "bad.store")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func referenceStore(t *testing.T, h *hierarchy.Hierarchy, p ppr.Params) *Store {
 		LeafPPV:    map[int32]sparse.Packed{},
 	}
 	for _, n := range h.Nodes() {
-		tasks := nodeTasks(h, n)
+		tasks := nodeTasks(n)
 		withSubgraphs(h.G, tasks)
 		for _, task := range tasks {
 			sub := task.sub

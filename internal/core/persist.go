@@ -31,9 +31,13 @@ import (
 // Load, LoadFile, LoadShard and OpenDiskStore are one reader: parseStore
 // checks the header, the tree and the section framing of the file's
 // bytes (the mapped file, or a copy read into memory) and indexes every
-// record. A DiskStore serves views over those bytes; the loaders copy
-// out the vectors their slice owns, rebuild the skeleton vectors of the
-// hubs it owns from the plan rows, and release the bytes.
+// record: one file offset per node and section, 0 for no record, the
+// payload's offset and length following from the record's header. That
+// index, the tree (each id stored once, at its home) and the graph are
+// all an open store keeps on the heap. A DiskStore serves views over
+// those bytes; the
+// loaders copy out the vectors their slice owns, rebuild the skeleton
+// vectors of the hubs it owns from the plan rows, and release the bytes.
 // LoadShard(path, i, n) copies only machine i's slice of an n-way split
 // (see Split), so a worker never allocates the vectors it does not
 // serve. Payload lengths are in the record framing, so a payload outside
@@ -284,7 +288,7 @@ func parseStore(data []byte) (*diskFile, error) {
 		if maxCount := min(n, (len(data)-off)/minRecordLen); count < 0 || count > maxCount {
 			return nil, fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, maxCount)
 		}
-		d.idx[sec] = make(map[int32]span, count)
+		d.idx[sec] = make([]int64, n)
 		prev := int32(-1)
 		for range count {
 			if len(data)-off < 8 {
@@ -295,39 +299,30 @@ func parseStore(data []byte) (*diskFile, error) {
 				return nil, fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
 			}
 			prev = key
-			off += 8
-			off += (8 - off%8) % 8 // payloads start at 8-byte file offsets
+			rec := off
+			off = int(payloadOffset(int64(rec)))
 			if vlen < 0 || int(vlen) > maxLen || int(vlen) > len(data)-off {
 				return nil, fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
 			}
-			d.idx[sec][key] = span{off: int64(off), len: vlen}
+			d.idx[sec][key] = int64(rec)
 			off += int(vlen)
-		}
-	}
-	// A hub's skeleton vector holds the non-zero values of its column of
-	// the rows; the rows' zeros are the self entries Save injects.
-	d.skeletonLen = make([]int32, n)
-	for _, sp := range d.idx[secHubPlan] {
-		hubs, s, _ := d.record(sp)
-		for k, hub := range hubs {
-			if s[k] != 0 && hub >= 0 && int(hub) < n {
-				d.skeletonLen[hub]++
-			}
 		}
 	}
 	for u := range int32(n) {
 		if !h.IsHub(u) {
 			continue
 		}
-		if _, ok := d.idx[secHubPartial][u]; !ok {
+		if d.idx[secHubPartial][u] == 0 {
 			return nil, fmt.Errorf("core: store missing partial for hub %d", u)
 		}
 		// The row's other hubs are checked when it is viewed (plan).
-		hubs, _, err := d.record(d.idx[secHubPlan][u])
+		sp, _ := d.span(secHubPlan, u)
+		hubs, _, err := d.record(sp)
 		if err != nil || !slices.Contains(hubs, u) {
 			return nil, fmt.Errorf("core: hub %d is missing from its own plan row", u)
 		}
 	}
+	d.resident = int64(numSections)*8*int64(n) + h.ResidentBytes() + h.G.ResidentBytes()
 	return d, nil
 }
 
@@ -368,12 +363,12 @@ func LoadShard(path string, i, n int) (*Store, error) {
 // loadFile is loadBytes over the bytes OpenDiskStore opens, which are
 // released before it returns.
 func loadFile(path string, shard, of int) (*Store, error) {
-	ds, err := OpenDiskStore(path)
+	d, err := openFile(path, true)
 	if err != nil {
 		return nil, err
 	}
-	defer ds.Close()
-	s, err := ds.load(shard, of)
+	defer d.close()
+	s, err := d.load(shard, of)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -420,15 +415,15 @@ func (d *diskFile) load(shard, of int) (*Store, error) {
 // node, are adjacent on the heap too.
 func (d *diskFile) copySection(sec int8, own *owner) (map[int32]sparse.Packed, error) {
 	out := make(map[int32]sparse.Packed)
-	for _, key := range sortedKeys(d.idx[sec]) {
-		if !own.admits(sec, key) {
+	for key, rec := range d.idx[sec] {
+		if rec == 0 || !own.admits(sec, int32(key)) {
 			continue
 		}
-		v, err := d.fetch(sec, key)
+		v, err := d.fetch(sec, int32(key))
 		if err != nil {
 			return nil, err
 		}
-		out[key] = v.Clone()
+		out[int32(key)] = v.Clone()
 	}
 	return out, nil
 }

@@ -136,15 +136,16 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) pla
 // not: its hubs must lie on Path(u), in fold order — what makes the
 // disk fold of a row and the memory fold of the rebuilt vectors agree.
 // The vectors are allocated in ascending hub order, each into
-// exact-size arrays (sized by parseStore's count).
+// exact-size arrays (sized by skeletonLens).
 func (d *diskFile) skeletons(own *owner) (map[int32]sparse.Packed, error) {
 	h := d.H
 	n := int32(h.G.NumNodes())
+	lens := d.skeletonLens()
 	ids := make([][]int32, n)
 	scores := make([][]float64, n)
 	for hub := range n {
 		if h.IsHub(hub) && own.hub(hub) {
-			ids[hub], scores[hub] = make([]int32, 0, d.skeletonLen[hub]), make([]float64, 0, d.skeletonLen[hub])
+			ids[hub], scores[hub] = make([]int32, 0, lens[hub]), make([]float64, 0, lens[hub])
 		}
 	}
 	ranks := foldRanks(h)

@@ -38,15 +38,21 @@ func Split(s *Store, n int) ([]*Store, error) {
 // assignment, so disk and memory slices of one store own the same
 // vectors and answer the same share bytes. Each slice is a DiskStore
 // view over ds's file bytes and index: nothing is copied, and
-// closing any view closes them all.
+// closing any view closes them all. It counts each slice's vectors
+// from the file, so a closed store fails with ErrStoreClosed.
 func SplitDisk(ds *DiskStore, n int) ([]*DiskStore, error) {
 	owners, err := split(ds.H, ds.own, n)
 	if err != nil {
 		return nil, err
 	}
+	if err := ds.acquire(); err != nil {
+		return nil, err
+	}
+	defer ds.release()
+	lens := ds.skeletonLens()
 	views := make([]*DiskStore, n)
 	for i, own := range owners {
-		views[i] = &DiskStore{diskFile: ds.diskFile, own: own}
+		views[i] = ds.view(own, lens)
 	}
 	return views, nil
 }

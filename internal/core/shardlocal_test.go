@@ -51,7 +51,7 @@ func TestMissingVectorIsTypedError(t *testing.T) {
 		t.Fatalf("shard query of hub %d without its skeleton: err = %v, want ErrMissingVector", hub, err)
 	}
 
-	delete(ds.idx[secLeafPPV], leaf)
+	ds.idx[secLeafPPV][leaf] = 0
 	if _, err := ds.QueryPacked(leaf); !errors.Is(err, ErrMissingVector) {
 		t.Fatalf("disk query of node %d without its leaf record: err = %v, want ErrMissingVector", leaf, err)
 	}

@@ -123,7 +123,7 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 	}
 	var tasks []precomputeTask
 	for _, n := range h.Nodes() {
-		tasks = append(tasks, nodeTasks(h, n)...)
+		tasks = append(tasks, nodeTasks(n)...)
 	}
 	withSubgraphs(h.G, tasks)
 	nHubs, nLeaves := 0, 0
@@ -180,17 +180,13 @@ func (t precomputeTask) Vectors() int {
 // nodeTasks lists the tasks local to one tree node: its hubs, and — for
 // leaves — the PPVs of its non-hub members. This is the unit the
 // incremental updater re-runs per dirty node.
-func nodeTasks(h *hierarchy.Hierarchy, n *hierarchy.Node) []precomputeTask {
+func nodeTasks(n *hierarchy.Node) []precomputeTask {
 	var tasks []precomputeTask
 	for _, hub := range n.Hubs {
 		tasks = append(tasks, precomputeTask{node: n, u: hub, hub: true})
 	}
-	if n.IsLeaf() {
-		for _, m := range n.Members {
-			if !h.IsHub(m) {
-				tasks = append(tasks, precomputeTask{node: n, u: m})
-			}
-		}
+	for _, m := range n.LeafMembers() {
+		tasks = append(tasks, precomputeTask{node: n, u: m})
 	}
 	return tasks
 }
@@ -203,7 +199,7 @@ func nodeTasks(h *hierarchy.Hierarchy, n *hierarchy.Node) []precomputeTask {
 func withSubgraphs(g *graph.Graph, tasks []precomputeTask) {
 	for i := 0; i < len(tasks); {
 		n := tasks[i].node
-		sub := graph.VirtualSubgraph(g, n.Members)
+		sub := graph.VirtualSubgraph(g, n.Members())
 		sub.G.BuildReverse() // the skeleton kernels read in-edges
 		var isHub []bool
 		if len(n.Hubs) > 0 {

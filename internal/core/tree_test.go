@@ -32,7 +32,7 @@ func TestParsedTreeMatchesBuild(t *testing.T) {
 	for i, w := range want.Nodes() {
 		g := got.Nodes()[i]
 		if g.ID != w.ID || g.Level != w.Level || id(g.Parent) != id(w.Parent) || len(g.Children) != len(w.Children) ||
-			!slices.Equal(g.Members, w.Members) || !slices.Equal(g.Hubs, w.Hubs) {
+			g.Size() != w.Size() || !slices.Equal(g.Members(), w.Members()) || !slices.Equal(g.Hubs, w.Hubs) {
 			t.Fatalf("node %d: parsed %+v, built %+v", i, *g, *w)
 		}
 	}

@@ -110,7 +110,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 
 	var tasks []precomputeTask
 	for _, n := range upd.Dirty {
-		tasks = append(tasks, nodeTasks(upd.H, n)...)
+		tasks = append(tasks, nodeTasks(n)...)
 	}
 	info.Digest = updateDigest(tasks, upd)
 	tasks = slices.DeleteFunc(tasks, func(t precomputeTask) bool {

@@ -91,11 +91,14 @@ func (g *Graph) BuildReverse() {
 	if g.inOff != nil && g.inEpoch == g.epoch {
 		return
 	}
-	g.buildReverse()
+	g.inOff, g.inAdj = g.Reverse()
 	g.inEpoch = g.epoch
 }
 
-func (g *Graph) buildReverse() {
+// Reverse returns the reverse adjacency in CSR form, as InLists does,
+// but computes it afresh and does not keep it: for a one-off pass over
+// in-edges that should leave no heap behind.
+func (g *Graph) Reverse() (off, adj []int32) {
 	n := g.NumNodes()
 	cnt := make([]int32, n+1)
 	for _, v := range g.adj {
@@ -113,7 +116,15 @@ func (g *Graph) buildReverse() {
 			next[v]++
 		}
 	}
-	g.inOff, g.inAdj = cnt, inAdj
+	return cnt, inAdj
+}
+
+// ResidentBytes is the heap the graph's arrays take: the CSR out-edges,
+// the transition denominators and, once built, the reverse adjacency.
+func (g *Graph) ResidentBytes() int64 {
+	g.inMu.Lock()
+	defer g.inMu.Unlock()
+	return 4 * int64(cap(g.offsets)+cap(g.adj)+cap(g.outW)+cap(g.inOff)+cap(g.inAdj))
 }
 
 // HasVirtualSink reports whether the graph carries a virtual sink node.

@@ -27,7 +27,7 @@ func treeDigest(h *Hierarchy) string {
 	}
 	for _, n := range h.Nodes() {
 		put(int32(n.Level))
-		putList(n.Members)
+		putList(n.Members())
 		putList(n.Hubs)
 	}
 	return hex.EncodeToString(sum.Sum(nil))

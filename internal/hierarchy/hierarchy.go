@@ -17,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"exactppr/internal/graph"
 	"exactppr/internal/partition"
@@ -66,6 +68,13 @@ func (o Options) withDefaults() Options {
 }
 
 // Node is one subgraph in the hierarchy.
+//
+// A node's members — the global ids of its subgraph, INCLUDING its own
+// hubs but excluding every ancestor's hubs — are exactly the ids homed
+// in its subtree, so the tree stores each id once: at its home, in a
+// node's Hubs or in a leaf's non-hub members. Members derives the list
+// when it is needed (pre-computation, tests); a node keeps only its
+// member count.
 type Node struct {
 	// ID is the node's pre-order index in the tree Build (or ParseTree)
 	// made. Updates keep it when they drop emptied nodes, so it stays
@@ -73,21 +82,45 @@ type Node struct {
 	ID int
 	// Level is the depth: 0 for the root (the graph G itself).
 	Level int
-	// Members are the global ids belonging to this subgraph, INCLUDING
-	// its own hub nodes but excluding every ancestor's hubs. Sorted. The
-	// tree keeps no subgraph: the pre-computation extracts the virtual
-	// subgraph over Members (graph.VirtualSubgraph, Definition 3) from
-	// the root graph as it is when it computes the node's vectors.
-	Members []int32
 	// Hubs are the hub nodes selected when splitting this subgraph
 	// (H(G_m^i) in the paper). Empty for leaves. Sorted.
 	Hubs     []int32
 	Parent   *Node
 	Children []*Node
+
+	leaf []int32 // a leaf's non-hub members, sorted; nil for an internal node
+	size int     // the member count: ids homed in the subtree
 }
 
 // IsLeaf reports whether the node was not split further.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
+
+// Size returns the node's member count.
+func (n *Node) Size() int { return n.size }
+
+// LeafMembers returns a leaf's non-hub members, sorted, and nil for an
+// internal node. The slice is shared with the tree: do not modify it.
+func (n *Node) LeafMembers() []int32 { return n.leaf }
+
+// Members returns the node's members, sorted, in a fresh slice: the
+// ids homed in its subtree — its hubs, and every descendant's hubs and
+// leaf members. The tree keeps no subgraph: the pre-computation
+// extracts the virtual subgraph over Members (graph.VirtualSubgraph,
+// Definition 3) from the root graph as it is when it computes the
+// node's vectors.
+func (n *Node) Members() []int32 {
+	out := make([]int32, 0, n.size)
+	var walk func(*Node)
+	walk = func(n *Node) {
+		out = append(append(out, n.Hubs...), n.leaf...)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(n)
+	slices.Sort(out)
+	return out
+}
 
 // Hierarchy is the full tree plus per-node indexes.
 type Hierarchy struct {
@@ -105,7 +138,11 @@ type Hierarchy struct {
 }
 
 // Build constructs the hierarchy for g.
-func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
+func Build(g *graph.Graph, opts Options) (*Hierarchy, error) { return build(g, opts, nil) }
+
+// build is Build, handing every tree node and the members it was
+// partitioned with to seen when seen is not nil.
+func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("hierarchy: empty graph")
 	}
@@ -132,31 +169,43 @@ func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 		all[i] = int32(i)
 	}
 	var err error
-	h.Root, err = h.build(all, 0, nil, opts.Seed)
+	h.Root, err = h.build(all, 0, nil, opts.Seed, seen)
 	if err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) (*Node, error) {
+// build makes the subtree over members, which it partitions, and hands
+// every node it makes, with its members, to seen when seen is not nil.
+// The tree keeps only each leaf's non-hub members and every node's
+// member count; Node.Members derives the rest.
+func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64, seen func(*Node, []int32)) (*Node, error) {
 	n := &Node{
-		ID:      len(h.nodes),
-		Level:   level,
-		Members: members,
-		Parent:  parent,
+		ID:     len(h.nodes),
+		Level:  level,
+		Parent: parent,
+		size:   len(members),
 	}
 	h.nodes = append(h.nodes, n)
 	for _, m := range members {
 		h.home[m] = n
 	}
-
-	if !h.maySplit(n) {
+	if seen != nil {
+		seen(n, members)
+	}
+	// A node left whole is a leaf of non-hub members.
+	whole := func() (*Node, error) {
+		n.leaf = slices.Clone(members)
 		return n, nil
+	}
+
+	if !h.maySplit(level, len(members)) {
+		return whole()
 	}
 	induced := graph.InducedSubgraph(h.G, members)
 	if induced.G.NumEdges() == 0 {
-		return n, nil // the paper's "no internal edges" stopping rule
+		return whole() // the paper's "no internal edges" stopping rule
 	}
 	parts, err := partition.Partition(induced.G, h.Opts.Fanout, partition.Options{
 		Imbalance: h.Opts.Imbalance,
@@ -194,9 +243,9 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 			// The split selected no hub and kept every member in one part
 			// (fanout 1 does nothing else): recursing would repeat this
 			// node at every level, so it stays a leaf.
-			return n, nil
+			return whole()
 		}
-		child, err := h.build(cm, level+1, n, seed*31+int64(i)+1)
+		child, err := h.build(cm, level+1, n, seed*31+int64(i)+1, seen)
 		if err != nil {
 			return nil, err
 		}
@@ -207,11 +256,11 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64) 
 
 // maySplit applies the stopping rules that need no subgraph: the level
 // cap and the size floor.
-func (h *Hierarchy) maySplit(n *Node) bool {
-	if h.Opts.MaxLevels > 0 && n.Level >= h.Opts.MaxLevels {
+func (h *Hierarchy) maySplit(level, size int) bool {
+	if h.Opts.MaxLevels > 0 && level >= h.Opts.MaxLevels {
 		return false
 	}
-	return len(n.Members) > h.Opts.MinSize
+	return size > h.Opts.MinSize
 }
 
 // Nodes returns every tree node in pre-order.
@@ -258,6 +307,17 @@ func (h *Hierarchy) Path(u int32) []*Node {
 	return rev
 }
 
+// ResidentBytes is the heap the tree takes, not counting the graph:
+// the per-id indexes, and every node with its hub, leaf-member and
+// child lists.
+func (h *Hierarchy) ResidentBytes() int64 {
+	b := 8*int64(cap(h.nodes)+cap(h.home)) + 4*int64(cap(h.hubLevel)+cap(h.rank))
+	for _, n := range h.nodes {
+		b += int64(unsafe.Sizeof(*n)) + 4*int64(cap(n.Hubs)+cap(n.leaf)) + 8*int64(cap(n.Children))
+	}
+	return b
+}
+
 // Depth returns the number of levels (leaf level index + 1... the maximum
 // Level among nodes plus one).
 func (h *Hierarchy) Depth() int {
@@ -295,6 +355,19 @@ func (h *Hierarchy) TotalHubs() int {
 	return t
 }
 
+// meet returns the deepest tree node that holds both ha and the last
+// node of chain, a root-first path such as Path returns. An edge between
+// two ids keeps the separator property (Validate's invariant 4) exactly
+// when the node they meet at is the home of one of them. meet walks up
+// from ha, so it takes at most ha.Level steps.
+func meet(ha *Node, chain []*Node) *Node {
+	x := ha
+	for x.Level >= len(chain) || chain[x.Level] != x {
+		x = x.Parent
+	}
+	return x
+}
+
 // ErrInvalidTree reports a tree that breaks one of the hierarchy's
 // invariants: Validate's and ParseTree's errors wrap it.
 var ErrInvalidTree = errors.New("hierarchy: invalid tree")
@@ -306,93 +379,100 @@ func invalidTree(format string, args ...any) error {
 // Validate checks the structural invariants of the hierarchy and returns
 // the first violation, wrapping ErrInvalidTree:
 //
-//  1. every node's Members and Hubs are sorted id sets, and its hubs are
-//     members;
-//  2. every node's children partition Members∖Hubs, and a leaf holds
-//     either hubs or non-hub members, not both;
-//  3. hub sets separate the child member sets within the node's induced
+//  1. Nodes() is the tree from Root in pre-order, each child linked to
+//     its parent one level below it;
+//  2. every id is listed once, at its home: in the sorted Hubs of the
+//     node it is a hub of, at that node's level, or in the sorted
+//     non-hub members of its leaf; a leaf lists hubs or non-hub
+//     members, not both;
+//  3. every node's member count is its hubs, its leaf members and its
+//     children's counts: the children partition Members∖Hubs;
+//  4. hub sets separate the child member sets within the node's induced
 //     subgraph (the exactness precondition of Theorems 1–3): no edge
-//     joins members of two different children;
-//  4. deal ranks are unique, below nextRank, and held by hubs alone;
-//  5. Home/HubLevel indexes agree with the tree.
+//     joins members of two different children — every edge has an
+//     endpoint homed at the deepest tree node holding both;
+//  5. deal ranks are unique, below nextRank, and held by hubs alone.
 //
-// It runs in O((n + m)·depth) with two arrays over the node ids: one
-// pass over each node's members and their out-edges.
+// It derives no member list: one pass over the tree's lists, then per
+// id one walk up from its home and per edge one from its tail's home —
+// the work maxMeanDepth bounds.
 func (h *Hierarchy) Validate() error {
 	n := int32(h.G.NumNodes())
-	// mark[u] records what the tree node with pre-order index i last
-	// made of u: 3i+1 a member, 3i+2 a hub, 3i+3 a member of the child
-	// part[u]. Every node has tokens of its own, so nothing is reset.
-	mark := make([]int, n)
-	part := make([]int32, n)
-	for i, nd := range h.nodes {
-		member, hub, claimed := 3*i+1, 3*i+2, 3*i+3
-		for k, m := range nd.Members {
-			if m < 0 || m >= n || k > 0 && m <= nd.Members[k-1] {
-				return invalidTree("node %d: members not a sorted id set at %d", nd.ID, m)
-			}
-			mark[m] = member
+	if len(h.nodes) == 0 || h.nodes[0] != h.Root || h.Root.Parent != nil || h.Root.Level != 0 {
+		return invalidTree("the root is not the first node at level 0")
+	}
+	stack, next := []*Node{h.Root}, 0
+	for len(stack) > 0 {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if next == len(h.nodes) || h.nodes[next] != nd {
+			return invalidTree("node %d is out of pre-order", nd.ID)
 		}
-		for k, hb := range nd.Hubs {
-			if hb < 0 || hb >= n || mark[hb] != member || k > 0 && hb <= nd.Hubs[k-1] {
-				return invalidTree("node %d: hub %d not a member (or hubs not sorted)", nd.ID, hb)
+		next++
+		for i := len(nd.Children) - 1; i >= 0; i-- {
+			c := nd.Children[i]
+			if c.Parent != nd || c.Level != nd.Level+1 {
+				return invalidTree("node %d: child %d not linked one level below it", nd.ID, c.ID)
 			}
-			mark[hb] = hub
-		}
-		if nd.IsLeaf() {
-			if len(nd.Hubs) > 0 && len(nd.Members) > len(nd.Hubs) {
-				return invalidTree("leaf %d has hubs and members", nd.ID)
-			}
-			continue
-		}
-		children := 0
-		for ci, c := range nd.Children {
-			for _, m := range c.Members {
-				if m < 0 || m >= n || mark[m] != member && mark[m] != claimed {
-					return invalidTree("node %d: child member %d invalid", nd.ID, m)
-				}
-				if mark[m] == claimed {
-					return invalidTree("node %d: member %d in two children", nd.ID, m)
-				}
-				mark[m], part[m] = claimed, int32(ci)
-				children++
-			}
-		}
-		if children+len(nd.Hubs) != len(nd.Members) {
-			return invalidTree("node %d: children+hubs ≠ members (%d+%d ≠ %d)",
-				nd.ID, children, len(nd.Hubs), len(nd.Members))
-		}
-		// Separator property: an undirected path between two children
-		// that avoids the hubs crosses some edge between them.
-		for _, a := range nd.Members {
-			if mark[a] != claimed {
-				continue
-			}
-			for _, b := range h.G.Out(a) {
-				if mark[b] == claimed && part[b] != part[a] {
-					return invalidTree("node %d: hubs do not separate children (edge %d→%d)", nd.ID, a, b)
-				}
-			}
+			stack = append(stack, c)
 		}
 	}
-	// Index agreement.
+	if next != len(h.nodes) {
+		return invalidTree("%d of %d nodes are not in the tree", len(h.nodes)-next, len(h.nodes))
+	}
+	listed := make([]bool, n)
+	for _, nd := range h.nodes {
+		size := len(nd.Hubs) + len(nd.leaf)
+		for _, c := range nd.Children {
+			size += c.size
+		}
+		if size != nd.size {
+			return invalidTree("node %d: children+hubs ≠ members (%d ≠ %d)", nd.ID, size, nd.size)
+		}
+		if len(nd.leaf) > 0 && (len(nd.Hubs) > 0 || !nd.IsLeaf()) {
+			return invalidTree("leaf %d has hubs and members (or children)", nd.ID)
+		}
+		for k, x := range nd.Hubs {
+			if x < 0 || x >= n || k > 0 && x <= nd.Hubs[k-1] || listed[x] || h.home[x] != nd || int(h.hubLevel[x]) != nd.Level {
+				return invalidTree("node %d: hub %d not a sorted id homed there at level %d", nd.ID, x, nd.Level)
+			}
+			listed[x] = true
+		}
+		for k, x := range nd.leaf {
+			if x < 0 || x >= n || k > 0 && x <= nd.leaf[k-1] || listed[x] || h.home[x] != nd || h.IsHub(x) {
+				return invalidTree("leaf %d: member %d not a sorted non-hub id homed there", nd.ID, x)
+			}
+			listed[x] = true
+		}
+	}
 	ranked := make([]bool, max(h.nextRank, 0))
 	for u := range n {
+		if !listed[u] {
+			return invalidTree("node id %d is in no tree node", u)
+		}
 		if r := h.rank[u]; h.IsHub(u) != (r >= 0) || r >= h.nextRank || r >= 0 && ranked[r] {
 			return invalidTree("node %d has deal rank %d (hub=%v, %d ranks dealt)", u, r, h.IsHub(u), h.nextRank)
 		} else if r >= 0 {
 			ranked[r] = true
 		}
-		home := h.home[u]
-		if home == nil {
-			return invalidTree("node %d has no home", u)
+	}
+	// Separator property: an undirected path between two children that
+	// avoids the hubs crosses some edge between them. Edges are taken
+	// head by head, so each head's chain is read once and each edge walks
+	// up from its tail's home only: the work stays within what
+	// maxMeanDepth bounds.
+	off, in := h.G.Reverse()
+	chain := make([]*Node, h.Depth())
+	for b := range n {
+		hb := h.home[b]
+		for x := hb; x != nil; x = x.Parent {
+			chain[x.Level] = x
 		}
-		if h.IsHub(u) {
-			if lv := h.HubLevel(u); lv != home.Level {
-				return invalidTree("hub %d level %d but home level %d", u, lv, home.Level)
+		for _, a := range in[off[b]:off[b+1]] {
+			ha := h.home[a]
+			if m := meet(ha, chain[:hb.Level+1]); m != ha && m != hb {
+				return invalidTree("node %d: hubs do not separate children (edge %d→%d)", m.ID, a, b)
 			}
-		} else if !home.IsLeaf() {
-			return invalidTree("non-hub %d homed at internal node %d", u, home.ID)
 		}
 	}
 	return nil

@@ -101,7 +101,7 @@ func TestEveryNodeHasHomeAndPath(t *testing.T) {
 	}
 	subs := make(map[*Node]*graph.Subgraph)
 	for _, n := range h.Nodes() {
-		subs[n] = graph.VirtualSubgraph(g, n.Members)
+		subs[n] = graph.VirtualSubgraph(g, n.Members())
 	}
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
 		path := h.Path(u)
@@ -135,7 +135,7 @@ func TestHubRemovalFromDeeperLevels(t *testing.T) {
 	for _, n := range h.Nodes() {
 		for _, hub := range n.Hubs {
 			for _, c := range n.Children {
-				if graph.VirtualSubgraph(g, c.Members).Contains(hub) {
+				if graph.VirtualSubgraph(g, c.Members()).Contains(hub) {
 					t.Fatalf("hub %d (level %d) appears in a child subgraph", hub, n.Level)
 				}
 			}
@@ -207,10 +207,10 @@ func TestLeavesHaveNoInternalEdgesOrAreSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, leaf := range h.Leaves() {
-		induced := graph.InducedSubgraph(g, leaf.Members)
-		if induced.G.NumEdges() > 0 && len(leaf.Members) > h.Opts.MinSize && len(leaf.Hubs) == 0 {
+		induced := graph.InducedSubgraph(g, leaf.Members())
+		if induced.G.NumEdges() > 0 && leaf.Size() > h.Opts.MinSize && len(leaf.Hubs) == 0 {
 			t.Fatalf("leaf %d (size %d) still has %d internal edges",
-				leaf.ID, len(leaf.Members), induced.G.NumEdges())
+				leaf.ID, leaf.Size(), induced.G.NumEdges())
 		}
 	}
 }
@@ -227,7 +227,7 @@ func TestDeterministic(t *testing.T) {
 	}
 	for i, n := range h1.Nodes() {
 		m := h2.Nodes()[i]
-		if len(n.Members) != len(m.Members) || len(n.Hubs) != len(m.Hubs) {
+		if n.Size() != m.Size() || len(n.Hubs) != len(m.Hubs) {
 			t.Fatalf("node %d differs across builds", i)
 		}
 	}
@@ -242,13 +242,13 @@ func TestMemberCountsConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Level 0 is everything.
-	if len(h.Root.Members) != g.NumNodes() {
+	if h.Root.Size() != g.NumNodes() {
 		t.Fatal("root must contain every node")
 	}
 	perLevel := make(map[int]int)
 	hubsAbove := 0
 	for _, n := range h.Nodes() {
-		perLevel[n.Level] += len(n.Members)
+		perLevel[n.Level] += n.Size()
 	}
 	counts := h.HubsPerLevel()
 	for lvl := 1; lvl < h.Depth(); lvl++ {

@@ -54,7 +54,7 @@ func TestQuickHierarchyInvariants(t *testing.T) {
 		for _, node := range h.Nodes() {
 			assigned += len(node.Hubs)
 			if node.IsLeaf() {
-				for _, m := range node.Members {
+				for _, m := range node.Members() {
 					if !h.IsHub(m) {
 						assigned++
 					}

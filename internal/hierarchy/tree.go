@@ -22,19 +22,21 @@ import (
 //	    hubs × (hub id, deal rank), ids ascending
 //	    leaf × member id, ascending
 //
-// Levels, Members, Home and HubLevel follow from these: a node's members
-// are the ids homed in its subtree.
+// Levels, Home, HubLevel and member counts follow from these: a node's
+// members are the ids homed in its subtree.
 
 // nodeRecordLen is the smallest node record: parent and two counts.
 const nodeRecordLen = 12
 
-// maxMeanDepth bounds the work of reading a tree back. Deriving Members
-// costs one step per (id, tree node holding it), and Validate one more
-// per (out-edge, tree node holding its tail); a tree section only lists
-// homes, so for a deep chain that work grows with the square of the
-// section's length (a 72 KB chain derived 69 MB of Members). A tree
-// whose ids and edges lie on more than maxMeanDepth tree nodes on
-// average is neither written nor read. Build's trees lie far below it:
+// maxMeanDepth bounds the work of a tree. Deriving the members of
+// every node costs one step per (id, tree node holding it), and
+// Validate that plus one step per (out-edge, tree node holding its
+// tail) — never a walk from an edge's head, which a tree of empty chain
+// nodes above a leaf could make deep for every edge at once; a tree
+// section only lists homes, so for a deep chain that work grows with the
+// square of the section's length (a 72 KB chain once derived 69 MB of
+// member lists). A tree whose ids and edges lie on more than
+// maxMeanDepth tree nodes on average is neither written nor read. Build's trees lie far below it:
 // 8.4 on the 12,000-node web×1 fixture, whose tree is 12 levels deep.
 const maxMeanDepth = 64
 
@@ -73,24 +75,15 @@ func (h *Hierarchy) AppendTree(b []byte) ([]byte, error) {
 			parent = path[len(path)-1].i
 		}
 		path = append(path, step{n, int32(i)})
-		leaf := 0
-		if n.IsLeaf() {
-			leaf = len(n.Members) - len(n.Hubs) // a leaf's hubs are members
-		}
 		put(parent)
 		put(int32(len(n.Hubs)))
-		put(int32(leaf))
+		put(int32(len(n.leaf)))
 		for _, x := range n.Hubs {
 			put(x)
 			put(h.rank[x])
 		}
-		for _, x := range n.Members {
-			if leaf == 0 {
-				break
-			}
-			if !h.IsHub(x) {
-				put(x)
-			}
+		for _, x := range n.leaf {
+			put(x)
 		}
 	}
 	return b, nil
@@ -137,7 +130,9 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 		h.hubLevel[u], h.rank[u] = -1, -1
 	}
 	slab := make([]Node, count)
-	leafMembers := make([]bool, count)
+	// Every node's hubs and every leaf's members, each in one array.
+	hubIDs := make([]int32, 0, nextRank)
+	leafMembers := make([]int32, 0, max(n-int(nextRank), 0))
 	// id reads one node id that ascends after prev and is homed nowhere
 	// yet, and homes it at nd.
 	id := func(nd *Node, prev int32) (int32, error) {
@@ -151,6 +146,7 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 		h.home[x] = nd
 		return x, nil
 	}
+	kids := make([]int, count)
 	var path []int32 // indexes of the root-to-previous-node chain
 	for i := range slab {
 		nd := &slab[i]
@@ -171,19 +167,19 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 				return nil, 0, invalidTree("node %d: parent %d is not an ancestor of node %d (not pre-order)", i, parent, i-1)
 			}
 			p := &slab[parent]
-			if leafMembers[parent] {
+			if p.leaf != nil {
 				return nil, 0, invalidTree("node %d has leaf members and child %d", parent, i)
 			}
 			nd.Parent, nd.Level = p, p.Level+1
-			p.Children = append(p.Children, nd)
+			kids[parent]++
 		}
 		path = append(path, int32(i))
 		if left := len(data) - off; hubs < 0 || hubs > left/8 || leaf < 0 || leaf > (left-8*hubs)/4 {
 			return nil, 0, invalidTree("node %d: %d hubs and %d leaf members in %d bytes", i, hubs, leaf, left)
 		}
-		nd.Hubs = make([]int32, hubs)
 		prev := int32(-1)
-		for k := range nd.Hubs {
+		start := len(hubIDs)
+		for range hubs {
 			x, err := id(nd, prev)
 			if err != nil {
 				return nil, 0, err
@@ -192,17 +188,23 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 			if r < 0 || r >= nextRank {
 				return nil, 0, invalidTree("hub %d: deal rank %d outside [0,%d)", x, r, nextRank)
 			}
-			nd.Hubs[k], h.hubLevel[x], h.rank[x] = x, int32(nd.Level), r
+			hubIDs = append(hubIDs, x)
+			h.hubLevel[x], h.rank[x] = int32(nd.Level), r
 			prev = x
 		}
-		leafMembers[i] = leaf > 0
+		nd.Hubs = hubIDs[start:len(hubIDs):len(hubIDs)]
 		prev = -1
+		start = len(leafMembers)
 		for range leaf {
 			x, err := id(nd, prev)
 			if err != nil {
 				return nil, 0, err
 			}
+			leafMembers = append(leafMembers, x)
 			prev = x
+		}
+		if leaf > 0 {
+			nd.leaf = leafMembers[start:len(leafMembers):len(leafMembers)]
 		}
 	}
 	for u := range n {
@@ -213,23 +215,21 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 	if d := h.meanDepth(); d > maxMeanDepth {
 		return nil, 0, invalidTree("ids lie on %.1f tree nodes on average (at most %d)", d, maxMeanDepth)
 	}
-	// A node's members are the ids homed in its subtree: walk up from
-	// each id's home, ids ascending, so every list comes out sorted.
-	size := make([]int, count)
-	total := 0
-	for u := range n {
-		for nd := h.home[u]; nd != nil; nd = nd.Parent {
-			size[nd.ID]++
-			total++
-		}
-	}
-	members := make([]int32, total)
+	// Children share one array, in pre-order. A node's member count is
+	// what it lists plus its children's counts; in reverse pre-order
+	// every child is counted before its parent.
+	children := make([]*Node, count-1)
 	for i, nd := range h.nodes {
-		nd.Members, members = members[:0:size[i]], members[size[i]:]
+		nd.Children, children = children[:0:kids[i]], children[kids[i]:]
 	}
-	for u := range int32(n) {
-		for nd := h.home[u]; nd != nil; nd = nd.Parent {
-			nd.Members = append(nd.Members, u)
+	for _, nd := range h.nodes[1:] {
+		nd.Parent.Children = append(nd.Parent.Children, nd)
+	}
+	for i := count - 1; i >= 0; i-- {
+		nd := h.nodes[i]
+		nd.size += len(nd.Hubs) + len(nd.leaf)
+		if nd.Parent != nil {
+			nd.Parent.size += nd.size
 		}
 	}
 	h.Root = h.nodes[0]

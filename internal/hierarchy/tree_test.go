@@ -3,10 +3,13 @@ package hierarchy
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"exactppr/internal/gen"
 	"exactppr/internal/graph"
@@ -71,6 +74,120 @@ func TestParseTreeRoundTrip(t *testing.T) {
 	}
 	if promoted == 0 {
 		t.Fatal("no batch promoted a hub")
+	}
+}
+
+// TestMembersMatchPartition: a node's derived members are the lists
+// Build partitioned with — on the built tree, on the tree read back from
+// its section, and on trees that promotions reshaped, where a promoted
+// id leaves every list below its new home and a node that loses its
+// last member leaves the tree.
+func TestMembersMatchPartition(t *testing.T) {
+	g := testCommunity(t, 7)
+	want := map[int][]int32{} // by node ID
+	level := map[int]int{}
+	h, err := build(g, Options{Seed: 11}, func(n *Node, members []int32) {
+		want[n.ID], level[n.ID] = slices.Clone(members), n.Level
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		in := map[int]bool{}
+		for _, n := range h.Nodes() {
+			in[n.ID] = true
+			if got := n.Members(); !slices.Equal(got, want[n.ID]) || n.Size() != len(got) {
+				t.Fatalf("%s: node %d: members %v (size %d), want %v", what, n.ID, got, n.Size(), want[n.ID])
+			}
+		}
+		for id, m := range want {
+			if !in[id] && len(m) > 0 {
+				t.Fatalf("%s: node %d left the tree holding %v", what, id, m)
+			}
+		}
+		data, err := h.AppendTree(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, _, err := ParseTree(data, h.G, h.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range parsed.Nodes() {
+			if w := h.Nodes()[i]; !slices.Equal(n.Members(), w.Members()) || n.Size() != w.Size() {
+				t.Fatalf("%s: parsed node %d: members %v (size %d), want %v", what, i, n.Members(), n.Size(), w.Members())
+			}
+		}
+	}
+	apply := func(d graph.Delta) *Update {
+		t.Helper()
+		upd, err := h.ApplyDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := g.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range upd.Promoted {
+			for id, m := range want {
+				if level[id] > upd.H.HubLevel(x) {
+					want[id] = slices.DeleteFunc(m, func(y int32) bool { return y == x })
+				}
+			}
+		}
+		h = upd.H
+		return upd
+	}
+	check("built")
+
+	// Empty a leaf: an edge from each of its members to a non-hub in a
+	// sibling subtree promotes every one of them into the parent's hubs.
+	var emptied *Node
+	var d graph.Delta
+	for _, leaf := range h.Leaves() {
+		if leaf.Parent == nil || len(leaf.LeafMembers()) == 0 || emptied != nil {
+			continue
+		}
+		for _, c := range leaf.Parent.Children {
+			for _, y := range c.Members() {
+				if c != leaf && !h.IsHub(y) && emptied == nil {
+					emptied = leaf
+					for _, x := range leaf.LeafMembers() {
+						d.Insert = append(d.Insert, [2]int32{x, y})
+					}
+				}
+			}
+		}
+	}
+	if emptied == nil {
+		t.Fatal("no leaf with a sibling subtree to promote past")
+	}
+	if upd := apply(d); len(upd.Promoted) != len(d.Insert) {
+		t.Fatalf("emptying leaf %d promoted %d of its %d members", emptied.ID, len(upd.Promoted), len(d.Insert))
+	}
+	for _, n := range h.Nodes() {
+		if n.ID == emptied.ID {
+			t.Fatalf("emptied leaf %d is still in the tree", n.ID)
+		}
+	}
+	check("emptied leaf")
+
+	rng := rand.New(rand.NewSource(5))
+	n := int32(g.NumNodes())
+	promoted := 0
+	for batch := range 30 {
+		var d graph.Delta
+		for range 3 {
+			if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !g.HasEdge(u, v) {
+				d.Insert = append(d.Insert, [2]int32{u, v})
+			}
+		}
+		promoted += len(apply(d).Promoted)
+		check(fmt.Sprintf("batch %d", batch))
+	}
+	if promoted == 0 {
+		t.Fatal("no random batch promoted a hub")
 	}
 }
 
@@ -150,12 +267,13 @@ func TestValidateCatchesBrokenSeparator(t *testing.T) {
 			continue
 		}
 		a, b := n.Children[0], n.Children[1]
-		for _, x := range a.Members {
-			for _, y := range a.Members {
+		for _, x := range a.leaf {
+			for _, y := range a.leaf {
 				if x == y || !g.HasEdge(x, y) || h.IsHub(x) || h.IsHub(y) {
 					continue
 				}
-				a.Members, b.Members = removeSorted(a.Members, x), insertSorted(b.Members, x)
+				a.leaf, b.leaf = removeSorted(a.leaf, x), insertSorted(b.leaf, x)
+				a.size, b.size = a.size-1, b.size+1
 				h.home[x] = b
 				if err := h.Validate(); !errors.Is(err, ErrInvalidTree) || !strings.Contains(err.Error(), "do not separate") {
 					t.Fatalf("moved %d from leaf %d to leaf %d: Validate = %v", x, a.ID, b.ID, err)
@@ -191,7 +309,7 @@ func chainTree(depth, n int) []byte {
 }
 
 // TestTreeDepthBounded: a tree section lists only homes, so the work of
-// deriving Members and validating grows with the square of a deep
+// deriving member lists and validating grows with the square of a deep
 // chain's length — a 72 KB chain section used to allocate 69 MB. ParseTree
 // now refuses such a chain before deriving anything, and AppendTree
 // refuses to write one (here after deletes left a chain that its edges
@@ -236,5 +354,51 @@ func TestTreeDepthBounded(t *testing.T) {
 	}
 	if _, err := h.AppendTree(nil); err == nil || !strings.Contains(err.Error(), "on average") {
 		t.Fatalf("chain without its edges: AppendTree = %v, want a refusal", err)
+	}
+
+	// A valid tree whose edges all run from shallow tails to deep heads:
+	// 300 root hubs with an edge to each of 300 ids in a leaf under
+	// 18,000 empty chain nodes. Its ids and edges lie on 60 tree nodes on
+	// average, within the bound, but a walk from every edge's head would
+	// take 1.6e9 steps; ParseTree must accept it within 1 s.
+	const hubs, leaf, empty = 300, 300, 18000
+	b = graph.NewBuilder(hubs + leaf)
+	for u := range int32(hubs) {
+		for v := range int32(leaf) {
+			b.AddEdge(u, hubs+v)
+		}
+	}
+	g = b.Build()
+	var sec []byte
+	put := func(x int) { sec = binary.LittleEndian.AppendUint32(sec, uint32(int32(x))) }
+	put(empty + 2)
+	put(hubs)
+	put(-1)
+	put(hubs)
+	put(0)
+	for u := range hubs {
+		put(u)
+		put(u)
+	}
+	for i := range empty {
+		put(i)
+		put(0)
+		put(0)
+	}
+	put(empty)
+	put(0)
+	put(leaf)
+	for v := range leaf {
+		put(hubs + v)
+	}
+	done := make(chan error, 1)
+	go func() { _, _, err := ParseTree(sec, g, Options{}); done <- err }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("empty chain above deep heads: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("empty chain above deep heads: ParseTree still running after 1 s")
 	}
 }

@@ -78,9 +78,9 @@ func (h *Hierarchy) ApplyDelta(d graph.Delta) (*Update, error) {
 }
 
 // clone produces a structurally independent copy of the tree: fresh
-// Node structs and index arrays, shared Members/Hubs payloads. Node
-// IDs are preserved, so shard assignments keyed by ID stay meaningful
-// across an update.
+// Node structs and index arrays, shared Hubs and leaf-member payloads.
+// Node IDs are preserved, so shard assignments keyed by ID stay
+// meaningful across an update.
 func (h *Hierarchy) clone() *Hierarchy {
 	nh := &Hierarchy{
 		G:        h.G,
@@ -130,40 +130,39 @@ func (u *updater) markPath(t int32) {
 // property and promotes t when it crosses two children of the deepest
 // node containing both endpoints.
 func (u *updater) fixSeparator(t, v int32) {
-	pt, pv := u.h.Path(t), u.h.Path(v)
-	k := 0
-	for k < len(pt) && k < len(pv) && pt[k] == pv[k] {
-		k++
-	}
-	if k == len(pt) || k == len(pv) {
-		// One endpoint is homed at the last common node: either it is
-		// that node's hub (the edge touches a separator vertex) or both
+	ht, hv := u.h.home[t], u.h.home[v]
+	m := meet(ht, u.h.Path(v))
+	if m == ht || m == hv {
+		// One endpoint is homed where they meet: either it is that
+		// node's hub (the edge touches a separator vertex) or both
 		// endpoints share one leaf. Neither breaks separation.
 		return
 	}
-	// pt[k-1] is the deepest node containing both; t continues into
-	// child pt[k], v into the different child pv[k]: a separator
-	// violation. Promote the tail — its chain is already dirty, so the
-	// promotion adds no recompute work beyond the new hub vectors.
-	u.promote(t, pt[k-1], pt[k:])
+	// t continues below m into one child, v into a different one: a
+	// separator violation. Promote the tail — its chain is already
+	// dirty, so the promotion adds no recompute work beyond the new hub
+	// vectors.
+	u.promote(t, m, u.h.Path(t)[m.Level+1:])
 }
 
 // promote turns x into a hub of n, removing it from every node of
-// `below` (x's chain strictly below n, child-of-n first).
+// `below` (x's chain strictly below n, child-of-n first): x's home
+// moves to n, and each node below loses one member.
 func (u *updater) promote(x int32, n *Node, below []*Node) {
 	for _, c := range below {
-		c.Members = removeSorted(c.Members, x)
+		c.size--
 		u.dirty[c] = true
 	}
+	old := below[len(below)-1] // x's former home
 	if u.h.hubLevel[x] >= 0 {
-		old := below[len(below)-1] // x's former hub home
 		old.Hubs = removeSorted(old.Hubs, x)
 	} else {
+		old.leaf = removeSorted(old.leaf, x)
 		u.h.rank[x] = u.h.nextRank
 		u.h.nextRank++
 	}
 	for i := len(below) - 1; i >= 0; i-- {
-		if len(below[i].Members) > 0 {
+		if below[i].size > 0 {
 			break
 		}
 		u.unlink(below[i])
@@ -199,8 +198,8 @@ func (u *updater) unlink(c *Node) {
 }
 
 // removeSorted returns a fresh sorted slice without x. Fresh because
-// Members/Hubs slices are shared with the snapshot hierarchy — surgery
-// must never mutate them in place.
+// Hubs and leaf-member slices are shared with the snapshot hierarchy —
+// surgery must never mutate them in place.
 func removeSorted(s []int32, x int32) []int32 {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
 	if i == len(s) || s[i] != x {

@@ -77,8 +77,8 @@ func TestApplyDeltaPromotionRestoresSeparator(t *testing.T) {
 	if len(root.Children) < 2 {
 		t.Skip("root did not split")
 	}
-	tail := root.Children[0].Members[0]
-	head := root.Children[1].Members[0]
+	tail := root.Children[0].Members()[0]
+	head := root.Children[1].Members()[0]
 	for h.IsHub(tail) {
 		t.Fatal("picked a hub tail")
 	}
