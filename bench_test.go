@@ -62,19 +62,38 @@ func benchFixture(b *testing.B) *fixture {
 func benchQueries(g *graph.Graph, n int) []int32 { return workload.Queries(g, n, 99) }
 
 // BenchmarkHierarchyBuild regenerates Tables 2–5: hierarchical
-// partitioning with per-level hub selection. The seed is fixed so every
-// iteration builds the same tree: ns/op does not depend on b.N and the
-// hubs metric describes every iteration, not only the last.
+// partitioning with per-level hub selection, on the bench fixture
+// (web×0.25) and on the serving benchmark's fixture (web×1). Build
+// splits sibling subtrees on GOMAXPROCS workers, so -cpu 1,2 records the
+// serial and the parallel build. The seed is fixed so every iteration
+// builds the same tree: ns/op does not depend on b.N and the hubs metric
+// describes every iteration, not only the last.
 func BenchmarkHierarchyBuild(b *testing.B) {
-	f := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := hierarchy.Build(f.g, hierarchy.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(h.TotalHubs()), "hubs")
+	for _, bc := range []struct {
+		name  string
+		graph func(*testing.B) *graph.Graph
+	}{
+		{"web0.25", func(b *testing.B) *graph.Graph { return benchFixture(b).g }},
+		{"web1", func(b *testing.B) *graph.Graph {
+			g, err := gen.Dataset("web", 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return g
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := bc.graph(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, err := hierarchy.Build(g, hierarchy.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(h.TotalHubs()), "hubs")
+			}
+		})
 	}
 }
 

@@ -63,7 +63,7 @@ func referenceStore(t *testing.T, h *hierarchy.Hierarchy, p ppr.Params) *Store {
 	}
 	for _, n := range h.Nodes() {
 		tasks := nodeTasks(n)
-		withSubgraphs(h.G, tasks)
+		withSubgraphs(h.G, tasks, 1)
 		for _, task := range tasks {
 			sub := task.sub
 			g, lu := sub.G, sub.Local(task.u)

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"exactppr/internal/graph"
@@ -125,7 +126,7 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 	for _, n := range h.Nodes() {
 		tasks = append(tasks, nodeTasks(n)...)
 	}
-	withSubgraphs(h.G, tasks)
+	withSubgraphs(h.G, tasks, workers)
 	nHubs, nLeaves := 0, 0
 	for _, t := range tasks {
 		if t.hub {
@@ -193,12 +194,21 @@ func nodeTasks(n *hierarchy.Node) []precomputeTask {
 
 // withSubgraphs extracts from root graph g, once per tree node, the
 // virtual subgraph the tasks of that node run on — and their hub mask —
-// and hands them to the tasks. The tasks of one node must be adjacent,
-// as nodeTasks lists them. The subgraphs live only as long as the tasks:
-// a hierarchy keeps none.
-func withSubgraphs(g *graph.Graph, tasks []precomputeTask) {
-	for i := 0; i < len(tasks); {
-		n := tasks[i].node
+// and hands them to the tasks, on `workers` parallel workers (0 =
+// GOMAXPROCS; 1 extracts serially). The tasks of one node must be
+// adjacent, as nodeTasks lists them. The subgraphs live only as long as
+// the tasks: a hierarchy keeps none.
+func withSubgraphs(g *graph.Graph, tasks []precomputeTask, workers int) {
+	var starts []int // each node's first task
+	for i := range tasks {
+		if i == 0 || tasks[i].node != tasks[i-1].node {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(tasks))
+	extract := func(k int) {
+		group := tasks[starts[k]:starts[k+1]]
+		n := group[0].node
 		sub := graph.VirtualSubgraph(g, n.Members())
 		sub.G.BuildReverse() // the skeleton kernels read in-edges
 		var isHub []bool
@@ -208,13 +218,33 @@ func withSubgraphs(g *graph.Graph, tasks []precomputeTask) {
 				isHub[sub.Local(x)] = true
 			}
 		}
-		for ; i < len(tasks) && tasks[i].node == n; i++ {
-			tasks[i].sub = sub
-			if tasks[i].hub {
-				tasks[i].isHub = isHub
+		for i := range group {
+			group[i].sub = sub
+			if group[i].hub {
+				group[i].isHub = isHub
 			}
 		}
 	}
+	nodes := len(starts) - 1
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1) - 1); k < nodes; k = int(next.Add(1) - 1) {
+			extract(k)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, nodes) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work() // the caller is one of the workers
+	wg.Wait()
 }
 
 // stagedVec is one computed vector awaiting its section-map write.

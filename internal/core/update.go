@@ -119,7 +119,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		}
 		return !ns.own.leaf(t.u)
 	})
-	withSubgraphs(upd.H.G, tasks)
+	withSubgraphs(upd.H.G, tasks, workers)
 	ri, err := ns.runTasks(tasks, workers)
 	if err != nil {
 		// The shared root graph has already advanced, so the receiver

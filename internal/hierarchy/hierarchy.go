@@ -17,8 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
-	"sort"
+	"sync"
 	"unsafe"
 
 	"exactppr/internal/graph"
@@ -137,11 +138,16 @@ type Hierarchy struct {
 	nextRank int32
 }
 
-// Build constructs the hierarchy for g.
+// Build constructs the hierarchy for g. Sibling subtrees are
+// independent, so Build partitions them concurrently on a fixed pool of
+// GOMAXPROCS workers. Each node is partitioned with the seed its place
+// in the tree gives it, and one pre-order pass then numbers the nodes
+// and deals the hub ranks, so the tree, its ranks and the store files
+// made from it are the same for every GOMAXPROCS.
 func Build(g *graph.Graph, opts Options) (*Hierarchy, error) { return build(g, opts, nil) }
 
-// build is Build, handing every tree node and the members it was
-// partitioned with to seen when seen is not nil.
+// build is Build, handing every tree node, in pre-order, and the
+// members it was partitioned with to seen when seen is not nil.
 func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("hierarchy: empty graph")
@@ -168,39 +174,125 @@ func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy,
 	for i := range all {
 		all[i] = int32(i)
 	}
-	var err error
-	h.Root, err = h.build(all, 0, nil, opts.Seed, seen)
-	if err != nil {
-		return nil, err
+	h.Root = &Node{size: len(all)}
+	var kept map[*Node][]int32
+	if seen != nil {
+		kept = map[*Node][]int32{}
+	}
+	errs := h.grow(pending{h.Root, all, opts.Seed}, kept)
+
+	// Number the nodes in pre-order and index their ids, as a serial
+	// depth-first build would have: ranks follow Nodes()×Hubs order.
+	stack := []*Node{h.Root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if err := errs[n]; err != nil {
+			return nil, err
+		}
+		n.ID = len(h.nodes)
+		h.nodes = append(h.nodes, n)
+		for _, x := range n.Hubs {
+			h.home[x] = n
+			h.hubLevel[x] = int32(n.Level)
+			h.rank[x] = h.nextRank
+			h.nextRank++
+		}
+		for _, x := range n.leaf {
+			h.home[x] = n
+		}
+		if seen != nil {
+			seen(n, kept[n])
+		}
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			stack = append(stack, n.Children[i])
+		}
 	}
 	return h, nil
 }
 
-// build makes the subtree over members, which it partitions, and hands
-// every node it makes, with its members, to seen when seen is not nil.
-// The tree keeps only each leaf's non-hub members and every node's
-// member count; Node.Members derives the rest.
-func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64, seen func(*Node, []int32)) (*Node, error) {
-	n := &Node{
-		ID:     len(h.nodes),
-		Level:  level,
-		Parent: parent,
-		size:   len(members),
+// pending is a tree node waiting to be split: its members and the seed
+// its place in the tree gives it.
+type pending struct {
+	n       *Node
+	members []int32
+	seed    int64
+}
+
+// grow splits the tree from root down on a fixed pool of GOMAXPROCS
+// workers, the calling goroutine one of them. Pending nodes wait on a
+// stack, so the walk stays depth-first and holds few member lists at
+// once; with one worker it visits the nodes in pre-order. A split reads
+// only its node's members and seed, so no split depends on which worker
+// makes it, or when. An error stops every worker; grow returns the
+// errors by node, and, when kept is not nil, records every node's
+// members in it.
+func (h *Hierarchy) grow(root pending, kept map[*Node][]int32) map[*Node]error {
+	var (
+		mu    sync.Mutex
+		more  = sync.NewCond(&mu)
+		stack = []pending{root}
+		busy  int // nodes being split
+		errs  map[*Node]error
+	)
+	work := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			for len(stack) == 0 && busy > 0 && errs == nil {
+				more.Wait()
+			}
+			if len(stack) == 0 || errs != nil {
+				return
+			}
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if kept != nil {
+				kept[p.n] = p.members
+			}
+			busy++
+			mu.Unlock()
+			kids, err := h.split(p)
+			mu.Lock()
+			busy--
+			if err != nil {
+				if errs == nil {
+					errs = map[*Node]error{}
+				}
+				errs[p.n] = err
+			}
+			for i := len(kids) - 1; i >= 0; i-- {
+				stack = append(stack, kids[i])
+			}
+			more.Broadcast()
+		}
 	}
-	h.nodes = append(h.nodes, n)
-	for _, m := range members {
-		h.home[m] = n
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	if seen != nil {
-		seen(n, members)
-	}
+	work()
+	wg.Wait()
+	return errs
+}
+
+// split partitions one pending node: it sets the node's hubs, or its
+// leaf members if the node stays whole, and returns its children to
+// split next. The tree keeps only each leaf's non-hub members and every
+// node's member count; Node.Members derives the rest.
+func (h *Hierarchy) split(p pending) ([]pending, error) {
+	n, members := p.n, p.members
 	// A node left whole is a leaf of non-hub members.
-	whole := func() (*Node, error) {
+	whole := func() ([]pending, error) {
 		n.leaf = slices.Clone(members)
-		return n, nil
+		return nil, nil
 	}
 
-	if !h.maySplit(level, len(members)) {
+	if !h.maySplit(n.Level, len(members)) {
 		return whole()
 	}
 	induced := graph.InducedSubgraph(h.G, members)
@@ -209,49 +301,41 @@ func (h *Hierarchy) build(members []int32, level int, parent *Node, seed int64, 
 	}
 	parts, err := partition.Partition(induced.G, h.Opts.Fanout, partition.Options{
 		Imbalance: h.Opts.Imbalance,
-		Seed:      seed,
+		Seed:      p.seed,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("hierarchy: level %d: %w", level, err)
+		return nil, fmt.Errorf("hierarchy: level %d: %w", n.Level, err)
 	}
 	hubLocal := partition.HubNodes(induced.G, parts, h.Opts.Fanout)
-	for l := range hubLocal {
-		gid := induced.Parent(l)
-		n.Hubs = append(n.Hubs, gid)
-		h.hubLevel[gid] = int32(level)
-		h.home[gid] = n
-	}
-	sort.Slice(n.Hubs, func(i, j int) bool { return n.Hubs[i] < n.Hubs[j] })
-	// Nodes are built in pre-order, so ranks follow Nodes()×Hubs order.
-	for _, gid := range n.Hubs {
-		h.rank[gid] = h.nextRank
-		h.nextRank++
-	}
-
 	childMembers := make([][]int32, h.Opts.Fanout)
-	for l, p := range parts {
+	for l, part := range parts {
 		if hubLocal[int32(l)] {
 			continue
 		}
-		childMembers[p] = append(childMembers[p], induced.Parent(int32(l)))
+		childMembers[part] = append(childMembers[part], induced.Parent(int32(l)))
 	}
+	for _, cm := range childMembers {
+		if len(cm) == len(members) {
+			// The split selected no hub and kept every member in one part
+			// (fanout 1 does nothing else): splitting again would repeat
+			// this node at every level, so it stays a leaf.
+			return whole()
+		}
+	}
+	for l := range hubLocal {
+		n.Hubs = append(n.Hubs, induced.Parent(l))
+	}
+	slices.Sort(n.Hubs)
+	var kids []pending
 	for i, cm := range childMembers {
 		if len(cm) == 0 {
 			continue
 		}
-		if len(cm) == len(members) {
-			// The split selected no hub and kept every member in one part
-			// (fanout 1 does nothing else): recursing would repeat this
-			// node at every level, so it stays a leaf.
-			return whole()
-		}
-		child, err := h.build(cm, level+1, n, seed*31+int64(i)+1, seen)
-		if err != nil {
-			return nil, err
-		}
-		n.Children = append(n.Children, child)
+		c := &Node{Level: n.Level + 1, Parent: n, size: len(cm)}
+		n.Children = append(n.Children, c)
+		kids = append(kids, pending{c, cm, p.seed*31 + int64(i) + 1})
 	}
-	return n, nil
+	return kids, nil
 }
 
 // maySplit applies the stopping rules that need no subgraph: the level

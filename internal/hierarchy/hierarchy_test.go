@@ -1,7 +1,9 @@
 package hierarchy
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -263,5 +265,68 @@ func TestMemberCountsConserved(t *testing.T) {
 	}
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildDeterministicAcrossProcs: Build splits sibling subtrees on
+// GOMAXPROCS workers, so the tree, its ranks and its homes must not
+// depend on how many there are, and every worker must exit with Build —
+// on success and on a split that fails.
+func TestBuildDeterministicAcrossProcs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full fixture hierarchy four times")
+	}
+	g, err := gen.Dataset("web", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(procs int, g *graph.Graph, opts Options) (*Hierarchy, error) {
+		t.Helper()
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		h, err := Build(g, opts)
+		// A worker may still be returning when Build does.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS %d: %d goroutines after Build, %d before", procs, runtime.NumGoroutine(), before)
+			}
+		}
+		return h, err
+	}
+	for _, fanout := range []int{2, 4} {
+		var want *Hierarchy
+		var wantTree []byte
+		for _, procs := range []int{1, 2} {
+			h, err := build(procs, g, Options{Fanout: fanout, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := h.AppendTree(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want, wantTree = h, tree
+				continue
+			}
+			if !bytes.Equal(tree, wantTree) {
+				t.Fatalf("fanout %d: GOMAXPROCS %d wrote a different tree", fanout, procs)
+			}
+			for u := range int32(g.NumNodes()) {
+				if h.DealRank(u) != want.DealRank(u) || h.HubLevel(u) != want.HubLevel(u) || h.Home(u).ID != want.Home(u).ID {
+					t.Fatalf("fanout %d, GOMAXPROCS %d: id %d has rank %d, hub level %d, home %d; want %d, %d, %d",
+						fanout, procs, u, h.DealRank(u), h.HubLevel(u), h.Home(u).ID,
+						want.DealRank(u), want.HubLevel(u), want.Home(u).ID)
+				}
+			}
+		}
+	}
+	// With no size floor, 8-way splits reach subgraphs of fewer than 8
+	// members that still have edges, which the partitioner refuses.
+	for _, procs := range []int{1, 2} {
+		if _, err := build(procs, email(t), Options{Fanout: 8, MinSize: 1, Seed: 1}); err == nil {
+			t.Fatalf("GOMAXPROCS %d: Build split subgraphs smaller than the fanout", procs)
+		}
 	}
 }

@@ -65,6 +65,12 @@ func recursiveBisect(ug *ugraph, origIDs []int32, firstPart, k int, out []int32,
 	kr := k - kl
 	frac := float64(kl) / float64(k)
 	side := bisect(ug, frac, imb, rng)
+	if kr == 1 { // so kl == 1 too: label both halves straight from side
+		for v, s := range side {
+			out[origIDs[v]] = int32(firstPart) + int32(s)
+		}
+		return
+	}
 	// Split ug into the two induced sub-ugraphs and recurse.
 	leftUG, leftIDs := subUGraph(ug, origIDs, side, 0)
 	rightUG, rightIDs := subUGraph(ug, origIDs, side, 1)
