@@ -224,13 +224,10 @@ func offlineFixture(b *testing.B) *offlineFix {
 
 // reportKernelMetrics attaches the kernel cost model to a bench:
 // pushes/vector (residual pops actually performed — the
-// work-proportional unit) and densefrac (the fraction of vectors whose
-// frontier spilled past a quarter of the subgraph, so that they
-// finished as a dense sweep).
-func reportKernelMetrics(b *testing.B, pushes, vectors, fallbacks int64) {
+// work-proportional unit).
+func reportKernelMetrics(b *testing.B, pushes, vectors int64) {
 	if vectors > 0 {
 		b.ReportMetric(float64(pushes)/float64(vectors), "pushes/vector")
-		b.ReportMetric(float64(fallbacks)/float64(vectors), "densefrac")
 	}
 }
 
@@ -238,7 +235,8 @@ func reportKernelMetrics(b *testing.B, pushes, vectors, fallbacks int64) {
 // deep tracks the shared fixture's edge-free hierarchy (the historical
 // number); gpa runs the machine-sized-partition fixture, where each
 // partition is an n/m-node subgraph and the kernels' work-proportional
-// bookkeeping decides the cost.
+// bookkeeping decides the cost; jw builds the flat PPV-JW baseline on
+// the shared fixture, with as many hubs as its hierarchy has.
 func BenchmarkPrecompute(b *testing.B) {
 	b.Run("deep", func(b *testing.B) {
 		f := benchFixture(b)
@@ -255,7 +253,7 @@ func BenchmarkPrecompute(b *testing.B) {
 	})
 	b.Run("gpa", func(b *testing.B) {
 		f := offlineFixture(b)
-		var pushes, vectors, fallbacks int64
+		var pushes, vectors int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, info, err := core.PrecomputeWithInfo(f.h, offlineParams, 0)
@@ -264,9 +262,18 @@ func BenchmarkPrecompute(b *testing.B) {
 			}
 			pushes += info.Pushes
 			vectors += int64(info.Vectors)
-			fallbacks += info.DenseFallbacks
 		}
-		reportKernelMetrics(b, pushes, vectors, fallbacks)
+		reportKernelMetrics(b, pushes, vectors)
+	})
+	b.Run("jw", func(b *testing.B) {
+		f := benchFixture(b)
+		hubs := f.store.H.TotalHubs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.PrecomputeJW(f.g, hubs, benchParams, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 
@@ -727,34 +734,33 @@ func benchApplyUpdates(b *testing.B, g *graph.Graph, store *core.Store) {
 			ins = append(ins, [2]int32{u, v})
 		}
 	}
-	warm := func() (recomputed int, pushes, fallbacks int64, err error) {
+	warm := func() (recomputed int, pushes int64, err error) {
 		a, err := live.ApplyUpdates(graph.Delta{Insert: ins}, 0)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		d, err := live.ApplyUpdates(graph.Delta{Delete: ins}, 0)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
-		return a.Recomputed + d.Recomputed, a.Pushes + d.Pushes, a.DenseFallbacks + d.DenseFallbacks, nil
+		return a.Recomputed + d.Recomputed, a.Pushes + d.Pushes, nil
 	}
-	if _, _, _, err := warm(); err != nil { // settle promotions before timing
+	if _, _, err := warm(); err != nil { // settle promotions before timing
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var recomputed, pushes, fallbacks int64
+	var recomputed, pushes int64
 	for i := 0; i < b.N; i++ {
-		r, p, f, err := warm()
+		r, p, err := warm()
 		if err != nil {
 			b.Fatal(err)
 		}
 		recomputed += int64(r)
 		pushes += p
-		fallbacks += f
 	}
 	b.ReportMetric(float64(recomputed)/float64(2*b.N), "vectors/batch")
 	b.ReportMetric(float64(live.Store().Stats().Hubs*2+live.Store().Stats().Leaves), "vectors/store")
-	reportKernelMetrics(b, pushes, recomputed, fallbacks)
+	reportKernelMetrics(b, pushes, recomputed)
 }
 
 // BenchmarkQuerySet measures preference-set queries (PPV linearity).

@@ -52,9 +52,8 @@ func main() {
 	st := store.Stats()
 	fmt.Fprintf(os.Stderr, "precompute: %d tasks in %v (Σ task time %v)\n",
 		info.Tasks, time.Since(start).Round(time.Millisecond), info.TotalTaskTime.Round(time.Millisecond))
-	fmt.Fprintf(os.Stderr, "kernels: %.0f pushes/vector, %.1f%% spilled to a dense sweep\n",
-		float64(info.Pushes)/float64(max(info.Vectors, 1)),
-		100*float64(info.DenseFallbacks)/float64(max(info.Vectors, 1)))
+	fmt.Fprintf(os.Stderr, "kernels: %.0f pushes/vector\n",
+		float64(info.Pushes)/float64(max(info.Vectors, 1)))
 	fmt.Fprintf(os.Stderr, "store: %d hub partials, %d leaf vectors, %.2f MB\n",
 		st.Hubs, st.Leaves, float64(st.Bytes)/(1<<20))
 

@@ -63,8 +63,7 @@ type (
 	// default, absorb).
 	Params = ppr.Params
 	// PrecomputeInfo reports the cost of a pre-computation run: wall and
-	// task time, vectors, pushes, and how many vectors spilled to a
-	// dense sweep.
+	// task time, vectors and pushes.
 	PrecomputeInfo = core.PrecomputeInfo
 	// HierarchyOptions tunes the recursive partitioning.
 	HierarchyOptions = hierarchy.Options
@@ -106,7 +105,7 @@ type (
 func DefaultParams() Params { return ppr.Defaults() }
 
 // BuildHGPAWithInfo is BuildHGPA plus pre-computation cost reporting
-// (wall/task time, pushes per vector, dense-spill count).
+// (wall/task time, vectors, pushes).
 func BuildHGPAWithInfo(g *Graph, opts HierarchyOptions, params Params, workers int) (*Store, *PrecomputeInfo, error) {
 	h, err := hierarchy.Build(g, opts)
 	if err != nil {

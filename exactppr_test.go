@@ -112,7 +112,7 @@ func TestBuildHGPAWithInfoFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Vectors == 0 || info.Pushes == 0 || info.DenseFallbacks > int64(info.Vectors) {
+	if info.Vectors == 0 || info.Pushes == 0 {
 		t.Fatalf("info = %+v", info)
 	}
 	ppv, err := store.Query(11)

@@ -124,41 +124,32 @@ func (g *Gateway) topK(r *http.Request) (int, error) {
 	return k, nil
 }
 
-// runSingle answers one source query under its own Timeout-derived
+// runQuery answers one backend query under its own Timeout-derived
 // deadline, so every query in a batch gets the full per-query budget.
+// node is the source of a single-source query and nil for a set query.
 // The raw error is returned alongside the JSON so handlers can pick a
 // status code; batch callers embed the message in place instead.
-func (g *Gateway) runSingle(parent context.Context, u int32, k int) (resultJSON, error) {
+func (g *Gateway) runQuery(parent context.Context, node *int32, k int, query func(context.Context) (*QueryStats, error)) (resultJSON, error) {
 	ctx, cancel := g.queryCtx(parent)
 	defer cancel()
 	g.inFlight.Add(1)
 	defer g.inFlight.Add(-1)
-	stats, err := g.backend.QueryCtx(ctx, u)
+	stats, err := query(ctx)
 	if err != nil {
 		g.errors.Add(1)
-		return resultJSON{Node: &u, Error: err.Error()}, err
+		return resultJSON{Node: node, Error: err.Error()}, err
 	}
 	g.queries.Add(1)
 	g.bytes.Add(stats.BytesReceived)
 	g.wallNs.Add(int64(stats.Wall))
-	return resultJSON{Node: &u, TopK: topEntries(stats.Result, k), WallNs: int64(stats.Wall), Bytes: stats.BytesReceived}, nil
+	return resultJSON{Node: node, TopK: topEntries(stats.Result, k), WallNs: int64(stats.Wall), Bytes: stats.BytesReceived}, nil
 }
 
-// runSet is runSingle for one weighted preference-set query.
-func (g *Gateway) runSet(parent context.Context, p core.Preference, k int) (resultJSON, error) {
-	ctx, cancel := g.queryCtx(parent)
-	defer cancel()
-	g.inFlight.Add(1)
-	defer g.inFlight.Add(-1)
-	stats, err := g.backend.QuerySetCtx(ctx, p)
-	if err != nil {
-		g.errors.Add(1)
-		return resultJSON{Error: err.Error()}, err
-	}
-	g.queries.Add(1)
-	g.bytes.Add(stats.BytesReceived)
-	g.wallNs.Add(int64(stats.Wall))
-	return resultJSON{TopK: topEntries(stats.Result, k), WallNs: int64(stats.Wall), Bytes: stats.BytesReceived}, nil
+// runSingle is runQuery for one source node.
+func (g *Gateway) runSingle(parent context.Context, u int32, k int) (resultJSON, error) {
+	return g.runQuery(parent, &u, k, func(ctx context.Context) (*QueryStats, error) {
+		return g.backend.QueryCtx(ctx, u)
+	})
 }
 
 // statusClientClosedRequest is nginx's conventional status for "the
@@ -264,7 +255,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.batches.Add(1)
 
 	if req.Set {
-		res, err := g.runSet(r.Context(), pref, k)
+		res, err := g.runQuery(r.Context(), nil, k, func(ctx context.Context) (*QueryStats, error) {
+			return g.backend.QuerySetCtx(ctx, pref)
+		})
 		if err != nil {
 			writeJSON(w, queryErrorStatus(err), res)
 			return

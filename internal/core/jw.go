@@ -76,28 +76,35 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 		}
 		mu.Unlock()
 	}
+	// Each worker reuses one kernel scratch for all its vectors. The
+	// entries alias it, so each vector is packed before the next kernel
+	// call. A kernel's ids are unique, so PackEntries cannot fail.
 	worker := func() {
 		defer wg.Done()
+		var sc ppr.Scratch
 		for u := range ch {
-			partial, _, err := ppr.PartialVector(g, u, s.hubMask, s.Params)
+			ents, err := sc.PartialEntries(g, u, s.hubMask, s.Params)
 			if err != nil {
 				fail(err)
 				continue
 			}
+			hub := s.hubMask[u]
+			if hub {
+				// Store P_u = p_u − α·x_u.
+				ents = slices.DeleteFunc(ents, func(e sparse.Entry) bool { return e.ID == u })
+			}
+			partial, _ := sparse.PackEntries(ents)
 			var skel sparse.Packed
-			if s.hubMask[u] {
-				// Store P_u = p_u − α·x_u. A packed vector's ids are
-				// unique, so PackEntries cannot fail.
-				es := slices.DeleteFunc(partial.Entries(), func(e sparse.Entry) bool { return e.ID == u })
-				partial, _ = sparse.PackEntries(es)
-				if skel, err = ppr.SkeletonVector(g, u, s.Params); err != nil {
+			if hub {
+				if ents, err = sc.SkeletonEntries(g, u, s.Params); err != nil {
 					fail(err)
 					continue
 				}
+				skel, _ = sparse.PackEntries(ents)
 			}
 			mu.Lock()
 			s.Partial[u] = partial
-			if s.hubMask[u] {
+			if hub {
 				s.Skeleton[u] = skel
 			}
 			mu.Unlock()

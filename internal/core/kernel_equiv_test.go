@@ -186,7 +186,7 @@ func TestKernelEquivalenceAfterUpdates(t *testing.T) {
 }
 
 // TestPrecomputeInfoKernelStats: the info block records a plausible
-// work tally (some pushes, and at most one spill per vector).
+// work tally (some pushes), and the deprecated DenseFallbacks reads 0.
 func TestPrecomputeInfoKernelStats(t *testing.T) {
 	p := ppr.Params{Alpha: 0.15, Eps: 1e-4}
 	h, err := hierarchy.Build(kernelTestGraph(t, 17), hierarchy.Options{Seed: 3})
@@ -203,8 +203,8 @@ func TestPrecomputeInfoKernelStats(t *testing.T) {
 	if info.Pushes <= 0 {
 		t.Fatalf("info.Pushes = %d, want > 0", info.Pushes)
 	}
-	if info.DenseFallbacks < 0 || info.DenseFallbacks > int64(info.Vectors) {
-		t.Fatalf("info.DenseFallbacks = %d of %d vectors", info.DenseFallbacks, info.Vectors)
+	if info.DenseFallbacks != 0 {
+		t.Fatalf("info.DenseFallbacks = %d, want 0", info.DenseFallbacks)
 	}
 }
 

@@ -99,8 +99,10 @@ type PrecomputeInfo struct {
 	// invocations — the work-proportional cost unit; divide by Vectors
 	// for the pushes/vector figure of the bench artifacts.
 	Pushes int64
-	// DenseFallbacks counts vectors whose kernel frontier spilled past a
-	// quarter of the subgraph, so that they finished as a dense sweep.
+	// DenseFallbacks always reads 0: the kernels have one sparse
+	// residual loop and no dense fallback.
+	//
+	// Deprecated: kept only for callers that still read it.
 	DenseFallbacks int64
 }
 
@@ -147,12 +149,11 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 		return nil, nil, err
 	}
 	info := &PrecomputeInfo{
-		Wall:           time.Since(start),
-		TotalTaskTime:  ri.taskTime,
-		Tasks:          len(tasks),
-		Vectors:        int(ri.kstats.Vectors),
-		Pushes:         ri.kstats.Pushes,
-		DenseFallbacks: ri.kstats.DenseFallbacks,
+		Wall:          time.Since(start),
+		TotalTaskTime: ri.taskTime,
+		Tasks:         len(tasks),
+		Vectors:       int(ri.kstats.Vectors),
+		Pushes:        ri.kstats.Pushes,
 	}
 	return s, info, nil
 }

@@ -55,9 +55,8 @@ type UpdateInfo struct {
 	// batch reports the same digest.
 	Digest uint64
 	// Pushes is the total number of residual pops the recompute kernels
-	// performed; DenseFallbacks counts vectors drained by the dense
-	// sweep (see PrecomputeInfo).
-	Pushes, DenseFallbacks int64
+	// performed.
+	Pushes int64
 	// Wall is the end-to-end update time.
 	Wall time.Duration
 }
@@ -133,7 +132,6 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		info.Recomputed += t.Vectors()
 	}
 	info.Pushes = ri.kstats.Pushes
-	info.DenseFallbacks = ri.kstats.DenseFallbacks
 	info.DirtyNodes = len(upd.Dirty)
 	info.Promoted = len(upd.Promoted)
 	info.StoreVectors = ns.storeVectors()

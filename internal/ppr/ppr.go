@@ -20,9 +20,9 @@
 // the worker pools call — are one engine: sparse-frontier push
 // (push.go) with work-proportional bookkeeping, epoch-stamped lazy slot
 // initialization and touched-list drains, so a vector that reaches t
-// nodes costs O(t log t) instead of O(|V|). A vector whose frontier
-// spills past a quarter of the subgraph finishes as a dense sweep. The
-// kernels maintain the Gauss–Southwell residual invariant
+// nodes costs O(t log t) instead of O(|V|). Each kernel has one
+// residual loop, whatever the frontier size. The kernels maintain the
+// Gauss–Southwell residual invariant
 // exact = estimate + Σ residual·kernel and terminate when every
 // residual is at most Eps (each entry then within Eps/α of the fixed
 // point). They support only DanglingAbsorb: a restart arc points at the

@@ -42,15 +42,10 @@ import (
 // MaxIter·|V| push cap with residual above Eps still queued fails with
 // ErrPushCap instead of returning the truncated vector.
 //
-// # Dense spill
-//
-// A kernel that touches more than 1/spillDivisor of the subgraph
-// abandons sparse bookkeeping: the remaining slots are bulk-initialized
-// and the loop continues as a plain dense sweep (no per-access stamp
-// checks, dense drain). The pop order and arithmetic do not change, so
-// neither do the results; KernelStats.DenseFallbacks counts these
-// vectors. Worst-case cost is one dense sweep plus the sparse work
-// already done.
+// Each kernel runs one residual loop for every frontier size. A vector
+// that reaches most of its subgraph still pays a stamp check per edge
+// and a sort of its touched list; a dense-sweep fallback for such
+// vectors measured no faster on the web fixtures, so there is none.
 
 // ErrPushCap reports a kernel stopped by its MaxIter·|V| push cap while
 // residual above Eps was still queued: the vector it had built was
@@ -65,61 +60,34 @@ type KernelStats struct {
 	// Pushes is the number of residual pops (the work-proportional
 	// cost unit).
 	Pushes int64
-	// DenseFallbacks counts vectors whose frontier spilled, so that
-	// they finished as a dense sweep.
-	DenseFallbacks int64
 }
 
 // Add accumulates b into s.
 func (s *KernelStats) Add(b KernelStats) {
 	s.Vectors += b.Vectors
 	s.Pushes += b.Pushes
-	s.DenseFallbacks += b.DenseFallbacks
 }
-
-// spillDivisor sets the spill threshold: once more than
-// NumNodes/spillDivisor slots have been touched, the sorted sparse
-// drain would cost about as much as the dense scan it replaces, so the
-// kernel completes as a dense sweep instead.
-const spillDivisor = 4
 
 // pushState is the post-run state of a push kernel, aliasing the
 // scratch's buffers (valid until the scratch's next use). est/res are
 // the estimate/residual arrays (d/e in the forward kernel's terms);
 // aux is the forward kernel's hub-blocked mass, nil for the reverse
-// kernel. When spilled is false only stamped slots are meaningful and
-// touched lists exactly the stamped ids; when true every slot in [0,n)
-// is initialized and touched must be ignored.
+// kernel. Only the slots listed in touched are meaningful.
 type pushState struct {
-	n        int
 	est, res []float64
 	aux      []float64
-	stamp    []uint32
-	epoch    uint32
 	touched  []int32
-	spilled  bool
 	pushes   int
 }
 
 // drainPacked emits the estimate array as a canonical Packed.
 func (st *pushState) drainPacked() sparse.Packed {
-	if st.spilled {
-		return sparse.PackedFromDense(st.est[:st.n], 0)
-	}
 	return sparse.PackFromDenseIDs(st.touched, st.est)
 }
 
 // appendEntries appends the nonzero estimate entries to dst, in
 // unspecified order.
 func (st *pushState) appendEntries(dst []sparse.Entry) []sparse.Entry {
-	if st.spilled {
-		for i, x := range st.est[:st.n] {
-			if x != 0 {
-				dst = append(dst, sparse.Entry{ID: int32(i), Score: x})
-			}
-		}
-		return dst
-	}
 	for _, id := range st.touched {
 		if x := st.est[id]; x != 0 {
 			dst = append(dst, sparse.Entry{ID: id, Score: x})
@@ -131,14 +99,6 @@ func (st *pushState) appendEntries(dst []sparse.Entry) []sparse.Entry {
 // drainVector emits a dense slice's nonzero entries as a map Vector.
 func (st *pushState) drainVector(vals []float64) sparse.Vector {
 	v := sparse.Vector{}
-	if st.spilled {
-		for i, x := range vals[:st.n] {
-			if x != 0 {
-				v[int32(i)] = x
-			}
-		}
-		return v
-	}
 	for _, id := range st.touched {
 		if x := vals[id]; x != 0 {
 			v[id] = x
@@ -151,8 +111,7 @@ func (st *pushState) drainVector(vals []float64) sparse.Vector {
 // Definition 1) with lazily stamped slots and a touched-list drain. The
 // hot loop is written closure-free over the raw CSR — at a few hundred
 // pushes per vector the per-edge constant is what decides whether
-// sparse bookkeeping wins. See the file comment for the invariant and
-// the spill.
+// sparse bookkeeping wins. See the file comment for the invariant.
 func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (pushState, error) {
 	if err := p.ValidatePrecompute(); err != nil {
 		return pushState{}, err
@@ -170,8 +129,6 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 	d, e, blocked, inQueue, stamp, epoch := sc.stamped(n)
 	touched := sc.ids()
 	queue := sc.queueBuf()
-	spillAt := n/spillDivisor + 1
-	spilled := false
 	sink := g.VirtualSink() // -1 when absent: never equals a node id
 	oneMinus := 1 - p.Alpha
 	eps := p.Eps
@@ -195,12 +152,7 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 				stamp[w] = epoch
 				d[w], e[w], blocked[w] = 0, 0, 0
 				inQueue[w] = false
-				if !spilled {
-					touched = append(touched, w)
-					if len(touched) >= spillAt {
-						spilled = true
-					}
-				}
+				touched = append(touched, w)
 			}
 			e[w] += share
 			if !inQueue[w] && e[w] > eps {
@@ -211,7 +163,7 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 	}
 
 	qi := 0
-	for qi < len(queue) && pushes < limit && !spilled {
+	for qi < len(queue) && pushes < limit {
 		pushes++
 		v := queue[qi]
 		qi++
@@ -239,53 +191,12 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 				stamp[w] = epoch
 				d[w], e[w], blocked[w] = 0, 0, 0
 				inQueue[w] = false
-				if !spilled {
-					touched = append(touched, w)
-					if len(touched) >= spillAt {
-						spilled = true
-					}
-				}
+				touched = append(touched, w)
 			}
 			e[w] += share
 			if !inQueue[w] && e[w] > eps {
 				inQueue[w] = true
 				queue = append(queue, w)
-			}
-		}
-	}
-	if spilled {
-		// Spill: bulk-initialize the remaining slots and finish as the
-		// dense sweep — no stamp checks from here on.
-		spillInit(n, stamp, epoch, d, e, blocked, inQueue)
-		for qi < len(queue) && pushes < limit {
-			pushes++
-			v := queue[qi]
-			qi++
-			inQueue[v] = false
-			mass := e[v]
-			if mass <= eps {
-				continue
-			}
-			e[v] = 0
-			if isHub != nil && isHub[v] {
-				blocked[v] += mass
-				continue
-			}
-			d[v] += p.Alpha * mass
-			ow := g.OutWeight(v)
-			if ow == 0 {
-				continue
-			}
-			share := mass * oneMinus / float64(ow)
-			for _, w := range g.Out(v) {
-				if w == sink {
-					continue
-				}
-				e[w] += share
-				if !inQueue[w] && e[w] > eps {
-					inQueue[w] = true
-					queue = append(queue, w)
-				}
 			}
 		}
 	}
@@ -295,8 +206,7 @@ func pushPartial(g *graph.Graph, u int32, isHub []bool, p Params, sc *Scratch) (
 		return pushState{}, pushCapError("partial", u, len(queue)-qi, limit)
 	}
 	return pushState{
-		n: n, est: d, res: e, aux: blocked, stamp: stamp, epoch: epoch,
-		touched: touched, spilled: spilled, pushes: pushes,
+		est: d, res: e, aux: blocked, touched: touched, pushes: pushes,
 	}, nil
 }
 
@@ -318,8 +228,6 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 	est, res, _, inQueue, stamp, epoch := sc.stamped(n)
 	touched := sc.ids()
 	queue := sc.queueBuf()
-	spillAt := n/spillDivisor + 1
-	spilled := false
 	sink := g.VirtualSink()
 	oneMinus := 1 - p.Alpha
 	eps := p.Eps
@@ -334,7 +242,7 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 	inQueue[h] = true
 
 	qi := 0
-	for qi < len(queue) && pushes < limit && !spilled {
+	for qi < len(queue) && pushes < limit {
 		pushes++
 		u := queue[qi]
 		qi++
@@ -355,12 +263,7 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 				stamp[w] = epoch
 				est[w], res[w] = 0, 0
 				inQueue[w] = false
-				if !spilled {
-					touched = append(touched, w)
-					if len(touched) >= spillAt {
-						spilled = true
-					}
-				}
+				touched = append(touched, w)
 			}
 			res[w] += oneMinus * rho / float64(ow)
 			if !inQueue[w] && res[w] > eps {
@@ -369,43 +272,13 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 			}
 		}
 	}
-	if spilled {
-		spillInit(n, stamp, epoch, est, res, nil, inQueue)
-		for qi < len(queue) && pushes < limit {
-			pushes++
-			u := queue[qi]
-			qi++
-			inQueue[u] = false
-			rho := res[u]
-			if rho <= eps {
-				continue
-			}
-			res[u] = 0
-			est[u] += rho
-			for _, w := range inAdj[inOff[u]:inOff[u+1]] {
-				ow := g.OutWeight(w)
-				if ow == 0 || w == sink {
-					continue
-				}
-				res[w] += oneMinus * rho / float64(ow)
-				if !inQueue[w] && res[w] > eps {
-					inQueue[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		if sink >= 0 {
-			est[sink] = 0 // bulk init made it visible to the dense drain
-		}
-	}
 	sc.putQueue(queue)
 	sc.touched = touched[:0]
 	if qi < len(queue) {
 		return pushState{}, pushCapError("skeleton", h, len(queue)-qi, limit)
 	}
 	return pushState{
-		n: n, est: est, res: res, stamp: stamp, epoch: epoch,
-		touched: touched, spilled: spilled, pushes: pushes,
+		est: est, res: res, touched: touched, pushes: pushes,
 	}, nil
 }
 
@@ -415,21 +288,6 @@ func pushSkeleton(g *graph.Graph, h int32, p Params, sc *Scratch) (pushState, er
 // only grows until the node is popped.
 func pushCapError(kind string, src int32, queued, limit int) error {
 	return fmt.Errorf("%w: %s from %d stopped after %d pushes with %d nodes still queued", ErrPushCap, kind, src, limit, queued)
-}
-
-// spillInit bulk-initializes every slot the sparse phase did not touch,
-// after which the dense loop body runs stamp-free.
-func spillInit(n int, stamp []uint32, epoch uint32, a, b, c []float64, marks []bool) {
-	for i := 0; i < n; i++ {
-		if stamp[i] != epoch {
-			stamp[i] = epoch
-			a[i], b[i] = 0, 0
-			if c != nil {
-				c[i] = 0
-			}
-			marks[i] = false
-		}
-	}
 }
 
 // PartialVector computes the partial vector p_u^H of node u by selective

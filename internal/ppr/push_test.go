@@ -2,10 +2,12 @@ package ppr
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"exactppr/internal/graph"
+	"exactppr/internal/sparse"
 )
 
 func randomHubs(rng *rand.Rand, n int) []bool {
@@ -105,5 +107,96 @@ func TestPushRespectsMaxIterCap(t *testing.T) {
 	ents, err := sc.PartialEntries(g, 0, nil, p)
 	if err != nil || len(ents) != 3 {
 		t.Fatalf("after a capped run: %d entries, err %v", len(ents), err)
+	}
+}
+
+// One Scratch reused across a random run of kernels gives bit-identical
+// results to a fresh one per vector. The run varies the graph size (so
+// the buffers grow mid-run), the source, the hub mask, the tolerance and
+// the kernel, and includes capped runs that fail midway. A few vectors
+// after each grow it pushes the epoch to the edge of its wrap: the slots
+// those early vectors stamped must not look fresh to the vectors that
+// reuse their epochs after the wrap. The epoch stamp is the only thing
+// that keeps a slot written by an earlier vector from being read.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	grows, wraps, capped := 0, 0, 0
+	for block := 0; block < 15; block++ {
+		var sc Scratch
+		sinceGrow := 0
+		for trial := 0; trial < 40; trial++ {
+			n := 2 + rng.Intn(30)
+			if rng.Intn(8) == 0 {
+				n = 2 + rng.Intn(300)
+			}
+			b := graph.NewBuilder(n)
+			for e := 0; e < rng.Intn(4*n); e++ {
+				b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			}
+			g := b.Build()
+			src := int32(rng.Intn(n))
+			var isHub []bool
+			if rng.Intn(2) == 0 {
+				isHub = randomHubs(rng, n)
+			}
+			p := Params{Alpha: 0.15, Eps: []float64{1e-2, 1e-4, 1e-7, 1e-10}[rng.Intn(4)]}
+			if rng.Intn(10) == 0 {
+				p.Eps, p.MaxIter = 1e-12, 1
+			}
+			if sinceGrow == 3 {
+				sc.epoch = math.MaxUint32 - uint32(rng.Intn(3))
+			}
+			before, capBefore := sc.epoch, cap(sc.f1)
+
+			var got, want pushState
+			var gotErr, wantErr error
+			partial := rng.Intn(2) == 0
+			if partial {
+				got, gotErr = pushPartial(g, src, isHub, p, &sc)
+				want, wantErr = pushPartial(g, src, isHub, p, nil)
+			} else {
+				got, gotErr = pushSkeleton(g, src, p, &sc)
+				want, wantErr = pushSkeleton(g, src, p, nil)
+			}
+			sinceGrow++
+			if cap(sc.f1) > capBefore {
+				grows++
+				sinceGrow = 0
+			} else if sc.epoch < before {
+				wraps++
+			}
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("block %d trial %d: reused scratch err %v, fresh err %v", block, trial, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				if !errors.Is(gotErr, ErrPushCap) {
+					t.Fatalf("block %d trial %d: %v", block, trial, gotErr)
+				}
+				capped++
+				continue
+			}
+			if got.pushes != want.pushes {
+				t.Fatalf("block %d trial %d: %d pushes on the reused scratch, %d on a fresh one", block, trial, got.pushes, want.pushes)
+			}
+			sameBits(t, "estimate", got.drainPacked().Entries(), want.drainPacked().Entries())
+			if partial {
+				sameBits(t, "blocked", sparse.Pack(got.drainVector(got.aux)).Entries(), sparse.Pack(want.drainVector(want.aux)).Entries())
+			}
+		}
+	}
+	if grows < 15 || wraps < 15 || capped == 0 {
+		t.Fatalf("run grew the scratch %d times, wrapped the epoch %d times, capped %d kernels: want ≥ 15, ≥ 15, ≥ 1", grows, wraps, capped)
+	}
+}
+
+func sameBits(t *testing.T, tag string, got, want []sparse.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries on the reused scratch, %d on a fresh one", tag, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s entry %d = %v on the reused scratch, %v on a fresh one", tag, i, got[i], want[i])
+		}
 	}
 }

@@ -103,9 +103,5 @@ func (sc *Scratch) SkeletonEntries(g *graph.Graph, h int32, p Params) ([]sparse.
 
 // recordPush tallies one kernel invocation.
 func (sc *Scratch) recordPush(st *pushState) {
-	ks := KernelStats{Vectors: 1, Pushes: int64(st.pushes)}
-	if st.spilled {
-		ks.DenseFallbacks = 1
-	}
-	sc.Stats.Add(ks)
+	sc.Stats.Add(KernelStats{Vectors: 1, Pushes: int64(st.pushes)})
 }

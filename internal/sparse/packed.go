@@ -71,28 +71,6 @@ func PackEntries(es []Entry) (Packed, error) {
 	return Packed{ids, scores}, nil
 }
 
-// PackedFromDense builds a Packed from a dense slice, dropping entries
-// with absolute value at or below eps. The result is sorted by
-// construction — this is the truncation step of the pre-computation
-// kernels.
-func PackedFromDense(d []float64, eps float64) Packed {
-	n := 0
-	for _, x := range d {
-		if math.Abs(x) > eps {
-			n++
-		}
-	}
-	ids := make([]int32, 0, n)
-	scores := make([]float64, 0, n)
-	for i, x := range d {
-		if math.Abs(x) > eps {
-			ids = append(ids, int32(i))
-			scores = append(scores, x)
-		}
-	}
-	return Packed{ids, scores}
-}
-
 // PackFromDenseIDs builds a Packed from the values of dense at the given
 // ids, dropping zeros. ids must be unique; they are sorted in place.
 // This is the drain step of the sparse-frontier push kernels: cost is

@@ -91,17 +91,6 @@ func TestPackFromDenseIDs(t *testing.T) {
 	}
 }
 
-func TestPackedFromDense(t *testing.T) {
-	p := PackedFromDense([]float64{0, 1, -0.5, 1e-9, 2}, 1e-8)
-	want := []Entry{{1, 1}, {2, -0.5}, {4, 2}}
-	if !reflect.DeepEqual(p.Entries(), want) {
-		t.Fatalf("PackedFromDense = %v, want %v", p.Entries(), want)
-	}
-	if p := PackedFromDense(nil, 0); p.Len() != 0 {
-		t.Fatalf("PackedFromDense(nil) non-empty: %v", p.Entries())
-	}
-}
-
 func TestPackedSumL1Truncated(t *testing.T) {
 	p := Pack(Vector{1: 0.5, 2: -0.25, 3: 1e-6})
 	if !almostEqual(p.Sum(), 0.5-0.25+1e-6) {
