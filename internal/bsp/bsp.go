@@ -16,7 +16,6 @@ package bsp
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"exactppr/internal/graph"
@@ -143,20 +142,17 @@ func (e *Engine) RunPPV(q int32, p ppr.Params) (*RunStats, error) {
 	for step := 0; step < maxSupersteps; step++ {
 		stats.Supersteps++
 		deltas := make([]float64, e.workers)
-		var wg sync.WaitGroup
-		wg.Add(e.workers)
-		for w := 0; w < e.workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				out[w] = make(map[int32]float64)
-				if e.mode == BlockCentric {
-					deltas[w] = e.blockStep(w, q, cur, inbox, out[w], p)
-				} else {
-					deltas[w] = e.vertexStep(w, q, cur, inbox, out[w], p)
-				}
-			}(w)
-		}
-		wg.Wait()
+		// One superstep: every worker computes at once (the caller is
+		// one of them), and Run's return is the barrier.
+		ppr.Run(e.workers, e.workers, func(_ *ppr.Scratch, w int) error {
+			out[w] = make(map[int32]float64)
+			if e.mode == BlockCentric {
+				deltas[w] = e.blockStep(w, q, cur, inbox, out[w], p)
+			} else {
+				deltas[w] = e.vertexStep(w, q, cur, inbox, out[w], p)
+			}
+			return nil
+		})
 
 		// Barrier: deliver combined messages, counting boundary crossings.
 		for i := range inbox {

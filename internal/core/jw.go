@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sort"
-	"sync"
 
 	"exactppr/internal/graph"
 	"exactppr/internal/ppr"
@@ -34,7 +31,9 @@ type JWStore struct {
 }
 
 // PrecomputeJW builds the PPV-JW baseline with the hubCount top-PageRank
-// nodes as hubs.
+// nodes as hubs: one ppr.Run task per node on `workers` (0 =
+// GOMAXPROCS). A failing build returns the error of its lowest failing
+// node.
 func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) (*JWStore, error) {
 	if err := params.ValidatePrecompute(); err != nil {
 		return nil, err
@@ -42,14 +41,11 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 	if hubCount < 0 || hubCount > g.NumNodes() {
 		return nil, fmt.Errorf("core: hubCount %d out of range", hubCount)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	hubs, err := ppr.TopPageRank(g, hubCount, params)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
+	slices.Sort(hubs)
 	s := &JWStore{
 		G:        g,
 		Params:   params,
@@ -63,64 +59,41 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 	}
 	g.BuildReverse()
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		ch       = make(chan int32)
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	// Each task computes node u's vectors into its own slots (partial[u],
+	// and skel at u's rank among the sorted hubs) on its worker's
+	// scratch. The entries alias the scratch, so each vector is packed
+	// before the next kernel call; a kernel's ids are unique, so
+	// PackEntries cannot fail. The maps are filled after the pool drains.
+	partial := make([]sparse.Packed, g.NumNodes())
+	skel := make([]sparse.Packed, len(hubs))
+	_, err = ppr.Run(g.NumNodes(), workers, func(sc *ppr.Scratch, i int) error {
+		u := int32(i)
+		ents, err := sc.PartialEntries(g, u, s.hubMask, s.Params)
+		if err != nil {
+			return err
 		}
-		mu.Unlock()
-	}
-	// Each worker reuses one kernel scratch for all its vectors. The
-	// entries alias it, so each vector is packed before the next kernel
-	// call. A kernel's ids are unique, so PackEntries cannot fail.
-	worker := func() {
-		defer wg.Done()
-		var sc ppr.Scratch
-		for u := range ch {
-			ents, err := sc.PartialEntries(g, u, s.hubMask, s.Params)
-			if err != nil {
-				fail(err)
-				continue
-			}
-			hub := s.hubMask[u]
-			if hub {
-				// Store P_u = p_u − α·x_u.
-				ents = slices.DeleteFunc(ents, func(e sparse.Entry) bool { return e.ID == u })
-			}
-			partial, _ := sparse.PackEntries(ents)
-			var skel sparse.Packed
-			if hub {
-				if ents, err = sc.SkeletonEntries(g, u, s.Params); err != nil {
-					fail(err)
-					continue
-				}
-				skel, _ = sparse.PackEntries(ents)
-			}
-			mu.Lock()
-			s.Partial[u] = partial
-			if hub {
-				s.Skeleton[u] = skel
-			}
-			mu.Unlock()
+		if !s.hubMask[u] {
+			partial[u], _ = sparse.PackEntries(ents)
+			return nil
 		}
+		// Store P_u = p_u − α·x_u.
+		ents = slices.DeleteFunc(ents, func(e sparse.Entry) bool { return e.ID == u })
+		partial[u], _ = sparse.PackEntries(ents)
+		if ents, err = sc.SkeletonEntries(g, u, s.Params); err != nil {
+			return err
+		}
+		k, _ := slices.BinarySearch(hubs, u)
+		skel[k], _ = sparse.PackEntries(ents)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go worker()
+	for u, v := range partial {
+		s.Partial[int32(u)] = v
 	}
-	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		ch <- u
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for k, h := range hubs {
+		s.Skeleton[h] = skel[k]
 	}
 	return s, nil
 }

@@ -34,9 +34,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"exactppr/internal/graph"
@@ -106,10 +103,11 @@ type PrecomputeInfo struct {
 	DenseFallbacks int64
 }
 
-// Precompute runs the distributed pre-computation of §5 over `workers`
-// parallel workers (0 = GOMAXPROCS). Every task touches only one
+// Precompute runs the distributed pre-computation of §5 on ppr.Run's
+// pool of `workers` (0 = GOMAXPROCS). Every task touches only one
 // subgraph, mirroring the paper's claim that pre-computation needs no
-// inter-machine communication.
+// inter-machine communication. A failing build returns the error of its
+// first failing task in tree order, whatever the worker count.
 func Precompute(h *hierarchy.Hierarchy, params ppr.Params, workers int) (*Store, error) {
 	s, _, err := PrecomputeWithInfo(h, params, workers)
 	return s, err
@@ -120,9 +118,6 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 	start := time.Now()
 	if err := params.ValidatePrecompute(); err != nil {
 		return nil, nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	var tasks []precomputeTask
 	for _, n := range h.Nodes() {
@@ -144,16 +139,16 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 		Skeleton:   make(map[int32]sparse.Packed, nHubs),
 		LeafPPV:    make(map[int32]sparse.Packed, nLeaves),
 	}
-	ri, err := s.runTasks(tasks, workers)
+	taskTime, kstats, err := s.runTasks(tasks, workers)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &PrecomputeInfo{
 		Wall:          time.Since(start),
-		TotalTaskTime: ri.taskTime,
+		TotalTaskTime: taskTime,
 		Tasks:         len(tasks),
-		Vectors:       int(ri.kstats.Vectors),
-		Pushes:        ri.kstats.Pushes,
+		Vectors:       int(kstats.Vectors),
+		Pushes:        kstats.Pushes,
 	}
 	return s, info, nil
 }
@@ -195,10 +190,10 @@ func nodeTasks(n *hierarchy.Node) []precomputeTask {
 
 // withSubgraphs extracts from root graph g, once per tree node, the
 // virtual subgraph the tasks of that node run on — and their hub mask —
-// and hands them to the tasks, on `workers` parallel workers (0 =
-// GOMAXPROCS; 1 extracts serially). The tasks of one node must be
-// adjacent, as nodeTasks lists them. The subgraphs live only as long as
-// the tasks: a hierarchy keeps none.
+// and hands them to the tasks, one ppr.Run task per node on `workers`
+// workers (0 = GOMAXPROCS; 1 extracts serially). The tasks of one node
+// must be adjacent, as nodeTasks lists them. The subgraphs live only as
+// long as the tasks: a hierarchy keeps none.
 func withSubgraphs(g *graph.Graph, tasks []precomputeTask, workers int) {
 	var starts []int // each node's first task
 	for i := range tasks {
@@ -207,7 +202,7 @@ func withSubgraphs(g *graph.Graph, tasks []precomputeTask, workers int) {
 		}
 	}
 	starts = append(starts, len(tasks))
-	extract := func(k int) {
+	ppr.Run(len(starts)-1, workers, func(_ *ppr.Scratch, k int) error {
 		group := tasks[starts[k]:starts[k+1]]
 		n := group[0].node
 		sub := graph.VirtualSubgraph(g, n.Members())
@@ -225,124 +220,48 @@ func withSubgraphs(g *graph.Graph, tasks []precomputeTask, workers int) {
 				group[i].isHub = isHub
 			}
 		}
-	}
-	nodes := len(starts) - 1
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var next atomic.Int64
-	work := func() {
-		for k := int(next.Add(1) - 1); k < nodes; k = int(next.Add(1) - 1) {
-			extract(k)
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(workers, nodes) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work() // the caller is one of the workers
-	wg.Wait()
+		return nil
+	})
 }
 
-// stagedVec is one computed vector awaiting its section-map write.
-type stagedVec struct {
-	key int32
-	vec sparse.Packed
-}
-
-// workerStage is one worker's private output buffer. Workers never
-// touch the store's maps: results are staged here and merged by the
-// coordinating goroutine after the pool drains, so the pool runs with
-// no shared lock at all (a store-wide mutex used to serialize every
-// vector write, which flattened worker scaling once the push kernels
-// made individual tasks short).
-type workerStage struct {
-	hubPartial, skeleton, leaf []stagedVec
-	sc                         ppr.Scratch
-	nanos                      int64
-	err                        error
-}
-
-// runInfo aggregates what a task pool run cost.
-type runInfo struct {
-	taskTime time.Duration
-	kstats   ppr.KernelStats
-}
-
-// runTasks executes independent pre-computation tasks on a bounded
-// worker pool, each worker reusing one ppr.Scratch across its tasks and
-// staging results privately; the section maps are written once, here,
-// after the pool drains. On error the maps are left untouched.
-func (s *Store) runTasks(tasks []precomputeTask, workers int) (runInfo, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// runTasks executes independent pre-computation tasks on ppr.Run's
+// pool, each worker reusing one ppr.Scratch across its tasks. A task
+// writes only its own result slot; the section maps are written here,
+// in task order, after the pool drains. On error the maps are left
+// untouched. It returns the summed task time and kernel stats.
+func (s *Store) runTasks(tasks []precomputeTask, workers int) (time.Duration, ppr.KernelStats, error) {
+	type result struct {
+		vec, skel sparse.Packed // skel: hub tasks only
+		took      time.Duration
 	}
-	if workers > len(tasks) {
-		workers = max(len(tasks), 1)
+	out := make([]result, len(tasks))
+	kstats, err := ppr.Run(len(tasks), workers, func(sc *ppr.Scratch, i int) error {
+		t0 := time.Now()
+		r := &out[i]
+		var err error
+		if t := tasks[i]; t.hub {
+			r.vec, r.skel, err = s.computeHub(t, sc)
+		} else {
+			r.vec, err = s.computeLeaf(t, sc)
+		}
+		r.took = time.Since(t0)
+		return err
+	})
+	if err != nil {
+		return 0, kstats, err
 	}
-	stages := make([]workerStage, workers)
-	ch := make(chan precomputeTask)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := range stages {
-		go func(st *workerStage) {
-			defer wg.Done()
-			for t := range ch {
-				t0 := time.Now()
-				if t.hub {
-					partial, skel, err := s.computeHub(t, &st.sc)
-					if err == nil {
-						st.hubPartial = append(st.hubPartial, stagedVec{t.u, partial})
-						st.skeleton = append(st.skeleton, stagedVec{t.u, skel})
-					} else if st.err == nil {
-						st.err = err
-					}
-				} else {
-					leaf, err := s.computeLeaf(t, &st.sc)
-					if err == nil {
-						st.leaf = append(st.leaf, stagedVec{t.u, leaf})
-					} else if st.err == nil {
-						st.err = err
-					}
-				}
-				st.nanos += int64(time.Since(t0))
-			}
-		}(&stages[i])
-	}
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
-	wg.Wait()
-	var ri runInfo
-	var firstErr error
-	for i := range stages {
-		st := &stages[i]
-		ri.taskTime += time.Duration(st.nanos)
-		ri.kstats.Add(st.sc.Stats)
-		if firstErr == nil && st.err != nil {
-			firstErr = st.err
+	var taskTime time.Duration
+	for i, t := range tasks {
+		r := out[i]
+		taskTime += r.took
+		if t.hub {
+			s.HubPartial[t.u] = r.vec
+			s.Skeleton[t.u] = r.skel
+		} else {
+			s.LeafPPV[t.u] = r.vec
 		}
 	}
-	if firstErr != nil {
-		return ri, firstErr
-	}
-	for i := range stages {
-		for _, v := range stages[i].hubPartial {
-			s.HubPartial[v.key] = v.vec
-		}
-		for _, v := range stages[i].skeleton {
-			s.Skeleton[v.key] = v.vec
-		}
-		for _, v := range stages[i].leaf {
-			s.LeafPPV[v.key] = v.vec
-		}
-	}
-	return ri, nil
+	return taskTime, kstats, nil
 }
 
 // computeHub produces hub t.u's adjusted partial P_h = p_h − α·x_h and

@@ -119,7 +119,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		return !ns.own.leaf(t.u)
 	})
 	withSubgraphs(upd.H.G, tasks, workers)
-	ri, err := ns.runTasks(tasks, workers)
+	_, kstats, err := ns.runTasks(tasks, workers)
 	if err != nil {
 		// The shared root graph has already advanced, so the receiver
 		// can keep SERVING its snapshot but cannot absorb this batch
@@ -131,7 +131,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	for _, t := range tasks {
 		info.Recomputed += t.Vectors()
 	}
-	info.Pushes = ri.kstats.Pushes
+	info.Pushes = kstats.Pushes
 	info.DirtyNodes = len(upd.Dirty)
 	info.Promoted = len(upd.Promoted)
 	info.StoreVectors = ns.storeVectors()

@@ -22,7 +22,6 @@ package fastppv
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"exactppr/internal/graph"
@@ -47,16 +46,15 @@ type Index struct {
 }
 
 // BuildIndex pre-computes the FastPPV structures with the hubCount
-// top-PageRank nodes as hubs.
+// top-PageRank nodes as hubs: one ppr.Run task per hub on `workers`
+// (0 = GOMAXPROCS). A failing build returns the error of its first
+// failing hub in PageRank order.
 func BuildIndex(g *graph.Graph, hubCount int, params ppr.Params, workers int) (*Index, error) {
 	if err := params.ValidatePrecompute(); err != nil {
 		return nil, err
 	}
 	if hubCount < 1 || hubCount > g.NumNodes() {
 		return nil, fmt.Errorf("fastppv: hubCount %d out of range [1,%d]", hubCount, g.NumNodes())
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	hubs, err := ppr.TopPageRank(g, hubCount, params)
 	if err != nil {
@@ -73,42 +71,26 @@ func BuildIndex(g *graph.Graph, hubCount int, params ppr.Params, workers int) (*
 	for _, h := range hubs {
 		ix.isHub[h] = true
 	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		ch       = make(chan int32)
-	)
-	worker := func() {
-		defer wg.Done()
-		for h := range ch {
-			prime, blocked, err := ppr.PartialVector(g, h, ix.isHub, ix.Params)
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				ix.Prime[h] = prime
-				ix.Blocked[h] = blocked
-			}
-			mu.Unlock()
-		}
+	prime := make([]sparse.Packed, len(hubs))
+	blocked := make([]sparse.Vector, len(hubs))
+	_, err = ppr.Run(len(hubs), workers, func(sc *ppr.Scratch, i int) error {
+		var err error
+		prime[i], blocked[i], err = sc.PartialVector(g, hubs[i], ix.isHub, ix.Params)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go worker()
-	}
-	for _, h := range hubs {
-		ch <- h
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, h := range hubs {
+		ix.Prime[h] = prime[i]
+		ix.Blocked[h] = blocked[i]
 	}
 	return ix, nil
 }
+
+// scratchPool lends queries the kernel buffers of their own partial
+// vector, so a query does not allocate O(|V|) scratch per call.
+var scratchPool = sync.Pool{New: func() any { return new(ppr.Scratch) }}
 
 // pending is the scheduler's max-heap of (hub, mass) work items.
 type pending struct {
@@ -149,7 +131,9 @@ func (ix *Index) Query(u int32, budget int) (*QueryStats, error) {
 	if u < 0 || int(u) >= ix.G.NumNodes() {
 		return nil, fmt.Errorf("fastppv: query %d out of range", u)
 	}
-	pu, blockedU, err := ppr.PartialVector(ix.G, u, ix.isHub, ix.Params)
+	sc := scratchPool.Get().(*ppr.Scratch)
+	pu, blockedU, err := sc.PartialVector(ix.G, u, ix.isHub, ix.Params)
+	scratchPool.Put(sc)
 	if err != nil {
 		return nil, err
 	}

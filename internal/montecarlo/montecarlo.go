@@ -16,8 +16,6 @@ package montecarlo
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"exactppr/internal/graph"
 	"exactppr/internal/ppr"
@@ -104,7 +102,8 @@ type ShardedStats struct {
 }
 
 // EstimateSharded splits the walk budget across `machines` independent
-// workers (each with its own RNG stream), merges their endpoint counts,
+// workers (each with its own RNG stream, run as ppr.Run tasks on
+// GOMAXPROCS goroutines), merges their endpoint counts,
 // and accounts the merge bytes. The merged result is identical in
 // distribution to a single-machine run with the same total walk count.
 func (e *Engine) EstimateSharded(q int32, walks, machines int, p ppr.Params, seed int64) (*ShardedStats, error) {
@@ -123,35 +122,23 @@ func (e *Engine) EstimateSharded(q int32, walks, machines int, p ppr.Params, see
 	per := walks / machines
 	extra := walks % machines
 
-	type shardResult struct {
-		counts map[int32]int
-		n      int
-	}
-	results := make([]shardResult, machines)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	wg.Add(machines)
-	for m := 0; m < machines; m++ {
-		go func(m int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			n := per
-			if m < extra {
-				n++
-			}
-			counts := make(map[int32]int, 256)
-			rng := rand.New(rand.NewSource(seed + int64(m)*1_000_003))
-			e.runWalks(q, n, p, rng, counts)
-			results[m] = shardResult{counts, n}
-		}(m)
-	}
-	wg.Wait()
+	results := make([]map[int32]int, machines)
+	ppr.Run(machines, 0, func(_ *ppr.Scratch, m int) error {
+		n := per
+		if m < extra {
+			n++
+		}
+		counts := make(map[int32]int, 256)
+		rng := rand.New(rand.NewSource(seed + int64(m)*1_000_003))
+		e.runWalks(q, n, p, rng, counts)
+		results[m] = counts
+		return nil
+	})
 
 	stats := &ShardedStats{Result: sparse.New(256)}
-	for _, r := range results {
-		shareVec := sparse.New(len(r.counts))
-		for node, c := range r.counts {
+	for _, counts := range results {
+		shareVec := sparse.New(len(counts))
+		for node, c := range counts {
 			stats.Result.Add(node, float64(c)/float64(walks))
 			shareVec.Set(node, float64(c))
 		}

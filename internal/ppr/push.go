@@ -311,11 +311,7 @@ func pushCapError(kind string, src int32, queued, limit int) error {
 // hub set, in which case the result is the full local PPV of u — exactly
 // the "leaf level" vectors HGPA stores (§4.4).
 func PartialVector(g *graph.Graph, u int32, isHub []bool, p Params) (partial sparse.Packed, hubBlocked sparse.Vector, err error) {
-	st, err := pushPartial(g, u, isHub, p, nil)
-	if err != nil {
-		return sparse.Packed{}, nil, err
-	}
-	return st.drainPacked(), st.drainVector(st.aux), nil
+	return new(Scratch).PartialVector(g, u, isHub, p)
 }
 
 // SkeletonVector computes s_·(h) — the PPV value AT hub h for every

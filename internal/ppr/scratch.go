@@ -6,11 +6,11 @@ import (
 )
 
 // Scratch holds the working arrays of the ppr kernels so a worker
-// executing many tasks back to back — the pre-computation pool, the
-// incremental-update recompute pool — reuses one set of buffers instead
-// of allocating fresh O(|V|) slices per vector. The kernels stamp slots
-// lazily (see push.go), so a task's cost stays proportional to the
-// frontier it actually reaches. The zero value is ready to use; a
+// executing many tasks back to back — each worker of Run, which every
+// pre-computation and update recompute goes through — reuses one set
+// of buffers instead of allocating fresh O(|V|) slices per vector. The
+// kernels stamp slots lazily (see push.go), so a task's cost stays
+// proportional to the frontier it actually reaches. The zero value is ready to use; a
 // Scratch must not be shared between concurrent calls.
 type Scratch struct {
 	f1, f2, f3 []float64
@@ -71,6 +71,17 @@ func (sc *Scratch) ids() []int32 {
 		sc.touched = make([]int32, 0, 64)
 	}
 	return sc.touched[:0]
+}
+
+// PartialVector is the package-level PartialVector run on sc's
+// buffers. The results are copies: they stay valid after sc's next use.
+func (sc *Scratch) PartialVector(g *graph.Graph, u int32, isHub []bool, p Params) (partial sparse.Packed, hubBlocked sparse.Vector, err error) {
+	st, err := pushPartial(g, u, isHub, p, sc)
+	if err != nil {
+		return sparse.Packed{}, nil, err
+	}
+	sc.recordPush(&st)
+	return st.drainPacked(), st.drainVector(st.aux), nil
 }
 
 // PartialEntries computes the partial vector of u (see PartialVector)
