@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math"
 	"slices"
 	"testing"
 
@@ -18,13 +19,25 @@ import (
 // The baselines' builds are pinned like the HGPA store: SHA-256 over
 // every vector of the JW Partial and Skeleton sections and of the
 // FastPPV Prime and Blocked sections, key by key in ascending order
-// (key, then the length-prefixed sparse.EncodePacked bytes), on web×0.1
-// with fixed hub counts. A change to the pre-computation's worker pool
-// or kernels must leave these bytes as they are.
+// (key, then the length-prefixed bytes of fixedLayout, independent of
+// the wire codec), on web×0.1 with fixed hub counts. A change to the
+// pre-computation's worker pool or kernels must leave these bytes as
+// they are.
 const (
 	goldenJWDigest      = "66e4495fbc080b47c8e81f43c460bc17765dadd259a4600a29d0f1e46a6b27c9"
 	goldenFastPPVDigest = "5f55fa1cdc2813cd7d7134d61d597dc05e9fa65d5cddd4b90caf4e00e36f7a38"
 )
+
+// fixedLayout serializes v for the digests: uint32 count, then per
+// entry the int32 id and the float64 score's bits, little-endian.
+func fixedLayout(v sparse.Packed) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(v.Len()))
+	v.ForEach(func(id int32, x float64) {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	})
+	return buf
+}
 
 // writeSection hashes a section's vectors in ascending key order.
 func writeSection(h hash.Hash, sec map[int32]sparse.Packed) {
@@ -35,7 +48,7 @@ func writeSection(h hash.Hash, sec map[int32]sparse.Packed) {
 	slices.Sort(keys)
 	var buf [8]byte
 	for _, k := range keys {
-		enc := sparse.EncodePacked(sec[k])
+		enc := fixedLayout(sec[k])
 		binary.LittleEndian.PutUint32(buf[:4], uint32(k))
 		binary.LittleEndian.PutUint32(buf[4:], uint32(len(enc)))
 		h.Write(buf[:])

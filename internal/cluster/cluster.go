@@ -52,7 +52,10 @@ import (
 // machine may finish small computations instead of polling the context).
 type Machine interface {
 	// QueryShare returns the machine's share of the PPV of u, encoded in
-	// the sparse wire format, plus the machine-local compute time.
+	// the compact share wire format (sparse.EncodePacked), plus the
+	// machine-local compute time. The coordinator accepts canonical
+	// payloads only: any other bytes fail the query with an error
+	// wrapping sparse.ErrMalformedShare.
 	QueryShare(ctx context.Context, u int32) (payload []byte, compute time.Duration, err error)
 	// QuerySetShare is the preference-set variant (PPV linearity, §2):
 	// the machine's share of the weighted-set PPV, still one vector.
@@ -118,8 +121,10 @@ type QueryStats struct {
 	// map is ever built on the serving path. Call Result.Unpack() for a
 	// mutable map Vector.
 	Result sparse.Packed
-	// BytesReceived is the total payload the coordinator received — the
-	// paper's communication-cost metric.
+	// BytesReceived is the total share payload the coordinator received
+	// — the paper's communication-cost metric. It counts compact wire
+	// bytes (sparse.EncodedSizePacked per share), not the 4+12n space
+	// measure of stored vectors (sparse.SpaceBytes).
 	BytesReceived int64
 	// MachineTime holds each machine's compute time; the paper reports
 	// the maximum as the query runtime (§6.2.2).

@@ -190,13 +190,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
-		writeFrame(server, opShare, 42, []byte("hello"))
+		writeFrame(server, opCompactShare, 42, []byte("hello"))
 	}()
 	op, id, payload, err := readFrame(client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != opShare || id != 42 || string(payload) != "hello" {
+	if op != opCompactShare || id != 42 || string(payload) != "hello" {
 		t.Fatalf("frame = %d id=%d %q", op, id, payload)
 	}
 }

@@ -218,17 +218,17 @@ func FuzzWireFrames(f *testing.F) {
 	}
 	share := append(make([]byte, 8), sparse.EncodePacked(sparse.Pack(sparse.Vector{1: 0.5, 9: 0.25}))...)
 	f.Add(frame(opQuerySet, encodePreference(core.Preference{Nodes: []int32{1, 5}, Weights: []float64{2, 1}})))
-	f.Add(frame(opShare, share))
+	f.Add(frame(opCompactShare, share))
 	f.Add(frame(opError, encodeError(fmt.Errorf("x: %w", core.ErrBadPreference))))
 	f.Add(frame(opError, nil))
 	f.Add(frame(opUpdateAck, encodeUpdateStats(UpdateStats{Inserted: 1})))
 	f.Add(frame(opQuery, []byte{1, 0, 0, 0})[:frameHeaderSize+2])
 	// A header that announces far more payload than follows.
-	long := frame(opShare, nil)
+	long := frame(opCompactShare, nil)
 	long[9], long[12] = 0xff, 0x0f
 	f.Add(long)
 	// Two frames back to back, as one buffered read delivers them.
-	f.Add(append(frame(opQuery, []byte{1, 0, 0, 0}), frame(opShare, share)...))
+	f.Add(append(frame(opQuery, []byte{1, 0, 0, 0}), frame(opCompactShare, share)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, id, payload, err := readFrame(bytes.NewReader(data))
@@ -252,7 +252,7 @@ func FuzzWireFrames(f *testing.F) {
 			t.Fatal("opError payload decoded to no error")
 		}
 		body, _, err := decodeReply(op, payload)
-		if err != nil || op != opShare {
+		if err != nil || op != opCompactShare {
 			return
 		}
 		v, err := sparse.DecodePacked(body)

@@ -213,7 +213,7 @@ func querySetFrame(p core.Preference) ([]byte, error) {
 // update ack, or a worker error.
 func decodeReply(op byte, payload []byte) ([]byte, time.Duration, error) {
 	switch op {
-	case opShare:
+	case opCompactShare:
 		if len(payload) < 8 {
 			return nil, 0, fmt.Errorf("cluster: short share frame")
 		}

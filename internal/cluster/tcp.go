@@ -23,24 +23,32 @@ import (
 // number of requests on one connection and the worker answers each with
 // a frame carrying the same id, in whatever order queries finish.
 //
-//	opQuery     coordinator → worker   payload = int32 query node
-//	opQuerySet  coordinator → worker   payload = int32 count, count ×
-//	                                   (int32 node, float64 weight)
-//	opShare     worker → coordinator   payload = sparse-encoded vector in
-//	                                   the canonical (sorted by id) wire
-//	                                   encoding + 8-byte compute-time (ns)
-//	                                   prefix
-//	opError     worker → coordinator   payload = 1-byte error class
-//	                                   (errorClasses index; 0 =
-//	                                   unclassified) + error text
-//	opUpdate    coordinator → worker   payload = edge-delta batch:
-//	                                   uint32 insert count, count ×
-//	                                   (int32 u, int32 v), then the same
-//	                                   for deletes
-//	opUpdateAck worker → coordinator   payload = 4 × uint64: edges
-//	                                   inserted, edges deleted, vectors
-//	                                   recomputed (the worker's slice),
-//	                                   batch digest
+//	opQuery        coordinator → worker   payload = int32 query node
+//	opQuerySet     coordinator → worker   payload = int32 count, count ×
+//	                                      (int32 node, float64 weight)
+//	opCompactShare worker → coordinator   payload = 8-byte compute time
+//	                                      (ns), then the share in the
+//	                                      compact canonical encoding
+//	                                      (sparse.EncodePacked: uvarint
+//	                                      count, then per entry a uvarint
+//	                                      id gap and the float64 score)
+//	opError        worker → coordinator   payload = 1-byte error class
+//	                                      (errorClasses index; 0 =
+//	                                      unclassified) + error text
+//	opUpdate       coordinator → worker   payload = edge-delta batch:
+//	                                      uint32 insert count, count ×
+//	                                      (int32 u, int32 v), then the
+//	                                      same for deletes
+//	opUpdateAck    worker → coordinator   payload = 4 × uint64: edges
+//	                                      inserted, edges deleted,
+//	                                      vectors recomputed (the
+//	                                      worker's slice), batch digest
+//
+// Opcode 2 is retired for good: it carried shares in the fixed-width
+// encoding (uint32 count, 12 bytes per entry) the compact one replaced.
+// A coordinator that receives it fails the call with "cluster:
+// unexpected opcode 2", so a cluster mixing old and new builds fails
+// loudly instead of misreading shares; never reuse 2.
 //
 // Both ends build each frame, header and payload, in one buffer and send
 // it with one Write, and both read through one readBufSize buffered
@@ -48,15 +56,17 @@ import (
 // a burst of small frames shares one.
 //
 // Share payloads are canonical: identical shares are byte-identical
-// across repeated encodes, and the coordinator consumes them as sorted
-// streams (see sparse.MergePacked) without rebuilding maps.
+// across repeated encodes, the coordinator accepts canonical bytes only
+// (sparse.DecodePacked, failing with sparse.ErrMalformedShare), and it
+// consumes them as sorted streams (see sparse.MergePacked) without
+// rebuilding maps.
 const (
-	opQuery     byte = 1
-	opShare     byte = 2
-	opError     byte = 3
-	opQuerySet  byte = 4
-	opUpdate    byte = 5
-	opUpdateAck byte = 6
+	opQuery        byte = 1
+	opError        byte = 3
+	opQuerySet     byte = 4
+	opUpdate       byte = 5
+	opUpdateAck    byte = 6
+	opCompactShare byte = 7
 )
 
 const maxFrame = 1 << 28 // 256 MiB guard against corrupt lengths
@@ -299,7 +309,7 @@ func (s *Server) handle(ctx context.Context, w *frameWriter, req request) {
 	case err != nil:
 		frame = frameOf(opError, req.id, encodeError(err))
 	case req.op != opUpdate:
-		frame = newFrame(opShare, req.id, 8+len(share))
+		frame = newFrame(opCompactShare, req.id, 8+len(share))
 		binary.LittleEndian.PutUint64(frame[frameHeaderSize:], uint64(compute))
 		copy(frame[frameHeaderSize+8:], share)
 	}

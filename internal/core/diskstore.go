@@ -212,15 +212,15 @@ func (d *diskFile) view(own *owner, lens []int32) *DiskStore {
 	for key := range int32(d.numNodes()) {
 		if sp, ok := d.span(secHubPartial, key); ok && own.hub(key) {
 			v.hubs++
-			v.space += vectorBytes(sp.entries())
+			v.space += sparse.SpaceBytes(sp.entries())
 		}
 		if sp, ok := d.span(secLeafPPV, key); ok && own.leaf(key) {
 			v.leaves++
-			v.space += vectorBytes(sp.entries())
+			v.space += sparse.SpaceBytes(sp.entries())
 		}
 		// A hub's skeleton vector counts as a loader rebuilds it.
 		if d.H.IsHub(key) && own.hub(key) {
-			v.space += vectorBytes(int(lens[key]))
+			v.space += sparse.SpaceBytes(int(lens[key]))
 		}
 	}
 	return v

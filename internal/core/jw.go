@@ -134,14 +134,15 @@ func (s *JWStore) partial(h int32) (sparse.Packed, error) { return lookup(s.Part
 
 func (s *JWStore) leaf(u int32) (sparse.Packed, error) { return lookup(s.Partial, secLeafPPV, u) }
 
-// SpaceBytes reports the encoded size of all stored vectors.
+// SpaceBytes reports the space of all stored vectors, in
+// Store.SpaceBytes's measure (sparse.SpaceBytes).
 func (s *JWStore) SpaceBytes() int64 {
 	var total int64
 	for _, v := range s.Partial {
-		total += int64(sparse.EncodedSizePacked(v))
+		total += sparse.SpaceBytes(v.Len())
 	}
 	for _, v := range s.Skeleton {
-		total += int64(sparse.EncodedSizePacked(v))
+		total += sparse.SpaceBytes(v.Len())
 	}
 	return total
 }

@@ -497,21 +497,18 @@ func (s *Store) Clone() *Store {
 
 // SpaceBytes reports the space of all stored vectors — the space
 // metric of §6.2.2/§6.2.4, and on a slice the per-machine space of
-// §6.2.3 (no redundancy across machines).
+// §6.2.3 (no redundancy across machines). Each vector counts
+// sparse.SpaceBytes, the one space measure every backend and baseline
+// uses; the wire size of a share is a separate measure.
 func (s *Store) SpaceBytes() int64 {
 	var total int64
 	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
 		for _, v := range m {
-			total += vectorBytes(v.Len())
+			total += sparse.SpaceBytes(v.Len())
 		}
 	}
 	return total
 }
-
-// vectorBytes is the one space measure of a stored vector of n entries,
-// whichever backend holds it: its packed encoding, 4+12n bytes
-// (sparse.EncodedSizePacked).
-func vectorBytes(n int) int64 { return 4 + 12*int64(n) }
 
 // Stats summarizes the store for experiment reports.
 type Stats struct {

@@ -184,14 +184,15 @@ func (ix *Index) Query(u int32, budget int) (*QueryStats, error) {
 	return stats, nil
 }
 
-// SpaceBytes reports the encoded size of the index.
+// SpaceBytes reports the space of the index, in the stores' measure
+// (sparse.SpaceBytes).
 func (ix *Index) SpaceBytes() int64 {
 	var total int64
 	for _, v := range ix.Prime {
-		total += int64(sparse.EncodedSizePacked(v))
+		total += sparse.SpaceBytes(v.Len())
 	}
 	for _, v := range ix.Blocked {
-		total += int64(sparse.EncodedSize(v))
+		total += sparse.SpaceBytes(v.Len())
 	}
 	return total
 }

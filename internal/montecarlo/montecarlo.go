@@ -16,6 +16,7 @@ package montecarlo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"exactppr/internal/graph"
 	"exactppr/internal/ppr"
@@ -95,9 +96,9 @@ func (e *Engine) runWalks(q int32, walks int, p ppr.Params, rng *rand.Rand, coun
 // ShardedStats reports a sharded (distributed-style) estimate.
 type ShardedStats struct {
 	Result sparse.Vector
-	// BytesMerged is the total encoded size of the per-machine count
-	// vectors the coordinator would receive — one round, like GPA/HGPA,
-	// but approximate.
+	// BytesMerged is the total wire size (sparse.EncodedSizeIDs) of the
+	// per-machine count vectors the coordinator would receive — one
+	// round, like GPA/HGPA, but approximate.
 	BytesMerged int64
 }
 
@@ -119,30 +120,37 @@ func (e *Engine) EstimateSharded(q int32, walks, machines int, p ppr.Params, see
 	if walks < machines {
 		return nil, fmt.Errorf("montecarlo: %d walks over %d machines", walks, machines)
 	}
-	per := walks / machines
-	extra := walks % machines
-
 	results := make([]map[int32]int, machines)
 	ppr.Run(machines, 0, func(_ *ppr.Scratch, m int) error {
-		n := per
-		if m < extra {
-			n++
-		}
-		counts := make(map[int32]int, 256)
-		rng := rand.New(rand.NewSource(seed + int64(m)*1_000_003))
-		e.runWalks(q, n, p, rng, counts)
-		results[m] = counts
+		results[m] = e.machineCounts(q, walks, machines, m, p, seed)
 		return nil
 	})
 
 	stats := &ShardedStats{Result: sparse.New(256)}
 	for _, counts := range results {
-		shareVec := sparse.New(len(counts))
+		// A machine's share is its counts as a sorted vector; its wire
+		// size depends on the ids alone.
+		ids := make([]int32, 0, len(counts))
 		for node, c := range counts {
 			stats.Result.Add(node, float64(c)/float64(walks))
-			shareVec.Set(node, float64(c))
+			ids = append(ids, node)
 		}
-		stats.BytesMerged += int64(sparse.EncodedSize(shareVec))
+		slices.Sort(ids)
+		stats.BytesMerged += int64(sparse.EncodedSizeIDs(ids))
 	}
 	return stats, nil
+}
+
+// machineCounts runs machine m's part of a sharded estimate — its share
+// of the walks, on an RNG stream of its own — and returns its endpoint
+// counts.
+func (e *Engine) machineCounts(q int32, walks, machines, m int, p ppr.Params, seed int64) map[int32]int {
+	n := walks / machines
+	if m < walks%machines {
+		n++
+	}
+	counts := make(map[int32]int, 256)
+	rng := rand.New(rand.NewSource(seed + int64(m)*1_000_003))
+	e.runWalks(q, n, p, rng, counts)
+	return counts
 }

@@ -135,6 +135,29 @@ func TestShardedMatchesAggregate(t *testing.T) {
 	}
 }
 
+// TestShardedBytesMerged: each machine's share is accounted at its wire
+// size, EncodedSizePacked of its count vector.
+func TestShardedBytesMerged(t *testing.T) {
+	g := gen.ErdosRenyi(3000, 3, 4)
+	e, _ := NewEngine(g)
+	const walks, machines, seed = 20001, 3, 11
+	stats, err := e.EstimateSharded(2, walks, machines, params(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for m := range machines {
+		share := sparse.Vector{}
+		for node, c := range e.machineCounts(2, walks, machines, m, params(), seed) {
+			share.Set(node, float64(c))
+		}
+		want += int64(sparse.EncodedSizePacked(sparse.Pack(share)))
+	}
+	if stats.BytesMerged != want {
+		t.Fatalf("BytesMerged %d, want %d", stats.BytesMerged, want)
+	}
+}
+
 func TestDanglingAbsorption(t *testing.T) {
 	// 0 → 1 with 1 dangling: walks ending at 1 terminate there with
 	// prob α after arriving; mass leaks like the exact semantics.

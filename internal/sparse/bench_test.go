@@ -186,3 +186,33 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkShareCodec measures one share through the wire codec: a
+// worker's encode and the coordinator's decode. The share is sized like
+// the serving fixture's (web×1, 12,000 nodes, 2 machines): 113 entries
+// drawn from 12,000 ids, so most gaps fit one varint byte.
+func BenchmarkShareCodec(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	v := make(Vector, 113)
+	for len(v) < 113 {
+		v[int32(rng.Intn(12_000))] = rng.Float64()
+	}
+	p := Pack(v)
+	buf := EncodePacked(p)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(EncodePacked(p)) != len(buf) {
+				b.Fatal("size changed")
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if q, err := DecodePacked(buf); err != nil || q.Len() != p.Len() {
+				b.Fatal(err)
+			}
+		}
+	})
+}
