@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -68,8 +69,8 @@ func TestGoldenBaselineDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	writeSection(h, jw.Partial)
-	writeSection(h, jw.Skeleton)
+	writeSection(h, maps.Collect(jw.Partial.All()))
+	writeSection(h, maps.Collect(jw.Skeleton.All()))
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenJWDigest {
 		t.Errorf("JW digest %s, want %s", got, goldenJWDigest)
 	}

@@ -542,10 +542,14 @@ func benchStorePath(b *testing.B) string {
 // the same slice as a view (core.OpenDiskStore + core.SplitDisk). All
 // three rebuild the graph and tree; the shard copies only its own
 // payloads and the view copies none. vectorMB is the encoded size of
-// the vectors the loaded store or slice holds.
+// the vectors the loaded store or slice holds, and residentMB the heap
+// it keeps (ResidentBytes: tables or record index, tree and graph).
 func BenchmarkLoadShard(b *testing.B) {
 	path := benchStorePath(b)
-	type slice interface{ SpaceBytes() int64 }
+	type slice interface {
+		SpaceBytes() int64
+		ResidentBytes() int64
+	}
 	for _, bc := range []struct {
 		name string
 		load func() (slice, func(), error)
@@ -577,6 +581,7 @@ func BenchmarkLoadShard(b *testing.B) {
 				release()
 			}
 			b.ReportMetric(float64(s.SpaceBytes())/(1<<20), "vectorMB")
+			b.ReportMetric(float64(s.ResidentBytes())/(1<<20), "residentMB")
 		})
 	}
 }

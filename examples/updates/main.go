@@ -37,7 +37,7 @@ func main() {
 	}
 	live := core.NewLiveStore(store)
 	fmt.Printf("built store: %d nodes, %d edges, %d hubs, %d leaf vectors\n",
-		g.NumNodes(), g.NumEdges(), len(store.HubPartial), len(store.LeafPPV))
+		g.NumNodes(), g.NumEdges(), store.HubCount(), store.LeafCount())
 
 	rng := rand.New(rand.NewSource(42))
 	totalRecomputed, totalFull := 0, 0

@@ -114,6 +114,17 @@ func (m *ShardMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]
 	return (&LocalMachine{Backend: m.Shard}).QuerySetShare(ctx, p)
 }
 
+// backend implements backedMachine.
+func (m *ShardMachine) backend() PackedQuerier { return m.Shard }
+
+// backedMachine is a Machine that answers from an in-process
+// PackedQuerier: a Server encodes its shares straight into their reply
+// frames (sparse.AppendPacked) rather than copy them in after the
+// machine has encoded them.
+type backedMachine interface {
+	backend() PackedQuerier
+}
+
 // QueryStats reports one distributed query.
 type QueryStats struct {
 	// Result is the exact PPV in packed columnar form — the coordinator

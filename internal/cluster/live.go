@@ -46,6 +46,9 @@ func (m *LiveShard) QuerySetShare(ctx context.Context, p core.Preference) ([]byt
 	return (&LocalMachine{Backend: m.live.Store()}).QuerySetShare(ctx, p)
 }
 
+// backend implements backedMachine: the current snapshot.
+func (m *LiveShard) backend() PackedQuerier { return m.live.Store() }
+
 // ApplyUpdates implements Updater. The batch recompute runs to
 // completion once started; ctx only gates the start. Recomputed counts
 // this slice's vectors; Digest lets the coordinator check that every

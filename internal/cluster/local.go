@@ -54,6 +54,9 @@ func (m *LocalMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]
 	return sparse.EncodePacked(v), time.Since(start), nil
 }
 
+// backend implements backedMachine.
+func (m *LocalMachine) backend() PackedQuerier { return m.Backend }
+
 // DiskCluster is a Coordinator over in-process disk slices: the
 // single-host serving setup for pre-computations larger than memory.
 // All slices share the store's memory map, so concurrent HTTP traffic

@@ -91,7 +91,7 @@ func TestNewLiveShardNarrowsStore(t *testing.T) {
 		if ls.Shard() != sh {
 			t.Fatalf("%s: the worker does not serve the live store's snapshot", when)
 		}
-		for u := range sh.LeafPPV {
+		for u := range sh.LeafPPV.All() {
 			if u%2 != 1 {
 				t.Fatalf("%s: live store holds node %d's leaf vector, which belongs to shard 0 of 2", when, u)
 			}

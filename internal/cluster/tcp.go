@@ -14,6 +14,7 @@ import (
 
 	"exactppr/internal/core"
 	"exactppr/internal/graph"
+	"exactppr/internal/sparse"
 )
 
 // The TCP wire protocol, deliberately minimal (stdlib only, no RPC
@@ -281,10 +282,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // reader loop notices on its next read.
 func (s *Server) handle(ctx context.Context, w *frameWriter, req request) {
 	var (
-		share   []byte
-		compute time.Duration
-		frame   []byte
-		err     error
+		frame []byte
+		err   error
 	)
 	switch req.op {
 	case opQuery:
@@ -292,12 +291,11 @@ func (s *Server) handle(ctx context.Context, w *frameWriter, req request) {
 			err = fmt.Errorf("malformed query frame")
 			break
 		}
-		u := int32(binary.LittleEndian.Uint32(req.payload))
-		share, compute, err = s.Machine.QueryShare(ctx, u)
+		frame, err = s.shareFrame(ctx, req.id, int32(binary.LittleEndian.Uint32(req.payload)), nil)
 	case opQuerySet:
 		var pref core.Preference
 		if pref, err = decodePreference(req.payload); err == nil {
-			share, compute, err = s.Machine.QuerySetShare(ctx, pref)
+			frame, err = s.shareFrame(ctx, req.id, 0, &pref)
 		}
 	case opUpdate:
 		var ack []byte
@@ -305,17 +303,57 @@ func (s *Server) handle(ctx context.Context, w *frameWriter, req request) {
 			frame = frameOf(opUpdateAck, req.id, ack)
 		}
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		frame = frameOf(opError, req.id, encodeError(err))
-	case req.op != opUpdate:
-		frame = newFrame(opCompactShare, req.id, 8+len(share))
-		binary.LittleEndian.PutUint64(frame[frameHeaderSize:], uint64(compute))
-		copy(frame[frameHeaderSize+8:], share)
 	}
 	if w.write(frame) != nil {
 		w.conn.Close() // a partial frame corrupts the stream for every caller
 	}
+}
+
+// shareFrame answers a query — of u, or of the preference set when set
+// is not nil — with its whole reply frame: the compute time, then the
+// share. A backedMachine's share is encoded straight into the frame;
+// any other machine's encoded payload is copied in.
+func (s *Server) shareFrame(ctx context.Context, id uint64, u int32, set *core.Preference) ([]byte, error) {
+	start := time.Now()
+	var (
+		frame   []byte
+		compute time.Duration
+	)
+	if m, ok := s.Machine.(backedMachine); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var v sparse.Packed
+		var err error
+		if b := m.backend(); set != nil {
+			v, err = b.QuerySetPacked(*set)
+		} else {
+			v, err = b.QueryPacked(u)
+		}
+		if err != nil {
+			return nil, err
+		}
+		frame = newFrame(opCompactShare, id, 8+sparse.EncodedSizePacked(v))
+		frame = sparse.AppendPacked(frame[:frameHeaderSize+8], v)
+		compute = time.Since(start)
+	} else {
+		var share []byte
+		var err error
+		if set != nil {
+			share, compute, err = s.Machine.QuerySetShare(ctx, *set)
+		} else {
+			share, compute, err = s.Machine.QueryShare(ctx, u)
+		}
+		if err != nil {
+			return nil, err
+		}
+		frame = newFrame(opCompactShare, id, 8+len(share))
+		copy(frame[frameHeaderSize+8:], share)
+	}
+	binary.LittleEndian.PutUint64(frame[frameHeaderSize:], uint64(compute))
+	return frame, nil
 }
 
 // handleUpdate decodes and applies one edge-delta batch, answering the

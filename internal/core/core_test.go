@@ -171,11 +171,11 @@ func TestSplitCoversStore(t *testing.T) {
 		leaves += sh.LeafCount()
 		bytes += sh.SpaceBytes()
 	}
-	if hubs != len(s.HubPartial) {
-		t.Fatalf("shards own %d hubs, store has %d", hubs, len(s.HubPartial))
+	if hubs != s.HubPartial.Len() {
+		t.Fatalf("shards own %d hubs, store has %d", hubs, s.HubPartial.Len())
 	}
-	if leaves != len(s.LeafPPV) {
-		t.Fatalf("shards own %d leaves, store has %d", leaves, len(s.LeafPPV))
+	if leaves != s.LeafPPV.Len() {
+		t.Fatalf("shards own %d leaves, store has %d", leaves, s.LeafPPV.Len())
 	}
 	if bytes != s.SpaceBytes() {
 		t.Fatalf("shard bytes %d ≠ store bytes %d (no redundancy allowed)", bytes, s.SpaceBytes())
@@ -269,7 +269,7 @@ func TestStats(t *testing.T) {
 	g := testGraph(t, 16)
 	s := buildStore(t, g, hierarchy.Options{Seed: 9})
 	st := s.Stats()
-	if st.Hubs != len(s.HubPartial) || st.Leaves != len(s.LeafPPV) {
+	if st.Hubs != s.HubPartial.Len() || st.Leaves != s.LeafPPV.Len() {
 		t.Fatalf("stats mismatch: %+v", st)
 	}
 	if st.Hubs+st.Leaves != g.NumNodes() {
@@ -444,7 +444,7 @@ func TestQueryWorkReportsMissingVector(t *testing.T) {
 			if h == u || row.s[i] == 0 {
 				continue
 			}
-			delete(sl.HubPartial, h)
+			sl.HubPartial = withoutVector(t, sl.HubPartial, h)
 			if _, err := sl.Query(u); !errors.Is(err, ErrMissingVector) {
 				t.Fatalf("u=%d without hub %d's partial: Query err = %v, want ErrMissingVector", u, h, err)
 			}

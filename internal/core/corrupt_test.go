@@ -167,12 +167,16 @@ func TestLoadRejectsHugeSectionCount(t *testing.T) {
 // range dealing the leaf to machine u mod n.
 func TestLoadRejectsNegativeKey(t *testing.T) {
 	s, _ := diskStoreFixture(t)
-	bad := s.Clone()
-	for _, vec := range s.LeafPPV {
-		bad.LeafPPV[-5] = vec
-		break
+	// A table holds no negative key, so the file is patched instead:
+	// the leaf section's first key becomes −5.
+	bad := savedBytes(t, s)
+	off := sectionsOff(bad, s.H.G.NumEdges()) + 4 // the first hub-partial record
+	for range s.HubPartial.Len() {
+		off = int(payloadOffset(int64(off))) + int(binary.LittleEndian.Uint32(bad[off+4:]))
 	}
-	for i, err := range openBoth(t, savedBytes(t, bad)) {
+	neg := int32(-5)
+	binary.LittleEndian.PutUint32(bad[off+4:], uint32(neg)) // past the leaf section's count
+	for i, err := range openBoth(t, bad) {
 		if err == nil {
 			t.Fatalf("opener %d accepted leaf key -5", i)
 		}
@@ -333,10 +337,10 @@ func TestLoadBoundsCountsByFileLength(t *testing.T) {
 	eq, _, _ := equivFixture(t)
 	for _, st := range []*Store{s, eq} {
 		for u := range int32(st.H.G.NumNodes()) {
-			if _, ok := st.HubPartial[u]; !ok && st.H.IsHub(u) {
+			if _, ok := st.HubPartial.Get(u); !ok && st.H.IsHub(u) {
 				t.Fatalf("hub %d has no partial", u)
 			}
-			if _, ok := st.LeafPPV[u]; !ok && !st.H.IsHub(u) {
+			if _, ok := st.LeafPPV.Get(u); !ok && !st.H.IsHub(u) {
 				t.Fatalf("node %d has no leaf PPV", u)
 			}
 		}

@@ -440,6 +440,10 @@ func (d *DiskStore) HubCount() int { return d.hubs }
 // serves.
 func (d *DiskStore) LeafCount() int { return d.leaves }
 
+// ResidentBytes reports the heap the open store keeps, which every
+// slice of it shares: DiskStats.ResidentBytes.
+func (d *DiskStore) ResidentBytes() int64 { return d.resident }
+
 // SpaceBytes reports the space of the vectors the store (or slice)
 // serves, in Store.SpaceBytes's measure — the per-machine space of
 // §6.2.3 — so memory and disk slices of one store report the same. A

@@ -20,12 +20,12 @@ type JWStore struct {
 	Params ppr.Params
 	Hubs   []int32 // sorted
 
-	// Partial[u] = P_u for hubs (adjusted) and p_u for non-hubs, global
-	// id space. Kept adjusted uniformly: self entry of hub removed.
-	// Packed like the Store sections: written once, folded many times.
-	Partial map[int32]sparse.Packed
-	// Skeleton[h](w) = s_w(h) = r_w(h) for every node w.
-	Skeleton map[int32]sparse.Packed
+	// Partial holds, at every node u, P_u for a hub (adjusted: the hub's
+	// self entry removed) and p_u for a non-hub, in global id space.
+	// Tables like the Store sections: written once, folded many times.
+	Partial Table
+	// Skeleton holds, at hub h, s_·(h): s_w(h) = r_w(h) for every node w.
+	Skeleton Table
 
 	hubMask []bool
 }
@@ -47,12 +47,10 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 	}
 	slices.Sort(hubs)
 	s := &JWStore{
-		G:        g,
-		Params:   params,
-		Hubs:     hubs,
-		Partial:  make(map[int32]sparse.Packed, g.NumNodes()),
-		Skeleton: make(map[int32]sparse.Packed, len(hubs)),
-		hubMask:  make([]bool, g.NumNodes()),
+		G:       g,
+		Params:  params,
+		Hubs:    hubs,
+		hubMask: make([]bool, g.NumNodes()),
 	}
 	for _, h := range hubs {
 		s.hubMask[h] = true
@@ -63,7 +61,7 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 	// and skel at u's rank among the sorted hubs) on its worker's
 	// scratch. The entries alias the scratch, so each vector is packed
 	// before the next kernel call; a kernel's ids are unique, so
-	// PackEntries cannot fail. The maps are filled after the pool drains.
+	// PackEntries cannot fail. The tables are built after the pool drains.
 	partial := make([]sparse.Packed, g.NumNodes())
 	skel := make([]sparse.Packed, len(hubs))
 	_, err = ppr.Run(g.NumNodes(), workers, func(sc *ppr.Scratch, i int) error {
@@ -89,11 +87,19 @@ func PrecomputeJW(g *graph.Graph, hubCount int, params ppr.Params, workers int) 
 	if err != nil {
 		return nil, err
 	}
-	for u, v := range partial {
-		s.Partial[int32(u)] = v
+	n := g.NumNodes()
+	if s.Partial, err = buildTable(n, func(u int32) (sparse.Packed, bool) { return partial[u], true }); err != nil {
+		return nil, err
 	}
-	for k, h := range hubs {
-		s.Skeleton[h] = skel[k]
+	s.Skeleton, err = buildTable(n, func(h int32) (sparse.Packed, bool) {
+		k, ok := slices.BinarySearch(hubs, h)
+		if !ok {
+			return sparse.Packed{}, false
+		}
+		return skel[k], true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -120,7 +126,7 @@ func (s *JWStore) isHub(u int32) bool { return s.hubMask[u] }
 func (s *JWStore) pathHubs(u int32, _ *owner, row *planRow) (planRow, error) {
 	row.hubs, row.s = row.hubs[:0], row.s[:0]
 	for _, h := range s.Hubs {
-		skel, err := lookup(s.Skeleton, secSkeleton, h)
+		skel, err := lookup(&s.Skeleton, secSkeleton, h)
 		if err != nil {
 			return planRow{}, err
 		}
@@ -130,19 +136,12 @@ func (s *JWStore) pathHubs(u int32, _ *owner, row *planRow) (planRow, error) {
 	return *row, nil
 }
 
-func (s *JWStore) partial(h int32) (sparse.Packed, error) { return lookup(s.Partial, secHubPartial, h) }
+func (s *JWStore) partial(h int32) (sparse.Packed, error) {
+	return lookup(&s.Partial, secHubPartial, h)
+}
 
-func (s *JWStore) leaf(u int32) (sparse.Packed, error) { return lookup(s.Partial, secLeafPPV, u) }
+func (s *JWStore) leaf(u int32) (sparse.Packed, error) { return lookup(&s.Partial, secLeafPPV, u) }
 
 // SpaceBytes reports the space of all stored vectors, in
 // Store.SpaceBytes's measure (sparse.SpaceBytes).
-func (s *JWStore) SpaceBytes() int64 {
-	var total int64
-	for _, v := range s.Partial {
-		total += sparse.SpaceBytes(v.Len())
-	}
-	for _, v := range s.Skeleton {
-		total += sparse.SpaceBytes(v.Len())
-	}
-	return total
-}
+func (s *JWStore) SpaceBytes() int64 { return s.Partial.spaceBytes() + s.Skeleton.spaceBytes() }

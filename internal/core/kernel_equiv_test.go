@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,12 +56,8 @@ func toGlobal(t *testing.T, sub *graph.Subgraph, v sparse.Packed, skip int32) sp
 // ppr.PartialVector or ppr.SkeletonVector call per vector.
 func referenceStore(t *testing.T, h *hierarchy.Hierarchy, p ppr.Params) *Store {
 	t.Helper()
-	ref := &Store{
-		H: h, Params: p,
-		HubPartial: map[int32]sparse.Packed{},
-		Skeleton:   map[int32]sparse.Packed{},
-		LeafPPV:    map[int32]sparse.Packed{},
-	}
+	ref := &Store{H: h, Params: p}
+	hubPartial, skeleton, leafPPV := map[int32]sparse.Packed{}, map[int32]sparse.Packed{}, map[int32]sparse.Packed{}
 	for _, n := range h.Nodes() {
 		tasks := nodeTasks(n)
 		withSubgraphs(h.G, tasks, 1)
@@ -72,17 +69,20 @@ func referenceStore(t *testing.T, h *hierarchy.Hierarchy, p ppr.Params) *Store {
 				t.Fatal(err)
 			}
 			if !task.hub {
-				ref.LeafPPV[task.u] = toGlobal(t, sub, partial, -1)
+				leafPPV[task.u] = toGlobal(t, sub, partial, -1)
 				continue
 			}
-			ref.HubPartial[task.u] = toGlobal(t, sub, partial, lu)
+			hubPartial[task.u] = toGlobal(t, sub, partial, lu)
 			skel, err := ppr.SkeletonVector(g, lu, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.Skeleton[task.u] = toGlobal(t, sub, skel, -1)
+			skeleton[task.u] = toGlobal(t, sub, skel, -1)
 		}
 	}
+	ref.HubPartial = tableOf(t, h.G.NumNodes(), hubPartial)
+	ref.Skeleton = tableOf(t, h.G.NumNodes(), skeleton)
+	ref.LeafPPV = tableOf(t, h.G.NumNodes(), leafPPV)
 	return ref
 }
 
@@ -109,9 +109,9 @@ func comparePackedMaps(t *testing.T, section string, got, want map[int32]sparse.
 
 func compareStores(t *testing.T, got, want *Store) {
 	t.Helper()
-	comparePackedMaps(t, "HubPartial", got.HubPartial, want.HubPartial)
-	comparePackedMaps(t, "Skeleton", got.Skeleton, want.Skeleton)
-	comparePackedMaps(t, "LeafPPV", got.LeafPPV, want.LeafPPV)
+	comparePackedMaps(t, "HubPartial", maps.Collect(got.HubPartial.All()), maps.Collect(want.HubPartial.All()))
+	comparePackedMaps(t, "Skeleton", maps.Collect(got.Skeleton.All()), maps.Collect(want.Skeleton.All()))
+	comparePackedMaps(t, "LeafPPV", maps.Collect(got.LeafPPV.All()), maps.Collect(want.LeafPPV.All()))
 }
 
 // TestKernelEquivalenceStore: the full HGPA pre-computation — hub
@@ -197,7 +197,7 @@ func TestPrecomputeInfoKernelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2*len(s.HubPartial) + len(s.LeafPPV); info.Vectors != want {
+	if want := 2*s.HubPartial.Len() + s.LeafPPV.Len(); info.Vectors != want {
 		t.Fatalf("info.Vectors = %d, want %d", info.Vectors, want)
 	}
 	if info.Pushes <= 0 {

@@ -150,7 +150,7 @@ func TestLoadRejectsOutOfRangeIds(t *testing.T) {
 		bad := s.Clone()
 		var key int32
 		var vec sparse.Packed
-		for key, vec = range bad.LeafPPV {
+		for key, vec = range bad.LeafPPV.All() {
 			break
 		}
 		ents := append(vec.Entries(), sparse.Entry{ID: id, Score: 0.125})
@@ -158,7 +158,7 @@ func TestLoadRejectsOutOfRangeIds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad.LeafPPV[key] = poisoned
+		bad.LeafPPV = withVector(t, bad.LeafPPV, key, poisoned)
 		var badBuf bytes.Buffer
 		if err := Save(&badBuf, bad); err != nil {
 			t.Fatal(err)
@@ -176,8 +176,8 @@ func TestTruncatePacked(t *testing.T) {
 	s := buildStore(t, g, hierarchy.Options{Seed: 30})
 	const min = 1e-4
 	var expect int
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		for _, v := range m {
+	for _, m := range []Table{s.HubPartial, s.Skeleton, s.LeafPPV} {
+		for _, v := range m.All() {
 			for _, e := range v.Entries() {
 				if e.Score < min && e.Score > -min {
 					expect++
@@ -193,8 +193,8 @@ func TestTruncatePacked(t *testing.T) {
 	if got := s.SpaceBytes(); got != before-int64(12*dropped) {
 		t.Fatalf("SpaceBytes %d after dropping %d entries from %d", got, dropped, before)
 	}
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		for key, v := range m {
+	for _, m := range []Table{s.HubPartial, s.Skeleton, s.LeafPPV} {
+		for key, v := range m.All() {
 			for _, e := range v.Entries() {
 				if e.Score < min && e.Score > -min {
 					t.Fatalf("entry %v survived Truncate in vector %d", e, key)

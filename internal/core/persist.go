@@ -36,8 +36,9 @@ import (
 // index, the tree (each id stored once, at its home) and the graph are
 // all an open store keeps on the heap. A DiskStore serves views over
 // those bytes; the
-// loaders copy out the vectors their slice owns, rebuild the skeleton
-// vectors of the hubs it owns from the plan rows, and release the bytes.
+// loaders copy the vectors their slice owns into one table per section,
+// rebuild the skeleton vectors of the hubs it owns from the plan rows,
+// and release the bytes.
 // LoadShard(path, i, n) copies only machine i's slice of an n-way split
 // (see Split), so a worker never allocates the vectors it does not
 // serve. Payload lengths are in the record framing, so a payload outside
@@ -129,15 +130,6 @@ func (sw *storeWriter) flush() {
 	sw.buf = sw.buf[:0]
 }
 
-func sortedKeys[V any](m map[int32]V) []int32 {
-	keys := make([]int32, 0, len(m))
-	for key := range m {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // Save writes the store to w in format version 3. Keys are written
 // sorted and plan rows are rank-ordered, so saving the same store twice
 // yields byte-identical files. A shard-local store is refused: a file
@@ -173,10 +165,9 @@ func Save(w io.Writer, s *Store) error {
 		return err
 	}
 
-	for _, section := range []map[int32]sparse.Packed{s.HubPartial, s.LeafPPV} {
-		sw.i32(int32(len(section)))
-		for _, key := range sortedKeys(section) {
-			v := section[key]
+	for _, section := range []Table{s.HubPartial, s.LeafPPV} {
+		sw.i32(int32(section.Len()))
+		for key, v := range section.All() {
 			sw.record(key, v.Len(), func(b []byte) []byte { return sparse.AppendColumnarPacked(b, v) })
 		}
 	}
@@ -387,9 +378,9 @@ func loadBytes(data []byte, shard, of int) (*Store, error) {
 }
 
 // load copies the vectors of machine shard of of (every vector when of
-// is 0) out of d's checked views, each into exact-size arrays of its
-// own, so the store shares no byte with d.data: the hub partials and
-// leaf PPVs in file order, and between them the skeleton vectors of the
+// is 0) out of d's checked views into one exact-size table per section,
+// so the store shares no byte with d.data: the hub partials and leaf
+// PPVs in file order, and between them the skeleton vectors of the
 // owned hubs, rebuilt from every checked plan row (skeletons).
 func (d *diskFile) load(shard, of int) (*Store, error) {
 	var own *owner
@@ -410,20 +401,28 @@ func (d *diskFile) load(shard, of int) (*Store, error) {
 	return s, nil
 }
 
-// copySection copies the vectors of section sec that own admits, in file
-// order, so vectors adjacent in the file, such as the hubs of one tree
-// node, are adjacent on the heap too.
-func (d *diskFile) copySection(sec int8, own *owner) (map[int32]sparse.Packed, error) {
-	out := make(map[int32]sparse.Packed)
-	for key, rec := range d.idx[sec] {
-		if rec == 0 || !own.admits(sec, int32(key)) {
-			continue
+// copySection copies the vectors of section sec that own admits into a
+// table, in file order — which is key order — sizing it from the
+// record headers before it parses a payload.
+func (d *diskFile) copySection(sec int8, own *owner) (Table, error) {
+	t, err := makeTable(d.numNodes(), func(key int32) (int, bool) {
+		sp, ok := d.span(sec, key)
+		if !ok || !own.admits(sec, key) {
+			return 0, false
 		}
-		v, err := d.fetch(sec, int32(key))
-		if err != nil {
-			return nil, err
-		}
-		out[int32(key)] = v.Clone()
+		return sp.entries(), true
+	})
+	if err != nil {
+		return Table{}, err
 	}
-	return out, nil
+	for key := range t.All() {
+		v, err := d.fetch(sec, key)
+		if err != nil {
+			return Table{}, err
+		}
+		// A payload that passes fetch's framing check holds exactly
+		// the entries its header's length implies.
+		v.CopyTo(t.span(key))
+	}
+	return t, nil
 }

@@ -30,9 +30,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Params != s.Params {
 		t.Fatalf("params: %+v vs %+v", loaded.Params, s.Params)
 	}
-	if len(loaded.HubPartial) != len(s.HubPartial) ||
-		len(loaded.Skeleton) != len(s.Skeleton) ||
-		len(loaded.LeafPPV) != len(s.LeafPPV) {
+	if loaded.HubPartial.Len() != s.HubPartial.Len() ||
+		loaded.Skeleton.Len() != s.Skeleton.Len() ||
+		loaded.LeafPPV.Len() != s.LeafPPV.Len() {
 		t.Fatal("vector sections not restored")
 	}
 	// Queries through the loaded store must be bit-identical.

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"exactppr/internal/hierarchy"
-	"exactppr/internal/sparse"
 )
 
 // Hub plans: the transposed skeleton index.
@@ -86,7 +85,7 @@ func (t planTable) rows() int {
 // the query fold applies the −α self-adjustment to that entry even when
 // s_u(u) is absent. A stored vector holds no zero, so the injected
 // entries are the rows' only zeros.
-func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) planTable {
+func buildHubPlans(h *hierarchy.Hierarchy, skeleton Table) planTable {
 	n := h.G.NumNodes()
 	ranks := foldRanks(h)
 	var order []int32
@@ -98,7 +97,7 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) pla
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ranks[a], ranks[b]) })
 	t := planTable{start: make([]int32, n+1)}
 	for _, hub := range order {
-		vec := skeleton[hub]
+		vec, _ := skeleton.Get(hub)
 		for k := range vec.Len() {
 			t.start[vec.At(k).ID+1]++
 		}
@@ -116,7 +115,7 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) pla
 		next[w]++
 	}
 	for _, hub := range order {
-		vec := skeleton[hub]
+		vec, _ := skeleton.Get(hub)
 		if vec.Get(hub) == 0 {
 			put(hub, hub, 0)
 		}
@@ -135,50 +134,46 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton map[int32]sparse.Packed) pla
 // them rebuilds each vector bit for bit. Every row is checked, owned or
 // not: its hubs must lie on Path(u), in fold order — what makes the
 // disk fold of a row and the memory fold of the rebuilt vectors agree.
-// The vectors are allocated in ascending hub order, each into
-// exact-size arrays (sized by skeletonLens).
-func (d *diskFile) skeletons(own *owner) (map[int32]sparse.Packed, error) {
+// The table is sized by skeletonLens up front, and the rows, taken in
+// ascending u, fill each hub's slots in ascending id order.
+func (d *diskFile) skeletons(own *owner) (Table, error) {
 	h := d.H
 	n := int32(h.G.NumNodes())
 	lens := d.skeletonLens()
-	ids := make([][]int32, n)
-	scores := make([][]float64, n)
+	t, err := makeTable(int(n), func(hub int32) (int, bool) {
+		return int(lens[hub]), h.IsHub(hub) && own.hub(hub)
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	next := make([]int32, n) // each owned hub's next slot in t
 	for hub := range n {
-		if h.IsHub(hub) && own.hub(hub) {
-			ids[hub], scores[hub] = make([]int32, 0, lens[hub]), make([]float64, 0, lens[hub])
-		}
+		next[hub] = t.start(hub)
 	}
 	ranks := foldRanks(h)
 	var path []*hierarchy.Node // Path(u), indexed by level
 	for u := range n {
 		row, err := d.row(u)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		home := h.Home(u)
-		path = slices.Grow(path[:0], home.Level+1)[:home.Level+1]
+		level := int(home.Level)
+		path = slices.Grow(path[:0], level+1)[:level+1]
 		for nd := home; nd != nil; nd = nd.Parent {
 			path[nd.Level] = nd
 		}
 		for k, hub := range row.hubs {
 			lv := h.HubLevel(hub)
 			if lv < 0 || lv >= len(path) || path[lv] != h.Home(hub) || k > 0 && ranks[hub] <= ranks[row.hubs[k-1]] {
-				return nil, fmt.Errorf("core: hub plan for %d lists hub %d off its path or out of fold order (corrupt store?)", u, hub)
+				return Table{}, fmt.Errorf("core: hub plan for %d lists hub %d off its path or out of fold order (corrupt store?)", u, hub)
 			}
 			if row.s[k] != 0 && own.hub(hub) {
-				ids[hub], scores[hub] = append(ids[hub], u), append(scores[hub], row.s[k])
+				// skeletonLens counted this entry: it has its slot.
+				t.ids[next[hub]], t.scores[next[hub]] = u, row.s[k]
+				next[hub]++
 			}
 		}
 	}
-	out := make(map[int32]sparse.Packed)
-	for hub := range n {
-		if ids[hub] != nil {
-			v, err := sparse.PackedView(ids[hub], scores[hub])
-			if err != nil {
-				return nil, err
-			}
-			out[hub] = v
-		}
-	}
-	return out, nil
+	return t, nil
 }

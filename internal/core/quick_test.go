@@ -93,8 +93,8 @@ func TestQuickStoreMassBounds(t *testing.T) {
 		// matrix: entries ≥ 0 and total mass ≤ 1. Skeleton[h] is a
 		// COLUMN — one entry per source node — so only the per-entry
 		// bound applies.
-		checkRow := func(kind string, m map[int32]sparse.Packed) {
-			for key, v := range m {
+		checkRow := func(kind string, m Table) {
+			for key, v := range m.All() {
 				var sum float64
 				for _, e := range v.Entries() {
 					if e.Score < -1e-12 {
@@ -109,7 +109,7 @@ func TestQuickStoreMassBounds(t *testing.T) {
 		}
 		checkRow("HubPartial", s.HubPartial)
 		checkRow("LeafPPV", s.LeafPPV)
-		for key, v := range s.Skeleton {
+		for key, v := range s.Skeleton.All() {
 			for _, e := range v.Entries() {
 				if e.Score < -1e-12 || e.Score > 1+1e-9 {
 					t.Fatalf("Skeleton[%d]: entry %v at %d out of [0,1]", key, e.Score, e.ID)

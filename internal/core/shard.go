@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"exactppr/internal/hierarchy"
-	"exactppr/internal/sparse"
 )
 
 // Split divides the store across n machines under the paper's
@@ -13,12 +12,13 @@ import (
 // though most tree nodes contribute only one or two hubs), and non-hub
 // node u's leaf vector goes to machine u mod n (see owner for the
 // rule). Each machine gets its slice as a shard-local store holding
-// only the vectors of that slice, so a machine that keeps only its slice
-// keeps only 1/n of the pre-computation; a query on it answers the
-// slice's additive share, and the n shares sum to the exact PPV
-// (TestShardsSumToQuery). The graph, the tree and the immutable packed
-// vectors are shared with s, not copied. A shard-local store cannot be
-// split again. Because the graph is shared, at most one of s and its
+// only the vectors of that slice, copied into tables of the slice's own
+// size, so a machine that keeps only its slice keeps only 1/n of the
+// pre-computation and no slice pins the whole store's arenas; a query
+// on it answers the slice's additive share, and the n shares sum to the
+// exact PPV (TestShardsSumToQuery). The graph and the tree are shared
+// with s, not copied. A shard-local store cannot be split again.
+// Because the graph is shared, at most one of s and its
 // slices may go on to absorb updates (see Store.ApplyUpdates); a worker
 // that updates its slice loads it on its own (LoadShard) or narrows a
 // LiveStore it owns (LiveStore.Narrow).
@@ -76,29 +76,15 @@ func split(h *hierarchy.Hierarchy, cur *owner, n int) ([]*owner, error) {
 }
 
 // narrow returns the shard-local store holding own's slice of the whole
-// store s: fresh section maps over the shared vectors, graph and tree.
+// store s: fresh tables holding copies of the slice's vectors, over the
+// shared graph and tree.
 func (s *Store) narrow(own *owner) *Store {
-	ns := &Store{
+	return &Store{
 		H:          s.H,
 		Params:     s.Params,
-		HubPartial: make(map[int32]sparse.Packed, len(s.HubPartial)/own.total+1),
-		Skeleton:   make(map[int32]sparse.Packed, len(s.Skeleton)/own.total+1),
-		LeafPPV:    make(map[int32]sparse.Packed, len(s.LeafPPV)/own.total+1),
+		HubPartial: s.HubPartial.filter(own.hub),
+		Skeleton:   s.Skeleton.filter(own.hub),
+		LeafPPV:    s.LeafPPV.filter(own.leaf),
 		own:        own,
 	}
-	for _, sec := range [...]struct {
-		from, to map[int32]sparse.Packed
-		admit    func(int32) bool
-	}{
-		{s.HubPartial, ns.HubPartial, own.hub},
-		{s.Skeleton, ns.Skeleton, own.hub},
-		{s.LeafPPV, ns.LeafPPV, own.leaf},
-	} {
-		for k, v := range sec.from {
-			if sec.admit(k) {
-				sec.to[k] = v
-			}
-		}
-	}
-	return ns
 }

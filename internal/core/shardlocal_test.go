@@ -34,15 +34,15 @@ func TestMissingVectorIsTypedError(t *testing.T) {
 			leaf = u
 		}
 	}
-	delete(loaded.LeafPPV, leaf)
+	loaded.LeafPPV = withoutVector(t, loaded.LeafPPV, leaf)
 	if _, err := loaded.QueryPacked(leaf); !errors.Is(err, ErrMissingVector) {
 		t.Fatalf("query of node %d without its leaf vector: err = %v, want ErrMissingVector", leaf, err)
 	}
-	delete(loaded.HubPartial, hub)
+	loaded.HubPartial = withoutVector(t, loaded.HubPartial, hub)
 	if _, err := loaded.Query(hub); !errors.Is(err, ErrMissingVector) {
 		t.Fatalf("query of hub %d without its partial: err = %v, want ErrMissingVector", hub, err)
 	}
-	delete(loaded.Skeleton, hub)
+	loaded.Skeleton = withoutVector(t, loaded.Skeleton, hub)
 	shards, err := Split(loaded, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestMissingVectorIsTypedError(t *testing.T) {
 	for jw.hubMask[jwLeaf] {
 		jwLeaf++
 	}
-	delete(jw.Partial, jwLeaf)
+	jw.Partial = withoutVector(t, jw.Partial, jwLeaf)
 	if _, err := jw.Query(jwLeaf); !errors.Is(err, ErrMissingVector) {
 		t.Fatalf("JW query without the partial of %d: err = %v, want ErrMissingVector", jwLeaf, err)
 	}
@@ -88,7 +88,7 @@ func TestDealRanksStableAcrossUpdates(t *testing.T) {
 		}
 		out := make(map[int32]int)
 		for i, sh := range shards {
-			for h := range sh.HubPartial {
+			for h := range sh.HubPartial.All() {
 				out[h] = i
 			}
 		}

@@ -34,6 +34,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"exactppr/internal/graph"
@@ -42,24 +43,26 @@ import (
 	"exactppr/internal/sparse"
 )
 
-// Store holds the complete HGPA pre-computation for a hierarchy.
+// Store holds the complete HGPA pre-computation for a hierarchy — or,
+// on a slice from Split or LoadShard, one machine's part of it. Each
+// section is one Table, keyed by node id: two arenas holding all of
+// the section's vectors end to end, in key order, plus a dense offset
+// index. A store never writes a table it has published: ApplyUpdates
+// and Truncate build fresh tables, so a served snapshot is immutable.
 type Store struct {
 	H      *hierarchy.Hierarchy
 	Params ppr.Params
 
-	// HubPartial[h] is the ADJUSTED partial vector P_h = p_h − α·x_h of
-	// hub h, computed within h's home subgraph w.r.t. that subgraph's hub
-	// set, in global id space. Stored packed (sorted columnar): the
-	// vectors are write-once at pre-computation and then only folded,
-	// so the flat representation keeps the query path cache-friendly
-	// and allocation-free.
-	HubPartial map[int32]sparse.Packed
-	// Skeleton[h](w) = s_w(h): the local PPV value at hub h for every
-	// source w in h's home subgraph, in global id space.
-	Skeleton map[int32]sparse.Packed
-	// LeafPPV[u] is the local PPV of non-hub node u w.r.t. its leaf-level
-	// virtual subgraph, in global id space.
-	LeafPPV map[int32]sparse.Packed
+	// HubPartial holds, at hub h, the ADJUSTED partial vector
+	// P_h = p_h − α·x_h of h, computed within h's home subgraph w.r.t.
+	// that subgraph's hub set, in global id space.
+	HubPartial Table
+	// Skeleton holds, at hub h, s_·(h): the local PPV value at h for
+	// every source w in h's home subgraph, in global id space.
+	Skeleton Table
+	// LeafPPV holds, at non-hub node u, the local PPV of u w.r.t. its
+	// leaf-level virtual subgraph, in global id space.
+	LeafPPV Table
 
 	// own is the machine slice a shard-local store holds (see Split and
 	// LoadShard): its sections carry only the vectors own admits. Nil
@@ -124,22 +127,8 @@ func PrecomputeWithInfo(h *hierarchy.Hierarchy, params ppr.Params, workers int) 
 		tasks = append(tasks, nodeTasks(n)...)
 	}
 	withSubgraphs(h.G, tasks, workers)
-	nHubs, nLeaves := 0, 0
-	for _, t := range tasks {
-		if t.hub {
-			nHubs++
-		} else {
-			nLeaves++
-		}
-	}
-	s := &Store{
-		H:          h,
-		Params:     params,
-		HubPartial: make(map[int32]sparse.Packed, nHubs),
-		Skeleton:   make(map[int32]sparse.Packed, nHubs),
-		LeafPPV:    make(map[int32]sparse.Packed, nLeaves),
-	}
-	taskTime, kstats, err := s.runTasks(tasks, workers)
+	s := &Store{H: h, Params: params}
+	taskTime, kstats, err := s.runTasks(nil, tasks, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -224,17 +213,20 @@ func withSubgraphs(g *graph.Graph, tasks []precomputeTask, workers int) {
 	})
 }
 
+// taskResult is what one precomputeTask produced.
+type taskResult struct {
+	vec, skel sparse.Packed // skel: hub tasks only
+	took      time.Duration
+}
+
 // runTasks executes independent pre-computation tasks on ppr.Run's
 // pool, each worker reusing one ppr.Scratch across its tasks. A task
-// writes only its own result slot; the section maps are written here,
-// in task order, after the pool drains. On error the maps are left
+// writes only its own result slot; once the pool drains, the receiver's
+// sections are set to the merge of base's vectors (none when base is
+// nil) and the results (setSections). On error the receiver is left
 // untouched. It returns the summed task time and kernel stats.
-func (s *Store) runTasks(tasks []precomputeTask, workers int) (time.Duration, ppr.KernelStats, error) {
-	type result struct {
-		vec, skel sparse.Packed // skel: hub tasks only
-		took      time.Duration
-	}
-	out := make([]result, len(tasks))
+func (s *Store) runTasks(base *Store, tasks []precomputeTask, workers int) (time.Duration, ppr.KernelStats, error) {
+	out := make([]taskResult, len(tasks))
 	kstats, err := ppr.Run(len(tasks), workers, func(sc *ppr.Scratch, i int) error {
 		t0 := time.Now()
 		r := &out[i]
@@ -251,17 +243,57 @@ func (s *Store) runTasks(tasks []precomputeTask, workers int) (time.Duration, pp
 		return 0, kstats, err
 	}
 	var taskTime time.Duration
-	for i, t := range tasks {
-		r := out[i]
+	for _, r := range out {
 		taskTime += r.took
-		if t.hub {
-			s.HubPartial[t.u] = r.vec
-			s.Skeleton[t.u] = r.skel
-		} else {
-			s.LeafPPV[t.u] = r.vec
-		}
+	}
+	if err := s.setSections(base, tasks, out); err != nil {
+		return 0, kstats, err
 	}
 	return taskTime, kstats, nil
+}
+
+// setSections sets s's sections to fresh tables, one key-ordered merge
+// each: a key a task computed holds the task's vector, and every other
+// key base's vector (none when base is nil), except a leaf PPV at a key
+// s.H holds as a hub — a promoted node's stale leaf. A node id is a hub
+// or a leaf in s.H, never both, so each task fills the sections of its
+// kind and clears the others at its key.
+func (s *Store) setSections(base *Store, tasks []precomputeTask, out []taskResult) error {
+	if base == nil {
+		base = &Store{}
+	}
+	n := s.H.G.NumNodes()
+	byKey := make([]int32, n) // 1 + the index of the task computing each key; 0 for none
+	for i, t := range tasks {
+		byKey[t.u] = int32(i) + 1
+	}
+	merge := func(old Table, hub bool, pick func(taskResult) sparse.Packed) (Table, error) {
+		return buildTable(n, func(k int32) (sparse.Packed, bool) {
+			if i := byKey[k] - 1; i >= 0 {
+				return pick(out[i]), tasks[i].hub == hub
+			}
+			if !hub && s.H.IsHub(k) {
+				return sparse.Packed{}, false
+			}
+			return old.Get(k)
+		})
+	}
+	vec := func(r taskResult) sparse.Packed { return r.vec }
+	skel := func(r taskResult) sparse.Packed { return r.skel }
+	hp, err := merge(base.HubPartial, true, vec)
+	if err != nil {
+		return err
+	}
+	sk, err := merge(base.Skeleton, true, skel)
+	if err != nil {
+		return err
+	}
+	lf, err := merge(base.LeafPPV, false, vec)
+	if err != nil {
+		return err
+	}
+	s.HubPartial, s.Skeleton, s.LeafPPV = hp, sk, lf
+	return nil
 }
 
 // computeHub produces hub t.u's adjusted partial P_h = p_h − α·x_h and
@@ -400,10 +432,10 @@ func (w *workCounter) leaf(u int32) (sparse.Packed, error) {
 }
 
 // HubCount returns the number of hubs whose vectors the store holds.
-func (s *Store) HubCount() int { return len(s.HubPartial) }
+func (s *Store) HubCount() int { return s.HubPartial.Len() }
 
 // LeafCount returns the number of leaf vectors the store holds.
-func (s *Store) LeafCount() int { return len(s.LeafPPV) }
+func (s *Store) LeafCount() int { return s.LeafPPV.Len() }
 
 // The in-memory vectorSource: no pinning (a Store snapshot is immutable
 // while served), and a path walk that reads s_u(h) from the skeleton
@@ -419,32 +451,39 @@ func (s *Store) alpha() float64 { return s.Params.Alpha }
 
 func (s *Store) isHub(u int32) bool { return s.H.IsHub(u) }
 
+// pathHubs walks Path(u) up from Home(u), each node's hubs in reverse,
+// straight into the scratch row, and reverses the row once: fold order
+// without a path slice.
 func (s *Store) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
 	row.hubs, row.s = row.hubs[:0], row.s[:0]
-	for _, node := range s.H.Path(u) {
-		for _, h := range node.Hubs {
-			if own.hub(h) {
-				skel, ok := s.Skeleton[h]
-				if !ok {
-					return planRow{}, missingVector(secSkeleton, h)
-				}
-				row.hubs = append(row.hubs, h)
-				row.s = append(row.s, skel.Get(u))
+	for node := s.H.Home(u); node != nil; node = node.Parent {
+		for i := len(node.Hubs) - 1; i >= 0; i-- {
+			h := node.Hubs[i]
+			if !own.hub(h) {
+				continue
 			}
+			skel, ok := s.Skeleton.Get(h)
+			if !ok {
+				return planRow{}, missingVector(secSkeleton, h)
+			}
+			row.hubs = append(row.hubs, h)
+			row.s = append(row.s, skel.Get(u))
 		}
 	}
+	slices.Reverse(row.hubs)
+	slices.Reverse(row.s)
 	return *row, nil
 }
 
 func (s *Store) partial(h int32) (sparse.Packed, error) {
-	return lookup(s.HubPartial, secHubPartial, h)
+	return lookup(&s.HubPartial, secHubPartial, h)
 }
 
-func (s *Store) leaf(u int32) (sparse.Packed, error) { return lookup(s.LeafPPV, secLeafPPV, u) }
+func (s *Store) leaf(u int32) (sparse.Packed, error) { return lookup(&s.LeafPPV, secLeafPPV, u) }
 
 // lookup reads one vector of an in-memory section.
-func lookup(m map[int32]sparse.Packed, sec int8, key int32) (sparse.Packed, error) {
-	v, ok := m[key]
+func lookup(t *Table, sec int8, key int32) (sparse.Packed, error) {
+	v, ok := t.Get(key)
 	if !ok {
 		return sparse.Packed{}, missingVector(sec, key)
 	}
@@ -453,46 +492,40 @@ func lookup(m map[int32]sparse.Packed, sec int8, key int32) (sparse.Packed, erro
 
 // Truncate removes every stored entry with absolute value below min,
 // producing the paper's adapted method HGPA_ad (§6.2.9, min = 1e-4).
-// It returns the number of entries dropped.
+// It returns the number of entries dropped. Each section that loses an
+// entry gets a fresh table; the old one is left as it was, so a Clone
+// taken before keeps every entry.
 func (s *Store) Truncate(min float64) int {
 	dropped := 0
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		for key, v := range m {
-			t, d := v.Truncated(min)
-			if d > 0 {
-				m[key] = t
-				dropped += d
-			}
+	for _, t := range []*Table{&s.HubPartial, &s.Skeleton, &s.LeafPPV} {
+		n := t.keys()
+		kept := make([]sparse.Packed, n)
+		d := 0
+		for k, v := range t.All() {
+			var dk int
+			kept[k], dk = v.Truncated(min)
+			d += dk
 		}
+		if d == 0 {
+			continue
+		}
+		old := *t
+		// Truncation only shrinks a section, so its offsets still fit.
+		*t, _ = buildTable(n, func(k int32) (sparse.Packed, bool) {
+			_, ok := old.Get(k)
+			return kept[k], ok
+		})
+		dropped += d
 	}
 	return dropped
 }
 
-// Clone copies the store's section maps (useful before Truncate); the
-// immutable packed vectors themselves are shared, so this is cheap even
-// for large pre-computations.
+// Clone returns a store sharing s's tables (useful before Truncate):
+// no store writes a table it holds, so the copy is cheap and neither
+// store sees the other's later changes.
 func (s *Store) Clone() *Store {
-	c := &Store{
-		H:          s.H,
-		Params:     s.Params,
-		HubPartial: make(map[int32]sparse.Packed, len(s.HubPartial)),
-		Skeleton:   make(map[int32]sparse.Packed, len(s.Skeleton)),
-		LeafPPV:    make(map[int32]sparse.Packed, len(s.LeafPPV)),
-		own:        s.own,
-	}
-	// The packed vectors are immutable (Truncate swaps in new values, it
-	// never edits arrays in place), so the clone shares them: only the
-	// maps are fresh.
-	for k, v := range s.HubPartial {
-		c.HubPartial[k] = v
-	}
-	for k, v := range s.Skeleton {
-		c.Skeleton[k] = v
-	}
-	for k, v := range s.LeafPPV {
-		c.LeafPPV[k] = v
-	}
-	return c
+	c := *s
+	return &c
 }
 
 // SpaceBytes reports the space of all stored vectors — the space
@@ -501,13 +534,17 @@ func (s *Store) Clone() *Store {
 // sparse.SpaceBytes, the one space measure every backend and baseline
 // uses; the wire size of a share is a separate measure.
 func (s *Store) SpaceBytes() int64 {
-	var total int64
-	for _, m := range []map[int32]sparse.Packed{s.HubPartial, s.Skeleton, s.LeafPPV} {
-		for _, v := range m {
-			total += sparse.SpaceBytes(v.Len())
-		}
-	}
-	return total
+	return s.HubPartial.spaceBytes() + s.Skeleton.spaceBytes() + s.LeafPPV.spaceBytes()
+}
+
+// ResidentBytes reports the heap the store keeps, from capacities: its
+// tables (offset indexes and arenas), its tree and its graph. A slice
+// from Split shares the tree and graph with the store it came from, and
+// counts them all the same: it is what a machine that keeps only the
+// slice keeps.
+func (s *Store) ResidentBytes() int64 {
+	return s.HubPartial.residentBytes() + s.Skeleton.residentBytes() + s.LeafPPV.residentBytes() +
+		s.H.ResidentBytes() + s.H.G.ResidentBytes()
 }
 
 // Stats summarizes the store for experiment reports.
@@ -525,24 +562,18 @@ type Stats struct {
 // Stats returns summary statistics.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Hubs:          len(s.HubPartial),
-		Leaves:        len(s.LeafPPV),
-		Bytes:         s.SpaceBytes(),
-		Levels:        s.H.Depth(),
-		LeafSubgraphs: len(s.H.Leaves()),
-		TotalNodes:    len(s.H.Nodes()),
-		GraphNodes:    s.H.G.NumNodes(),
-		GraphEdges:    s.H.G.NumEdges(),
-		TotalTreeHub:  s.H.TotalHubs(),
-	}
-	for _, v := range s.HubPartial {
-		st.PartialEntries += int64(v.Len())
-	}
-	for _, v := range s.Skeleton {
-		st.SkeletonEntries += int64(v.Len())
-	}
-	for _, v := range s.LeafPPV {
-		st.LeafEntries += int64(v.Len())
+		Hubs:            s.HubPartial.Len(),
+		Leaves:          s.LeafPPV.Len(),
+		PartialEntries:  s.HubPartial.Entries(),
+		SkeletonEntries: s.Skeleton.Entries(),
+		LeafEntries:     s.LeafPPV.Entries(),
+		Bytes:           s.SpaceBytes(),
+		Levels:          s.H.Depth(),
+		LeafSubgraphs:   len(s.H.Leaves()),
+		TotalNodes:      len(s.H.Nodes()),
+		GraphNodes:      s.H.G.NumNodes(),
+		GraphEdges:      s.H.G.NumEdges(),
+		TotalTreeHub:    s.H.TotalHubs(),
 	}
 	return st
 }

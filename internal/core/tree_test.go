@@ -23,7 +23,7 @@ func TestParsedTreeMatchesBuild(t *testing.T) {
 		t.Fatalf("parsed tree: opts %+v, epoch %d, %d nodes; built: %+v, %d, %d",
 			got.Opts, got.G.Epoch(), len(got.Nodes()), want.Opts, want.G.Epoch(), len(want.Nodes()))
 	}
-	id := func(n *hierarchy.Node) int {
+	id := func(n *hierarchy.Node) int32 {
 		if n == nil {
 			return -1
 		}

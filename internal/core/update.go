@@ -19,8 +19,9 @@ import (
 // (see internal/hierarchy's dirty-set semantics). ApplyUpdates applies
 // a batch to the shared root graph, repairs the hierarchy (hub
 // promotion for separator-crossing inserts), and recomputes ONLY the
-// dirty partials, skeletons, and leaf PPVs — the rest of the store is
-// shared structurally with the previous snapshot. LiveStore publishes
+// dirty partials, skeletons, and leaf PPVs; the new snapshot's tables
+// merge those with copies of the clean vectors of the previous one, in
+// key order, so the previous snapshot is never written. LiveStore publishes
 // the result with an atomic pointer swap so in-flight queries keep
 // serving the old snapshot; a snapshot never changes once built.
 //
@@ -64,7 +65,7 @@ type UpdateInfo struct {
 // ApplyUpdates applies an edge-delta batch and returns a NEW store in
 // which only the dirty partitions were recomputed — for a shard-local
 // store, only their vectors in its slice, and the new store holds the
-// same slice. The receiver remains a valid read snapshot (its maps and
+// same slice. The receiver remains a valid read snapshot (its tables and
 // hierarchy are never mutated), but it is retired as a base for further
 // updates: the root graph object is shared and has advanced, so
 // subsequent batches must be applied to the returned store. LiveStore enforces that ordering; use it unless you
@@ -93,18 +94,13 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		return s, info, nil
 	}
 
-	// Start from a structural clone: the maps are fresh (so the old
-	// snapshot is never written to), the immutable packed vectors are
-	// shared, and the clean partitions keep their entries untouched.
-	ns := s.Clone()
-	ns.H = upd.H
+	// The new snapshot's tables are built by runTasks: the recomputed
+	// vectors merged with copies of s's clean ones, less the stale leaf
+	// PPVs of promoted nodes, whose new hub vectors the dirty-node
+	// recompute below produces.
+	ns := &Store{H: upd.H, Params: s.Params}
 	if o := s.own; o != nil {
 		ns.own = &owner{index: o.index, total: o.total, h: upd.H}
-	}
-	for _, x := range upd.Promoted {
-		// A promoted node's old leaf PPV is stale; its new hub vectors
-		// are produced by the dirty-node recompute below.
-		delete(ns.LeafPPV, x)
 	}
 
 	var tasks []precomputeTask
@@ -119,7 +115,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		return !ns.own.leaf(t.u)
 	})
 	withSubgraphs(upd.H.G, tasks, workers)
-	_, kstats, err := ns.runTasks(tasks, workers)
+	_, kstats, err := ns.runTasks(s, tasks, workers)
 	if err != nil {
 		// The shared root graph has already advanced, so the receiver
 		// can keep SERVING its snapshot but cannot absorb this batch
@@ -168,7 +164,7 @@ var EmptyBatchDigest = updateDigest(nil, &hierarchy.Update{})
 // storeVectors counts the vectors a from-scratch pre-computation would
 // produce for this store.
 func (s *Store) storeVectors() int {
-	return 2*len(s.HubPartial) + len(s.LeafPPV)
+	return 2*s.HubPartial.Len() + s.LeafPPV.Len()
 }
 
 // LiveStore publishes a Store behind an atomic pointer and serializes
@@ -194,8 +190,9 @@ func NewLiveStore(s *Store) *LiveStore {
 func (l *LiveStore) Store() *Store { return l.cur.Load() }
 
 // Narrow publishes slice i of n of the current snapshot in its place
-// (see Split), so that the whole store it replaces becomes garbage once
-// no reader holds it, and later batches recompute only that slice.
+// (see Split): tables holding copies of the slice's vectors alone, so
+// that the whole store it replaces, arenas and all, becomes garbage
+// once no reader holds it, and later batches recompute only that slice.
 // Narrowing a store that already holds slice i of n is a no-op; any
 // other shard-local store cannot be narrowed.
 func (l *LiveStore) Narrow(i, n int) error {

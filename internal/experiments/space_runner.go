@@ -43,13 +43,7 @@ func runSpace(cfg Config) ([]Table, error) {
 				fmt.Sprintf("%.2fx", float64(bytes)/float64(jwBytes)),
 			}
 		}
-		var jwEntries int64
-		for _, v := range jw.Partial {
-			jwEntries += int64(v.Len())
-		}
-		for _, v := range jw.Skeleton {
-			jwEntries += int64(v.Len())
-		}
+		jwEntries := jw.Partial.Entries() + jw.Skeleton.Entries()
 		t.Rows = append(t.Rows,
 			row("PPV-JW", jwBytes, jwEntries),
 			row("GPA", gpa.store.SpaceBytes(), gs.PartialEntries+gs.SkeletonEntries+gs.LeafEntries),

@@ -80,9 +80,9 @@ type Node struct {
 	// ID is the node's pre-order index in the tree Build (or ParseTree)
 	// made. Updates keep it when they drop emptied nodes, so it stays
 	// unique and ascending in pre-order but may leave gaps.
-	ID int
+	ID int32
 	// Level is the depth: 0 for the root (the graph G itself).
-	Level int
+	Level int32
 	// Hubs are the hub nodes selected when splitting this subgraph
 	// (H(G_m^i) in the paper). Empty for leaves. Sorted.
 	Hubs     []int32
@@ -90,14 +90,14 @@ type Node struct {
 	Children []*Node
 
 	leaf []int32 // a leaf's non-hub members, sorted; nil for an internal node
-	size int     // the member count: ids homed in the subtree
+	size int32   // the member count: ids homed in the subtree
 }
 
 // IsLeaf reports whether the node was not split further.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
 // Size returns the node's member count.
-func (n *Node) Size() int { return n.size }
+func (n *Node) Size() int { return int(n.size) }
 
 // LeafMembers returns a leaf's non-hub members, sorted, and nil for an
 // internal node. The slice is shared with the tree: do not modify it.
@@ -129,8 +129,10 @@ type Hierarchy struct {
 	Root *Node
 	Opts Options
 
-	nodes    []*Node // all tree nodes in pre-order
-	home     []*Node // per global node: the deepest tree node containing it
+	nodes []*Node // all tree nodes in pre-order
+	// home is, per global node, the position in nodes of the deepest
+	// tree node containing it (see Home).
+	home     []int32
 	hubLevel []int32 // per global node: level where it became a hub, or -1
 	// rank is each hub's deal rank, or -1 (see DealRank); nextRank is
 	// the rank the next newly promoted hub receives.
@@ -162,7 +164,7 @@ func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy,
 	h := &Hierarchy{
 		G:        g,
 		Opts:     opts,
-		home:     make([]*Node, g.NumNodes()),
+		home:     make([]int32, g.NumNodes()),
 		hubLevel: make([]int32, g.NumNodes()),
 		rank:     make([]int32, g.NumNodes()),
 	}
@@ -174,7 +176,7 @@ func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy,
 	for i := range all {
 		all[i] = int32(i)
 	}
-	h.Root = &Node{size: len(all)}
+	h.Root = &Node{size: int32(len(all))}
 	var kept map[*Node][]int32
 	if seen != nil {
 		kept = map[*Node][]int32{}
@@ -190,16 +192,16 @@ func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy,
 		if err := errs[n]; err != nil {
 			return nil, err
 		}
-		n.ID = len(h.nodes)
+		n.ID = int32(len(h.nodes))
 		h.nodes = append(h.nodes, n)
 		for _, x := range n.Hubs {
-			h.home[x] = n
-			h.hubLevel[x] = int32(n.Level)
+			h.home[x] = n.ID
+			h.hubLevel[x] = n.Level
 			h.rank[x] = h.nextRank
 			h.nextRank++
 		}
 		for _, x := range n.leaf {
-			h.home[x] = n
+			h.home[x] = n.ID
 		}
 		if seen != nil {
 			seen(n, kept[n])
@@ -292,7 +294,7 @@ func (h *Hierarchy) split(p pending) ([]pending, error) {
 		return nil, nil
 	}
 
-	if !h.maySplit(n.Level, len(members)) {
+	if !h.maySplit(int(n.Level), len(members)) {
 		return whole()
 	}
 	induced := graph.InducedSubgraph(h.G, members)
@@ -331,7 +333,7 @@ func (h *Hierarchy) split(p pending) ([]pending, error) {
 		if len(cm) == 0 {
 			continue
 		}
-		c := &Node{Level: n.Level + 1, Parent: n, size: len(cm)}
+		c := &Node{Level: n.Level + 1, Parent: n, size: int32(len(cm))}
 		n.Children = append(n.Children, c)
 		kids = append(kids, pending{c, cm, p.seed*31 + int64(i) + 1})
 	}
@@ -363,7 +365,7 @@ func (h *Hierarchy) Leaves() []*Node {
 
 // Home returns the deepest tree node containing u: the leaf subgraph for
 // a non-hub node, the subgraph where it was selected for a hub.
-func (h *Hierarchy) Home(u int32) *Node { return h.home[u] }
+func (h *Hierarchy) Home(u int32) *Node { return h.nodes[h.home[u]] }
 
 // IsHub reports whether u was selected as a hub at any level.
 func (h *Hierarchy) IsHub(u int32) bool { return h.hubLevel[u] >= 0 }
@@ -382,7 +384,7 @@ func (h *Hierarchy) DealRank(u int32) int { return int(h.rank[u]) }
 // to Home(u).
 func (h *Hierarchy) Path(u int32) []*Node {
 	var rev []*Node
-	for n := h.home[u]; n != nil; n = n.Parent {
+	for n := h.Home(u); n != nil; n = n.Parent {
 		rev = append(rev, n)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -395,7 +397,7 @@ func (h *Hierarchy) Path(u int32) []*Node {
 // the per-id indexes, and every node with its hub, leaf-member and
 // child lists.
 func (h *Hierarchy) ResidentBytes() int64 {
-	b := 8*int64(cap(h.nodes)+cap(h.home)) + 4*int64(cap(h.hubLevel)+cap(h.rank))
+	b := 8*int64(cap(h.nodes)) + 4*int64(cap(h.home)+cap(h.hubLevel)+cap(h.rank))
 	for _, n := range h.nodes {
 		b += int64(unsafe.Sizeof(*n)) + 4*int64(cap(n.Hubs)+cap(n.leaf)) + 8*int64(cap(n.Children))
 	}
@@ -407,9 +409,7 @@ func (h *Hierarchy) ResidentBytes() int64 {
 func (h *Hierarchy) Depth() int {
 	d := 0
 	for _, n := range h.nodes {
-		if n.Level+1 > d {
-			d = n.Level + 1
-		}
+		d = max(d, int(n.Level)+1)
 	}
 	return d
 }
@@ -446,7 +446,7 @@ func (h *Hierarchy) TotalHubs() int {
 // from ha, so it takes at most ha.Level steps.
 func meet(ha *Node, chain []*Node) *Node {
 	x := ha
-	for x.Level >= len(chain) || chain[x.Level] != x {
+	for int(x.Level) >= len(chain) || chain[x.Level] != x {
 		x = x.Parent
 	}
 	return x
@@ -506,7 +506,7 @@ func (h *Hierarchy) Validate() error {
 	}
 	listed := make([]bool, n)
 	for _, nd := range h.nodes {
-		size := len(nd.Hubs) + len(nd.leaf)
+		size := int32(len(nd.Hubs) + len(nd.leaf))
 		for _, c := range nd.Children {
 			size += c.size
 		}
@@ -517,13 +517,13 @@ func (h *Hierarchy) Validate() error {
 			return invalidTree("leaf %d has hubs and members (or children)", nd.ID)
 		}
 		for k, x := range nd.Hubs {
-			if x < 0 || x >= n || k > 0 && x <= nd.Hubs[k-1] || listed[x] || h.home[x] != nd || int(h.hubLevel[x]) != nd.Level {
+			if x < 0 || x >= n || k > 0 && x <= nd.Hubs[k-1] || listed[x] || h.Home(x) != nd || h.hubLevel[x] != nd.Level {
 				return invalidTree("node %d: hub %d not a sorted id homed there at level %d", nd.ID, x, nd.Level)
 			}
 			listed[x] = true
 		}
 		for k, x := range nd.leaf {
-			if x < 0 || x >= n || k > 0 && x <= nd.leaf[k-1] || listed[x] || h.home[x] != nd || h.IsHub(x) {
+			if x < 0 || x >= n || k > 0 && x <= nd.leaf[k-1] || listed[x] || h.Home(x) != nd || h.IsHub(x) {
 				return invalidTree("leaf %d: member %d not a sorted non-hub id homed there", nd.ID, x)
 			}
 			listed[x] = true
@@ -548,12 +548,12 @@ func (h *Hierarchy) Validate() error {
 	off, in := h.G.Reverse()
 	chain := make([]*Node, h.Depth())
 	for b := range n {
-		hb := h.home[b]
+		hb := h.Home(b)
 		for x := hb; x != nil; x = x.Parent {
 			chain[x.Level] = x
 		}
 		for _, a := range in[off[b]:off[b+1]] {
-			ha := h.home[a]
+			ha := h.Home(a)
 			if m := meet(ha, chain[:hb.Level+1]); m != ha && m != hb {
 				return invalidTree("node %d: hubs do not separate children (edge %d→%d)", m.ID, a, b)
 			}

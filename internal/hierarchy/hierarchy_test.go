@@ -247,7 +247,7 @@ func TestMemberCountsConserved(t *testing.T) {
 	if h.Root.Size() != g.NumNodes() {
 		t.Fatal("root must contain every node")
 	}
-	perLevel := make(map[int]int)
+	perLevel := make(map[int32]int)
 	hubsAbove := 0
 	for _, n := range h.Nodes() {
 		perLevel[n.Level] += n.Size()

@@ -45,7 +45,7 @@ const maxMeanDepth = 64
 func (h *Hierarchy) meanDepth() float64 {
 	var work int64
 	for u := range int32(h.G.NumNodes()) {
-		work += int64(h.G.OutDegree(u)+1) * int64(h.home[u].Level+1)
+		work += int64(h.G.OutDegree(u)+1) * int64(h.Home(u).Level+1)
 	}
 	return float64(work) / float64(h.G.NumNodes()+h.G.NumEdges())
 }
@@ -121,13 +121,13 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 		G:        g,
 		Opts:     opts,
 		nodes:    make([]*Node, count),
-		home:     make([]*Node, n),
+		home:     make([]int32, n),
 		hubLevel: make([]int32, n),
 		rank:     make([]int32, n),
 		nextRank: nextRank,
 	}
 	for u := range n {
-		h.hubLevel[u], h.rank[u] = -1, -1
+		h.home[u], h.hubLevel[u], h.rank[u] = -1, -1, -1
 	}
 	slab := make([]Node, count)
 	// Every node's hubs and every leaf's members, each in one array.
@@ -140,17 +140,17 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 		if x < 0 || int(x) >= n || x <= prev {
 			return 0, invalidTree("node %d: id %d after %d is not an ascending id below %d", nd.ID, x, prev, n)
 		}
-		if h.home[x] != nil {
-			return 0, invalidTree("node %d: id %d already homed at node %d", nd.ID, x, h.home[x].ID)
+		if h.home[x] >= 0 {
+			return 0, invalidTree("node %d: id %d already homed at node %d", nd.ID, x, h.home[x])
 		}
-		h.home[x] = nd
+		h.home[x] = nd.ID // nd's position in nodes
 		return x, nil
 	}
 	kids := make([]int, count)
 	var path []int32 // indexes of the root-to-previous-node chain
 	for i := range slab {
 		nd := &slab[i]
-		nd.ID = i
+		nd.ID = int32(i)
 		h.nodes[i] = nd
 		if len(data)-off < nodeRecordLen {
 			return nil, 0, invalidTree("node %d truncated", i)
@@ -208,7 +208,7 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 		}
 	}
 	for u := range n {
-		if h.home[u] == nil {
+		if h.home[u] < 0 {
 			return nil, 0, invalidTree("node id %d is in no tree node", u)
 		}
 	}
@@ -227,7 +227,7 @@ func ParseTree(data []byte, g *graph.Graph, opts Options) (*Hierarchy, int, erro
 	}
 	for i := count - 1; i >= 0; i-- {
 		nd := h.nodes[i]
-		nd.size += len(nd.Hubs) + len(nd.leaf)
+		nd.size += int32(len(nd.Hubs) + len(nd.leaf))
 		if nd.Parent != nil {
 			nd.Parent.size += nd.size
 		}

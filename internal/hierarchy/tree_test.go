@@ -84,8 +84,8 @@ func TestParseTreeRoundTrip(t *testing.T) {
 // last member leaves the tree.
 func TestMembersMatchPartition(t *testing.T) {
 	g := testCommunity(t, 7)
-	want := map[int][]int32{} // by node ID
-	level := map[int]int{}
+	want := map[int32][]int32{} // by node ID
+	level := map[int32]int32{}
 	h, err := build(g, Options{Seed: 11}, func(n *Node, members []int32) {
 		want[n.ID], level[n.ID] = slices.Clone(members), n.Level
 	})
@@ -94,7 +94,7 @@ func TestMembersMatchPartition(t *testing.T) {
 	}
 	check := func(what string) {
 		t.Helper()
-		in := map[int]bool{}
+		in := map[int32]bool{}
 		for _, n := range h.Nodes() {
 			in[n.ID] = true
 			if got := n.Members(); !slices.Equal(got, want[n.ID]) || n.Size() != len(got) {
@@ -131,7 +131,7 @@ func TestMembersMatchPartition(t *testing.T) {
 		}
 		for _, x := range upd.Promoted {
 			for id, m := range want {
-				if level[id] > upd.H.HubLevel(x) {
+				if int(level[id]) > upd.H.HubLevel(x) {
 					want[id] = slices.DeleteFunc(m, func(y int32) bool { return y == x })
 				}
 			}
@@ -274,7 +274,7 @@ func TestValidateCatchesBrokenSeparator(t *testing.T) {
 				}
 				a.leaf, b.leaf = removeSorted(a.leaf, x), insertSorted(b.leaf, x)
 				a.size, b.size = a.size-1, b.size+1
-				h.home[x] = b
+				h.home[x] = b.ID // a built tree's positions are its IDs
 				if err := h.Validate(); !errors.Is(err, ErrInvalidTree) || !strings.Contains(err.Error(), "do not separate") {
 					t.Fatalf("moved %d from leaf %d to leaf %d: Validate = %v", x, a.ID, b.ID, err)
 				}

@@ -86,7 +86,7 @@ func (h *Hierarchy) clone() *Hierarchy {
 		G:        h.G,
 		Opts:     h.Opts,
 		nodes:    make([]*Node, len(h.nodes)),
-		home:     make([]*Node, len(h.home)),
+		home:     slices.Clone(h.home),
 		hubLevel: slices.Clone(h.hubLevel),
 		rank:     slices.Clone(h.rank),
 		nextRank: h.nextRank,
@@ -105,9 +105,6 @@ func (h *Hierarchy) clone() *Hierarchy {
 		}
 		c.Children = children
 	}
-	for i, n := range h.home {
-		nh.home[i] = m[n]
-	}
 	nh.Root = m[h.Root]
 	return nh
 }
@@ -121,7 +118,7 @@ type updater struct {
 
 // markPath dirties the root-to-home chain of tail t.
 func (u *updater) markPath(t int32) {
-	for n := u.h.home[t]; n != nil; n = n.Parent {
+	for n := u.h.Home(t); n != nil; n = n.Parent {
 		u.dirty[n] = true
 	}
 }
@@ -130,7 +127,7 @@ func (u *updater) markPath(t int32) {
 // property and promotes t when it crosses two children of the deepest
 // node containing both endpoints.
 func (u *updater) fixSeparator(t, v int32) {
-	ht, hv := u.h.home[t], u.h.home[v]
+	ht, hv := u.h.Home(t), u.h.Home(v)
 	m := meet(ht, u.h.Path(v))
 	if m == ht || m == hv {
 		// One endpoint is homed where they meet: either it is that
@@ -168,8 +165,9 @@ func (u *updater) promote(x int32, n *Node, below []*Node) {
 		u.unlink(below[i])
 	}
 	n.Hubs = insertSorted(n.Hubs, x)
-	u.h.hubLevel[x] = int32(n.Level)
-	u.h.home[x] = n
+	u.h.hubLevel[x] = n.Level
+	// Pre-order IDs ascend along nodes, gaps and all.
+	u.h.home[x] = int32(sort.Search(len(u.h.nodes), func(i int) bool { return u.h.nodes[i].ID >= n.ID }))
 	u.dirty[n] = true
 	u.promoted = append(u.promoted, x)
 }
@@ -192,6 +190,13 @@ func (u *updater) unlink(c *Node) {
 	for i, x := range u.h.nodes {
 		if x == c {
 			u.h.nodes = append(u.h.nodes[:i], u.h.nodes[i+1:]...)
+			// Ids homed after the emptied node move up one position;
+			// the one id homed at it, promote's x, is re-homed next.
+			for id, pos := range u.h.home {
+				if pos > int32(i) {
+					u.h.home[id]--
+				}
+			}
 			break
 		}
 	}

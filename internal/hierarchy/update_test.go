@@ -45,7 +45,7 @@ func TestApplyDeltaDirtyIsTailPaths(t *testing.T) {
 	if len(upd.Promoted) != 0 {
 		t.Fatalf("deletion promoted %v", upd.Promoted)
 	}
-	want := map[int]bool{}
+	want := map[int32]bool{}
 	for _, n := range h.Path(tail) {
 		want[n.ID] = true
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The wire format for a vector (a share) is:
@@ -74,11 +75,19 @@ func EncodedSizeIDs(ids []int32) int {
 // uvarintLen is the length of x's minimal uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// EncodePacked serializes a packed vector in one sequential pass into a
-// buffer of exactly its wire size. The arrays are already in canonical
-// order, so there is no sorting and no map iteration.
-func EncodePacked(p Packed) []byte {
-	buf := make([]byte, EncodedSizePacked(p))
+// EncodePacked serializes a packed vector into a fresh buffer of
+// exactly its wire size: AppendPacked(nil, p).
+func EncodePacked(p Packed) []byte { return AppendPacked(nil, p) }
+
+// AppendPacked appends p's wire encoding — the bytes EncodePacked
+// returns — to dst in one sequential pass, growing dst at most once,
+// and returns the extended slice. The arrays are already in canonical
+// order, so there is no sorting and no map iteration. A server encodes
+// each share with it straight into its reply frame.
+func AppendPacked(dst []byte, p Packed) []byte {
+	size := EncodedSizePacked(p)
+	dst = slices.Grow(dst, size)
+	buf := dst[len(dst) : len(dst)+size]
 	b := buf[binary.PutUvarint(buf, uint64(len(p.ids))):]
 	prev := int32(-1)
 	for k, id := range p.ids {
@@ -97,7 +106,7 @@ func EncodePacked(p Packed) []byte {
 		}
 		prev = id
 	}
-	return buf
+	return dst[:len(dst)+size]
 }
 
 // expBits is a float64's exponent field: all ones for NaN and ±Inf.

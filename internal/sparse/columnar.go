@@ -142,3 +142,10 @@ func PackedView(ids []int32, scores []float64) (Packed, error) {
 	}
 	return Packed{ids, scores}, nil
 }
+
+// PackedViewUnchecked wraps columns as a Packed without copying and
+// without PackedView's check: the caller guarantees the invariant —
+// equal lengths, ids strictly ascending — as a heap store does for the
+// vectors it copied into its own arena. PackedView's aliasing rules
+// apply.
+func PackedViewUnchecked(ids []int32, scores []float64) Packed { return Packed{ids, scores} }

@@ -157,6 +157,13 @@ func (p Packed) Clone() Packed {
 	return Packed{ids, scores}
 }
 
+// CopyTo copies p's columns into ids and scores, each of which must
+// hold p.Len() elements: how a store moves a vector into its own arena.
+func (p Packed) CopyTo(ids []int32, scores []float64) {
+	copy(ids, p.ids)
+	copy(scores, p.scores)
+}
+
 // Sum returns the total mass Σ p_i.
 func (p Packed) Sum() float64 {
 	var s float64
