@@ -694,13 +694,12 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // BenchmarkApplyUpdates measures incremental update throughput: each
 // iteration applies one edge-insert batch and then the reverting delete
 // batch, so the store ends each iteration where it started (after a
-// one-time warm-up that settles any hub promotions). Dedicated fixtures
-// keep the mutation away from the shared read-only one: deep is the
-// historical edge-free hierarchy, gpa re-runs the
-// machine-sized-partition deployment (see offlineFixture) — a dirty
-// partition there is an n/m-node subgraph, the workload the push
-// kernels exist for. The custom metric reports how
-// many store vectors one batch recomputes — the quantity a full
+// one-time warm-up that settles any hub promotions). Each sub-benchmark
+// builds a store of its own: deep is the historical edge-free
+// hierarchy, gpa re-runs the machine-sized-partition deployment (see
+// offlineFixture) — a dirty partition there is an n/m-node subgraph,
+// the workload the push kernels exist for. The custom metric reports
+// how many store vectors one batch recomputes — the quantity a full
 // rebuild would multiply to the whole store.
 func BenchmarkApplyUpdates(b *testing.B) {
 	b.Run("deep", func(b *testing.B) {
@@ -715,7 +714,6 @@ func BenchmarkApplyUpdates(b *testing.B) {
 		benchApplyUpdates(b, g, store)
 	})
 	b.Run("gpa", func(b *testing.B) {
-		// A fresh graph: the updates mutate it in place.
 		g, err := gen.Dataset("web", 2, 5)
 		if err != nil {
 			b.Fatal(err)

@@ -41,8 +41,8 @@ import (
 // Re-exported types. Aliases keep the public surface in one import path
 // while the implementation lives in focused internal packages.
 type (
-	// Graph is a directed graph in CSR form. It is immutable except
-	// through batched edge deltas (Graph.ApplyDelta / Store.ApplyUpdates).
+	// Graph is an immutable directed graph in CSR form. An edge-delta
+	// batch yields a new graph (Graph.ApplyDelta / Store.ApplyUpdates).
 	Graph = graph.Graph
 	// GraphBuilder accumulates edges for a Graph.
 	GraphBuilder = graph.Builder

@@ -376,8 +376,12 @@ func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 // cross-machine batch atomicity must quiesce queries around the call;
 // updates applied while no queries overlap are always exact. A partial
 // failure is reported as an error and may leave machines on different
-// batches — retry the batch (deltas are effective-filtered, so replays
-// are idempotent) or rebuild.
+// batches. Retrying the batch heals that: a machine whose update failed
+// still holds its pre-batch snapshot and graph and applies the batch
+// afresh, while one that already applied it finds every operation
+// ineffective and keeps its snapshot. The retry still fails the
+// agreement check, since those machines report a no-op, but it leaves
+// every machine on the post-batch snapshot.
 func (c *Coordinator) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	start := time.Now()
 	if err := c.probeUpdates(ctx); err != nil {

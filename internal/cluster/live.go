@@ -142,8 +142,8 @@ func (c *LiveLocalCluster) SupportsUpdates() bool { return true }
 
 // ApplyUpdates applies the batch once to the shared store and publishes
 // a Coordinator over the new snapshot's slices. It does not fan the
-// delta out to the machines: they share one store, so that would apply
-// it n times.
+// delta out to the machines: one batch over the whole store, split
+// afresh, swaps every machine's slice behind one pointer.
 func (c *LiveLocalCluster) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err

@@ -159,6 +159,24 @@ func (d *delayMachine) QuerySetShare(ctx context.Context, p core.Preference) ([]
 	return d.inner.QuerySetShare(ctx, p)
 }
 
+// delayQuerier is delayMachine's latency inside a PackedQuerier: a
+// LocalMachine over it is a backedMachine, so a Server encodes its
+// shares straight into the reply frame, as every deployed worker's.
+type delayQuerier struct {
+	PackedQuerier
+	delay time.Duration
+}
+
+func (d delayQuerier) QueryPacked(u int32) (sparse.Packed, error) {
+	time.Sleep(d.delay)
+	return d.PackedQuerier.QueryPacked(u)
+}
+
+func (d delayQuerier) QuerySetPacked(p core.Preference) (sparse.Packed, error) {
+	time.Sleep(d.delay)
+	return d.PackedQuerier.QuerySetPacked(p)
+}
+
 // TestThroughputScalesWithConcurrency: with 20ms of per-query worker
 // latency, 32 concurrent clients on ONE multiplexed connection finish in
 // a fraction of the 32×20ms a lock-step protocol would need — the old
@@ -615,7 +633,9 @@ func BenchmarkTCPCoordinator(b *testing.B) {
 // injected worker latency — the regime the multiplexed protocol exists
 // for. Serial throughput is capped at 1/latency; the parallel variant
 // overlaps in-flight queries on one connection and lands at a small
-// fraction of that, regardless of host core count.
+// fraction of that, regardless of host core count. The delay sits in
+// the worker's backend (delayQuerier), so the worker encodes shares
+// into its reply frames as a deployed one does.
 func BenchmarkTCPCoordinatorLatency(b *testing.B) {
 	s := benchStore(b)
 	shards, err := core.Split(s, 1)
@@ -628,7 +648,7 @@ func BenchmarkTCPCoordinatorLatency(b *testing.B) {
 	}
 	defer l.Close()
 	const delay = 2 * time.Millisecond
-	go (&Server{Machine: &delayMachine{inner: &LocalMachine{Backend: shards[0]}, delay: delay}}).Serve(l)
+	go (&Server{Machine: &LocalMachine{Backend: delayQuerier{shards[0], delay}}}).Serve(l)
 	m, err := Dial(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)

@@ -17,11 +17,9 @@ import (
 // pre-computation and no slice pins the whole store's arenas; a query
 // on it answers the slice's additive share, and the n shares sum to the
 // exact PPV (TestShardsSumToQuery). The graph and the tree are shared
-// with s, not copied. A shard-local store cannot be split again.
-// Because the graph is shared, at most one of s and its
-// slices may go on to absorb updates (see Store.ApplyUpdates); a worker
-// that updates its slice loads it on its own (LoadShard) or narrows a
-// LiveStore it owns (LiveStore.Narrow).
+// with s, not copied; neither ever changes, so s and each of its slices
+// can go on to absorb updates on their own (see Store.ApplyUpdates). A
+// shard-local store cannot be split again.
 func Split(s *Store, n int) ([]*Store, error) {
 	owners, err := split(s.H, s.own, n)
 	if err != nil {

@@ -16,14 +16,15 @@ import (
 // Incremental maintenance. A Store is exact because every stored vector
 // is local to one tree node's virtual subgraph, so an edge-delta batch
 // invalidates only the nodes on the edge tails' root-to-home chains
-// (see internal/hierarchy's dirty-set semantics). ApplyUpdates applies
-// a batch to the shared root graph, repairs the hierarchy (hub
-// promotion for separator-crossing inserts), and recomputes ONLY the
-// dirty partials, skeletons, and leaf PPVs; the new snapshot's tables
-// merge those with copies of the clean vectors of the previous one, in
-// key order, so the previous snapshot is never written. LiveStore publishes
-// the result with an atomic pointer swap so in-flight queries keep
-// serving the old snapshot; a snapshot never changes once built.
+// (see internal/hierarchy's dirty-set semantics). ApplyUpdates maps a
+// batch to a new graph and a repaired hierarchy over it (hub promotion
+// for separator-crossing inserts), and recomputes ONLY the dirty
+// partials, skeletons, and leaf PPVs; the new snapshot's tables merge
+// those with copies of the clean vectors of the previous one, in key
+// order. No batch writes the previous snapshot, its tree or its graph:
+// a snapshot never changes once built. LiveStore publishes the result
+// with an atomic pointer swap so in-flight queries keep serving the old
+// snapshot.
 //
 // A shard-local store (Split, LoadShard) recomputes only the dirty
 // vectors its slice holds: hub ownership follows the hierarchy's deal
@@ -65,29 +66,21 @@ type UpdateInfo struct {
 // ApplyUpdates applies an edge-delta batch and returns a NEW store in
 // which only the dirty partitions were recomputed — for a shard-local
 // store, only their vectors in its slice, and the new store holds the
-// same slice. The receiver remains a valid read snapshot (its tables and
-// hierarchy are never mutated), but it is retired as a base for further
-// updates: the root graph object is shared and has advanced, so
-// subsequent batches must be applied to the returned store. LiveStore enforces that ordering; use it unless you
-// are managing publication yourself.
+// same slice. The receiver, its tree and its graph are never written:
+// it stays a valid snapshot and a valid base for any batch, this one
+// included, so a batch that fails can be applied again. A batch that
+// changes no edge returns the receiver.
 //
-// Concurrency: queries on any snapshot (old or new) may run throughout —
-// the serving path reads only pre-computed vectors and the hierarchy
-// index, never the root graph's adjacency. Algorithms that traverse the
-// root graph (power iteration, Monte Carlo, experiments) must not
-// overlap an ApplyUpdates call.
+// Concurrency: anything may read any snapshot (old or new) throughout —
+// queries, traversals of its graph, Save.
 func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, error) {
 	start := time.Now()
 	upd, err := s.H.ApplyDelta(d)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: plan update: %w", err)
 	}
-	ins, del, err := s.H.G.ApplyDelta(d)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: apply delta: %w", err)
-	}
-	info := &UpdateInfo{Inserted: ins, Deleted: del}
-	if ins == 0 && del == 0 {
+	info := &UpdateInfo{Inserted: upd.Inserted, Deleted: upd.Deleted}
+	if upd.Inserted == 0 && upd.Deleted == 0 {
 		info.Digest = updateDigest(nil, upd)
 		info.StoreVectors = s.storeVectors()
 		info.Wall = time.Since(start)
@@ -117,12 +110,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	withSubgraphs(upd.H.G, tasks, workers)
 	_, kstats, err := ns.runTasks(s, tasks, workers)
 	if err != nil {
-		// The shared root graph has already advanced, so the receiver
-		// can keep SERVING its snapshot but cannot absorb this batch
-		// again — a replay would be effective-filtered to a no-op
-		// against the mutated graph. The caller must rebuild; LiveStore
-		// poisons itself so later batches fail loudly instead.
-		return nil, nil, fmt.Errorf("core: recompute after delta failed (store diverged from graph — rebuild required): %w", err)
+		return nil, nil, fmt.Errorf("core: recompute after delta: %w", err)
 	}
 	for _, t := range tasks {
 		info.Recomputed += t.Vectors()
@@ -173,13 +161,11 @@ func (s *Store) storeVectors() int {
 // ApplyUpdates; each batch recomputes only dirty partitions and swaps
 // the pointer once the new snapshot is complete.
 type LiveStore struct {
-	mu     sync.Mutex // serializes ApplyUpdates (batch ordering)
-	broken error      // set when a batch died after mutating the graph
-	cur    atomic.Pointer[Store]
+	mu  sync.Mutex // serializes ApplyUpdates (batch ordering)
+	cur atomic.Pointer[Store]
 }
 
-// NewLiveStore wraps an initial snapshot. The store's root graph must
-// not be mutated except through this LiveStore afterwards.
+// NewLiveStore wraps an initial snapshot.
 func NewLiveStore(s *Store) *LiveStore {
 	l := &LiveStore{}
 	l.cur.Store(s)
@@ -213,27 +199,14 @@ func (l *LiveStore) Narrow(i, n int) error {
 }
 
 // ApplyUpdates applies one batch and publishes the resulting snapshot.
-//
-// Failure semantics: a batch rejected up front (bad delta) leaves the
-// pipeline fully usable. A batch that fails AFTER mutating the shared
-// graph (recompute error) leaves the current snapshot serving but
-// poisons the pipeline — the graph and the vectors have diverged, and
-// since deltas are effectiveness-filtered a replay would silently
-// no-op. Every subsequent ApplyUpdates then fails with the original
-// error; rebuild the store from the graph to recover.
+// A batch that fails, whether rejected up front (bad delta) or in the
+// recompute, publishes nothing: the current snapshot and its graph stay
+// exactly as they were, and the same batch can be applied again.
 func (l *LiveStore) ApplyUpdates(d graph.Delta, workers int) (*UpdateInfo, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken != nil {
-		return nil, fmt.Errorf("core: live store is poisoned by an earlier failed batch: %w", l.broken)
-	}
-	cur := l.cur.Load()
-	before := cur.H.G.Epoch()
-	ns, info, err := cur.ApplyUpdates(d, workers)
+	ns, info, err := l.cur.Load().ApplyUpdates(d, workers)
 	if err != nil {
-		if cur.H.G.Epoch() != before {
-			l.broken = err
-		}
 		return nil, err
 	}
 	l.cur.Store(ns)

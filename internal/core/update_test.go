@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -308,5 +311,198 @@ func TestLiveStoreSnapshotIsolation(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestFailedBatchCanBeRetried: a batch whose recompute fails publishes
+// nothing and leaves the snapshot's graph as it was, so the batch can
+// be applied again — here to a store whose kernels are not capped, and
+// the result matches a rebuild of the updated graph.
+func TestFailedBatchCanBeRetried(t *testing.T) {
+	opts := hierarchy.Options{Seed: 23}
+	s, err := BuildHGPA(updateGraph(t, 17), opts, updateParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := s.Clone()
+	capped.Params.MaxIter = 1
+	live := NewLiveStore(capped)
+	d := randomDelta(rand.New(rand.NewSource(5)), s.H.G, 6)
+	edges := rebuildFromEdges(s.H.G)
+	for range 2 {
+		if _, err := live.ApplyUpdates(d, 2); !errors.Is(err, ppr.ErrPushCap) {
+			t.Fatalf("capped batch: err = %v, want ppr.ErrPushCap", err)
+		}
+		if got := live.Store(); got != capped || got.H.G != s.H.G || got.H.G.Epoch() != 0 {
+			t.Fatalf("a failed batch moved the live store: epoch 0 -> %d", got.H.G.Epoch())
+		}
+	}
+	for u := range int32(s.H.G.NumNodes()) {
+		if !slices.Equal(s.H.G.Out(u), edges.Out(u)) {
+			t.Fatalf("a failed batch changed node %d's out-edges to %v, want %v", u, s.H.G.Out(u), edges.Out(u))
+		}
+	}
+
+	ns, info, err := s.ApplyUpdates(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Inserted+info.Deleted == 0 || ns.H.G.Epoch() != 1 {
+		t.Fatalf("retried batch: %d inserts, %d deletes, epoch %d; want an effective batch at epoch 1",
+			info.Inserted, info.Deleted, ns.H.G.Epoch())
+	}
+	fresh, err := BuildHGPA(rebuildFromEdges(ns.H.G), opts, updateParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range int32(ns.H.G.NumNodes()) {
+		got, err := ns.Query(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Query(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dist := sparse.LInfDistance(got, want); dist > 1e-9 {
+			t.Fatalf("u=%d: retried batch vs rebuild L∞ = %v", u, dist)
+		}
+	}
+}
+
+// TestSplitSlicesEachAbsorbBatch: the slices of one Split share the
+// whole store's graph, and each applies the same batch as the whole
+// store does: the same digest and edge counts, recompute counts that
+// sum to the whole store's, and shares that sum to its answers.
+func TestSplitSlicesEachAbsorbBatch(t *testing.T) {
+	s, err := BuildHGPA(updateGraph(t, 29), hierarchy.Options{Seed: 31}, updateParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := Split(s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := randomDelta(rand.New(rand.NewSource(8)), s.H.G, 6)
+	whole, want, err := s.ApplyUpdates(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Inserted+want.Deleted == 0 {
+		t.Fatal("the batch changes no edge")
+	}
+	recomputed := 0
+	for i, sh := range shards {
+		if sh.H.G != s.H.G {
+			t.Fatalf("slice %d has a graph of its own", i)
+		}
+		ns, got, err := sh.ApplyUpdates(d, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Digest != want.Digest || got.Inserted != want.Inserted || got.Deleted != want.Deleted {
+			t.Fatalf("slice %d: +%d −%d digest %016x; whole store +%d −%d digest %016x",
+				i, got.Inserted, got.Deleted, got.Digest, want.Inserted, want.Deleted, want.Digest)
+		}
+		recomputed += got.Recomputed
+		shards[i] = ns
+	}
+	if recomputed != want.Recomputed {
+		t.Fatalf("slices recomputed %d vectors in all, the whole store %d", recomputed, want.Recomputed)
+	}
+	for _, u := range []int32{2, 60, 117} {
+		w, err := whole.Query(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sparse.New(64)
+		for _, sh := range shards {
+			v, err := sh.Query(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.AddScaled(v, 1)
+		}
+		if dist := sparse.LInfDistance(sum, w); dist > 1e-12 {
+			t.Fatalf("u=%d: updated slices' shares sum to L∞ %v from the updated store", u, dist)
+		}
+	}
+}
+
+// TestPreBatchSnapshotReadableDuringBatches: a snapshot taken before
+// any batch saves to the same bytes and yields the same power-iteration
+// vectors while a LiveStore applies batches on top of it: no batch
+// writes its graph. Run under -race in CI.
+func TestPreBatchSnapshotReadableDuringBatches(t *testing.T) {
+	g := updateGraph(t, 41)
+	s, err := BuildHGPA(g, hierarchy.Options{Seed: 43}, ppr.Params{Alpha: 0.15, Eps: 1e-8}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := Save(&want, s); err != nil {
+		t.Fatal(err)
+	}
+	params := ppr.Params{Alpha: 0.15, Eps: 1e-10}
+	wantPPV, err := ppr.PowerIteration(g, 7, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Readers run from before the first batch until after the last.
+	read := func() error {
+		var got bytes.Buffer
+		if err := Save(&got, s); err != nil {
+			return err
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			return errors.New("the pre-batch snapshot saved to different bytes")
+		}
+		ppv, err := ppr.PowerIteration(g, 7, params)
+		if err != nil {
+			return err
+		}
+		if dist := sparse.LInfDistance(ppv, wantPPV); dist != 0 {
+			return fmt.Errorf("power iteration on the pre-batch graph moved by L∞ %v", dist)
+		}
+		return nil
+	}
+	stop, started := make(chan struct{}), make(chan struct{})
+	errCh := make(chan error, 1)
+	go func() {
+		defer close(errCh)
+		for reads := 0; ; reads++ {
+			if err := read(); err != nil {
+				errCh <- fmt.Errorf("read %d: %w", reads, err)
+				return
+			}
+			if reads == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-started:
+	case err := <-errCh:
+		t.Fatal(err)
+	}
+	live := NewLiveStore(s)
+	rng := rand.New(rand.NewSource(99))
+	for range 6 {
+		if _, err := live.ApplyUpdates(randomDelta(rng, live.Store().H.G, 3), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if live.Store().H.G.Epoch() == 0 {
+		t.Fatal("no batch changed the graph")
 	}
 }

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrEdgeOutOfRange reports a delta edge whose endpoint is not a node
@@ -12,9 +13,9 @@ var ErrEdgeOutOfRange = errors.New("graph: delta edge out of range")
 
 // Delta is a batch of edge insertions and deletions against a Graph. The
 // node set is fixed: deltas change edges only. Batches are the unit of
-// consistency for the incremental-update pipeline — one Delta applied to
-// the root graph maps to one dirty-partition recomputation and one store
-// snapshot.
+// consistency for the incremental-update pipeline — one Delta maps a
+// graph to the next one, one dirty-partition recomputation and one
+// store snapshot.
 type Delta struct {
 	Insert [][2]int32
 	Delete [][2]int32
@@ -30,123 +31,121 @@ func (d Delta) Len() int { return len(d.Insert) + len(d.Delete) }
 // graphs, mirroring Builder). An edge appearing in both lists is an
 // error — the intent is ambiguous inside one atomic batch.
 func (d Delta) Effective(g *Graph) (ins, del [][2]int32, err error) {
+	if ins, del, err = d.normalize(g); err != nil {
+		return nil, nil, err
+	}
+	ins = slices.DeleteFunc(ins, func(e [2]int32) bool { return g.HasEdge(e[0], e[1]) })
+	del = slices.DeleteFunc(del, func(e [2]int32) bool { return !g.HasEdge(e[0], e[1]) })
+	return ins, del, nil
+}
+
+// normalize validates the delta against g and returns copies of its
+// lists sorted in CSR order, deduplicated and without self-loops.
+func (d Delta) normalize(g *Graph) (ins, del [][2]int32, err error) {
 	if g.HasVirtualSink() {
 		return nil, nil, fmt.Errorf("graph: cannot update a virtual subgraph")
 	}
 	n := int32(g.NumNodes())
-	check := func(e [2]int32) error {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return fmt.Errorf("%w: (%d,%d) not in [0,%d)", ErrEdgeOutOfRange, e[0], e[1], n)
+	for _, es := range [2][][2]int32{d.Insert, d.Delete} {
+		for _, e := range es {
+			if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+				return nil, nil, fmt.Errorf("%w: (%d,%d) not in [0,%d)", ErrEdgeOutOfRange, e[0], e[1], n)
+			}
 		}
-		return nil
 	}
+	ins, del = sortDedupEdges(d.Insert), sortDedupEdges(d.Delete)
 	// Overlap is checked BEFORE effectiveness filtering: whatever the
 	// current edge set, "insert e and delete e in one batch" has no
 	// well-defined outcome.
-	inserted := make(map[[2]int32]bool, len(d.Insert))
-	for _, e := range d.Insert {
-		if err := check(e); err != nil {
-			return nil, nil, err
-		}
-		inserted[e] = true
-	}
-	for _, e := range d.Delete {
-		if err := check(e); err != nil {
-			return nil, nil, err
-		}
-		if inserted[e] {
-			return nil, nil, fmt.Errorf("graph: edge (%d,%d) both inserted and deleted", e[0], e[1])
+	for i, j := 0, 0; i < len(ins) && j < len(del); {
+		switch c := edgeCmp(ins[i], del[j]); {
+		case c == 0:
+			return nil, nil, fmt.Errorf("graph: edge (%d,%d) both inserted and deleted", ins[i][0], ins[i][1])
+		case c < 0:
+			i++
+		default:
+			j++
 		}
 	}
-	for _, e := range d.Insert {
-		if e[0] != e[1] && !g.HasEdge(e[0], e[1]) {
-			ins = append(ins, e)
-		}
-	}
-	for _, e := range d.Delete {
-		if e[0] != e[1] && g.HasEdge(e[0], e[1]) {
-			del = append(del, e)
-		}
-	}
-	return sortDedupEdges(ins), sortDedupEdges(del), nil
+	selfLoop := func(e [2]int32) bool { return e[0] == e[1] }
+	return slices.DeleteFunc(ins, selfLoop), slices.DeleteFunc(del, selfLoop), nil
 }
 
-func edgeLess(a, b [2]int32) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
+func edgeCmp(a, b [2]int32) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
 	}
-	return a[1] < b[1]
+	return cmp.Compare(a[1], b[1])
 }
 
+// sortDedupEdges returns the edges of es in CSR order, each once, in a
+// fresh slice.
 func sortDedupEdges(es [][2]int32) [][2]int32 {
-	sort.Slice(es, func(i, j int) bool { return edgeLess(es[i], es[j]) })
-	out := es[:0]
-	for i, e := range es {
-		if i == 0 || e != es[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
+	out := slices.Clone(es)
+	slices.SortFunc(out, edgeCmp)
+	return slices.Compact(out)
 }
 
-// ApplyDelta applies the batch in place, rebuilding the CSR arrays in
-// one merge pass, and bumps the epoch so the lazily-built reverse
-// adjacency is invalidated rather than served stale. It returns the
-// number of edges actually inserted and deleted (no-ops are skipped,
-// see Effective).
+// ApplyDelta returns the graph with the batch applied: a new graph one
+// epoch on, with fresh CSR arrays built in one merge pass. The receiver
+// never changes, so every snapshot that holds it keeps reading the edge
+// set it was computed from. Operations that would not change the graph
+// are skipped (see Effective), and a batch with none that would returns
+// the receiver itself. inserted and deleted count the operations that
+// took effect.
 //
-// Only root graphs (no virtual sink) are mutable; OutWeight tracks the
+// Only root graphs (no virtual sink) take deltas; OutWeight tracks the
 // structural out-degree, which is exactly what the virtual subgraphs
-// re-extracted from the updated graph need.
-//
-// Concurrency: ApplyDelta must not run concurrently with itself or with
-// readers of the adjacency (Out, In, HasEdge, traversals, Validate).
-// NumNodes, OutWeight-free query serving — anything reading only the
-// pre-computed store — is safe to overlap; the update pipeline in
-// internal/core relies on that to keep serving an old snapshot while a
-// new one is computed.
-func (g *Graph) ApplyDelta(d Delta) (inserted, deleted int, err error) {
-	ins, del, err := d.Effective(g)
+// re-extracted from the new graph need.
+func (g *Graph) ApplyDelta(d Delta) (next *Graph, inserted, deleted int, err error) {
+	ins, del, err := d.normalize(g)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
 	if len(ins) == 0 && len(del) == 0 {
-		return 0, 0, nil
+		return g, 0, 0, nil
 	}
-	newAdj := make([]int32, 0, len(g.adj)+len(ins)-len(del))
-	newOff := make([]int32, len(g.offsets))
+	next = &Graph{
+		n:       g.n,
+		offsets: make([]int32, g.n+1),
+		adj:     make([]int32, 0, len(g.adj)+len(ins)),
+		outW:    make([]int32, g.n),
+		virtual: -1,
+		epoch:   g.epoch + 1,
+	}
+	// Merge each sorted out-list with the sorted inserts for its node,
+	// dropping inserts of present edges and the edges marked for
+	// deletion; deletes of absent edges are passed over.
 	ii, di := 0, 0
 	for u := int32(0); u < int32(g.n); u++ {
-		old := g.adj[g.offsets[u]:g.offsets[u+1]]
-		oi := 0
-		// Merge the sorted old out-list with the sorted inserts for u,
-		// skipping edges marked for deletion. Both streams are strictly
-		// sorted, so the merged list stays strictly sorted.
-		for oi < len(old) || (ii < len(ins) && ins[ii][0] == u) {
-			var v int32
-			fromOld := false
-			switch {
-			case oi >= len(old):
-				v = ins[ii][1]
-				ii++
-			case ii >= len(ins) || ins[ii][0] != u || old[oi] < ins[ii][1]:
-				v = old[oi]
-				fromOld = true
-				oi++
-			default:
-				v = ins[ii][1]
+		for _, v := range g.Out(u) {
+			e := [2]int32{u, v}
+			for ; ii < len(ins) && edgeCmp(ins[ii], e) < 0; ii++ {
+				next.adj = append(next.adj, ins[ii][1])
+				inserted++
+			}
+			if ii < len(ins) && ins[ii] == e {
 				ii++
 			}
-			if fromOld && di < len(del) && del[di][0] == u && del[di][1] == v {
+			for di < len(del) && edgeCmp(del[di], e) < 0 {
 				di++
+			}
+			if di < len(del) && del[di] == e {
+				di++
+				deleted++
 				continue
 			}
-			newAdj = append(newAdj, v)
+			next.adj = append(next.adj, v)
 		}
-		newOff[u+1] = int32(len(newAdj))
-		g.outW[u] = newOff[u+1] - newOff[u]
+		for ; ii < len(ins) && ins[ii][0] == u; ii++ {
+			next.adj = append(next.adj, ins[ii][1])
+			inserted++
+		}
+		next.offsets[u+1] = int32(len(next.adj))
+		next.outW[u] = next.offsets[u+1] - next.offsets[u]
 	}
-	g.adj, g.offsets = newAdj, newOff
-	g.epoch++
-	return len(ins), len(del), nil
+	if inserted == 0 && deleted == 0 {
+		return g, 0, 0, nil
+	}
+	return next, inserted, deleted, nil
 }

@@ -13,7 +13,8 @@ import (
 
 // Graph is an immutable directed graph over nodes 0..N-1 in CSR
 // (compressed sparse row) layout. Build one with a Builder or the loaders
-// in this package; once constructed it must not be mutated.
+// in this package; once constructed it never changes. An edge-delta
+// batch yields a new graph (ApplyDelta) and leaves its receiver as it was.
 //
 // Each node carries an "OutWeight": the out-degree used when computing
 // random-walk transition probabilities. For an ordinary graph OutWeight
@@ -22,30 +23,26 @@ import (
 // retained out-edges; the missing probability mass flows to the virtual
 // sink and dies there (tours that leave the subgraph never return).
 type Graph struct {
-	n       int     // node count; fixed for the life of the graph
+	n       int     // node count
 	offsets []int32 // len N+1; out-edges of u are adj[offsets[u]:offsets[u+1]]
 	adj     []int32
 	outW    []int32 // transition denominator per node (see doc above)
 	virtual int32   // id of the virtual sink, or -1 when the graph has none
+	epoch   uint64  // edge-delta batches between the built graph and this one
 
-	// The reverse adjacency is built lazily and invalidated by ApplyDelta:
-	// epoch counts edge-batch applications, inEpoch records the epoch the
-	// reverse arrays were built at. sync.Once cannot express "valid until
-	// the next mutation", so the cache is epoch-aware instead.
-	epoch   uint64
-	inMu    sync.Mutex
-	inEpoch uint64
-	inOff   []int32
-	inAdj   []int32
+	// The reverse adjacency, built on first use (BuildReverse).
+	inMu  sync.Mutex
+	inOff []int32
+	inAdj []int32
 }
 
-// NumNodes returns N, including the virtual sink when present. The node
-// set is fixed at construction — edge deltas never change it — so this
-// is safe to call concurrently with ApplyDelta.
+// NumNodes returns N, including the virtual sink when present. Edge
+// deltas never change the node set, so every graph ApplyDelta derives
+// has the same N.
 func (g *Graph) NumNodes() int { return g.n }
 
-// Epoch returns the number of edge-delta batches applied to the graph.
-// A freshly built graph is at epoch 0.
+// Epoch returns the number of edge-delta batches between the built
+// graph and this one. A freshly built graph is at epoch 0.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // NumEdges returns the number of directed edges stored.
@@ -63,9 +60,8 @@ func (g *Graph) OutDegree(u int32) int { return int(g.offsets[u+1] - g.offsets[u
 // otherwise. It is 0 only for true dangling nodes.
 func (g *Graph) OutWeight(u int32) int { return int(g.outW[u]) }
 
-// In returns the in-neighbors of u. The reverse adjacency is built on
-// first use after each mutation (see BuildReverse); concurrent readers
-// are safe, but In must not race with ApplyDelta.
+// In returns the in-neighbors of u, from the reverse adjacency built on
+// first use (see BuildReverse). Safe for concurrent use.
 func (g *Graph) In(u int32) []int32 {
 	g.BuildReverse()
 	return g.inAdj[g.inOff[u]:g.inOff[u+1]]
@@ -75,24 +71,22 @@ func (g *Graph) In(u int32) []int32 {
 // u are adj[off[u]:off[u+1]]. Unlike In, the per-call mutex is paid once
 // here instead of on every lookup, which is what the sparse-frontier
 // reverse-push kernel needs — its inner loop reads one in-list per
-// residual pop. The slices alias internal storage (read-only) and are
-// valid until the next ApplyDelta; like In, this must not race with one.
+// residual pop. The slices alias internal storage (read-only) and stay
+// valid for the life of the graph.
 func (g *Graph) InLists() (off, adj []int32) {
 	g.BuildReverse()
 	return g.inOff, g.inAdj
 }
 
-// BuildReverse materializes the reverse adjacency (in-edges). Safe for
-// concurrent use with other readers; only the first call after a
-// mutation does work. It must not race with ApplyDelta (see Delta).
+// BuildReverse materializes the reverse adjacency (in-edges) once per
+// graph: a graph never changes, so neither does its reverse. Safe for
+// concurrent use; only the first call does work.
 func (g *Graph) BuildReverse() {
 	g.inMu.Lock()
 	defer g.inMu.Unlock()
-	if g.inOff != nil && g.inEpoch == g.epoch {
-		return
+	if g.inOff == nil {
+		g.inOff, g.inAdj = g.Reverse()
 	}
-	g.inOff, g.inAdj = g.Reverse()
-	g.inEpoch = g.epoch
 }
 
 // Reverse returns the reverse adjacency in CSR form, as InLists does,

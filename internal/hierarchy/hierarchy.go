@@ -107,8 +107,8 @@ func (n *Node) LeafMembers() []int32 { return n.leaf }
 // ids homed in its subtree — its hubs, and every descendant's hubs and
 // leaf members. The tree keeps no subgraph: the pre-computation
 // extracts the virtual subgraph over Members (graph.VirtualSubgraph,
-// Definition 3) from the root graph as it is when it computes the
-// node's vectors.
+// Definition 3) from the hierarchy's graph when it computes the node's
+// vectors.
 func (n *Node) Members() []int32 {
 	out := make([]int32, 0, n.size)
 	var walk func(*Node)

@@ -67,9 +67,7 @@ func TestParseTreeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := g.ApplyDelta(d); err != nil {
-			t.Fatal(err)
-		}
+		g = upd.H.G
 		h, promoted = upd.H, promoted+len(upd.Promoted)
 	}
 	if promoted == 0 {
@@ -126,9 +124,7 @@ func TestMembersMatchPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := g.ApplyDelta(d); err != nil {
-			t.Fatal(err)
-		}
+		g = upd.H.G
 		for _, x := range upd.Promoted {
 			for id, m := range want {
 				if int(level[id]) > upd.H.HubLevel(x) {
@@ -349,7 +345,7 @@ func TestTreeDepthBounded(t *testing.T) {
 	if _, err := h.AppendTree(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.ApplyDelta(d); err != nil {
+	if h.G, _, _, err = g.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.AppendTree(nil); err == nil || !strings.Contains(err.Error(), "on average") {

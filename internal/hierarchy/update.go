@@ -34,14 +34,16 @@ import (
 // a periodic full rebuild re-optimizes, exactly like any LSM-style
 // structure compacts.
 type Update struct {
-	// H is the new hierarchy. It shares the graph and every clean
-	// node's slices with the receiver of ApplyDelta, which remains fully
-	// usable as a snapshot.
+	// H is the new hierarchy, over the graph the batch yields. It shares
+	// every clean node's slices with the receiver of ApplyDelta, which
+	// keeps its own graph and remains fully usable as a snapshot.
 	H *Hierarchy
+	// Inserted and Deleted count the edge operations that changed the
+	// graph (see graph.Delta.Effective).
+	Inserted, Deleted int
 	// Dirty lists the tree nodes (of H, sorted by ID) whose virtual
 	// subgraph changed: their hub partials, skeletons, and — for leaves —
-	// member PPVs must be recomputed, over subgraphs extracted from the
-	// root graph once the batch has been applied to it.
+	// member PPVs must be recomputed, over subgraphs extracted from H.G.
 	Dirty []*Node
 	// Promoted lists nodes that joined a hub set to restore the
 	// separator property, in deterministic (sorted-edge) order. A
@@ -50,16 +52,22 @@ type Update struct {
 }
 
 // ApplyDelta maps an edge-delta batch to the partition hierarchy: it
-// returns a NEW hierarchy (the receiver is untouched and keeps serving
-// as a snapshot) with hub promotions applied, plus the dirty node set.
-// It must be called BEFORE the batch is applied to the shared root
-// graph: effectiveness filtering reads the pre-update edge set.
+// returns a NEW hierarchy over the new graph the batch yields, with hub
+// promotions applied, plus the dirty node set. The receiver and its
+// graph are untouched and keep serving as a snapshot, so any hierarchy,
+// old or new, can absorb any batch. A batch that changes no edge
+// yields a hierarchy over the receiver's graph with nothing dirty.
 func (h *Hierarchy) ApplyDelta(d graph.Delta) (*Update, error) {
 	ins, del, err := d.Effective(h.G)
 	if err != nil {
 		return nil, err
 	}
+	g, _, _, err := h.G.ApplyDelta(graph.Delta{Insert: ins, Delete: del})
+	if err != nil {
+		return nil, err
+	}
 	u := &updater{h: h.clone(), dirty: make(map[*Node]bool)}
+	u.h.G = g
 	for _, e := range del {
 		u.markPath(e[0])
 	}
@@ -67,7 +75,7 @@ func (h *Hierarchy) ApplyDelta(d graph.Delta) (*Update, error) {
 		u.markPath(e[0])
 		u.fixSeparator(e[0], e[1])
 	}
-	out := &Update{H: u.h, Promoted: u.promoted}
+	out := &Update{H: u.h, Inserted: len(ins), Deleted: len(del), Promoted: u.promoted}
 	for n := range u.dirty {
 		if !u.removed[n] {
 			out.Dirty = append(out.Dirty, n)

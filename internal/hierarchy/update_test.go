@@ -95,9 +95,6 @@ func TestApplyDeltaPromotionRestoresSeparator(t *testing.T) {
 	if h.IsHub(tail) {
 		t.Fatal("promotion leaked into the snapshot hierarchy")
 	}
-	if _, _, err := g.ApplyDelta(graph.Delta{Insert: [][2]int32{{tail, head}}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := upd.H.Validate(); err != nil {
 		t.Fatalf("updated hierarchy invalid: %v", err)
 	}
@@ -131,9 +128,7 @@ func TestApplyDeltaRandomizedInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
-		if _, _, err := g.ApplyDelta(d); err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
+		g = upd.H.G
 		if err := upd.H.Validate(); err != nil {
 			t.Fatalf("batch %d: hierarchy invalid: %v", batch, err)
 		}
