@@ -540,10 +540,12 @@ func benchStorePath(b *testing.B) string {
 // slice of a 2-way split (core.LoadShard) against a whole-store load of
 // the same file, and against opening the file as a DiskStore and taking
 // the same slice as a view (core.OpenDiskStore + core.SplitDisk). All
-// three rebuild the graph and tree; the shard copies only its own
-// payloads and the view copies none. vectorMB is the encoded size of
-// the vectors the loaded store or slice holds, and residentMB the heap
-// it keeps (ResidentBytes: tables or record index, tree and graph).
+// three parse and check the graph and tree; the loads keep them and
+// copy payloads (the shard only its own), and the view keeps only the
+// tree's deal ranks and copies no payload. vectorMB is the encoded size
+// of the vectors the loaded store or slice holds, and residentMB the
+// heap it keeps (ResidentBytes: tables, tree and graph for a load; deal
+// ranks and record offsets for the view).
 func BenchmarkLoadShard(b *testing.B) {
 	path := benchStorePath(b)
 	type slice interface {

@@ -67,12 +67,17 @@ func main() {
 	printTop(ppv, q, *topk)
 
 	if *verify {
-		oracle, err := ppr.PowerIteration(ds.H.G, q, ds.Params)
+		// The open store keeps no graph; this parses it from the file.
+		g, err := ds.Graph()
+		if err != nil {
+			fatal(err)
+		}
+		oracle, err := ppr.PowerIteration(g, q, ds.Params)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("vs power iteration: avg-L1 %.3e, L∞ %.3e\n",
-			sparse.L1Distance(ppv, oracle)/float64(ds.H.G.NumNodes()),
+			sparse.L1Distance(ppv, oracle)/float64(g.NumNodes()),
 			sparse.LInfDistance(ppv, oracle))
 	}
 }

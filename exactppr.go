@@ -206,13 +206,15 @@ type Preference = core.Preference
 // DiskStore answers exact queries straight from a store file, for
 // pre-computations larger than memory: memory-mapped zero-copy serving
 // (the OS page cache is its vector cache) and a transposed skeleton
-// index.
+// index. An open store keeps on the heap only one deal rank and two
+// record offsets per node — no graph and no tree; its Graph method
+// parses the graph from the file when a caller needs it.
 // SplitDisk returns one DiskStore view per machine; a query on a view
 // answers that machine's additive share.
 type DiskStore = core.DiskStore
 
 // DiskStats is a snapshot of a DiskStore's serving counters (records
-// read, mmap or in-memory copy).
+// read, mmap or in-memory copy) and of the heap the open store keeps.
 type DiskStats = core.DiskStats
 
 // DiskCluster is a coordinator over in-process disk slices; its

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -79,6 +80,30 @@ func TestGatewayErrorClasses(t *testing.T) {
 			postJSON(t, url+"/ppv", map[string]any{"nodes": []int32{1, 99999}, "set": true}, http.StatusNotFound, &res)
 			var e map[string]string
 			postJSON(t, url+"/edges", map[string]any{"insert": [][2]int32{{0, 99999}}}, http.StatusBadRequest, &e)
+		})
+	}
+}
+
+// TestGatewayOverlappingDeltaIs400: a batch that both inserts and
+// deletes one edge is the client's mistake (graph.ErrDeltaOverlap), so
+// POST /edges answers 400, not 502, through an updatable in-process
+// cluster and across TCP workers alike, naming the edge.
+func TestGatewayOverlappingDeltaIs400(t *testing.T) {
+	live, err := NewLiveLocalCluster(testStore(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewGateway(live).Handler())
+	t.Cleanup(srv.Close)
+	urls := map[string]string{"live-local": srv.URL, "tcp": classifiedGateways(t)["tcp"]}
+	for name, url := range urls {
+		t.Run(name, func(t *testing.T) {
+			var e map[string]string
+			batch := map[string]any{"insert": [][2]int32{{0, 1}, {2, 3}}, "delete": [][2]int32{{2, 3}}}
+			postJSON(t, url+"/edges", batch, http.StatusBadRequest, &e)
+			if !strings.Contains(e["error"], "both inserted and deleted: (2,3)") {
+				t.Fatalf("400 body %q does not name the overlapping edge", e["error"])
+			}
 		})
 	}
 }

@@ -173,7 +173,7 @@ func queryErrorStatus(err error) int {
 		return statusClientClosedRequest
 	case errors.Is(err, core.ErrNodeOutOfRange):
 		return http.StatusNotFound
-	case errors.Is(err, core.ErrBadPreference), errors.Is(err, graph.ErrEdgeOutOfRange):
+	case errors.Is(err, core.ErrBadPreference), errors.Is(err, graph.ErrEdgeOutOfRange), errors.Is(err, graph.ErrDeltaOverlap):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrReadOnly):
 		return http.StatusNotImplemented

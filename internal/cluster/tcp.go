@@ -152,7 +152,7 @@ var ErrReadOnly = errors.New("cluster: machine is read-only")
 // worker error unwraps to the same sentinel on the caller's side, so
 // the gateway maps remote and in-process failures to the same status.
 // New classes are appended: an index never changes meaning.
-var errorClasses = [...]error{nil, core.ErrNodeOutOfRange, core.ErrBadPreference, graph.ErrEdgeOutOfRange, ErrReadOnly}
+var errorClasses = [...]error{nil, core.ErrNodeOutOfRange, core.ErrBadPreference, graph.ErrEdgeOutOfRange, ErrReadOnly, graph.ErrDeltaOverlap}
 
 // encodeError builds the opError payload for err.
 func encodeError(err error) []byte {

@@ -374,7 +374,8 @@ func TestLoadBoundsCountsByFileLength(t *testing.T) {
 // shard's load, and both disk openers. A store that opens must hold
 // params that pass ValidatePrecompute, options and a tree that pass
 // Validate, and the file's epoch, and must answer every node with
-// finite entries.
+// finite entries. A disk store opens only files Load opens, and is
+// checked against Load's tree.
 func FuzzStoreParams(f *testing.F) {
 	g, err := gen.Community(gen.Config{
 		Nodes: 24, AvgOutDegree: 3, Communities: 3,
@@ -450,7 +451,8 @@ func FuzzStoreParams(f *testing.F) {
 				}
 			}
 		}
-		if ls, err := Load(bytes.NewReader(file)); err == nil {
+		ls, loadErr := Load(bytes.NewReader(file))
+		if loadErr == nil {
 			check("Load", ls.Params, ls.H, ls.QueryPacked)
 		}
 		for i := range 2 {
@@ -463,10 +465,17 @@ func FuzzStoreParams(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, mapped := range []bool{true, false} {
-			if ds, err := openDiskStore(path, mapped); err == nil {
-				check("OpenDiskStore", ds.Params, ds.H, ds.QueryPacked)
-				ds.Close()
+			ds, err := openDiskStore(path, mapped)
+			if err != nil {
+				continue
 			}
+			// A disk store keeps no tree: the file it opened must be
+			// one Load opens, whose tree then stands for it.
+			if loadErr != nil {
+				t.Fatalf("OpenDiskStore mapped=%v opened a store Load refuses: %v", mapped, loadErr)
+			}
+			check(fmt.Sprintf("OpenDiskStore mapped=%v", mapped), ds.Params, ls.H, ds.QueryPacked)
+			ds.Close()
 		}
 	})
 }
@@ -550,7 +559,7 @@ func FuzzStoreSections(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			queryAll(ds.H.G.NumNodes(), ds.QueryPacked, shards[0].QueryPacked, shards[1].QueryPacked)
+			queryAll(ds.numNodes(), ds.QueryPacked, shards[0].QueryPacked, shards[1].QueryPacked)
 			ds.Close()
 		}
 	})
@@ -612,6 +621,80 @@ func TestLoadChecksPlanRows(t *testing.T) {
 	for i, err := range openBoth(t, data)[:3] {
 		if err == nil || !strings.Contains(err.Error(), "out of fold order") {
 			t.Errorf("row %d's first two hubs swapped: loader %d: got %v", row, i, err)
+		}
+	}
+}
+
+// storeRecord is where one section record lies in a store file: from
+// its key to the end of its payload.
+type storeRecord struct {
+	key        int32
+	start, end int
+}
+
+// storeSections walks a saved store's record sections, returning each
+// section's count offset and records.
+func storeSections(data []byte, edges int) (counts [numSections]int, recs [numSections][]storeRecord) {
+	off := sectionsOff(data, edges)
+	i32 := func(at int) int32 { return int32(binary.LittleEndian.Uint32(data[at:])) }
+	for sec := range recs {
+		counts[sec] = off
+		off += 4
+		for range i32(counts[sec]) {
+			r := storeRecord{key: i32(off), start: off}
+			size := int(i32(off + 4))
+			off = int(payloadOffset(int64(off))) + size
+			r.end = off
+			recs[sec] = append(recs[sec], r)
+		}
+	}
+	return counts, recs
+}
+
+// withWrongKindRecord returns s's saved file with one more record in
+// section sec (hub partials or leaf PPVs), at the key of a node of the
+// other kind: a copy of one of the section's records, keyed by a node
+// between that record's key and the one before it, so the section's
+// keys stay in order. It returns the file and the key.
+func withWrongKindRecord(t *testing.T, s *Store, sec int8) ([]byte, int32) {
+	t.Helper()
+	data := savedBytes(t, s)
+	counts, recs := storeSections(data, s.H.G.NumEdges())
+	for k := 1; k < len(recs[sec]); k++ {
+		r := recs[sec][k]
+		if r.start%8 != 0 {
+			continue // a copy would shift the padding of what follows
+		}
+		for x := recs[sec][k-1].key + 1; x < r.key; x++ {
+			if s.H.IsHub(x) == (sec == secHubPartial) {
+				continue
+			}
+			rec := bytes.Clone(data[r.start:r.end])
+			binary.LittleEndian.PutUint32(rec, uint32(x))
+			out := slices.Concat(data[:r.start], rec, data[r.start:])
+			binary.LittleEndian.PutUint32(out[counts[sec]:], uint32(len(recs[sec])+1))
+			return out, x
+		}
+	}
+	t.Fatalf("section %d has no gap holding a node of the other kind", sec)
+	return nil, 0
+}
+
+// TestStoreRefusesRecordOfWrongKind: a node's base vector is its hub
+// partial if it is a hub and its leaf PPV otherwise, and an open disk
+// store keeps one record offset for it. A file holding a leaf PPV at a
+// hub's key, or a hub partial at a non-hub's, cannot come from Save:
+// Load, LoadShard and both disk openers refuse it, naming the section
+// and the key.
+func TestStoreRefusesRecordOfWrongKind(t *testing.T) {
+	s, _ := diskStoreFixture(t)
+	for _, sec := range []int8{secHubPartial, secLeafPPV} {
+		file, key := withWrongKindRecord(t, s, sec)
+		want := fmt.Sprintf("section %d key %d holds", sec, key)
+		for _, op := range storeOpeners(t, file) {
+			if err := op.open(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("section %d record at node %d (hub=%v): %s: got %v, want %q", sec, key, s.H.IsHub(key), op.name, err, want)
+			}
 		}
 	}
 }

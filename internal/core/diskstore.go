@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"exactppr/internal/graph"
 	"exactppr/internal/hierarchy"
 	"exactppr/internal/mmapfile"
 	"exactppr/internal/ppr"
@@ -31,17 +32,20 @@ import (
 //     hub's entire skeleton vector to read a single scalar. The store
 //     file keeps skeleton values only in this transposed form.
 //
-// Only the graph, the hierarchy, and an offset index are always
-// resident; vector payloads stay on disk (or in the page cache). The
-// index is one int64 per node and section, and the tree stores each id
-// once (hierarchy.Node). Stats reports their heap as ResidentBytes.
-// Opening checks what Load checks before it copies a vector: the
-// header, the tree, the section framing, that every hub has its partial
-// record, and that every hub's own plan row lists it (parseStore). Every record's
-// payload is checked each time it is viewed, so a corrupt vector fails
-// the query that reads it. Queries run the same fold as the in-memory
-// Store (fold.go), with the plan row as the source of each path hub's
-// s_u(h), so disk and memory answers are bit-identical.
+// Vector payloads stay on disk (or in the page cache). The heap keeps
+// one deal rank per id, all the fold asks of the tree, and two record
+// offsets per id: its base vector's (its hub partial if it is a hub,
+// its leaf PPV otherwise) and its plan row's. That is 20 bytes per
+// node, reported by Stats as ResidentBytes; the graph and the tree are
+// checked at open and then dropped (Graph parses the graph again on
+// demand). Opening checks what Load checks before it copies a vector:
+// the header, the tree, the section framing, that every record is of
+// its key's kind, that every hub has its partial record, and that every
+// hub's own plan row lists it (parseStore). Every record's payload is
+// checked each time it is viewed, so a corrupt vector fails the query
+// that reads it. Queries run the same fold as the in-memory Store
+// (fold.go), with the plan row as the source of each path hub's s_u(h),
+// so disk and memory answers are bit-identical.
 //
 // A DiskStore holds the whole store, or — from SplitDisk — one
 // machine's slice of it: a view over the same open file that folds only
@@ -63,9 +67,9 @@ type DiskStore struct {
 }
 
 // diskFile is the open store file every slice of it shares: the file's
-// bytes and the offset index. It is the disk vectorSource.
+// bytes, the deal ranks and the record offsets. It is the disk
+// vectorSource.
 type diskFile struct {
-	H      *hierarchy.Hierarchy
 	Params ppr.Params
 
 	// data is the whole store file: a read-only mapping, or a heap copy
@@ -73,13 +77,17 @@ type diskFile struct {
 	data   []byte
 	mapped bool
 
-	// idx[sec][key] is the file offset of key's record in section sec
-	// (hub partials, leaf PPVs, hub plans), or 0 when the section holds
-	// none. Payload offsets and lengths are read from the record
-	// headers parseStore checked (span).
-	idx [numSections][]int64
-	// resident is the heap the open file keeps: the index, the tree and
-	// the graph (DiskStats.ResidentBytes).
+	// rank[u] is u's deal rank, -1 for a non-hub: the parsed tree's own
+	// slice (hierarchy.Hierarchy.Ranks). Its length is the node count,
+	// and it answers isHub and every slice's hub rule.
+	rank []int32
+	// baseRec[u] is the file offset of u's base-vector record — its hub
+	// partial if u is a hub, its leaf PPV otherwise — and planRec[u] that
+	// of u's plan row; 0 when the file holds none. Payload offsets and
+	// lengths are read from the record headers parseStore checked (span).
+	baseRec, planRec []int64
+	// resident is the heap the open file keeps: the ranks and the record
+	// offsets (DiskStats.ResidentBytes).
 	resident int64
 
 	// fmu guards the mapping's lifecycle. Queries hold it shared for
@@ -143,8 +151,8 @@ type DiskStats struct {
 	// (false: from a copy of the file read into memory at open).
 	Mmap bool
 	// ResidentBytes is the heap the open store keeps whatever it
-	// serves: the record index, the tree and the graph, counted at open.
-	// Vector payloads are not in it: they stay in the file's bytes.
+	// serves: the deal ranks and the two record-offset arrays, counted at
+	// open. Vector payloads are not in it: they stay in the file's bytes.
 	ResidentBytes int64
 
 	// These always read 0.
@@ -157,16 +165,16 @@ type DiskStats struct {
 // OpenDiskStore opens a store file for on-demand querying. The file is
 // mapped read-only — or, where mapping is unsupported or fails, read
 // into one buffer — and parsed once: the header, graph and hierarchy
-// are loaded, and vector payloads are indexed by offset and served
-// zero-copy from those bytes. A file that Load rejects fails here too,
-// at open, except for a corrupt payload, which fails the queries that
-// view it.
+// are checked, the deal ranks are kept, and vector payloads are indexed
+// by offset and served zero-copy from those bytes. A file that Load
+// rejects fails here too, at open, except for a corrupt payload, which
+// fails the queries that view it.
 func OpenDiskStore(path string) (*DiskStore, error) { return openDiskStore(path, true) }
 
 // openDiskStore is OpenDiskStore with the mapping optional: mapped
 // false reads the file into memory even where mapping would work.
 func openDiskStore(path string, mapped bool) (*DiskStore, error) {
-	d, err := openFile(path, mapped)
+	d, _, err := openFile(path, mapped)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +182,12 @@ func openDiskStore(path string, mapped bool) (*DiskStore, error) {
 }
 
 // openFile maps the store file at path — or reads it into memory where
-// mapping is unsupported or fails, or mapped is false — and parses it.
-func openFile(path string, mapped bool) (*diskFile, error) {
+// mapping is unsupported or fails, or mapped is false — and parses it
+// (parseStore).
+func openFile(path string, mapped bool) (*diskFile, *hierarchy.Hierarchy, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close() // a mapping outlives its file descriptor
 	var data []byte
@@ -190,23 +199,23 @@ func openFile(path string, mapped bool) (*diskFile, error) {
 	}
 	if !mapped {
 		if data, err = readFile(f); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	d, err := parseStore(data)
+	d, h, err := parseStore(data)
 	if err != nil {
 		if mapped {
 			mmapfile.Unmap(data)
 		}
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	d.mapped = mapped
-	return d, nil
+	return d, h, nil
 }
 
 // view returns the DiskStore serving own's slice of d (nil: the whole
 // store) with the slice's vector counts and space, counted from the
-// index and lens, each hub's skeleton length (skeletonLens).
+// record offsets and lens, each hub's skeleton length (skeletonLens).
 func (d *diskFile) view(own *owner, lens []int32) *DiskStore {
 	v := &DiskStore{diskFile: d, own: own}
 	for key := range int32(d.numNodes()) {
@@ -219,7 +228,7 @@ func (d *diskFile) view(own *owner, lens []int32) *DiskStore {
 			v.space += sparse.SpaceBytes(sp.entries())
 		}
 		// A hub's skeleton vector counts as a loader rebuilds it.
-		if d.H.IsHub(key) && own.hub(key) {
+		if d.isHub(key) && own.hub(key) {
 			v.space += sparse.SpaceBytes(int(lens[key]))
 		}
 	}
@@ -303,9 +312,18 @@ func (d *diskFile) release() { d.fmu.RUnlock() }
 
 // span returns where the payload of key's record in section sec lies,
 // from the record header parseStore checked; ok is false when the
-// section holds no record for key. The file's bytes must be open.
+// section holds no record for key. A base-vector record is handed out
+// only for its key's kind — a hub partial for a hub, a leaf PPV for a
+// non-hub — so a plan row naming a non-hub finds no partial. The file's
+// bytes must be open.
 func (d *diskFile) span(sec int8, key int32) (sp span, ok bool) {
-	rec := d.idx[sec][key]
+	rec := d.planRec[key]
+	if sec != secHubPlan {
+		if d.isHub(key) != (sec == secHubPartial) {
+			return span{}, false
+		}
+		rec = d.baseRec[key]
+	}
 	if rec == 0 {
 		return span{}, false
 	}
@@ -347,7 +365,7 @@ func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 
 // plan is row for a query: it counts one read when u has a row.
 func (d *diskFile) plan(u int32) (planRow, error) {
-	if d.idx[secHubPlan][u] != 0 {
+	if d.planRec[u] != 0 {
 		d.reads.Add(1)
 	}
 	return d.row(u)
@@ -377,11 +395,11 @@ func (d *diskFile) row(u int32) (planRow, error) {
 // whole query, and a path walk is one plan row — returned as is
 // for the whole store, filtered into the scratch row for a slice.
 
-func (d *diskFile) numNodes() int { return d.H.G.NumNodes() }
+func (d *diskFile) numNodes() int { return len(d.rank) }
 
 func (d *diskFile) alpha() float64 { return d.Params.Alpha }
 
-func (d *diskFile) isHub(u int32) bool { return d.H.IsHub(u) }
+func (d *diskFile) isHub(u int32) bool { return d.rank[u] >= 0 }
 
 func (d *diskFile) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
 	plan, err := d.plan(u)
@@ -443,6 +461,19 @@ func (d *DiskStore) LeafCount() int { return d.leaves }
 // ResidentBytes reports the heap the open store keeps, which every
 // slice of it shares: DiskStats.ResidentBytes.
 func (d *DiskStore) ResidentBytes() int64 { return d.resident }
+
+// Graph parses the graph the store file carries from the open file's
+// bytes, with the reader the open checked it with (parseGraph). The
+// store keeps none of it: each call builds a fresh graph. It fails with
+// ErrStoreClosed after Close.
+func (d *DiskStore) Graph() (*graph.Graph, error) {
+	if err := d.acquire(); err != nil {
+		return nil, err
+	}
+	defer d.release()
+	g, _, err := parseGraph(d.data)
+	return g, err
+}
 
 // SpaceBytes reports the space of the vectors the store (or slice)
 // serves, in Store.SpaceBytes's measure — the per-machine space of

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"exactppr/internal/graph"
 	"exactppr/internal/hierarchy"
 	"exactppr/internal/sparse"
 )
@@ -132,6 +134,51 @@ func TestDiskStoreCloseTyped(t *testing.T) {
 		_, err := ds.Query(0)
 		if !errors.Is(err, ErrStoreClosed) {
 			t.Fatalf("mapped=%v: post-close Query error = %v, want ErrStoreClosed", mapped, err)
+		}
+	}
+}
+
+// TestDiskStoreGraph: an open disk store keeps no graph, and Graph
+// parses the one its file carries — an update-maintained store's, at
+// its epoch — equal to the store's own in counts, epoch and every
+// out-list, from either byte source; after Close it fails typed.
+func TestDiskStoreGraph(t *testing.T) {
+	s := buildStore(t, testGraph(t, 60), hierarchy.Options{Seed: 60})
+	s, _, err := s.ApplyUpdates(graph.Delta{Insert: [][2]int32{{0, 59}, {59, 1}}, Delete: [][2]int32{{0, s.H.G.Out(0)[0]}}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.H.G
+	if want.Epoch() == 0 {
+		t.Fatal("the batch changed no edge")
+	}
+	path := filepath.Join(t.TempDir(), "u.store")
+	if err := SaveFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{true, false} {
+		ds, err := openDiskStore(path, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ds.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumNodes() != want.NumNodes() || g.NumEdges() != want.NumEdges() || g.Epoch() != want.Epoch() {
+			t.Fatalf("mapped=%v: parsed %d nodes, %d edges at epoch %d; built %d, %d, %d", mapped,
+				g.NumNodes(), g.NumEdges(), g.Epoch(), want.NumNodes(), want.NumEdges(), want.Epoch())
+		}
+		for u := range int32(want.NumNodes()) {
+			if !slices.Equal(g.Out(u), want.Out(u)) {
+				t.Fatalf("mapped=%v: node %d: parsed out-list %v, built %v", mapped, u, g.Out(u), want.Out(u))
+			}
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := ds.Graph(); !errors.Is(err, ErrStoreClosed) || g != nil {
+			t.Fatalf("mapped=%v: Graph after Close = %v, %v; want ErrStoreClosed", mapped, g, err)
 		}
 	}
 }

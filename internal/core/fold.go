@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"exactppr/internal/hierarchy"
 	"exactppr/internal/sparse"
 )
 
@@ -42,19 +41,20 @@ type vectorSource interface {
 
 // owner is one machine's slice of a store under the paper's
 // hub-distributed load balancing (§4.4). Hub h belongs to machine
-// h.DealRank mod total — the ranks deal each tree node's hubs
+// DealRank(h) mod total — the ranks deal each tree node's hubs
 // round-robin with one global cursor, so machines stay balanced
 // although most tree nodes hold only one or two hubs, and a rank never
 // changes across updates, so neither does an existing hub's owner.
 // Non-hub u's leaf vector belongs to machine u mod total. Both follow
-// from the hierarchy alone, so memory and disk slices of one store own
-// the same vectors. A nil *owner admits everything.
+// from the deal ranks alone (hierarchy.Hierarchy.Ranks for a heap
+// store, the ranks a disk store keeps), so memory and disk slices of
+// one store own the same vectors. A nil *owner admits everything.
 type owner struct {
 	index, total int
-	h            *hierarchy.Hierarchy // the ranks the hub rule reads
+	rank         []int32 // every id's deal rank, -1 for a non-hub
 }
 
-func (o *owner) hub(h int32) bool { return o == nil || o.h.DealRank(h)%o.total == o.index }
+func (o *owner) hub(h int32) bool { return o == nil || int(o.rank[h])%o.total == o.index }
 
 func (o *owner) leaf(u int32) bool { return o == nil || int(u)%o.total == o.index }
 

@@ -29,16 +29,17 @@ import (
 // version-1 or version-2 file fails with ErrUnsupportedStoreVersion.
 //
 // Load, LoadFile, LoadShard and OpenDiskStore are one reader: parseStore
-// checks the header, the tree and the section framing of the file's
-// bytes (the mapped file, or a copy read into memory) and indexes every
-// record: one file offset per node and section, 0 for no record, the
-// payload's offset and length following from the record's header. That
-// index, the tree (each id stored once, at its home) and the graph are
-// all an open store keeps on the heap. A DiskStore serves views over
-// those bytes; the
-// loaders copy the vectors their slice owns into one table per section,
-// rebuild the skeleton vectors of the hubs it owns from the plan rows,
-// and release the bytes.
+// checks the header, the graph, the tree and the section framing of the
+// file's bytes (the mapped file, or a copy read into memory) and indexes
+// every record: per node, one file offset for its base vector (its hub
+// partial if it is a hub, its leaf PPV otherwise) and one for its plan
+// row, 0 for no record, the payload's offset and length following from
+// the record's header. A DiskStore serves views over those bytes and
+// keeps on the heap only those offsets and the tree's deal ranks; the
+// graph and the rest of the tree are dropped once checked. The loaders
+// keep the tree, copy the vectors their slice owns into one table per
+// section, rebuild the skeleton vectors of the hubs it owns from the
+// plan rows, and release the bytes.
 // LoadShard(path, i, n) copies only machine i's slice of an n-way split
 // (see Split), so a worker never allocates the vectors it does not
 // serve. Payload lengths are in the record framing, so a payload outside
@@ -206,30 +207,33 @@ const headerLen = 8 + 24 + 28 + 8 + 8
 const minRecordLen = 16
 
 // parseStore is the one reader of the store format: it checks the
-// header, the tree and the section framing of a whole file's bytes, and
-// returns the index of every record in data. The parameters must pass
-// the checks Precompute applies and the hierarchy options those Build
+// header, the graph, the tree and the section framing of a whole file's
+// bytes, and returns the served part of the file — its parameters, the
+// tree's deal ranks and the offset of every record in data — and the
+// tree, which only the loaders keep. The parameters must pass the
+// checks Precompute applies and the hierarchy options those Build
 // applies (ErrInvalidStoreParams); the tree must pass ParseTree's
 // checks (an error wrapping hierarchy.ErrInvalidTree). Counts are
 // bounded by the bytes that could hold them before anything is
 // allocated from them; a key outside [0,n) or not above the previous
-// key (Save writes keys sorted) and a payload longer than an n-entry
-// vector are rejected, and so is a hub without its partial or whose own
-// plan row lacks it (the fold applies the −α self term through that
-// entry). Payloads are checked when they are viewed (fetch, plan).
-func parseStore(data []byte) (*diskFile, error) {
+// key (Save writes keys sorted), a hub partial at a non-hub's key or a
+// leaf PPV at a hub's, and a payload longer than an n-entry vector are
+// rejected, and so is a hub without its partial or whose own plan row
+// lacks it (the fold applies the −α self term through that entry).
+// Payloads are checked when they are viewed (fetch, plan).
+func parseStore(data []byte) (*diskFile, *hierarchy.Hierarchy, error) {
 	if len(data) < len(storeMagic) {
-		return nil, fmt.Errorf("core: not a store file (%d bytes)", len(data))
+		return nil, nil, fmt.Errorf("core: not a store file (%d bytes)", len(data))
 	}
 	switch [8]byte(data) {
 	case storeMagic:
 	case storeMagicV1, storeMagicV2:
-		return nil, ErrUnsupportedStoreVersion
+		return nil, nil, ErrUnsupportedStoreVersion
 	default:
-		return nil, fmt.Errorf("core: not a store file (magic %q)", data[:8])
+		return nil, nil, fmt.Errorf("core: not a store file (magic %q)", data[:8])
 	}
 	if len(data) < headerLen {
-		return nil, fmt.Errorf("core: store header truncated at %d bytes", len(data))
+		return nil, nil, fmt.Errorf("core: store header truncated at %d bytes", len(data))
 	}
 	i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(data[off:])) }
 	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[off:])) }
@@ -247,55 +251,58 @@ func parseStore(data []byte) (*diskFile, error) {
 		Seed:      int64(binary.LittleEndian.Uint64(data[52:])),
 	}
 	if err := errors.Join(params.ValidatePrecompute(), opts.Validate()); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidStoreParams, err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidStoreParams, err)
 	}
-	n, m := int(i32(60)), int(i32(64))
-	epoch := binary.LittleEndian.Uint64(data[68:])
-	off := headerLen
-	if n < 0 || m < 0 || n > len(data)/minRecordLen || m > (len(data)-off)/8 {
-		return nil, fmt.Errorf("core: corrupt store header (n=%d m=%d) for a %d-byte file", n, m, len(data))
-	}
-	b := graph.NewBuilder(n)
-	for ; off < headerLen+8*m; off += 8 {
-		u, v := i32(off), i32(off+4)
-		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("core: corrupt edge (%d,%d)", u, v)
-		}
-		b.AddEdge(u, v)
-	}
-	h, treeLen, err := hierarchy.ParseTree(data[off:], b.BuildAtEpoch(epoch), opts)
+	g, off, err := parseGraph(data)
 	if err != nil {
-		return nil, fmt.Errorf("core: store tree: %w", err)
+		return nil, nil, err
+	}
+	h, treeLen, err := hierarchy.ParseTree(data[off:], g, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: store tree: %w", err)
 	}
 	off += treeLen
-	d := &diskFile{H: h, Params: params, data: data}
+	n := g.NumNodes()
+	d := &diskFile{Params: params, data: data, rank: h.Ranks(), baseRec: make([]int64, n), planRec: make([]int64, n)}
 	maxLen := sparse.EncodedSizeColumnar(n)
-	for sec := range d.idx {
+	for sec := range numSections {
 		if len(data)-off < 4 {
-			return nil, fmt.Errorf("core: store truncated before section %d", sec)
+			return nil, nil, fmt.Errorf("core: store truncated before section %d", sec)
 		}
 		count := int(i32(off))
 		off += 4
 		if maxCount := min(n, (len(data)-off)/minRecordLen); count < 0 || count > maxCount {
-			return nil, fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, maxCount)
+			return nil, nil, fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, maxCount)
 		}
-		d.idx[sec] = make([]int64, n)
+		recs := d.baseRec
+		if sec == secHubPlan {
+			recs = d.planRec
+		}
 		prev := int32(-1)
 		for range count {
 			if len(data)-off < 8 {
-				return nil, fmt.Errorf("core: section %d truncated after key %d", sec, prev)
+				return nil, nil, fmt.Errorf("core: section %d truncated after key %d", sec, prev)
 			}
 			key, vlen := i32(off), i32(off+4)
 			if key <= prev || int(key) >= n {
-				return nil, fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
+				return nil, nil, fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
+			}
+			// A node's base vector is its partial if it is a hub, its
+			// leaf PPV otherwise: the two sections share one offset array.
+			if sec != secHubPlan && h.IsHub(key) != (sec == secHubPartial) {
+				kind := "a leaf PPV at a hub"
+				if sec == secHubPartial {
+					kind = "a hub partial at a non-hub"
+				}
+				return nil, nil, fmt.Errorf("core: section %d key %d holds %s (corrupt store?)", sec, key, kind)
 			}
 			prev = key
 			rec := off
 			off = int(payloadOffset(int64(rec)))
 			if vlen < 0 || int(vlen) > maxLen || int(vlen) > len(data)-off {
-				return nil, fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
+				return nil, nil, fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
 			}
-			d.idx[sec][key] = int64(rec)
+			recs[key] = int64(rec)
 			off += int(vlen)
 		}
 	}
@@ -303,18 +310,42 @@ func parseStore(data []byte) (*diskFile, error) {
 		if !h.IsHub(u) {
 			continue
 		}
-		if d.idx[secHubPartial][u] == 0 {
-			return nil, fmt.Errorf("core: store missing partial for hub %d", u)
+		if d.baseRec[u] == 0 {
+			return nil, nil, fmt.Errorf("core: store missing partial for hub %d", u)
 		}
 		// The row's other hubs are checked when it is viewed (plan).
 		sp, _ := d.span(secHubPlan, u)
 		hubs, _, err := d.record(sp)
 		if err != nil || !slices.Contains(hubs, u) {
-			return nil, fmt.Errorf("core: hub %d is missing from its own plan row", u)
+			return nil, nil, fmt.Errorf("core: hub %d is missing from its own plan row", u)
 		}
 	}
-	d.resident = int64(numSections)*8*int64(n) + h.ResidentBytes() + h.G.ResidentBytes()
-	return d, nil
+	d.resident = 8*int64(cap(d.baseRec)+cap(d.planRec)) + 4*int64(cap(d.rank))
+	return d, h, nil
+}
+
+// parseGraph reads the graph section of a store file whose magic and
+// header length are checked: the node and edge counts, bounded by the
+// file's length before anything is allocated from them, the epoch, and
+// the edge list. It returns the graph and the offset of the tree
+// section that follows it.
+func parseGraph(data []byte) (*graph.Graph, int, error) {
+	i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(data[off:])) }
+	n, m := int(i32(60)), int(i32(64))
+	epoch := binary.LittleEndian.Uint64(data[68:])
+	if n < 0 || m < 0 || n > len(data)/minRecordLen || m > (len(data)-headerLen)/8 {
+		return nil, 0, fmt.Errorf("core: corrupt store header (n=%d m=%d) for a %d-byte file", n, m, len(data))
+	}
+	b := graph.NewBuilder(n)
+	off := headerLen
+	for ; off < headerLen+8*m; off += 8 {
+		u, v := i32(off), i32(off+4)
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return nil, 0, fmt.Errorf("core: corrupt edge (%d,%d)", u, v)
+		}
+		b.AddEdge(u, v)
+	}
+	return b.BuildAtEpoch(epoch), off, nil
 }
 
 // Load reads a store written by Save. It reads all of r (into one
@@ -354,12 +385,12 @@ func LoadShard(path string, i, n int) (*Store, error) {
 // loadFile is loadBytes over the bytes OpenDiskStore opens, which are
 // released before it returns.
 func loadFile(path string, shard, of int) (*Store, error) {
-	d, err := openFile(path, true)
+	d, h, err := openFile(path, true)
 	if err != nil {
 		return nil, err
 	}
 	defer d.close()
-	s, err := d.load(shard, of)
+	s, err := d.load(h, shard, of)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -370,29 +401,30 @@ func loadFile(path string, shard, of int) (*Store, error) {
 // shard-local store of machine shard of of — the whole store when of
 // is 0.
 func loadBytes(data []byte, shard, of int) (*Store, error) {
-	d, err := parseStore(data)
+	d, h, err := parseStore(data)
 	if err != nil {
 		return nil, err
 	}
-	return d.load(shard, of)
+	return d.load(h, shard, of)
 }
 
 // load copies the vectors of machine shard of of (every vector when of
 // is 0) out of d's checked views into one exact-size table per section,
-// so the store shares no byte with d.data: the hub partials and leaf
-// PPVs in file order, and between them the skeleton vectors of the
-// owned hubs, rebuilt from every checked plan row (skeletons).
-func (d *diskFile) load(shard, of int) (*Store, error) {
+// so the store over h, the tree parseStore returned with d, shares no
+// byte with d.data: the hub partials and leaf PPVs in file order, and
+// between them the skeleton vectors of the owned hubs, rebuilt from
+// every checked plan row (skeletons).
+func (d *diskFile) load(h *hierarchy.Hierarchy, shard, of int) (*Store, error) {
 	var own *owner
 	if of != 0 {
-		own = &owner{index: shard, total: of, h: d.H}
+		own = &owner{index: shard, total: of, rank: d.rank}
 	}
-	s := &Store{H: d.H, Params: d.Params, own: own}
+	s := &Store{H: h, Params: d.Params, own: own}
 	var err error
 	if s.HubPartial, err = d.copySection(secHubPartial, own); err != nil {
 		return nil, err
 	}
-	if s.Skeleton, err = d.skeletons(own); err != nil {
+	if s.Skeleton, err = d.skeletons(h, own); err != nil {
 		return nil, err
 	}
 	if s.LeafPPV, err = d.copySection(secLeafPPV, own); err != nil {

@@ -128,7 +128,8 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton Table) planTable {
 }
 
 // skeletons rebuilds the skeleton vectors of the hubs own admits (every
-// hub's, for a whole store) by transposing the plan rows: hub h's vector
+// hub's, for a whole store) of the store over h, the tree parseStore
+// returned with d, by transposing the plan rows: hub h's vector
 // holds s_u(h) for each row u that lists h with a non-zero value. The
 // rows' zeros are the self entries buildHubPlans injects, so dropping
 // them rebuilds each vector bit for bit. Every row is checked, owned or
@@ -136,8 +137,7 @@ func buildHubPlans(h *hierarchy.Hierarchy, skeleton Table) planTable {
 // disk fold of a row and the memory fold of the rebuilt vectors agree.
 // The table is sized by skeletonLens up front, and the rows, taken in
 // ascending u, fill each hub's slots in ascending id order.
-func (d *diskFile) skeletons(own *owner) (Table, error) {
-	h := d.H
+func (d *diskFile) skeletons(h *hierarchy.Hierarchy, own *owner) (Table, error) {
 	n := int32(h.G.NumNodes())
 	lens := d.skeletonLens()
 	t, err := makeTable(int(n), func(hub int32) (int, bool) {

@@ -14,11 +14,11 @@ import (
 // hierarchy.Build made — node by node, and in every per-id index.
 func TestParsedTreeMatchesBuild(t *testing.T) {
 	s, _, _ := equivFixture(t)
-	d, err := parseStore(savedBytes(t, s))
+	_, got, err := parseStore(savedBytes(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := s.H, d.H
+	want := s.H
 	if got.Opts != want.Opts || got.G.Epoch() != want.G.Epoch() || len(got.Nodes()) != len(want.Nodes()) {
 		t.Fatalf("parsed tree: opts %+v, epoch %d, %d nodes; built: %+v, %d, %d",
 			got.Opts, got.G.Epoch(), len(got.Nodes()), want.Opts, want.G.Epoch(), len(want.Nodes()))

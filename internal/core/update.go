@@ -93,7 +93,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	// recompute below produces.
 	ns := &Store{H: upd.H, Params: s.Params}
 	if o := s.own; o != nil {
-		ns.own = &owner{index: o.index, total: o.total, h: upd.H}
+		ns.own = &owner{index: o.index, total: o.total, rank: upd.H.Ranks()}
 	}
 
 	var tasks []precomputeTask
@@ -194,7 +194,7 @@ func (l *LiveStore) Narrow(i, n int) error {
 	if err := checkShard(i, n); err != nil {
 		return err
 	}
-	l.cur.Store(cur.narrow(&owner{index: i, total: n, h: cur.H}))
+	l.cur.Store(cur.narrow(&owner{index: i, total: n, rank: cur.H.Ranks()}))
 	return nil
 }
 

@@ -11,6 +11,10 @@ import (
 // of the graph.
 var ErrEdgeOutOfRange = errors.New("graph: delta edge out of range")
 
+// ErrDeltaOverlap reports a delta that both inserts and deletes one
+// edge: inside one atomic batch the intent is ambiguous.
+var ErrDeltaOverlap = errors.New("graph: delta edge both inserted and deleted")
+
 // Delta is a batch of edge insertions and deletions against a Graph. The
 // node set is fixed: deltas change edges only. Batches are the unit of
 // consistency for the incremental-update pipeline — one Delta maps a
@@ -60,7 +64,7 @@ func (d Delta) normalize(g *Graph) (ins, del [][2]int32, err error) {
 	for i, j := 0, 0; i < len(ins) && j < len(del); {
 		switch c := edgeCmp(ins[i], del[j]); {
 		case c == 0:
-			return nil, nil, fmt.Errorf("graph: edge (%d,%d) both inserted and deleted", ins[i][0], ins[i][1])
+			return nil, nil, fmt.Errorf("%w: (%d,%d)", ErrDeltaOverlap, ins[i][0], ins[i][1])
 		case c < 0:
 			i++
 		default:

@@ -380,6 +380,11 @@ func (h *Hierarchy) HubLevel(u int32) int { return int(h.hubLevel[u]) }
 // an existing hub never changes across updates.
 func (h *Hierarchy) DealRank(u int32) int { return int(h.rank[u]) }
 
+// Ranks returns every id's DealRank, -1 for a non-hub, as the tree's
+// own slice, so a reader that needs only the ranks can keep them
+// without the tree. Callers must not write it.
+func (h *Hierarchy) Ranks() []int32 { return h.rank }
+
 // Path returns the chain of tree nodes containing u, from the root down
 // to Home(u).
 func (h *Hierarchy) Path(u int32) []*Node {
