@@ -64,8 +64,9 @@ func benchQueries(g *graph.Graph, n int) []int32 { return workload.Queries(g, n,
 // BenchmarkHierarchyBuild regenerates Tables 2–5: hierarchical
 // partitioning with per-level hub selection, on the bench fixture
 // (web×0.25) and on the serving benchmark's fixture (web×1). Build
-// splits sibling subtrees on GOMAXPROCS workers, so -cpu 1,2 records the
-// serial and the parallel build. The seed is fixed so every iteration
+// grows the tree level by level, splitting each level's nodes on
+// ppr.Run's GOMAXPROCS workers, so -cpu 1,2 records the serial and the
+// parallel build. The seed is fixed so every iteration
 // builds the same tree: ns/op does not depend on b.N and the hubs metric
 // describes every iteration, not only the last.
 func BenchmarkHierarchyBuild(b *testing.B) {

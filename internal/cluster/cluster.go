@@ -89,8 +89,13 @@ type UpdateStats struct {
 	Recomputed int64
 	// Digest fingerprints the batch's dirty set and hub promotions over
 	// the whole store (core.UpdateInfo.Digest): machines holding the
-	// same store report the same digest for the same batch.
+	// same store report the same digest for the same batch, and 0 when
+	// it changes no edge.
 	Digest uint64
+	// Epoch and History identify the snapshot the batch leaves on the
+	// machine (core.UpdateInfo.Epoch and History): machines that hold
+	// the same edges report the same pair.
+	Epoch, History uint64
 	// Wall is the end-to-end batch time observed by the caller.
 	Wall time.Duration
 }
@@ -363,11 +368,14 @@ func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 // ErrReadOnly, and if a probe fails otherwise (a dead worker) with that
 // error, before the batch is sent anywhere.
 //
-// Agreement: every machine must report the same edge counts and the
-// same Digest — the dirty set and hub promotions over the WHOLE store,
-// which each machine derives before filtering to its slice — or the
-// machines have diverged and the call fails. The Recomputed counts are
-// per slice, so they are summed: the result is the cluster-wide total.
+// Agreement: every machine must report the same snapshot — the same
+// Epoch and History — or the machines have diverged and the call
+// fails. The history folds in each batch's edge counts and Digest (the
+// dirty set and hub promotions over the WHOLE store, which each machine
+// derives before filtering to its slice), so machines that agree on it
+// agree on every batch they applied. The edge counts and Digest are a
+// machine's that this batch changed; the Recomputed counts are per
+// slice, so they are summed: the result is the cluster-wide total.
 //
 // Consistency: each machine swaps in its post-batch snapshot
 // atomically, but the swaps are not coordinated across machines — a
@@ -379,9 +387,9 @@ func sumReplies(replies []reply, start time.Time) (*QueryStats, error) {
 // batches. Retrying the batch heals that: a machine whose update failed
 // still holds its pre-batch snapshot and graph and applies the batch
 // afresh, while one that already applied it finds every operation
-// ineffective and keeps its snapshot. The retry still fails the
-// agreement check, since those machines report a no-op, but it leaves
-// every machine on the post-batch snapshot.
+// ineffective and keeps its snapshot. Every machine then holds the
+// post-batch snapshot, so the retry passes the agreement check and
+// reports the batch's counts and Digest.
 func (c *Coordinator) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	start := time.Now()
 	if err := c.probeUpdates(ctx); err != nil {
@@ -402,23 +410,37 @@ func (c *Coordinator) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateSt
 		}(i, m.(Updater))
 	}
 	wg.Wait()
-	var out UpdateStats
 	for i, rp := range replies {
 		if rp.err != nil {
 			return UpdateStats{}, fmt.Errorf("cluster: machine %d update: %w (cluster may be torn — retry the batch)", i, rp.err)
 		}
-		if i == 0 {
-			out = rp.stats
-			continue
+	}
+	out := UpdateStats{Epoch: replies[0].stats.Epoch, History: replies[0].stats.History}
+	changed := -1 // the first machine the batch changed
+	for i, rp := range replies {
+		st := rp.stats
+		if st.Epoch != out.Epoch || st.History != out.History {
+			return UpdateStats{}, disagree(0, replies[0].stats, i, st)
 		}
-		if st := rp.stats; st.Digest != out.Digest || st.Inserted != out.Inserted || st.Deleted != out.Deleted {
-			return UpdateStats{}, fmt.Errorf("cluster: machines disagree on recompute (machine 0: +%d −%d digest %016x; machine %d: +%d −%d digest %016x) — replicas have diverged",
-				out.Inserted, out.Deleted, out.Digest, i, st.Inserted, st.Deleted, st.Digest)
+		if st.Inserted+st.Deleted > 0 {
+			if changed < 0 {
+				changed = i
+				out.Inserted, out.Deleted, out.Digest = st.Inserted, st.Deleted, st.Digest
+			} else if st.Digest != out.Digest || st.Inserted != out.Inserted || st.Deleted != out.Deleted {
+				return UpdateStats{}, disagree(changed, replies[changed].stats, i, st)
+			}
 		}
-		out.Recomputed += rp.stats.Recomputed
+		out.Recomputed += st.Recomputed
 	}
 	out.Wall = time.Since(start)
 	return out, nil
+}
+
+// disagree is ApplyUpdates' error for machines i and j whose acks of one
+// batch do not match.
+func disagree(i int, a UpdateStats, j int, b UpdateStats) error {
+	return fmt.Errorf("cluster: machines disagree after the batch (machine %d: epoch %d history %016x, +%d −%d digest %016x; machine %d: epoch %d history %016x, +%d −%d digest %016x) — replicas have diverged",
+		i, a.Epoch, a.History, a.Inserted, a.Deleted, a.Digest, j, b.Epoch, b.History, b.Inserted, b.Deleted, b.Digest)
 }
 
 func isCancel(err error) bool {

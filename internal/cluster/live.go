@@ -51,8 +51,8 @@ func (m *LiveShard) backend() PackedQuerier { return m.live.Store() }
 
 // ApplyUpdates implements Updater. The batch recompute runs to
 // completion once started; ctx only gates the start. Recomputed counts
-// this slice's vectors; Digest lets the coordinator check that every
-// worker saw the same dirty set.
+// this slice's vectors; Epoch and History let the coordinator check
+// that every worker holds the same snapshot after the batch.
 func (m *LiveShard) ApplyUpdates(ctx context.Context, d graph.Delta) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
@@ -71,6 +71,8 @@ func updateStats(info *core.UpdateInfo, start time.Time) UpdateStats {
 		Deleted:    int64(info.Deleted),
 		Recomputed: int64(info.Recomputed),
 		Digest:     info.Digest,
+		Epoch:      info.Epoch,
+		History:    info.History,
 		Wall:       time.Since(start),
 	}
 }

@@ -40,10 +40,15 @@ import (
 //	                                      uint32 insert count, count ×
 //	                                      (int32 u, int32 v), then the
 //	                                      same for deletes
-//	opUpdateAck    worker → coordinator   payload = 4 × uint64: edges
+//	opUpdateAck    worker → coordinator   payload = 6 × uint64: edges
 //	                                      inserted, edges deleted,
 //	                                      vectors recomputed (the
-//	                                      worker's slice), batch digest
+//	                                      worker's slice), batch digest,
+//	                                      then the graph epoch and batch
+//	                                      history of the snapshot the
+//	                                      batch leaves (48 bytes; a
+//	                                      32-byte ack from an older
+//	                                      build fails as malformed)
 //
 // Opcode 2 is retired for good: it carried shares in the fixed-width
 // encoding (uint32 count, 12 bytes per entry) the compact one replaced.
@@ -367,10 +372,10 @@ func (s *Server) handleUpdate(ctx context.Context, payload []byte) ([]byte, erro
 		return nil, err
 	}
 	if d.Len() == 0 {
-		// The coordinator's capability probe (Pool.SupportsUpdates).
-		// The Updater would make it wait behind any running batch and
-		// clone the store's hierarchy, to change nothing.
-		return encodeUpdateStats(UpdateStats{Digest: core.EmptyBatchDigest}), nil
+		// The coordinator's capability probe (Pool.SupportsUpdates),
+		// acked with zeros. The Updater would change nothing, but the
+		// probe would wait behind any running batch.
+		return encodeUpdateStats(UpdateStats{}), nil
 	}
 	stats, err := s.Updater.ApplyUpdates(ctx, d)
 	if err != nil {
@@ -445,16 +450,18 @@ func decodeDelta(buf []byte) (graph.Delta, error) {
 
 // encodeUpdateStats serializes the opUpdateAck payload.
 func encodeUpdateStats(s UpdateStats) []byte {
-	buf := make([]byte, 32)
+	buf := make([]byte, 48)
 	binary.LittleEndian.PutUint64(buf, uint64(s.Inserted))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(s.Deleted))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(s.Recomputed))
 	binary.LittleEndian.PutUint64(buf[24:], s.Digest)
+	binary.LittleEndian.PutUint64(buf[32:], s.Epoch)
+	binary.LittleEndian.PutUint64(buf[40:], s.History)
 	return buf
 }
 
 func decodeUpdateStats(buf []byte) (UpdateStats, error) {
-	if len(buf) != 32 {
+	if len(buf) != 48 {
 		return UpdateStats{}, fmt.Errorf("cluster: malformed update ack")
 	}
 	return UpdateStats{
@@ -462,6 +469,8 @@ func decodeUpdateStats(buf []byte) (UpdateStats, error) {
 		Deleted:    int64(binary.LittleEndian.Uint64(buf[8:])),
 		Recomputed: int64(binary.LittleEndian.Uint64(buf[16:])),
 		Digest:     binary.LittleEndian.Uint64(buf[24:]),
+		Epoch:      binary.LittleEndian.Uint64(buf[32:]),
+		History:    binary.LittleEndian.Uint64(buf[40:]),
 	}, nil
 }
 

@@ -335,7 +335,8 @@ func TestLiveLocalClusterSnapshotAtomicQueries(t *testing.T) {
 	}
 }
 
-// TestDeltaCodecRoundTrip covers the opUpdate payload encoding.
+// TestDeltaCodecRoundTrip covers the opUpdate and opUpdateAck payload
+// encodings.
 func TestDeltaCodecRoundTrip(t *testing.T) {
 	d := graph.Delta{
 		Insert: [][2]int32{{1, 2}, {3, 4}},
@@ -354,7 +355,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if _, err := decodeDelta(append(encodeDelta(d), 0)); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
-	st := UpdateStats{Inserted: 5, Deleted: 2, Recomputed: 77, Digest: 0x0123456789abcdef}
+	st := UpdateStats{Inserted: 5, Deleted: 2, Recomputed: 77, Digest: 0x0123456789abcdef, Epoch: 3, History: 0xfedcba9876543210}
 	got2, err := decodeUpdateStats(encodeUpdateStats(st))
 	if err != nil {
 		t.Fatal(err)
@@ -364,6 +365,10 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeUpdateStats([]byte{1}); err == nil {
 		t.Fatal("malformed ack must fail")
+	}
+	// The 4-field ack of a build before Epoch and History.
+	if _, err := decodeUpdateStats(make([]byte, 32)); err == nil || !strings.Contains(err.Error(), "malformed update ack") {
+		t.Fatalf("32-byte ack: err = %v, want a malformed update ack", err)
 	}
 }
 

@@ -80,5 +80,6 @@ func (s *Store) narrow(own *owner) *Store {
 		Skeleton:   s.Skeleton.filter(own.hub),
 		LeafPPV:    s.LeafPPV.filter(own.leaf),
 		own:        own,
+		history:    s.history,
 	}
 }

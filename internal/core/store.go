@@ -68,6 +68,13 @@ type Store struct {
 	// LoadShard): its sections carry only the vectors own admits. Nil
 	// for a whole store.
 	own *owner
+	// history fingerprints the batches the store has absorbed since it
+	// was built or loaded: 0 then, and each batch that changes an edge
+	// folds its effect in (nextHistory). Copies of one store, or its
+	// slices, at the same history and graph epoch have absorbed the
+	// same edge changes, even where a retried batch found one of them
+	// already applied.
+	history uint64
 }
 
 // ErrMissingVector reports a fold that needs a vector its source does

@@ -54,8 +54,14 @@ type UpdateInfo struct {
 	// Digest fingerprints the batch's effect on the whole store — every
 	// dirty vector key, before any slice filter, and every promoted hub
 	// with its deal rank. Every shard of one store that applies the same
-	// batch reports the same digest.
+	// batch reports the same digest. It is 0 for a batch that changes
+	// no edge.
 	Digest uint64
+	// Epoch and History identify the snapshot the batch leaves: its
+	// graph's epoch and its batch history (see Store.history). Every
+	// shard of one store that has absorbed the same batches holds the
+	// same pair, whether or not this batch changed it.
+	Epoch, History uint64
 	// Pushes is the total number of residual pops the recompute kernels
 	// performed.
 	Pushes int64
@@ -81,7 +87,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	}
 	info := &UpdateInfo{Inserted: upd.Inserted, Deleted: upd.Deleted}
 	if upd.Inserted == 0 && upd.Deleted == 0 {
-		info.Digest = updateDigest(nil, upd)
+		info.Epoch, info.History = s.H.G.Epoch(), s.history
 		info.StoreVectors = s.storeVectors()
 		info.Wall = time.Since(start)
 		return s, info, nil
@@ -101,6 +107,8 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 		tasks = append(tasks, nodeTasks(n)...)
 	}
 	info.Digest = updateDigest(tasks, upd)
+	ns.history = nextHistory(s.history, info)
+	info.Epoch, info.History = upd.H.G.Epoch(), ns.history
 	tasks = slices.DeleteFunc(tasks, func(t precomputeTask) bool {
 		if t.hub {
 			return !ns.own.hub(t.u)
@@ -145,9 +153,19 @@ func updateDigest(tasks []precomputeTask, upd *hierarchy.Update) uint64 {
 	return h.Sum64()
 }
 
-// EmptyBatchDigest is the UpdateInfo.Digest of a batch with no edge
-// operations: it dirties no vector and promotes no hub.
-var EmptyBatchDigest = updateDigest(nil, &hierarchy.Update{})
+// nextHistory is the batch history of the snapshot a batch that
+// changes an edge leaves: FNV-64 over the previous history, then the
+// batch's Digest, Inserted and Deleted.
+func nextHistory(prev uint64, info *UpdateInfo) uint64 {
+	h := fnv.New64a()
+	var b [32]byte
+	binary.LittleEndian.PutUint64(b[:], prev)
+	binary.LittleEndian.PutUint64(b[8:], info.Digest)
+	binary.LittleEndian.PutUint64(b[16:], uint64(info.Inserted))
+	binary.LittleEndian.PutUint64(b[24:], uint64(info.Deleted))
+	h.Write(b[:])
+	return h.Sum64()
+}
 
 // storeVectors counts the vectors a from-scratch pre-computation would
 // produce for this store.

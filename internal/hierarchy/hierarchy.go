@@ -17,13 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"exactppr/internal/graph"
 	"exactppr/internal/partition"
+	"exactppr/internal/ppr"
 )
 
 // Options tunes hierarchy construction.
@@ -140,16 +139,19 @@ type Hierarchy struct {
 	nextRank int32
 }
 
-// Build constructs the hierarchy for g. Sibling subtrees are
-// independent, so Build partitions them concurrently on a fixed pool of
-// GOMAXPROCS workers. Each node is partitioned with the seed its place
-// in the tree gives it, and one pre-order pass then numbers the nodes
-// and deals the hub ranks, so the tree, its ranks and the store files
-// made from it are the same for every GOMAXPROCS.
+// Build constructs the hierarchy for g. The nodes of one level are
+// independent, so Build grows the tree level by level, splitting each
+// level's nodes concurrently on ppr.Run, the pre-computation's task
+// pool. Each node is partitioned with the seed its place in the tree
+// gives it, and one pre-order pass then numbers the nodes and deals the
+// hub ranks, so the tree, its ranks and the store files made from it —
+// and the error of a build that fails — are the same for every
+// GOMAXPROCS.
 func Build(g *graph.Graph, opts Options) (*Hierarchy, error) { return build(g, opts, nil) }
 
 // build is Build, handing every tree node, in pre-order, and the
-// members it was partitioned with to seen when seen is not nil.
+// members it was partitioned with to seen when seen is not nil; grow
+// keeps those member lists for it only then.
 func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("hierarchy: empty graph")
@@ -181,7 +183,9 @@ func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy,
 	if seen != nil {
 		kept = map[*Node][]int32{}
 	}
-	errs := h.grow(pending{h.Root, all, opts.Seed}, kept)
+	if err := h.grow(pending{h.Root, all, opts.Seed}, kept); err != nil {
+		return nil, err
+	}
 
 	// Number the nodes in pre-order and index their ids, as a serial
 	// depth-first build would have: ranks follow Nodes()×Hubs order.
@@ -189,9 +193,6 @@ func build(g *graph.Graph, opts Options, seen func(*Node, []int32)) (*Hierarchy,
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if err := errs[n]; err != nil {
-			return nil, err
-		}
 		n.ID = int32(len(h.nodes))
 		h.nodes = append(h.nodes, n)
 		for _, x := range n.Hubs {
@@ -221,65 +222,30 @@ type pending struct {
 	seed    int64
 }
 
-// grow splits the tree from root down on a fixed pool of GOMAXPROCS
-// workers, the calling goroutine one of them. Pending nodes wait on a
-// stack, so the walk stays depth-first and holds few member lists at
-// once; with one worker it visits the nodes in pre-order. A split reads
-// only its node's members and seed, so no split depends on which worker
-// makes it, or when. An error stops every worker; grow returns the
-// errors by node, and, when kept is not nil, records every node's
-// members in it.
-func (h *Hierarchy) grow(root pending, kept map[*Node][]int32) map[*Node]error {
-	var (
-		mu    sync.Mutex
-		more  = sync.NewCond(&mu)
-		stack = []pending{root}
-		busy  int // nodes being split
-		errs  map[*Node]error
-	)
-	work := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for {
-			for len(stack) == 0 && busy > 0 && errs == nil {
-				more.Wait()
-			}
-			if len(stack) == 0 || errs != nil {
-				return
-			}
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if kept != nil {
+// grow splits the tree from root down one level at a time: a level's
+// pending nodes are one ppr.Run, task i splitting level[i], and the next
+// level is their children in slot order. A split reads only its node's
+// members and seed, so no split depends on which worker makes it, or
+// when, and a failing level returns the error of its first failing
+// node, the same at every GOMAXPROCS. When kept is not nil, grow
+// records every node's members in it.
+func (h *Hierarchy) grow(root pending, kept map[*Node][]int32) error {
+	for level := []pending{root}; len(level) > 0; {
+		kids := make([][]pending, len(level))
+		if _, err := ppr.Run(len(level), 0, func(_ *ppr.Scratch, i int) (err error) {
+			kids[i], err = h.split(level[i])
+			return err
+		}); err != nil {
+			return err
+		}
+		if kept != nil {
+			for _, p := range level {
 				kept[p.n] = p.members
 			}
-			busy++
-			mu.Unlock()
-			kids, err := h.split(p)
-			mu.Lock()
-			busy--
-			if err != nil {
-				if errs == nil {
-					errs = map[*Node]error{}
-				}
-				errs[p.n] = err
-			}
-			for i := len(kids) - 1; i >= 0; i-- {
-				stack = append(stack, kids[i])
-			}
-			more.Broadcast()
 		}
+		level = slices.Concat(kids...)
 	}
-	var wg sync.WaitGroup
-	for range runtime.GOMAXPROCS(0) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return errs
+	return nil
 }
 
 // split partitions one pending node: it sets the node's hubs, or its

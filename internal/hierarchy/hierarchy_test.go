@@ -268,10 +268,10 @@ func TestMemberCountsConserved(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministicAcrossProcs: Build splits sibling subtrees on
-// GOMAXPROCS workers, so the tree, its ranks and its homes must not
-// depend on how many there are, and every worker must exit with Build —
-// on success and on a split that fails.
+// TestBuildDeterministicAcrossProcs: Build splits each level's nodes on
+// ppr.Run's GOMAXPROCS workers, so the tree, its ranks and its homes
+// must not depend on how many there are, and every worker must exit
+// with Build — on success and on a split that fails.
 func TestBuildDeterministicAcrossProcs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full fixture hierarchy four times")
@@ -297,7 +297,7 @@ func TestBuildDeterministicAcrossProcs(t *testing.T) {
 	for _, fanout := range []int{2, 4} {
 		var want *Hierarchy
 		var wantTree []byte
-		for _, procs := range []int{1, 2} {
+		for _, procs := range []int{1, 2, 4} {
 			h, err := build(procs, g, Options{Fanout: fanout, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -328,5 +328,30 @@ func TestBuildDeterministicAcrossProcs(t *testing.T) {
 		if _, err := build(procs, email(t), Options{Fanout: 8, MinSize: 1, Seed: 1}); err == nil {
 			t.Fatalf("GOMAXPROCS %d: Build split subgraphs smaller than the fanout", procs)
 		}
+	}
+}
+
+// TestBuildErrorSameAtEveryProcs: a build whose splits fail at several
+// nodes reports one error, whatever the number of workers and however
+// they are scheduled. With no size floor, 8-way splits of the email
+// fixture reach several subgraphs the partitioner refuses, so a build
+// that reported whichever failing split a worker reached first would
+// show more than one text over these rounds.
+func TestBuildErrorSameAtEveryProcs(t *testing.T) {
+	g := email(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	seen := map[string]int{}
+	for round := range 50 {
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			_, err := Build(g, Options{Fanout: 8, MinSize: 1, Seed: 1})
+			if err == nil {
+				t.Fatalf("round %d, GOMAXPROCS %d: Build split subgraphs smaller than the fanout", round, procs)
+			}
+			seen[err.Error()]++
+		}
+	}
+	if len(seen) != 1 {
+		t.Fatalf("failing builds reported %d different errors: %v", len(seen), seen)
 	}
 }

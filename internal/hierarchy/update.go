@@ -56,11 +56,14 @@ type Update struct {
 // promotions applied, plus the dirty node set. The receiver and its
 // graph are untouched and keep serving as a snapshot, so any hierarchy,
 // old or new, can absorb any batch. A batch that changes no edge
-// yields a hierarchy over the receiver's graph with nothing dirty.
+// yields the receiver itself, which never changes, with nothing dirty.
 func (h *Hierarchy) ApplyDelta(d graph.Delta) (*Update, error) {
 	ins, del, err := d.Effective(h.G)
 	if err != nil {
 		return nil, err
+	}
+	if len(ins) == 0 && len(del) == 0 {
+		return &Update{H: h}, nil
 	}
 	g, _, _, err := h.G.ApplyDelta(graph.Delta{Insert: ins, Delete: del})
 	if err != nil {

@@ -63,6 +63,33 @@ func TestApplyDeltaDirtyIsTailPaths(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaNoOpSharesTree: a batch that changes no edge — an
+// insert of a present edge, a delete of an absent one — returns the
+// receiver itself with nothing dirty, not a copy of the tree.
+func TestApplyDeltaNoOpSharesTree(t *testing.T) {
+	g := testCommunity(t, 1)
+	h, err := Build(g, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := int32(0)
+	for len(g.Out(u)) == 0 {
+		u++
+	}
+	absent := int32(0)
+	for absent == u || g.HasEdge(u, absent) {
+		absent++
+	}
+	upd, err := h.ApplyDelta(graph.Delta{Insert: [][2]int32{{u, g.Out(u)[0]}}, Delete: [][2]int32{{u, absent}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upd.H != h || upd.Inserted != 0 || upd.Deleted != 0 || len(upd.Dirty) != 0 || len(upd.Promoted) != 0 {
+		t.Fatalf("no-op batch: same tree %v, +%d −%d, %d dirty, %d promoted; want the receiver and nothing changed",
+			upd.H == h, upd.Inserted, upd.Deleted, len(upd.Dirty), len(upd.Promoted))
+	}
+}
+
 // TestApplyDeltaPromotionRestoresSeparator: an insert crossing two
 // children of a node must promote its tail into that node's hub set,
 // and the updated hierarchy must validate against the updated graph.
