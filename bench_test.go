@@ -543,10 +543,10 @@ func benchStorePath(b *testing.B) string {
 // the same slice as a view (core.OpenDiskStore + core.SplitDisk). All
 // three parse and check the graph and tree; the loads keep them and
 // copy payloads (the shard only its own), and the view keeps only the
-// tree's deal ranks and copies no payload. vectorMB is the encoded size
-// of the vectors the loaded store or slice holds, and residentMB the
-// heap it keeps (ResidentBytes: tables, tree and graph for a load; deal
-// ranks and record offsets for the view).
+// record index and copies no payload. vectorMB is the encoded size of
+// the vectors the loaded store or slice holds, and residentMB the heap
+// it keeps (ResidentBytes: tables, tree and graph for a load; the
+// record index and the view's hub bits for the view).
 func BenchmarkLoadShard(b *testing.B) {
 	path := benchStorePath(b)
 	type slice interface {

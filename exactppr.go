@@ -206,9 +206,10 @@ type Preference = core.Preference
 // DiskStore answers exact queries straight from a store file, for
 // pre-computations larger than memory: memory-mapped zero-copy serving
 // (the OS page cache is its vector cache) and a transposed skeleton
-// index. An open store keeps on the heap only one deal rank and two
-// record offsets per node — no graph and no tree; its Graph method
-// parses the graph from the file when a caller needs it.
+// index. An open store keeps on the heap only a compact record index —
+// a hub bit per id, a deal rank per hub and 32-bit record offsets, under
+// 9 bytes per node at web×1 — and no graph and no tree; its Graph
+// method parses the graph from the file when a caller needs it.
 // SplitDisk returns one DiskStore view per machine; a query on a view
 // answers that machine's additive share.
 type DiskStore = core.DiskStore

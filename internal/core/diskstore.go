@@ -33,15 +33,17 @@ import (
 //     file keeps skeleton values only in this transposed form.
 //
 // Vector payloads stay on disk (or in the page cache). The heap keeps
-// one deal rank per id, all the fold asks of the tree, and two record
-// offsets per id: its base vector's (its hub partial if it is a hub,
-// its leaf PPV otherwise) and its plan row's. That is 20 bytes per
-// node, reported by Stats as ResidentBytes; the graph and the tree are
-// checked at open and then dropped (Graph parses the graph again on
-// demand). Opening checks what Load checks before it copies a vector:
-// the header, the tree, the section framing, that every record is of
-// its key's kind, that every hub has its partial record, and that every
-// hub's own plan row lists it (parseStore). Every record's payload is
+// all the fold asks of the tree — a hub bit per id and each hub's deal
+// rank — and the offset of every record: the hub partials by hub
+// ordinal, the leaf PPVs by leaf ordinal, the plan rows by id, each
+// list in 32-bit deltas from a 64-bit base per block (index.go). That
+// is under 9 bytes per node at web×1, reported by Stats as
+// ResidentBytes; the graph and the tree are checked at open and then
+// dropped (Graph parses the graph again on demand). Opening checks what
+// Load checks before it copies a vector: the header, the tree, the
+// section framing, that every record is of its key's kind, that every
+// hub has its partial record, and that every hub's own plan row lists
+// it (parseStore). Every record's payload is
 // checked each time it is viewed, so a corrupt vector fails the query
 // that reads it. Queries run the same fold as the in-memory Store
 // (fold.go), with the plan row as the source of each path hub's s_u(h),
@@ -67,8 +69,8 @@ type DiskStore struct {
 }
 
 // diskFile is the open store file every slice of it shares: the file's
-// bytes, the deal ranks and the record offsets. It is the disk
-// vectorSource.
+// bytes, the hubs with their deal ranks, and the record offsets. It is
+// the disk vectorSource.
 type diskFile struct {
 	Params ppr.Params
 
@@ -77,17 +79,17 @@ type diskFile struct {
 	data   []byte
 	mapped bool
 
-	// rank[u] is u's deal rank, -1 for a non-hub: the parsed tree's own
-	// slice (hierarchy.Hierarchy.Ranks). Its length is the node count,
-	// and it answers isHub and every slice's hub rule.
-	rank []int32
-	// baseRec[u] is the file offset of u's base-vector record — its hub
-	// partial if u is a hub, its leaf PPV otherwise — and planRec[u] that
-	// of u's plan row; 0 when the file holds none. Payload offsets and
+	// n is the node count. The hub index answers isHub, and its deal
+	// ranks every SplitDisk slice's hub rule.
+	n int
+	hubIndex
+	// partialRec, leafRec and planRec are the file offsets of the hub
+	// partials by hub ordinal, the leaf PPVs by leaf ordinal and the plan
+	// rows by id, 0 where the file holds none. Payload offsets and
 	// lengths are read from the record headers parseStore checked (span).
-	baseRec, planRec []int64
-	// resident is the heap the open file keeps: the ranks and the record
-	// offsets (DiskStats.ResidentBytes).
+	partialRec, leafRec, planRec offsetList
+	// resident is the heap the open file keeps: the hub index and the
+	// record offsets (DiskStats.ResidentBytes).
 	resident int64
 
 	// fmu guards the mapping's lifecycle. Queries hold it shared for
@@ -151,8 +153,10 @@ type DiskStats struct {
 	// (false: from a copy of the file read into memory at open).
 	Mmap bool
 	// ResidentBytes is the heap the open store keeps whatever it
-	// serves: the deal ranks and the two record-offset arrays, counted at
-	// open. Vector payloads are not in it: they stay in the file's bytes.
+	// serves — the hub bits, the hubs' deal ranks and the record-offset
+	// lists, counted at open — and, on a SplitDisk view, the bits of the
+	// hubs its slice holds. Vector payloads are not in it: they stay in
+	// the file's bytes.
 	ResidentBytes int64
 
 	// These always read 0.
@@ -165,10 +169,10 @@ type DiskStats struct {
 // OpenDiskStore opens a store file for on-demand querying. The file is
 // mapped read-only — or, where mapping is unsupported or fails, read
 // into one buffer — and parsed once: the header, graph and hierarchy
-// are checked, the deal ranks are kept, and vector payloads are indexed
-// by offset and served zero-copy from those bytes. A file that Load
-// rejects fails here too, at open, except for a corrupt payload, which
-// fails the queries that view it.
+// are checked, the hubs and their deal ranks are kept, and vector
+// payloads are indexed by offset and served zero-copy from those bytes.
+// A file that Load rejects fails here too, at open, except for a
+// corrupt payload, which fails the queries that view it.
 func OpenDiskStore(path string) (*DiskStore, error) { return openDiskStore(path, true) }
 
 // openDiskStore is OpenDiskStore with the mapping optional: mapped
@@ -294,7 +298,7 @@ func (d *diskFile) close() error {
 // Stats snapshots the serving counters, which every slice of the store
 // shares. Safe concurrently with queries and Close.
 func (d *DiskStore) Stats() DiskStats {
-	return DiskStats{Reads: d.reads.Load(), Mmap: d.mapped, ResidentBytes: d.resident}
+	return DiskStats{Reads: d.reads.Load(), Mmap: d.mapped, ResidentBytes: d.ResidentBytes()}
 }
 
 // acquire takes the shared lifecycle lock for one query; the caller must
@@ -317,12 +321,16 @@ func (d *diskFile) release() { d.fmu.RUnlock() }
 // non-hub — so a plan row naming a non-hub finds no partial. The file's
 // bytes must be open.
 func (d *diskFile) span(sec int8, key int32) (sp span, ok bool) {
-	rec := d.planRec[key]
-	if sec != secHubPlan {
-		if d.isHub(key) != (sec == secHubPartial) {
-			return span{}, false
-		}
-		rec = d.baseRec[key]
+	var rec int64
+	switch {
+	case sec == secHubPlan:
+		rec = d.planRec.at(int(key))
+	case d.isHub(key) != (sec == secHubPartial):
+		return span{}, false
+	case sec == secHubPartial:
+		rec = d.partialRec.at(d.ordinal(key))
+	default:
+		rec = d.leafRec.at(int(key) - d.ordinal(key))
 	}
 	if rec == 0 {
 		return span{}, false
@@ -365,7 +373,7 @@ func (d *diskFile) fetch(section int8, key int32) (sparse.Packed, error) {
 
 // plan is row for a query: it counts one read when u has a row.
 func (d *diskFile) plan(u int32) (planRow, error) {
-	if d.planRec[u] != 0 {
+	if d.planRec.at(int(u)) != 0 {
 		d.reads.Add(1)
 	}
 	return d.row(u)
@@ -395,11 +403,9 @@ func (d *diskFile) row(u int32) (planRow, error) {
 // whole query, and a path walk is one plan row — returned as is
 // for the whole store, filtered into the scratch row for a slice.
 
-func (d *diskFile) numNodes() int { return len(d.rank) }
+func (d *diskFile) numNodes() int { return d.n }
 
 func (d *diskFile) alpha() float64 { return d.Params.Alpha }
-
-func (d *diskFile) isHub(u int32) bool { return d.rank[u] >= 0 }
 
 func (d *diskFile) pathHubs(u int32, own *owner, row *planRow) (planRow, error) {
 	plan, err := d.plan(u)
@@ -459,8 +465,9 @@ func (d *DiskStore) HubCount() int { return d.hubs }
 func (d *DiskStore) LeafCount() int { return d.leaves }
 
 // ResidentBytes reports the heap the open store keeps, which every
-// slice of it shares: DiskStats.ResidentBytes.
-func (d *DiskStore) ResidentBytes() int64 { return d.resident }
+// slice of it shares, plus a slice's own hub bits:
+// DiskStats.ResidentBytes.
+func (d *DiskStore) ResidentBytes() int64 { return d.resident + d.own.residentBytes() }
 
 // Graph parses the graph the store file carries from the open file's
 // bytes, with the reader the open checked it with (parseGraph). The

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 
+	"exactppr/internal/hierarchy"
 	"exactppr/internal/sparse"
 )
 
@@ -45,18 +47,50 @@ type vectorSource interface {
 // round-robin with one global cursor, so machines stay balanced
 // although most tree nodes hold only one or two hubs, and a rank never
 // changes across updates, so neither does an existing hub's owner.
-// Non-hub u's leaf vector belongs to machine u mod total. Both follow
-// from the deal ranks alone (hierarchy.Hierarchy.Ranks for a heap
-// store, the ranks a disk store keeps), so memory and disk slices of
-// one store own the same vectors. A nil *owner admits everything.
+// Non-hub u's leaf vector belongs to machine u mod total. The hubs a
+// slice holds are dealt once, from the deal ranks alone
+// (hierarchy.Hierarchy.Ranks for a heap store, the ranks a disk store's
+// index keeps), into a bit per id, so memory and disk slices of one
+// store own the same vectors. A nil *owner admits everything.
 type owner struct {
 	index, total int
-	rank         []int32 // every id's deal rank, -1 for a non-hub
+	hubs         idSet // the hubs the slice holds
 }
 
-func (o *owner) hub(h int32) bool { return o == nil || int(o.rank[h])%o.total == o.index }
+// newOwner returns machine index's slice of a total-way split of a
+// store over n ids, whose hubs and their deal ranks hubs yields.
+func newOwner(index, total, n int, hubs iter.Seq2[int32, int32]) *owner {
+	o := &owner{index: index, total: total, hubs: newIDSet(n)}
+	for h, r := range hubs {
+		if int(r)%total == index {
+			o.hubs.add(h)
+		}
+	}
+	return o
+}
+
+// treeHubs yields every hub of tree h, ascending, with its deal rank.
+func treeHubs(h *hierarchy.Hierarchy) iter.Seq2[int32, int32] {
+	return func(yield func(int32, int32) bool) {
+		for u, r := range h.Ranks() {
+			if r >= 0 && !yield(int32(u), r) {
+				return
+			}
+		}
+	}
+}
+
+func (o *owner) hub(h int32) bool { return o == nil || o.hubs.has(h) }
 
 func (o *owner) leaf(u int32) bool { return o == nil || int(u)%o.total == o.index }
+
+// residentBytes is the heap o's hub bits take; 0 for nil.
+func (o *owner) residentBytes() int64 {
+	if o == nil {
+		return 0
+	}
+	return 8 * int64(cap(o.hubs))
+}
 
 // admits reports whether o's slice holds the record of key in payload
 // section sec: a leaf PPV by the leaf rule, a hub vector by the hub rule.

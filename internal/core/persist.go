@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"exactppr/internal/graph"
@@ -31,15 +34,16 @@ import (
 // Load, LoadFile, LoadShard and OpenDiskStore are one reader: parseStore
 // checks the header, the graph, the tree and the section framing of the
 // file's bytes (the mapped file, or a copy read into memory) and indexes
-// every record: per node, one file offset for its base vector (its hub
-// partial if it is a hub, its leaf PPV otherwise) and one for its plan
-// row, 0 for no record, the payload's offset and length following from
-// the record's header. A DiskStore serves views over those bytes and
-// keeps on the heap only those offsets and the tree's deal ranks; the
-// graph and the rest of the tree are dropped once checked. The loaders
-// keep the tree, copy the vectors their slice owns into one table per
-// section, rebuild the skeleton vectors of the hubs it owns from the
-// plan rows, and release the bytes.
+// every record by its file offset — the hub partials by hub ordinal, the
+// leaf PPVs by leaf ordinal, the plan rows by id, 0 for no record — the
+// payload's offset and length following from the record's header. A
+// DiskStore serves views over those bytes and keeps on the heap only
+// those offsets, a hub bit per id and each hub's deal rank (index.go):
+// under 9 bytes per node at web×1. The graph and the rest of the tree
+// are dropped once checked. The loaders keep the tree, copy the vectors
+// their slice owns into one table per section, rebuild the skeleton
+// vectors of the hubs it owns from the plan rows, and release the
+// bytes.
 // LoadShard(path, i, n) copies only machine i's slice of an n-way split
 // (see Split), so a worker never allocates the vectors it does not
 // serve. Payload lengths are in the record framing, so a payload outside
@@ -183,17 +187,52 @@ func Save(w io.Writer, s *Store) error {
 	return sw.err
 }
 
-// SaveFile writes the store to a file path.
-func SaveFile(path string, s *Store) error {
-	f, err := os.Create(path)
+// SaveFile writes the store to a file path, replacing any file there
+// atomically: it writes a temporary file in the same directory and
+// renames it over path, so a store that has the old file open keeps
+// serving it, and a failed save leaves the old file as it was and no
+// temporary file behind. A symlink at path is followed to the file it
+// names, which is replaced. The new file keeps the permission bits of
+// the file it replaces, or gets os.Create's (0666 less the umask); it
+// belongs to the saving process's user. It is not synced to disk: a
+// crash soon after SaveFile returns may lose it.
+func SaveFile(path string, s *Store) (err error) {
+	if target, err := filepath.EvalSymlinks(path); err == nil {
+		path = target
+	}
+	f, err := createTemp(path)
 	if err != nil {
 		return err
 	}
-	if err := Save(f, s); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = Save(f, s); err != nil {
 		return err
 	}
-	return f.Close()
+	if fi, statErr := os.Stat(path); statErr == nil {
+		if err = f.Chmod(fi.Mode().Perm()); err != nil {
+			return err
+		}
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
+// createTemp creates a new file beside path, with the mode os.Create
+// gives (os.CreateTemp's files are private).
+func createTemp(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		f, err := os.OpenFile(fmt.Sprintf("%s.tmp%d", path, rand.Uint32()), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 100 {
+			return f, err
+		}
+	}
 }
 
 // headerLen is the byte length of the header before the edge list:
@@ -208,10 +247,10 @@ const minRecordLen = 16
 
 // parseStore is the one reader of the store format: it checks the
 // header, the graph, the tree and the section framing of a whole file's
-// bytes, and returns the served part of the file — its parameters, the
-// tree's deal ranks and the offset of every record in data — and the
-// tree, which only the loaders keep. The parameters must pass the
-// checks Precompute applies and the hierarchy options those Build
+// bytes, and returns the served part of the file — its parameters, its
+// hubs with their deal ranks and the offset of every record in data —
+// and the tree, which only the loaders keep. The parameters must pass
+// the checks Precompute applies and the hierarchy options those Build
 // applies (ErrInvalidStoreParams); the tree must pass ParseTree's
 // checks (an error wrapping hierarchy.ErrInvalidTree). Counts are
 // bounded by the bytes that could hold them before anything is
@@ -263,7 +302,10 @@ func parseStore(data []byte) (*diskFile, *hierarchy.Hierarchy, error) {
 	}
 	off += treeLen
 	n := g.NumNodes()
-	d := &diskFile{Params: params, data: data, rank: h.Ranks(), baseRec: make([]int64, n), planRec: make([]int64, n)}
+	d := &diskFile{Params: params, data: data, n: n, hubIndex: newHubIndex(h)}
+	d.partialRec = newOffsetList(len(d.rank), n)
+	d.leafRec = newOffsetList(n-len(d.rank), n)
+	d.planRec = newOffsetList(n, n)
 	maxLen := sparse.EncodedSizeColumnar(n)
 	for sec := range numSections {
 		if len(data)-off < 4 {
@@ -273,10 +315,6 @@ func parseStore(data []byte) (*diskFile, *hierarchy.Hierarchy, error) {
 		off += 4
 		if maxCount := min(n, (len(data)-off)/minRecordLen); count < 0 || count > maxCount {
 			return nil, nil, fmt.Errorf("core: section %d count %d outside [0,%d] (corrupt store?)", sec, count, maxCount)
-		}
-		recs := d.baseRec
-		if sec == secHubPlan {
-			recs = d.planRec
 		}
 		prev := int32(-1)
 		for range count {
@@ -288,8 +326,8 @@ func parseStore(data []byte) (*diskFile, *hierarchy.Hierarchy, error) {
 				return nil, nil, fmt.Errorf("core: section %d key %d after %d is out of order or outside [0,%d) (corrupt store?)", sec, key, prev, n)
 			}
 			// A node's base vector is its partial if it is a hub, its
-			// leaf PPV otherwise: the two sections share one offset array.
-			if sec != secHubPlan && h.IsHub(key) != (sec == secHubPartial) {
+			// leaf PPV otherwise.
+			if sec != secHubPlan && d.isHub(key) != (sec == secHubPartial) {
 				kind := "a leaf PPV at a hub"
 				if sec == secHubPartial {
 					kind = "a hub partial at a non-hub"
@@ -302,15 +340,19 @@ func parseStore(data []byte) (*diskFile, *hierarchy.Hierarchy, error) {
 			if vlen < 0 || int(vlen) > maxLen || int(vlen) > len(data)-off {
 				return nil, nil, fmt.Errorf("core: section %d key %d has corrupt payload length %d", sec, key, vlen)
 			}
-			recs[key] = int64(rec)
+			switch sec {
+			case secHubPartial:
+				d.partialRec.set(d.ordinal(key), int64(rec))
+			case secLeafPPV:
+				d.leafRec.set(int(key)-d.ordinal(key), int64(rec))
+			default:
+				d.planRec.set(int(key), int64(rec))
+			}
 			off += int(vlen)
 		}
 	}
-	for u := range int32(n) {
-		if !h.IsHub(u) {
-			continue
-		}
-		if d.baseRec[u] == 0 {
+	for u := range d.dealt() {
+		if _, ok := d.span(secHubPartial, u); !ok {
 			return nil, nil, fmt.Errorf("core: store missing partial for hub %d", u)
 		}
 		// The row's other hubs are checked when it is viewed (plan).
@@ -320,7 +362,7 @@ func parseStore(data []byte) (*diskFile, *hierarchy.Hierarchy, error) {
 			return nil, nil, fmt.Errorf("core: hub %d is missing from its own plan row", u)
 		}
 	}
-	d.resident = 8*int64(cap(d.baseRec)+cap(d.planRec)) + 4*int64(cap(d.rank))
+	d.resident = d.hubIndex.residentBytes() + d.partialRec.residentBytes() + d.leafRec.residentBytes() + d.planRec.residentBytes()
 	return d, h, nil
 }
 
@@ -417,7 +459,7 @@ func loadBytes(data []byte, shard, of int) (*Store, error) {
 func (d *diskFile) load(h *hierarchy.Hierarchy, shard, of int) (*Store, error) {
 	var own *owner
 	if of != 0 {
-		own = &owner{index: shard, total: of, rank: d.rank}
+		own = newOwner(shard, of, h.G.NumNodes(), treeHubs(h))
 	}
 	s := &Store{H: h, Params: d.Params, own: own}
 	var err error

@@ -55,8 +55,10 @@ func webStoreFile(t *testing.T) string {
 // deterministic count: the build is deterministic, and the count reads
 // capacities. Loading slice 1 of 2 grows the live heap by 3.52 MB; it
 // grew it by 4.35 MB when each section was a map holding every vector
-// in arrays of its own.
-var residentCeilings = map[int]int64{1: 6_091_000, 2: 3_475_000}
+// in arrays of its own. The count includes the slice's hub bits (1,504
+// bytes); the ceilings were 6,091,000 and 3,475,000 bytes before a slice
+// held them.
+var residentCeilings = map[int]int64{1: 6_093_000, 2: 3_476_000}
 
 // TestResidentBytesPerWorker holds the heap each web×1 worker slice
 // keeps under its committed ceiling, at -of 1 and 2: a change may
@@ -79,16 +81,18 @@ func TestResidentBytesPerWorker(t *testing.T) {
 }
 
 // diskResidentCeiling bounds DiskStore.ResidentBytes of the serving
-// fixture's open store: one deal rank and two record offsets per node,
-// 20 bytes for each of web×1's 12,000 nodes. It was 872,644 bytes when
-// the open store kept a record offset per section, the tree and the
-// graph.
-const diskResidentCeiling = 240_000
+// fixture's open store and of each of its SplitDisk views: a hub bit
+// per id, a deal rank per hub and 32-bit record offsets, 9.5 bytes for
+// each of web×1's 12,000 nodes. It was 240,000 bytes when the open
+// store kept a deal rank per id and two 64-bit record offsets per id,
+// and 872,644 bytes when it kept a record offset per section, the tree
+// and the graph.
+const diskResidentCeiling = 114_000
 
 // TestDiskResidentBytes holds the heap an open web×1 DiskStore keeps —
-// mapped or read into memory — under its ceiling, and checks that every
-// SplitDisk view at 2 and 4 and the store's DiskStats report that same
-// count: the views share the open file.
+// mapped or read into memory — under its ceiling, and so every SplitDisk
+// view at 2 and 4: a view shares the open file's index and adds only
+// its own hub bits. Each store and view's DiskStats report its count.
 func TestDiskResidentBytes(t *testing.T) {
 	path := webStoreFile(t)
 	for _, mapped := range []bool{true, false} {
@@ -111,11 +115,12 @@ func TestDiskResidentBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range views {
-				if got := v.ResidentBytes(); got != b {
-					t.Errorf("mapped=%v: view %d of %d reports %d resident bytes, the store %d", mapped, i, of, got, b)
+				got := v.ResidentBytes()
+				if got < b || got > diskResidentCeiling {
+					t.Errorf("mapped=%v: view %d of %d reports %d resident bytes, outside [%d (the store), %d]", mapped, i, of, got, b, diskResidentCeiling)
 				}
-				if got := v.Stats().ResidentBytes; got != b {
-					t.Errorf("mapped=%v: view %d of %d DiskStats reports %d resident bytes, the store %d", mapped, i, of, got, b)
+				if st := v.Stats().ResidentBytes; st != got {
+					t.Errorf("mapped=%v: view %d of %d DiskStats reports %d resident bytes, ResidentBytes %d", mapped, i, of, st, got)
 				}
 			}
 		}

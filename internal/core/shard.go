@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Split divides the store across n machines under the paper's
 // hub-distributed scheme (§4.4): each subgraph's hub list is dealt
@@ -17,7 +20,7 @@ import "fmt"
 // can go on to absorb updates on their own (see Store.ApplyUpdates). A
 // shard-local store cannot be split again.
 func Split(s *Store, n int) ([]*Store, error) {
-	owners, err := split(s.H.Ranks(), s.own, n)
+	owners, err := split(s.own, n, s.H.G.NumNodes(), treeHubs(s.H))
 	if err != nil {
 		return nil, err
 	}
@@ -31,11 +34,12 @@ func Split(s *Store, n int) ([]*Store, error) {
 // SplitDisk divides the disk store across n machines with Split's
 // assignment, so disk and memory slices of one store own the same
 // vectors and answer the same share bytes. Each slice is a DiskStore
-// view over ds's file bytes, record offsets and deal ranks: nothing is
-// copied, and closing any view closes them all. It counts each slice's
-// vectors from the file, so a closed store fails with ErrStoreClosed.
+// view over ds's file bytes, record offsets and deal ranks, holding only
+// its own hub bits: nothing else is copied, and closing any view closes
+// them all. It counts each slice's vectors from the file, so a closed
+// store fails with ErrStoreClosed.
 func SplitDisk(ds *DiskStore, n int) ([]*DiskStore, error) {
-	owners, err := split(ds.rank, ds.own, n)
+	owners, err := split(ds.own, n, ds.n, ds.dealt())
 	if err != nil {
 		return nil, err
 	}
@@ -52,10 +56,10 @@ func SplitDisk(ds *DiskStore, n int) ([]*DiskStore, error) {
 }
 
 // split returns every machine's slice under an n-way split of a store
-// whose ids hold the deal ranks rank — the one shard-assignment rule
-// behind Split and SplitDisk. cur is the slice the store being split
-// already holds: only a whole store (nil) splits.
-func split(rank []int32, cur *owner, n int) ([]*owner, error) {
+// over nodes ids, whose hubs and their deal ranks hubs yields — the one
+// shard-assignment rule behind Split and SplitDisk. cur is the slice the
+// store being split already holds: only a whole store (nil) splits.
+func split(cur *owner, n, nodes int, hubs iter.Seq2[int32, int32]) ([]*owner, error) {
 	if cur != nil {
 		return nil, fmt.Errorf("core: store already holds only shard %d of %d and cannot be re-split", cur.index, cur.total)
 	}
@@ -64,7 +68,7 @@ func split(rank []int32, cur *owner, n int) ([]*owner, error) {
 	}
 	owners := make([]*owner, n)
 	for i := range owners {
-		owners[i] = &owner{index: i, total: n, rank: rank}
+		owners[i] = newOwner(i, n, nodes, hubs)
 	}
 	return owners, nil
 }

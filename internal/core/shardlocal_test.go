@@ -51,7 +51,7 @@ func TestMissingVectorIsTypedError(t *testing.T) {
 		t.Fatalf("shard query of hub %d without its skeleton: err = %v, want ErrMissingVector", hub, err)
 	}
 
-	ds.baseRec[leaf] = 0
+	ds.leafRec.delta[int(leaf)-ds.ordinal(leaf)] = 0
 	if _, err := ds.QueryPacked(leaf); !errors.Is(err, ErrMissingVector) {
 		t.Fatalf("disk query of node %d without its leaf record: err = %v, want ErrMissingVector", leaf, err)
 	}

@@ -545,13 +545,13 @@ func (s *Store) SpaceBytes() int64 {
 }
 
 // ResidentBytes reports the heap the store keeps, from capacities: its
-// tables (offset indexes and arenas), its tree and its graph. A slice
-// from Split shares the tree and graph with the store it came from, and
-// counts them all the same: it is what a machine that keeps only the
-// slice keeps.
+// tables (offset indexes and arenas), its tree, its graph and, on a
+// slice, the bits of the hubs it holds. A slice from Split shares the
+// tree and graph with the store it came from, and counts them all the
+// same: it is what a machine that keeps only the slice keeps.
 func (s *Store) ResidentBytes() int64 {
 	return s.HubPartial.residentBytes() + s.Skeleton.residentBytes() + s.LeafPPV.residentBytes() +
-		s.H.ResidentBytes() + s.H.G.ResidentBytes()
+		s.H.ResidentBytes() + s.H.G.ResidentBytes() + s.own.residentBytes()
 }
 
 // Stats summarizes the store for experiment reports.

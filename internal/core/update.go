@@ -99,7 +99,7 @@ func (s *Store) ApplyUpdates(d graph.Delta, workers int) (*Store, *UpdateInfo, e
 	// recompute below produces.
 	ns := &Store{H: upd.H, Params: s.Params}
 	if o := s.own; o != nil {
-		ns.own = &owner{index: o.index, total: o.total, rank: upd.H.Ranks()}
+		ns.own = newOwner(o.index, o.total, upd.H.G.NumNodes(), treeHubs(upd.H))
 	}
 
 	var tasks []precomputeTask
@@ -212,7 +212,7 @@ func (l *LiveStore) Narrow(i, n int) error {
 	if err := checkShard(i, n); err != nil {
 		return err
 	}
-	l.cur.Store(cur.narrow(&owner{index: i, total: n, rank: cur.H.Ranks()}))
+	l.cur.Store(cur.narrow(newOwner(i, n, cur.H.G.NumNodes(), treeHubs(cur.H))))
 	return nil
 }
 

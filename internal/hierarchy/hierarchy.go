@@ -448,9 +448,8 @@ func invalidTree(format string, args ...any) error {
 //     endpoint homed at the deepest tree node holding both;
 //  5. deal ranks are unique, below nextRank, and held by hubs alone.
 //
-// It derives no member list: one pass over the tree's lists, then per
-// id one walk up from its home and per edge one from its tail's home —
-// the work maxMeanDepth bounds.
+// It derives no member list: one pass over the tree's lists, one over
+// the ids and one over the edges, each edge checked in constant time.
 func (h *Hierarchy) Validate() error {
 	n := int32(h.G.NumNodes())
 	if len(h.nodes) == 0 || h.nodes[0] != h.Root || h.Root.Parent != nil || h.Root.Level != 0 {
@@ -512,20 +511,30 @@ func (h *Hierarchy) Validate() error {
 		}
 	}
 	// Separator property: an undirected path between two children that
-	// avoids the hubs crosses some edge between them. Edges are taken
-	// head by head, so each head's chain is read once and each edge walks
-	// up from its tail's home only: the work stays within what
-	// maxMeanDepth bounds.
-	off, in := h.G.Reverse()
-	chain := make([]*Node, h.Depth())
-	for b := range n {
-		hb := h.Home(b)
-		for x := hb; x != nil; x = x.Parent {
-			chain[x.Level] = x
+	// avoids the hubs crosses some edge between them. An edge keeps the
+	// property when one endpoint's home holds the other's, and in
+	// pre-order a node's subtree is the run of deeper nodes after it:
+	// end[p] is where the run after position p stops. So the edges are
+	// taken tail by tail over the out-lists, each with one comparison of
+	// positions: no reverse adjacency is built and no chain is walked.
+	end := make([]int32, len(h.nodes))
+	var chain []int32 // the positions of the nodes above the next one
+	for p, nd := range h.nodes {
+		for len(chain) > 0 && h.nodes[chain[len(chain)-1]].Level >= nd.Level {
+			end[chain[len(chain)-1]] = int32(p)
+			chain = chain[:len(chain)-1]
 		}
-		for _, a := range in[off[b]:off[b+1]] {
-			ha := h.Home(a)
-			if m := meet(ha, chain[:hb.Level+1]); m != ha && m != hb {
+		chain = append(chain, int32(p))
+	}
+	for _, p := range chain {
+		end[p] = int32(len(h.nodes))
+	}
+	holds := func(x, y int32) bool { return x <= y && y < end[x] }
+	for a := range n {
+		pa := h.home[a]
+		for _, b := range h.G.Out(a) {
+			if pb := h.home[b]; !holds(pa, pb) && !holds(pb, pa) {
+				m := meet(h.Home(b), h.Path(a))
 				return invalidTree("node %d: hubs do not separate children (edge %d→%d)", m.ID, a, b)
 			}
 		}
